@@ -210,18 +210,19 @@ _POLY_KINDS = {
 
 def cmd_poly(args) -> int:
     profile = parse_profile(args.profile)
-    fn = _POLY_KINDS[args.kind]
-    fam = polynomials.family(profile.rank, profile.level)
-    methods = {"P": fam.parts_at_most, "Peq": fam.largest_part_exact,
-               "Ptilde": fam.pivot_lineup, "Qtilde": fam.pivot_corrected}
-    rows = [["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]]
-    for n in range(args.n + 1):
-        for sh in fam.shapes:
-            poly = methods[args.kind](n, sh)
-            mn = min(poly.coeffs) if poly.coeffs else 0
-            rows.append([profile.rank, profile.level, n, f"({'-'.join(map(str, sh.parts))})",
-                         poly(1), mn])
-    poly = fn(profile, args.n)
+    rows = None
+    if args.format == "csv":
+        fam = polynomials.family(profile.rank, profile.level)
+        methods = {"P": fam.parts_at_most, "Peq": fam.largest_part_exact,
+                   "Ptilde": fam.pivot_lineup, "Qtilde": fam.pivot_corrected}
+        rows = [["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]]
+        for n in range(args.n + 1):
+            for sh in fam.shapes:
+                poly = methods[args.kind](n, sh)
+                mn = min(poly.coeffs) if poly.coeffs else 0
+                rows.append([profile.rank, profile.level, n,
+                             f"({'-'.join(map(str, sh.parts))})", poly(1), mn])
+    poly = _POLY_KINDS[args.kind](profile, args.n)
     _emit(args, {"command": f"poly {args.kind}", "profile": list(profile.parts),
                  "n": args.n, "coeffs": [str(c) for c in poly.coeffs]},
           [f"{args.kind}[n={args.n}] = {poly}"], rows)
@@ -386,6 +387,16 @@ def cmd_verify_all(args) -> int:
     return 0 if all_ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylpart",
@@ -396,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
         if profile:
             p.add_argument("--profile", help="comma separated, e.g. 1,2,0")
         if order is not None:
-            p.add_argument("--order", type=int, default=order,
+            p.add_argument("--order", type=_nonnegative_int, default=order,
                            help="truncation order / weight bound")
         if n is not None:
-            p.add_argument("--n", type=int, default=n)
+            p.add_argument("--n", type=_nonnegative_int, default=n)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)

@@ -10,12 +10,16 @@ with delta(c, d) the tight-packing distance from the zero shape of c to the
 shape d.  The largest-part-exactly-n variant replaces the diagonal term's
 q^{n*0} by q^{n*r}; the pivot-chain variant restricts d to shapes with
 first part >= 2 and adds n*r to every exponent.  All tables are memoized
-per (rank, level) family since the recurrences couple all shapes.
+per (rank, level) family since the recurrences couple all shapes, and per
+truncation order: series callers build them only up to the q-power they
+compare, the ``*_poly`` functions at full degree.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
+from operator import add
 
 from .core import Profile, Shape, all_shapes, delta, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
@@ -23,8 +27,30 @@ from .series import (BivariateTruncated, TruncatedSeries, inv_poch_finite)
 from .rings import ZZ
 
 
+def _accumulate(terms, order: int | None) -> QPoly:
+    """Sum of p * q^k over the pairs (p, k) in ``terms``, dropping powers of
+    q above ``order``; ``order=None`` keeps every power."""
+    out: list = []
+    for p, k in terms:
+        cs = p.coeffs
+        if order is not None:
+            if k > order:
+                continue
+            cs = cs[:order + 1 - k]
+        end = k + len(cs)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        out[k:end] = map(add, out[k:end], cs)
+    return QPoly(out)
+
+
 class PolynomialFamily:
-    """Memoized polynomial tables for one (rank, level) family."""
+    """Memoized polynomial tables for one (rank, level) family.
+
+    Tables are kept per truncation order (``None`` for full degree) and are
+    extended under a per-family lock, so one family may be shared across
+    threads; a layer is published only once all its entries are built.
+    """
 
     def __init__(self, rank: int, level: int):
         self.rank = rank
@@ -36,59 +62,47 @@ class PolynomialFamily:
             pa = shape_to_profile(a, level)
             for b in self.shapes:
                 self._delta[(a, b)] = delta(pa, shape_to_profile(b, level))
-        self._parts_at_most: list[dict[Shape, QPoly]] = [
-            {s: QPoly.one() for s in self.shapes}]
-        self._pivot_lineup: list[dict[Shape, QPoly]] = [
-            {s: QPoly.one() for s in self.pivot_shapes}]
+        self._lock = threading.Lock()
+        self._parts_at_most: dict[int | None, list[dict[Shape, QPoly]]] = {}
+        self._pivot_lineup: dict[int | None, list[dict[Shape, QPoly]]] = {}
 
     def dist(self, a: Shape, b: Shape) -> int:
         return self._delta[(a, b)]
 
-    def _extend_parts_at_most(self, n: int):
-        while len(self._parts_at_most) <= n:
-            k = len(self._parts_at_most)
-            prev = self._parts_at_most[-1]
-            layer = {}
-            for c in self.shapes:
-                acc = QPoly()
-                for d in self.shapes:
-                    acc = acc + prev[d].shift(k * self.dist(c, d))
-                layer[c] = acc
-            self._parts_at_most.append(layer)
+    def _layers(self, tables: dict, shapes: list[Shape], extra: int, n: int,
+                order: int | None) -> list[dict[Shape, QPoly]]:
+        """Layers 0..n (at least) of the recurrence over ``shapes`` whose
+        step to layer k takes entry d of layer k-1 times
+        q^{k (delta(c, d) + extra)}, truncated at ``order``."""
+        with self._lock:
+            layers = tables.setdefault(order, [dict.fromkeys(shapes, QPoly.one())])
+            while len(layers) <= n:
+                k = len(layers)
+                prev = layers[-1]
+                layers.append({
+                    c: _accumulate(((prev[d], k * (self.dist(c, d) + extra))
+                                    for d in shapes), order)
+                    for c in shapes})
+        return layers
 
-    def parts_at_most(self, n: int, c: Shape) -> QPoly:
-        """Numerator of the count of cylindric partitions with parts <= n."""
+    def parts_at_most(self, n: int, c: Shape, order: int | None = None) -> QPoly:
+        """Numerator of the count of cylindric partitions with parts <= n,
+        truncated at q^order (``None``: full degree)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        self._extend_parts_at_most(n)
-        return self._parts_at_most[n][c]
+        return self._layers(self._parts_at_most, self.shapes, 0, n, order)[n][c]
 
-    def largest_part_exact(self, n: int, c: Shape) -> QPoly:
+    def largest_part_exact(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Numerator with largest part exactly n: the diagonal step pays a
-        full extra column, q^{n*rank}, instead of q^0."""
+        full extra column, q^{n*rank}, instead of q^0.  Truncated at q^order
+        (``None``: full degree)."""
         if n < 0:
             raise ValueError("n must be non-negative")
         if n == 0:
             return QPoly.one()
-        self._extend_parts_at_most(n - 1)
-        prev = self._parts_at_most[n - 1]
-        acc = prev[c].shift(n * self.rank)
-        for d in self.shapes:
-            if d != c:
-                acc = acc + prev[d].shift(n * self.dist(c, d))
-        return acc
-
-    def _extend_pivot_lineup(self, n: int):
-        while len(self._pivot_lineup) <= n:
-            k = len(self._pivot_lineup)
-            prev = self._pivot_lineup[-1]
-            layer = {}
-            for c in self.pivot_shapes:
-                acc = QPoly()
-                for d in self.pivot_shapes:
-                    acc = acc + prev[d].shift(k * (self.dist(c, d) + self.rank))
-                layer[c] = acc
-            self._pivot_lineup.append(layer)
+        prev = self._layers(self._parts_at_most, self.shapes, 0, n - 1, order)[n - 1]
+        return _accumulate(((prev[d], n * (self.rank if d == c else self.dist(c, d)))
+                            for d in self.shapes), order)
 
     def pivot_lineup(self, n: int, c: Shape) -> QPoly:
         """Weight numerator of minimal loose pivot lineups below shape c.
@@ -100,15 +114,13 @@ class PolynomialFamily:
             raise ValueError("n must be non-negative")
         if n == 0:
             return QPoly.one()
-        if c in self._pivot_lineup[0]:
-            self._extend_pivot_lineup(n)
-            return self._pivot_lineup[n][c]
-        self._extend_pivot_lineup(n - 1)
-        prev = self._pivot_lineup[n - 1]
-        acc = QPoly()
-        for d in self.pivot_shapes:
-            acc = acc + prev[d].shift(n * (self.dist(c, d) + self.rank))
-        return acc
+        if c in self.pivot_shapes:
+            return self._layers(self._pivot_lineup, self.pivot_shapes,
+                                self.rank, n, None)[n][c]
+        prev = self._layers(self._pivot_lineup, self.pivot_shapes,
+                            self.rank, n - 1, None)[n - 1]
+        return _accumulate(((prev[d], n * (self.dist(c, d) + self.rank))
+                            for d in self.pivot_shapes), None)
 
     def pivot_corrected(self, n: int, c: Shape) -> QPoly:
         """Alternating combination of largest-part numerators:
@@ -164,12 +176,14 @@ def pivot_corrected_poly(profile: Profile, n: int) -> QPoly:
 
 def parts_at_most_series(profile: Profile, n: int, order: int) -> TruncatedSeries:
     """parts_at_most numerator over (q^r; q^r)_n, truncated."""
-    num = TruncatedSeries.from_coeffs(ZZ, parts_at_most_poly(profile, n).truncated(order), order)
+    fam, c = _family_of(profile)
+    num = TruncatedSeries.from_coeffs(ZZ, fam.parts_at_most(n, c, order).coeffs, order)
     return num * inv_poch_finite(n, order, step=profile.rank)
 
 
 def largest_part_exact_series(profile: Profile, n: int, order: int) -> TruncatedSeries:
-    num = TruncatedSeries.from_coeffs(ZZ, largest_part_exact_poly(profile, n).truncated(order), order)
+    fam, c = _family_of(profile)
+    num = TruncatedSeries.from_coeffs(ZZ, fam.largest_part_exact(n, c, order).coeffs, order)
     return num * inv_poch_finite(n, order, step=profile.rank)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 
@@ -61,8 +62,8 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             other = QPoly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
+        return QPoly(tuple(a + b for a, b in
+                           zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 
@@ -151,7 +152,8 @@ class QPoly:
 
     def truncated(self, order: int) -> tuple:
         """Coefficients 0..order, zero padded."""
-        return tuple(self.coefficient(i) for i in range(order + 1))
+        cs = self.coeffs[:max(order + 1, 0)]
+        return cs + (0,) * (order + 1 - len(cs))
 
     def to_str(self, var: str = "q") -> str:
         if not self.coeffs:

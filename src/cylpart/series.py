@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Profile
-from .qpoly import QPoly, q_binomial  # noqa: F401  (q_binomial re-exported here)
+from .qpoly import QPoly
 from .rings import Ring, RingMismatch, ZZ, ring_of
 
 

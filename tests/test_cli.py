@@ -137,6 +137,16 @@ class TestUsageErrors:
         code = main(["decompose", "--profile", "1,1,1", "1|4|x"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["functional-eq", "--profile", "1,1,1", "--order", "-1"],
+        ["count", "--profile", "2,1", "--order", "-3"],
+        ["poly", "P", "--profile", "2,1", "--n", "-1"]])
+    def test_negative_order_or_n_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
     def test_invalid_partition_rejected(self, capsys):
         # top row must dominate the shifted second row: 1 >= 5 fails
         code = main(["decompose", "--profile", "1,1,1", "1|5,5|"])

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -6,9 +8,9 @@ from cylpart import (Profile, QPoly, Shape, borodin_product, count_bivariate,
                      family, f_truncated, check_functional_equation,
                      shape_of_zero)
 from cylpart.oracle import count_max_at_most, count_max_exactly
-from cylpart.polynomials import (largest_part_exact_series,
-                                 parts_at_most_series, pivot_corrected_poly,
-                                 pivot_lineup_poly)
+from cylpart.polynomials import (PolynomialFamily, largest_part_exact_series,
+                                 parts_at_most_poly, parts_at_most_series,
+                                 pivot_corrected_poly, pivot_lineup_poly)
 from cylpart.qpoly import q_binomial
 
 SHAPE_ORDER_32 = [Shape.of(0, 0), Shape.of(1, 0), Shape.of(1, 1),
@@ -74,12 +76,58 @@ class TestTables:
                 assert pivot_corrected_poly(prof, n)(1) == \
                     (count - prof.rank) ** n
 
+    def test_full_degree_kept(self):
+        assert parts_at_most_poly(Profile.of(2, 1, 1), 20).degree == 1620
+
+    @pytest.mark.parametrize("order", [0, 3, 12])
+    def test_truncated_tables_match_full_degree(self, small_profiles, order):
+        for prof in small_profiles:
+            fam = family(prof.rank, prof.level)
+            for n in range(7):
+                for c in fam.shapes:
+                    for table in (fam.parts_at_most, fam.largest_part_exact):
+                        assert table(n, c, order) == \
+                            QPoly(table(n, c).truncated(order)), (prof, n, c)
+
     def test_rank_one_degenerate(self):
         fam = family(1, 2)
         assert fam.pivot_shapes == []
         assert fam.pivot_lineup(0, Shape(())) == QPoly.one()
         assert fam.pivot_lineup(2, Shape(())) == QPoly.zero()
         assert fam.parts_at_most(3, Shape(()))(1) == 1
+
+
+class TestThreadedExtension:
+    def test_concurrent_extension_matches_serial(self):
+        serial = PolynomialFamily(3, 3)
+        want = [{c: (serial.parts_at_most(n, c), serial.pivot_lineup(n, c))
+                 for c in serial.shapes} for n in range(9)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Without the lock a layer is duplicated in only some trials;
+            # 60 trials make a miss unlikely.
+            for _ in range(60):
+                fam = PolynomialFamily(3, 3)
+                start = threading.Barrier(4)
+
+                def extend():
+                    start.wait(timeout=30)
+                    for c in fam.shapes:
+                        fam.parts_at_most(8, c)
+                        fam.pivot_lineup(8, c)
+
+                threads = [threading.Thread(target=extend) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                got = [{c: (fam.parts_at_most(n, c), fam.pivot_lineup(n, c))
+                        for c in fam.shapes} for n in range(9)]
+                assert got == want
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 class TestAgainstEnumeration:
