@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Every computation and every identity check is a subcommand; verification
-subcommands exit 1 on the first mismatch (naming the offending
-coefficient) and 2 on usage errors, so the tool slots into CI pipelines.
+Every computation and every identity check is a subcommand, so the tool
+slots into CI pipelines.  Exit codes:
+
+* 0 -- success;
+* 1 -- a verification subcommand found a mismatch (naming the first bad
+  coefficient with both values);
+* 2 -- usage error: bad arguments, malformed input or an invalid partition;
+* 3 -- internal error: any other exception, reported on one stderr line.
+
 JSON output carries ``"schema": 1`` and serializes big integers as
 strings.
 """
@@ -15,6 +21,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import bijection, core, diagram, lineups, oracle, polynomials, series
 from .core import Partition, Profile, parse_cylindric, parse_profile
@@ -269,26 +276,41 @@ def cmd_qconj_check(args) -> int:
     return 0 if report.ok else 1
 
 
+def _first_mismatch(a, b) -> tuple[int, object, object] | None:
+    """(index, a value, b value) of the first entry where two coefficient
+    sequences differ, reading missing entries as 0; None when equal."""
+    return next(((k, x, y) for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=0))
+                 if x != y), None)
+
+
 def _verify_all_tasks(profile: Profile, order: int, seed: int):
     """(name, callable) pairs; each callable returns (ok, detail)."""
     rng = random.Random(seed)
+    # The round-trip checks only read this pool, so they share one list.
+    pool = oracle.enumerate_by_weight(profile, min(order, 10))
 
     def borodin_vs_oracle():
         a = oracle.count_series(profile, order)
         b = series.borodin_product(profile, order)
-        bad = next((i for i in range(order + 1) if a.coeffs[i] != b.coeffs[i]), None)
-        return bad is None, ("counts match the infinite product" if bad is None
-                             else f"first mismatch at q^{bad}: {a.coeffs[bad]} vs {b.coeffs[bad]}")
+        work = f"the oracle enumerated {sum(a.coeffs)} partitions up to q^{order}"
+        bad = _first_mismatch(a.coeffs, b.coeffs)
+        if bad is None:
+            return True, f"counts match the infinite product; {work}"
+        k, x, y = bad
+        return False, f"first mismatch at q^{k}: oracle {x} vs product {y}; {work}"
 
     def distinct_vs_oracle():
         a = oracle.count_distinct_series(profile, order)
         b = diagram.distinct_gf(profile, order)
-        bad = next((i for i in range(order + 1) if a.coeffs[i] != b.coeffs[i]), None)
-        return bad is None, ("distinct-part counts match the path-count series"
-                             if bad is None else f"first mismatch at q^{bad}")
+        work = (f"the oracle enumerated {sum(oracle.count_series(profile, order).coeffs)} "
+                f"partitions up to q^{order}, {sum(a.coeffs)} into distinct parts")
+        bad = _first_mismatch(a.coeffs, b.coeffs)
+        if bad is None:
+            return True, f"distinct-part counts match the path-count series; {work}"
+        k, x, y = bad
+        return False, f"first mismatch at q^{k}: oracle {x} vs path counts {y}; {work}"
 
     def bijection_roundtrip():
-        pool = oracle.enumerate_by_weight(profile, min(order, 10))
         sample = pool if len(pool) <= 400 else rng.sample(pool, 400)
         for cp in sample:
             mu, beta = bijection.pivot_decompose(cp)
@@ -297,7 +319,6 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         return True, f"pivot roundtrip on {len(sample)} partitions"
 
     def slices_roundtrip():
-        pool = oracle.enumerate_by_weight(profile, min(order, 10))
         sample = pool if len(pool) <= 400 else rng.sample(pool, 400)
         from .slices import recompose
         for cp in sample:
@@ -307,9 +328,8 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
 
     def tight_packing_roundtrip():
         from .slices import expand
-        pool = [cp for cp in oracle.enumerate_by_weight(profile, min(order, 10))
-                if not cp.is_empty]
-        sample = pool if len(pool) <= 300 else rng.sample(pool, 300)
+        nonempty = [cp for cp in pool if not cp.is_empty]
+        sample = nonempty if len(nonempty) <= 300 else rng.sample(nonempty, 300)
         for cp in sample:
             chain = slice_decompose(cp)
             for mode in ShrinkMode:
@@ -324,22 +344,33 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
 
     def bounded_polys():
         for n in range(min(4, order) + 1):
-            a = polynomials.parts_at_most_series(profile, n, order)
-            b = oracle.count_max_at_most(profile, n, order)
-            if a.coeffs != b.coeffs:
-                return False, f"parts<= {n} numerator mismatch"
-            a = polynomials.largest_part_exact_series(profile, n, order)
-            b = oracle.count_max_exactly(profile, n, order)
-            if a.coeffs != b.coeffs:
-                return False, f"largest={n} numerator mismatch"
+            for label, poly_series, count in (
+                    (f"parts<= {n}", polynomials.parts_at_most_series,
+                     oracle.count_max_at_most),
+                    (f"largest={n}", polynomials.largest_part_exact_series,
+                     oracle.count_max_exactly)):
+                bad = _first_mismatch(poly_series(profile, n, order).coeffs,
+                                      count(profile, n, order).coeffs)
+                if bad is not None:
+                    k, x, y = bad
+                    return False, (f"{label} numerator mismatch at q^{k}: "
+                                   f"polynomial {x} vs oracle {y}")
         return True, "bounded-part numerators match the oracle"
 
     def two_variable():
         F = polynomials.f_truncated(profile, order)
-        if F.at_z_one().coeffs != series.borodin_product(profile, order).coeffs:
-            return False, "z=1 specialization disagrees with the product"
-        if F.coeffs != oracle.count_bivariate(profile, order).coeffs:
-            return False, "largest-part refinement disagrees with the oracle"
+        bad = _first_mismatch(F.at_z_one().coeffs,
+                              series.borodin_product(profile, order).coeffs)
+        if bad is not None:
+            k, x, y = bad
+            return False, (f"z=1 specialization disagrees with the product at q^{k}: "
+                           f"series {x} vs product {y}")
+        bad = _first_mismatch(F.coeffs, oracle.count_bivariate(profile, order).coeffs)
+        if bad is not None:
+            k, x, y = bad
+            m, a, b = _first_mismatch(x.coeffs, y.coeffs)
+            return False, (f"largest-part refinement disagrees with the oracle at "
+                           f"q^{k} z^{m}: series {a} vs oracle {b}")
         return True, "two-variable series matches oracle and product"
 
     def functional_eq():
@@ -403,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations and identity checks for cylindric partitions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=True, order=None, n=None):
-        if profile:
-            p.add_argument("--profile", help="comma separated, e.g. 1,2,0")
+    def common(p, profile_required=True, order=None, n=None):
+        p.add_argument("--profile", required=profile_required,
+                       help="comma separated, e.g. 1,2,0")
         if order is not None:
             p.add_argument("--order", type=_nonnegative_int, default=order,
                            help="truncation order / weight bound")
@@ -426,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split into (mu, beta)")
     p.add_argument("partition", help="rows like '5,4|8,2|7,5,1', or - for stdin")
-    common(p); p.set_defaults(fn=cmd_decompose)
+    common(p, profile_required=False); p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="rebuild from --beta and --mu")
     p.add_argument("--beta", default="", help="e.g. 15^(2,1),11^(3,2)")
@@ -435,17 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slices", help="slice chain with multiplicities")
     p.add_argument("partition")
-    common(p); p.set_defaults(fn=cmd_slices)
+    common(p, profile_required=False); p.set_defaults(fn=cmd_slices)
 
     p = sub.add_parser("shrink", help="tight packing and side partition")
     p.add_argument("partition")
     p.add_argument("--mode", choices=["at_most", "exact"], default="at_most")
-    common(p); p.set_defaults(fn=cmd_shrink)
+    common(p, profile_required=False); p.set_defaults(fn=cmd_shrink)
 
     p = sub.add_parser("stg", help="shape transition graph and matrices")
     p.add_argument("--rank", type=int)
     p.add_argument("--level", type=int)
-    common(p); p.set_defaults(fn=cmd_stg)
+    common(p, profile_required=False); p.set_defaults(fn=cmd_stg)
 
     p = sub.add_parser("path-counts", help="chain counts out of the empty slice")
     common(p, order=12); p.set_defaults(fn=cmd_path_counts)
@@ -487,6 +518,10 @@ def main(argv: list[str] | None = None) -> int:
     except (core.CylpartError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit code 1 means a mismatch, so a crash must never end with it.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class CylpartError(Exception):
@@ -49,6 +50,13 @@ class LevelTooSmall(CylpartError):
     pass
 
 
+def _check_parts(parts: tuple[int, ...]) -> None:
+    if parts and min(parts) < 1:
+        raise ValueError(f"partition parts must be positive: {parts}")
+    if any(map(operator.lt, parts, parts[1:])):
+        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """An integer partition: weakly decreasing positive parts."""
@@ -58,10 +66,7 @@ class Partition:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        _check_parts(parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -297,23 +302,38 @@ class CylindricPartition:
         return self.to_text()
 
 
-def validate(rows: Iterable[Partition], profile: Profile) -> CylindricPartition:
-    """Check the cyclic inequalities and return the validated value.
+def check_rows(rows: Sequence[tuple[int, ...]], profile: Profile) -> None:
+    """Check rows of plain part tuples against the profile; return None when
+    valid.
 
-    Raises :class:`RowCountMismatch` or :class:`ViolatedInequality` naming
-    the first failing inequality as 1-based (row, column).
+    Raises :class:`RowCountMismatch`, ``ValueError`` for a row that is not a
+    partition (as :class:`Partition` does), or :class:`ViolatedInequality`
+    naming the first failing inequality as 1-based (row, column).
     """
-    rows = tuple(rows)
     r = profile.rank
     if len(rows) != r:
         raise RowCountMismatch(f"profile has rank {r} but {len(rows)} rows given")
+    for row in rows:
+        _check_parts(row)
     for i in range(r):
         upper = rows[i]
-        lower = rows[(i + 1) % r]
-        shift = profile.parts[(i + 1) % r]
-        for j in range(1, len(lower) - shift + 1):
-            if upper.part(j) < lower.part(j + shift):
-                raise ViolatedInequality(i + 1, j)
+        k = (i + 1) % r
+        # Row i must dominate row i+1 (cyclically) with its first c_k parts
+        # dropped; entries past the end of ``upper`` read as 0.
+        tail = rows[k][profile.parts[k]:]
+        if len(tail) > len(upper) or any(map(operator.lt, upper, tail)):
+            j = next((j for j, (a, b) in enumerate(zip(upper, tail)) if a < b),
+                     len(upper))
+            raise ViolatedInequality(i + 1, j + 1)
+
+
+def validate(rows: Iterable[Partition], profile: Profile) -> CylindricPartition:
+    """Check the cyclic inequalities and return the validated value.
+
+    Raises the errors of :func:`check_rows`.
+    """
+    rows = tuple(rows)
+    check_rows([row.parts for row in rows], profile)
     return CylindricPartition(profile, rows)
 
 

@@ -3,19 +3,27 @@
 This module is the ground truth every identity in the package is checked
 against, so it stays deliberately simple: a depth-first search over rows,
 bounding each part by the cyclic constraints and the remaining weight
-budget, followed by a full validation pass.
+budget, with every hit checked by :func:`core.check_rows` as it is found.
+The search yields plain row tuples.  All counts read one census per
+(profile, order, cap), built in a single pass; only
+:func:`enumerate_by_weight` turns hits into :class:`CylindricPartition`
+values.
 """
 
 from __future__ import annotations
 
-from .core import CylindricPartition, Partition, Profile, validate
+from collections import Counter
+from functools import lru_cache
+from typing import Callable, Iterator
+
+from .core import CylindricPartition, Partition, Profile, check_rows
 from .qpoly import QPoly
 from .series import BivariateTruncated, TruncatedSeries
 from .rings import ZZ
 
 DEFAULT_WEIGHT_CAP = 30
 
-_cache: dict[tuple[tuple[int, ...], int], list[CylindricPartition]] = {}
+_Rows = tuple[tuple[int, ...], ...]
 
 
 def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
@@ -55,120 +63,117 @@ def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
     return out
 
 
+def _hits(profile: Profile, max_weight: int, cap: int) -> Iterator[_Rows]:
+    """Rows of every cylindric partition with the given profile and weight
+    <= max_weight, one tuple of part tuples per partition, each checked.
+
+    Exhaustive and duplicate-free, in search order.  ``cap`` guards runaway
+    searches; the guard fires when iteration starts.
+    """
+    if max_weight < 0:
+        return
+    if max_weight > cap:
+        raise ValueError(f"weight bound {max_weight} exceeds the cap {cap}; "
+                         f"raise `cap` explicitly if this is intended")
+    r = profile.rank
+    c = profile.parts
+
+    def place(rows: list[tuple[int, ...]], budget: int) -> Iterator[_Rows]:
+        i = len(rows)
+        if i == 0:
+            choices = _rows_within(None, (), 0, budget)
+        elif i < r - 1:
+            choices = _rows_within(rows[i - 1], (), c[i], budget)
+        else:
+            # Last row: also bounded below by the wraparound against row 1.
+            choices = _rows_within(rows[i - 1], rows[0][c[0]:], c[i], budget)
+        for row in choices:
+            rows.append(row)
+            if i + 1 == r:
+                hit = tuple(rows)
+                check_rows(hit, profile)
+                yield hit
+            else:
+                yield from place(rows, budget - sum(row))
+            rows.pop()
+
+    yield from place([], max_weight)
+
+
+def _text_order(rows: _Rows) -> tuple[int, str]:
+    """(weight, canonical text form without the profile prefix every hit
+    shares): the order :func:`enumerate_by_weight` returns."""
+    return (sum(map(sum, rows)),
+            "|".join(",".join(map(str, row)) for row in rows))
+
+
 def enumerate_by_weight(profile: Profile, max_weight: int,
                         cap: int = DEFAULT_WEIGHT_CAP) -> list[CylindricPartition]:
     """Every cylindric partition with the given profile and weight <= max_weight.
 
     Exhaustive and duplicate-free; results come back sorted by (weight,
-    canonical text form).  ``cap`` guards runaway searches.
+    canonical text form) in a fresh list.  ``cap`` guards runaway searches.
     """
-    if max_weight < 0:
-        return []
-    if max_weight > cap:
-        raise ValueError(f"weight bound {max_weight} exceeds the cap {cap}; "
-                         f"raise `cap` explicitly if this is intended")
-    key = (profile.parts, max_weight)
-    if key in _cache:
-        return _cache[key]
-    superset = next((cached for (parts, w), cached in _cache.items()
-                     if parts == profile.parts and w > max_weight), None)
-    if superset is not None:
-        result = [cp for cp in superset if cp.weight <= max_weight]
-        _cache[key] = result
-        return result
+    return [CylindricPartition(profile, tuple(map(Partition, rows)))
+            for rows in sorted(_hits(profile, max_weight, cap), key=_text_order)]
 
-    r = profile.rank
-    results: list[CylindricPartition] = []
-    seen: set[str] = set()
 
-    def place_rows(rows: list[tuple[int, ...]], budget: int):
-        i = len(rows)
-        if i == r:
-            cand = validate(tuple(Partition(row) for row in rows), profile)
-            text = cand.to_text()
-            if text not in seen:
-                seen.add(text)
-                results.append(cand)
-            return
-        if i == 0:
-            choices = _rows_within(None, (), 0, budget)
-        elif i < r - 1:
-            choices = _rows_within(rows[i - 1], (), profile.parts[i], budget)
-        else:
-            # Last row: also bounded below by the wraparound against row 1.
-            c1 = profile.parts[0]
-            lower = rows[0][c1:] if len(rows[0]) > c1 else ()
-            choices = _rows_within(rows[i - 1], lower, profile.parts[i], budget)
-        for row in choices:
-            rows.append(row)
-            place_rows(rows, budget - sum(row))
-            rows.pop()
+@lru_cache(maxsize=64)
+def _census(profile: Profile, order: int, cap: int) -> tuple[tuple[int, int, bool, int], ...]:
+    """(weight, largest part, all parts distinct, count) for every class of
+    cylindric partitions with weight <= order, from one pass of the search."""
+    tally: Counter[tuple[int, int, bool]] = Counter()
+    for rows in _hits(profile, order, cap):
+        parts = [p for row in rows for p in row]
+        tally[sum(parts), max(parts, default=0), len(set(parts)) == len(parts)] += 1
+    return tuple(key + (n,) for key, n in sorted(tally.items()))
 
-    place_rows([], max_weight)
-    results.sort(key=lambda cp: (cp.weight, cp.to_text()))
-    _cache[key] = results
-    return results
+
+def _count(profile: Profile, order: int, cap: int,
+           keep: Callable[[int, bool], bool]) -> TruncatedSeries:
+    """Census counts by weight, over the classes ``keep(largest, distinct)``
+    accepts."""
+    counts = [0] * (order + 1)
+    for weight, top, distinct, n in _census(profile, order, cap):
+        if keep(top, distinct):
+            counts[weight] += n
+    return TruncatedSeries.from_coeffs(ZZ, counts, order)
 
 
 def count_series(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
     """Number of cylindric partitions by weight, as a truncated series."""
-    counts = [0] * (order + 1)
-    for cp in enumerate_by_weight(profile, order, cap):
-        counts[cp.weight] += 1
-    return TruncatedSeries.from_coeffs(ZZ, counts, order)
+    return _count(profile, order, cap, lambda top, distinct: True)
 
 
 def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> BivariateTruncated:
     """Counts refined by largest part: the q^n coefficient collects z^{max}."""
     buckets: list[dict[int, int]] = [dict() for _ in range(order + 1)]
-    for cp in enumerate_by_weight(profile, order, cap):
-        d = buckets[cp.weight]
-        m = cp.max_part
-        d[m] = d.get(m, 0) + 1
-    polys = []
-    for n, d in enumerate(buckets):
-        top = max(d) if d else -1
-        assert top <= n, "a part of size >= 1 is needed per unit of largest part"
-        polys.append(QPoly(tuple(d.get(m, 0) for m in range(top + 1))))
-    return BivariateTruncated(order, tuple(polys))
+    for weight, top, _, n in _census(profile, order, cap):
+        buckets[weight][top] = buckets[weight].get(top, 0) + n
+    return BivariateTruncated(order, tuple(
+        QPoly(tuple(d.get(m, 0) for m in range(max(d, default=-1) + 1)))
+        for d in buckets))
 
 
 def has_distinct_parts(cp: CylindricPartition) -> bool:
     """True when the multiset of all positive parts across rows has no repeats."""
-    seen: set[int] = set()
-    for row in cp.rows:
-        for p in row.parts:
-            if p in seen:
-                return False
-            seen.add(p)
-    return True
+    parts = [p for row in cp.rows for p in row.parts]
+    return len(set(parts)) == len(parts)
 
 
 def count_distinct_series(profile: Profile, order: int,
                           cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
     """Counts of cylindric partitions with all parts distinct across rows."""
-    counts = [0] * (order + 1)
-    for cp in enumerate_by_weight(profile, order, cap):
-        if has_distinct_parts(cp):
-            counts[cp.weight] += 1
-    return TruncatedSeries.from_coeffs(ZZ, counts, order)
+    return _count(profile, order, cap, lambda top, distinct: distinct)
 
 
 def count_max_at_most(profile: Profile, bound: int, order: int,
                       cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
     """Counts of cylindric partitions with largest part <= bound."""
-    counts = [0] * (order + 1)
-    for cp in enumerate_by_weight(profile, order, cap):
-        if cp.max_part <= bound:
-            counts[cp.weight] += 1
-    return TruncatedSeries.from_coeffs(ZZ, counts, order)
+    return _count(profile, order, cap, lambda top, distinct: top <= bound)
 
 
 def count_max_exactly(profile: Profile, bound: int, order: int,
                       cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
     """Counts of cylindric partitions with largest part exactly ``bound``."""
-    counts = [0] * (order + 1)
-    for cp in enumerate_by_weight(profile, order, cap):
-        if cp.max_part == bound:
-            counts[cp.weight] += 1
-    return TruncatedSeries.from_coeffs(ZZ, counts, order)
+    return _count(profile, order, cap, lambda top, distinct: top == bound)

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from cylpart import cli, diagram, oracle, polynomials
 from cylpart.cli import main
+from cylpart.qpoly import QPoly
+from cylpart.series import BivariateTruncated, TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -151,3 +154,74 @@ class TestUsageErrors:
         # top row must dominate the shifted second row: 1 >= 5 fails
         code = main(["decompose", "--profile", "1,1,1", "1|5,5|"])
         assert code == 2
+
+    def test_missing_profile_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--order", "3"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_count", boom)
+        assert main(["count", "--profile", "2,1", "--order", "3"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "internal error: RuntimeError: boom"
+
+
+def _bump_series(fn, k):
+    def bumped(*args, **kwargs):
+        ts = fn(*args, **kwargs)
+        coeffs = list(ts.coeffs)
+        coeffs[k] += 1
+        return TruncatedSeries.from_coeffs(ts.ring, coeffs, ts.order)
+    return bumped
+
+
+def _bump_bivariate(fn, k, m):
+    def bumped(*args, **kwargs):
+        two = fn(*args, **kwargs)
+        polys = list(two.coeffs)
+        polys[k] = polys[k] + QPoly((0,) * m + (1,))
+        return BivariateTruncated(two.order, tuple(polys))
+    return bumped
+
+
+class TestMismatchDetails:
+    """A perturbed coefficient fails its check, which names the index and
+    both values."""
+
+    @pytest.mark.parametrize("check,module,name,bump,expected", [
+        ("count-vs-product", oracle, "count_series", lambda f: _bump_series(f, 4),
+         "first mismatch at q^4: oracle 14 vs product 13; "
+         "the oracle enumerated 222 partitions up to q^8"),
+        ("distinct-vs-oracle", diagram, "distinct_gf", lambda f: _bump_series(f, 5),
+         "first mismatch at q^5: oracle 8 vs path counts 9; "
+         "the oracle enumerated 221 partitions up to q^8, 73 into distinct parts"),
+        ("bounded-polynomials", polynomials, "parts_at_most_series",
+         lambda f: _bump_series(f, 3),
+         "parts<= 0 numerator mismatch at q^3: polynomial 1 vs oracle 0"),
+        ("two-variable-series", oracle, "count_bivariate",
+         lambda f: _bump_bivariate(f, 6, 2),
+         "largest-part refinement disagrees with the oracle at q^6 z^2: "
+         "series 10 vs oracle 11"),
+    ])
+    def test_first_bad_coefficient(self, capsys, monkeypatch, check, module,
+                                   name, bump, expected):
+        monkeypatch.setattr(module, name, bump(getattr(module, name)))
+        code, payload = run_json(capsys, "verify-all", "--profile", "2,1",
+                                 "--order", "8")
+        assert code == 1
+        details = {c["name"]: (c["ok"], c["detail"]) for c in payload["checks"]}
+        assert details[check] == (False, expected)
+        assert all(ok for name, (ok, _) in details.items() if name != check)
+
+    def test_passing_checks_report_their_work(self, capsys):
+        _, payload = run_json(capsys, "verify-all", "--profile", "2,1",
+                              "--order", "8")
+        details = {c["name"]: c["detail"] for c in payload["checks"]}
+        assert details["count-vs-product"].endswith(
+            "the oracle enumerated 221 partitions up to q^8")
+        assert details["distinct-vs-oracle"].endswith("73 into distinct parts")

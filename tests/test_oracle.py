@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import pytest
 
 from cylpart import (Partition, Profile, borodin_product, count_bivariate,
                      count_distinct_series, count_series, enumerate_by_weight,
                      validate)
+from cylpart import oracle
+from cylpart.core import RowCountMismatch, ViolatedInequality, check_rows
 from cylpart.oracle import (count_max_at_most, count_max_exactly,
                             has_distinct_parts)
 from cylpart.slices import decompose, recompose
@@ -94,3 +99,129 @@ class TestDistinct:
 
     def test_constant_term(self):
         assert count_distinct_series(Profile.of(0, 2, 0), 5).coeffs[0] == 1
+
+
+class TestStreamingOracle:
+    def test_counts_match_a_walk_over_the_enumeration(self, small_profiles):
+        order = 10
+        for prof in small_profiles:
+            found = enumerate_by_weight(prof, order)
+
+            def walk(keep):
+                counts = [0] * (order + 1)
+                for cp in found:
+                    if keep(cp):
+                        counts[cp.weight] += 1
+                return tuple(counts)
+
+            assert count_series(prof, order).coeffs == walk(lambda cp: True), prof
+            assert count_distinct_series(prof, order).coeffs == \
+                walk(has_distinct_parts), prof
+            for bound in range(order + 2):
+                assert count_max_at_most(prof, bound, order).coeffs == \
+                    walk(lambda cp: cp.max_part <= bound), (prof, bound)
+                assert count_max_exactly(prof, bound, order).coeffs == \
+                    walk(lambda cp: cp.max_part == bound), (prof, bound)
+            two = count_bivariate(prof, order)
+            for n, zpoly in enumerate(two.coeffs):
+                tops = [cp.max_part for cp in found if cp.weight == n]
+                assert zpoly.coeffs == tuple(
+                    tops.count(m) for m in range(max(tops, default=-1) + 1)), (prof, n)
+
+    def test_returned_list_is_fresh(self):
+        prof = Profile.of(1, 2, 0)
+        first = enumerate_by_weight(prof, 6)
+        expected = list(first)
+        first.clear()
+        assert enumerate_by_weight(prof, 6) == expected
+        again = enumerate_by_weight(prof, 6)
+        again.append(again[0])
+        assert enumerate_by_weight(prof, 6) == expected
+
+    def test_threads_share_the_census(self):
+        prof, order = Profile.of(1, 1, 1), 10
+
+        def calls():
+            return (count_series(prof, order).coeffs,
+                    count_bivariate(prof, order).coeffs,
+                    count_max_exactly(prof, 3, order).coeffs)
+
+        oracle._census.cache_clear()
+        serial = calls()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                oracle._census.cache_clear()
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def worker(k):
+                    barrier.wait(timeout=30)
+                    results[k] = calls()
+
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [serial] * 4
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def _reference_check(rows, profile):
+    """The checks an enumerated hit went through before ``check_rows``: a
+    ``Partition`` per row, then the cyclic-inequality loop of ``validate``."""
+    rows = tuple(Partition(row) for row in rows)
+    r = profile.rank
+    if len(rows) != r:
+        raise RowCountMismatch(f"profile has rank {r} but {len(rows)} rows given")
+    for i in range(r):
+        upper = rows[i]
+        lower = rows[(i + 1) % r]
+        shift = profile.parts[(i + 1) % r]
+        for j in range(1, len(lower) - shift + 1):
+            if upper.part(j) < lower.part(j + shift):
+                raise ViolatedInequality(i + 1, j)
+
+
+def _outcome(check, rows, profile):
+    try:
+        check(rows, profile)
+    except (ValueError, RowCountMismatch, ViolatedInequality) as exc:
+        return type(exc), getattr(exc, "i", None), getattr(exc, "j", None)
+    return None
+
+
+def _perturbed(rows):
+    """Every single-part change of +-1, every appended or dropped last part,
+    and the rows without their last row."""
+    yield rows[:-1]
+    for i, row in enumerate(rows):
+        variants = [row + (1,), row + (row[-1] + 1,) if row else (2,), row[:-1]]
+        for j in range(len(row)):
+            for step in (-1, 1):
+                variants.append(row[:j] + (row[j] + step,) + row[j + 1:])
+        for new in variants:
+            yield rows[:i] + (new,) + rows[i + 1:]
+
+
+class TestCheckRows:
+    @pytest.mark.parametrize("parts,order", [((1, 1, 1), 6), ((2, 1), 7),
+                                             ((1, 2, 0), 6), ((0, 2, 1, 1), 5),
+                                             ((3,), 6)])
+    def test_same_errors_as_the_validate_loop(self, parts, order):
+        prof = Profile(parts)
+        kinds = set()
+        for cp in enumerate_by_weight(prof, order):
+            rows = tuple(row.parts for row in cp.rows)
+            assert check_rows(rows, prof) is None
+            for bad in _perturbed(rows):
+                expected = _outcome(_reference_check, bad, prof)
+                assert _outcome(check_rows, bad, prof) == expected, (prof, bad)
+                kinds.add(expected and expected[0])
+        assert {ValueError, RowCountMismatch} <= kinds
+        if prof.rank > 1:
+            assert ViolatedInequality in kinds
