@@ -84,40 +84,43 @@ class LabeledDistinctPartition:
         return cls(tuple(entries))
 
 
-def _space_columns(outer: Slice, inner: Slice) -> tuple[int, int] | None:
+def _space_columns(outer: tuple[int, ...], inner: tuple[int, ...]
+                   ) -> tuple[int, int] | None:
     """(leftmost, rightmost) absolute columns of the skew space inner->outer,
-    or None when the space is empty."""
-    eo = outer.right_ends()
-    ei = inner.right_ends()
-    lo = min((ei[i] + 1 for i in range(len(eo)) if eo[i] > ei[i]), default=None)
+    both slices given by their right ends, or None when the space is empty."""
+    lo = min((i + 1 for o, i in zip(outer, inner) if o > i), default=None)
     if lo is None:
         return None
-    hi = max(eo[i] for i in range(len(eo)) if eo[i] > ei[i])
-    return lo, hi
+    return lo, max(o for o, i in zip(outer, inner) if o > i)
 
 
-def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
-    """Pivot flags for a strictly decreasing chain, largest slice first.
+def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
+               below: tuple[int, ...]) -> bool:
+    """Pivot flag of one chain slice, from the right ends of the slice
+    above it (None for the largest slice), of itself and of the slice below
+    it (the empty slice under the smallest).
 
     The space after the largest slice is the infinite strip to its right,
     whose leftmost column is one past its smallest right end.
     """
-    slices = list(chain)
-    flags = []
-    for j, s in enumerate(slices):
-        below = slices[j + 1] if j + 1 < len(slices) else zero_slice(profile)
-        before = _space_columns(s, below)
-        if before is None:
-            raise InadmissibleBeta(f"chain stalls at {s.lengths}")
-        if j == 0:
-            first_after = min(s.right_ends()) + 1
-        else:
-            after = _space_columns(slices[j - 1], s)
-            if after is None:
-                raise InadmissibleBeta(f"chain stalls above {s.lengths}")
-            first_after = after[0]
-        flags.append(first_after < before[1])
-    return flags
+    before = _space_columns(ends, below)
+    if before is None:
+        raise InadmissibleBeta(f"chain stalls at right ends {ends}")
+    if above is None:
+        first_after = min(ends) + 1
+    else:
+        after = _space_columns(above, ends)
+        if after is None:
+            raise InadmissibleBeta(f"chain stalls above right ends {ends}")
+        first_after = after[0]
+    return first_after < before[1]
+
+
+def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
+    """Pivot flags for a strictly decreasing chain, largest slice first."""
+    ends = [s.right_ends() for s in chain] + [zero_slice(profile).right_ends()]
+    return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
+            for j in range(len(ends) - 1)]
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,18 @@ from the largest slice down; index n is the gap onto the empty slice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import CylpartError, Profile, Shape, shape_of_zero
-from .bijection import chain_pivots
-from .polynomials import family, pivot_lineup_poly
+from .bijection import chain_pivots, pivot_flag
+from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ
 from .series import (BivariateTruncated, TruncatedSeries, inv_poch_finite,
                      inv_zq_pochhammer)
 from .oracle import count_bivariate
-from .slices import Slice, slice_shape, slice_with
+from .slices import Slice, slice_shape, slice_with, zero_slice
 
 
 class NotPotentialPivot(CylpartError):
@@ -50,17 +50,26 @@ class Lineup:
     slices: tuple[Slice, ...]        # largest first
     classification: str              # loose | minimal-loose | jammed | minimal-jammed | none
     iota: frozenset[int]
+    # Shapes of the slices, largest first; derived from the slices unless
+    # the builder of the chain, which chose them, passes them in.
+    labels: tuple[Shape, ...] | None = field(default=None, compare=False,
+                                             repr=False)
+
+    def __post_init__(self):
+        if self.labels is None:
+            object.__setattr__(self, "labels",
+                               tuple(slice_shape(s) for s in self.slices))
 
     @property
     def weight(self) -> int:
         return sum(s.weight for s in self.slices)
 
     def shapes(self) -> list[Shape]:
-        return [slice_shape(s) for s in self.slices]
+        return list(self.labels)
 
     def to_text(self) -> str:
-        body = ",".join(f"{s.weight}^{slice_shape(s)}"
-                        for s in reversed(self.slices))
+        body = ",".join(f"{s.weight}^{sh}" for s, sh in
+                        zip(reversed(self.slices), reversed(self.labels)))
         iota = "{" + ",".join(str(j) for j in sorted(self.iota)) + "}"
         return f"{body} iota={iota} class={self.classification}"
 
@@ -80,8 +89,8 @@ def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
     level = profile.level
     r = profile.rank
     fam = family(r, level)
-    for s in chain:
-        sh = slice_shape(s)
+    labels = tuple(slice_shape(s) for s in chain)
+    for s, sh in zip(chain, labels):
         if not sh.parts or sh.parts[0] < 2:
             raise NotPotentialPivot(f"{s.weight}^{sh} can never be a pivot")
     for a, b in zip(chain, chain[1:]):
@@ -95,11 +104,10 @@ def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
     jammed_gaps = set()
     all_tight_or_step = True
     for j in range(1, n + 1):
-        upper = chain[j - 1]
         lower_weight = chain[j].weight if j < n else 0
-        lower_shape = slice_shape(chain[j]) if j < n else zero_shape
-        gap = upper.weight - lower_weight
-        dist = fam.dist(lower_shape, slice_shape(upper))
+        lower_shape = labels[j] if j < n else zero_shape
+        gap = chain[j - 1].weight - lower_weight
+        dist = fam.dist(lower_shape, labels[j - 1])
         if gap == dist:
             jammed_gaps.add(j)
         elif gap != dist + r:
@@ -107,12 +115,12 @@ def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
 
     flags = chain_pivots(profile, chain)
     if not all(flags):
-        return Lineup(profile, tuple(chain), "none", frozenset())
+        return Lineup(profile, tuple(chain), "none", frozenset(), labels)
     if jammed_gaps:
         cls = "minimal-jammed" if all_tight_or_step else "jammed"
-        return Lineup(profile, tuple(chain), cls, frozenset(jammed_gaps))
+        return Lineup(profile, tuple(chain), cls, frozenset(jammed_gaps), labels)
     cls = "minimal-loose" if all_tight_or_step else "loose"
-    return Lineup(profile, tuple(chain), cls, frozenset())
+    return Lineup(profile, tuple(chain), cls, frozenset(), labels)
 
 
 def _chain_from_gaps(profile: Profile, shapes: Sequence[Shape],
@@ -146,35 +154,58 @@ def _chain_from_gaps(profile: Profile, shapes: Sequence[Shape],
 def enumerate_minimal_loose(n: int, profile: Profile) -> list[Lineup]:
     """One minimal loose lineup per choice of n potential pivot shapes."""
     shapes = potential_pivot_shapes(profile.rank, profile.level)
-    out = []
-    for combo in itertools.product(shapes, repeat=n):
-        chain = _chain_from_gaps(profile, combo, [False] * n)
-        assert chain is not None, "loose gaps always leave room"
-        lineup = classify(profile, chain)
-        assert lineup.classification == "minimal-loose", str(lineup)
-        out.append(lineup)
-    return out
+    return [Lineup(profile, tuple(_chain_from_gaps(profile, combo, [False] * n)),
+                   "minimal-loose", frozenset(), combo)
+            for combo in itertools.product(shapes, repeat=n)]
 
 
 def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
-    """All minimal jammed lineups with n pivots: over every shape choice
-    and every non-empty set of tightened gaps, keep the chains whose
-    members all stay pivots."""
-    shapes = potential_pivot_shapes(profile.rank, profile.level)
-    out = []
-    for combo in itertools.product(shapes, repeat=n):
-        for mask in range(1, 1 << n):
-            tight = [(mask >> j) & 1 == 1 for j in range(n)]
-            chain = _chain_from_gaps(profile, combo, tight)
-            if chain is None:
-                continue
-            lineup = classify(profile, chain)
-            if lineup.classification != "minimal-jammed":
-                continue
-            if lineup.iota != frozenset(j + 1 for j in range(n) if tight[j]):
-                continue
-            out.append(lineup)
-    return out
+    """All minimal jammed lineups with n pivots: chains whose every gap is
+    delta or delta + rank, some gap delta, every member a pivot.
+
+    The chain is walked bottom-up, from gap n onto the empty slice to the
+    largest slice; each step picks a shape and a tight or loose gap.  A
+    member's pivot flag depends only on its neighbours, so it is decided as
+    soon as the slice above it is chosen, and a prefix holding a non-pivot
+    is cut once, with all its completions.  Listed by shape choice (largest
+    slice first, in ``itertools.product`` order), then by the set of tight
+    gaps read as a bit mask (bit j - 1 for gap j), ascending.
+    """
+    if n == 0:
+        return []
+    r = profile.rank
+    fam = family(r, profile.level)
+    shapes = list(enumerate(potential_pivot_shapes(r, profile.level)))
+    found = []   # (shape indices, tight mask, slices, shapes), largest first
+    zero = zero_slice(profile)
+    # Each entry asks for slice j (0-based, largest first) above ``lower``,
+    # which is slice j + 1 or the empty slice; ``under_ends`` are the right
+    # ends of the slice below ``lower`` (None when ``lower`` is empty).
+    stack = [(n - 1, zero, shape_of_zero(profile), zero.right_ends(), None,
+              (), 0, (), ())]
+    while stack:
+        (j, lower, lower_shape, lower_ends, under_ends,
+         picks, mask, chain, labels) = stack.pop()
+        for pick, sh in shapes:
+            step = fam.dist(lower_shape, sh)
+            for tight in (True, False):
+                s = slice_with(profile, sh, lower.weight + step + (0 if tight else r))
+                if s is None or s == lower or not s.contains(lower):
+                    continue
+                ends = s.right_ends()
+                if under_ends is not None and \
+                        not pivot_flag(ends, lower_ends, under_ends):
+                    continue
+                entry = ((pick,) + picks, mask | (1 << j) if tight else mask,
+                         (s,) + chain, (sh,) + labels)
+                if j > 0:
+                    stack.append((j - 1, s, sh, ends, lower_ends, *entry))
+                elif entry[1] and pivot_flag(None, ends, lower_ends):
+                    found.append(entry)
+    found.sort()   # (shape indices, mask) is unique, so slices never compare
+    return [Lineup(profile, chain, "minimal-jammed",
+                   frozenset(j + 1 for j in range(n) if mask >> j & 1), labels)
+            for _, mask, chain, labels in found]
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
@@ -233,10 +264,16 @@ def minimal_jammed_correction(n: int, profile: Profile) -> QPoly:
     """Sum over minimal jammed lineups of q^{|lineup|} times the product of
     (1 - q^{rank*j}) over the tightened gap indices."""
     r = profile.rank
-    total = QPoly()
+    weights: dict[frozenset[int], list[int]] = {}
     for lineup in enumerate_minimal_jammed(n, profile):
-        piece = QPoly.monomial(lineup.weight)
-        for j in sorted(lineup.iota):
+        weights.setdefault(lineup.iota, []).append(lineup.weight)
+    total = QPoly()
+    for iota, ws in weights.items():
+        counts = [0] * (max(ws) + 1)
+        for w in ws:
+            counts[w] += 1
+        piece = QPoly(counts)
+        for j in sorted(iota):
             piece = piece * QPoly((1,) + (0,) * (r * j - 1) + (-1,))
         total = total + piece
     return total
@@ -274,9 +311,12 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int
     compared coefficientwise for z-degree <= n_max, q-degree <= order.
     """
     r = profile.rank
+    fam = family(r, profile.level)
+    zero_shape = shape_of_zero(profile)
     rhs_sum = BivariateTruncated.zero(order)
     for n in range(n_max + 1):
-        numerator = pivot_lineup_poly(profile, n) + minimal_jammed_correction(n, profile)
+        numerator = fam.pivot_lineup(n, zero_shape, order) + \
+            minimal_jammed_correction(n, profile)
         series = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
         series = series * inv_poch_finite(n, order, step=r)
         contrib = BivariateTruncated(
@@ -289,5 +329,6 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int
     detail = "pivot generating-function identity"
     if not ok:
         bad = next(i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i])
-        detail += f" (first mismatch at q^{bad})"
+        detail += (f" (first mismatch at q^{bad}: oracle {lhs.coeffs[bad].to_str('z')}"
+                   f" vs lineups {rhs.coeffs[bad].to_str('z')})")
     return LineupCheckReport(profile, n_max, order, ok, detail)

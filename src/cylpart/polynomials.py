@@ -104,8 +104,9 @@ class PolynomialFamily:
         return _accumulate(((prev[d], n * (self.rank if d == c else self.dist(c, d)))
                             for d in self.shapes), order)
 
-    def pivot_lineup(self, n: int, c: Shape) -> QPoly:
-        """Weight numerator of minimal loose pivot lineups below shape c.
+    def pivot_lineup(self, n: int, c: Shape, order: int | None = None) -> QPoly:
+        """Weight numerator of minimal loose pivot lineups below shape c,
+        truncated at q^order (``None``: full degree).
 
         The recurrence runs over potential pivot shapes only; a base shape
         outside that set is handled by one extra application of the step.
@@ -116,11 +117,11 @@ class PolynomialFamily:
             return QPoly.one()
         if c in self.pivot_shapes:
             return self._layers(self._pivot_lineup, self.pivot_shapes,
-                                self.rank, n, None)[n][c]
+                                self.rank, n, order)[n][c]
         prev = self._layers(self._pivot_lineup, self.pivot_shapes,
-                            self.rank, n - 1, None)[n - 1]
+                            self.rank, n - 1, order)[n - 1]
         return _accumulate(((prev[d], n * (self.dist(c, d) + self.rank))
-                            for d in self.pivot_shapes), None)
+                            for d in self.pivot_shapes), order)
 
     def pivot_corrected(self, n: int, c: Shape) -> QPoly:
         """Alternating combination of largest-part numerators:

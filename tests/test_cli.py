@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cylpart import cli, diagram, oracle, polynomials
+from cylpart import cli, diagram, lineups, oracle, polynomials
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.series import BivariateTruncated, TruncatedSeries
@@ -217,6 +217,17 @@ class TestMismatchDetails:
         details = {c["name"]: (c["ok"], c["detail"]) for c in payload["checks"]}
         assert details[check] == (False, expected)
         assert all(ok for name, (ok, _) in details.items() if name != check)
+
+    def test_qconj_check_names_both_z_polynomials(self, capsys, monkeypatch):
+        monkeypatch.setattr(lineups, "count_bivariate",
+                            _bump_bivariate(lineups.count_bivariate, 6, 2))
+        code, out = run_cli(capsys, "qconj-check", "--profile", "1,1,1",
+                            "--order", "8", "--n", "2")
+        assert code == 1
+        assert out.strip() == (
+            "pivot generating-function identity (first mismatch at q^6: "
+            "oracle 4*z + 23*z^2 vs lineups 4*z + 22*z^2) "
+            "for c=(1,1,1), n=2, q^8: MISMATCH")
 
     def test_passing_checks_report_their_work(self, capsys):
         _, payload = run_json(capsys, "verify-all", "--profile", "2,1",

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import pytest
 
-from cylpart import (Profile, Shape, classify, enumerate_minimal_jammed,
+from conftest import all_profiles
+from cylpart import (Profile, QPoly, Shape, classify, enumerate_minimal_jammed,
                      enumerate_minimal_loose, lemma_check, pivot_chain_gf,
                      potential_pivot_shapes, qconj_genfunc_check, slice_with)
-from cylpart.lineups import NotPotentialPivot, minimal_jammed_correction
+from cylpart.lineups import (NotPotentialPivot, _chain_from_gaps,
+                             minimal_jammed_correction)
 
 P110 = Profile.of(1, 1, 0)
 P400 = Profile.of(4, 0, 0)
@@ -106,6 +109,45 @@ class TestMinimalLoose:
                     total = total + QPoly.monomial(lineup.weight)
                 assert total == pivot_lineup_poly(prof, n), (prof, n)
 
+    def test_loose_gaps_always_build_minimal_loose_chains(self):
+        for prof in all_profiles(3, 3):
+            shapes = potential_pivot_shapes(prof.rank, prof.level)
+            for n in range(4):
+                expected = []
+                for combo in itertools.product(shapes, repeat=n):
+                    chain = _chain_from_gaps(prof, combo, [False] * n)
+                    assert chain is not None, (prof, combo)
+                    lineup = classify(prof, chain)
+                    assert lineup.classification == "minimal-loose", str(lineup)
+                    expected.append(lineup)
+                found = enumerate_minimal_loose(n, prof)
+                assert found == expected, (prof, n)
+                assert [l.to_text() for l in found] == \
+                    [l.to_text() for l in expected], (prof, n)
+
+
+def brute_force_minimal_jammed(n, profile):
+    """Every shape choice times every non-empty set of tight gaps, each
+    chain built and classified from scratch: the reference for the pruned
+    walk, in the order it must list its results."""
+    shapes = potential_pivot_shapes(profile.rank, profile.level)
+    out = []
+    for combo in itertools.product(shapes, repeat=n):
+        for mask in range(1, 1 << n):
+            tight = [(mask >> j) & 1 == 1 for j in range(n)]
+            chain = _chain_from_gaps(profile, combo, tight)
+            if chain is None:
+                continue
+            lineup = classify(profile, chain)
+            if lineup.classification == "minimal-jammed" and \
+                    lineup.iota == frozenset(j + 1 for j in range(n) if tight[j]):
+                out.append(lineup)
+    return out
+
+
+WALK_CASES = [(prof, n) for prof in all_profiles(3, 3) for n in range(4)] + \
+    [(prof, n) for prof in (Profile.of(1, 1, 1, 1), P400) for n in range(3)]
+
 
 class TestMinimalJammed:
     def test_weight_one_singleton_absent(self):
@@ -129,6 +171,24 @@ class TestMinimalJammed:
                 for lineup in found:
                     assert lineup.classification == "minimal-jammed"
                     assert lineup.iota
+
+    def test_walk_equals_brute_force(self):
+        for prof, n in WALK_CASES:
+            expected = brute_force_minimal_jammed(n, prof)
+            found = enumerate_minimal_jammed(n, prof)
+            assert found == expected, (prof, n)
+            assert [l.to_text() for l in found] == \
+                [l.to_text() for l in expected], (prof, n)
+
+    def test_correction_equals_per_lineup_sum(self):
+        for prof, n in WALK_CASES:
+            total = QPoly()
+            for lineup in enumerate_minimal_jammed(n, prof):
+                piece = QPoly.monomial(lineup.weight)
+                for j in lineup.iota:
+                    piece = piece * (QPoly.one() - QPoly.monomial(prof.rank * j))
+                total = total + piece
+            assert minimal_jammed_correction(n, prof) == total, (prof, n)
 
 
 class TestIdentities:

@@ -89,6 +89,15 @@ class TestTables:
                         assert table(n, c, order) == \
                             QPoly(table(n, c).truncated(order)), (prof, n, c)
 
+    @pytest.mark.parametrize("order", [0, 3, 12])
+    def test_truncated_pivot_lineup_matches_full_degree(self, small_profiles, order):
+        for prof in small_profiles:
+            fam = family(prof.rank, prof.level)
+            for n in range(5):
+                for c in fam.shapes:
+                    assert fam.pivot_lineup(n, c, order) == \
+                        QPoly(fam.pivot_lineup(n, c).truncated(order)), (prof, n, c)
+
     def test_rank_one_degenerate(self):
         fam = family(1, 2)
         assert fam.pivot_shapes == []
