@@ -15,8 +15,8 @@ from .core import (CylindricPartition, CylpartError, Partition, Profile,
                    parse_cylindric, parse_profile, shape_of_zero,
                    shape_to_profile, validate)
 from .qpoly import QPoly, q_binomial
-from .rings import QQ, QuadElement, QuadraticField, Ring, RingMismatch, ZZ
-from .series import (BivariateTruncated, TruncatedSeries, borodin_product,
+from .rings import QQ, QuadElement, QuadraticField, Ring, RingMismatch, ZZ, ZZ_z
+from .series import (TruncatedSeries, at_z_one, borodin_product,
                      euler_distinct, lambert_zddz, product_inv_factors,
                      progression_filter)
 from .oracle import (count_bivariate, count_distinct_series, count_series,
@@ -25,7 +25,7 @@ from .slices import (Slice, SliceChain, ShrinkMode, decompose, expand,
                      recompose, shrink, slice_shape, slice_with, successors,
                      zero_slice)
 from .bijection import (LabeledDistinctPartition, TiledPath, pivot_decompose,
-                        pivot_reconstruct, pivots, tile, validate_beta,
+                        pivot_reconstruct, tile, validate_beta,
                         validate_beta_rank2)
 from .diagram import (ClosedFormReport, LinearRecurrence, PathCountTable,
                       ShapeTransitionGraph, adjacency_matrix, build_graph,

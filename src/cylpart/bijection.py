@@ -137,6 +137,7 @@ class TiledPath:
         return self.slices[weight]
 
     def pivot_slices(self) -> list[Slice]:
+        """The flagged chain slices, largest first."""
         return [self.slices[w] for w in sorted(self.pivot_weights, reverse=True)]
 
 
@@ -195,11 +196,6 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
                               zip(reversed(slices), flags) if f)
     return TiledPath(profile, window, tuple(path), pivot_weights,
                      tuple(reversed(slices)))
-
-
-def pivots(path: TiledPath) -> list[Slice]:
-    """The flagged chain slices of a tiled path, largest first."""
-    return path.pivot_slices()
 
 
 def pivot_decompose(cp: CylindricPartition

@@ -21,7 +21,6 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import zip_longest
 
 from . import bijection, core, diagram, lineups, oracle, polynomials, series
 from .core import Partition, Profile, parse_cylindric, parse_profile
@@ -276,13 +275,6 @@ def cmd_qconj_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _first_mismatch(a, b) -> tuple[int, object, object] | None:
-    """(index, a value, b value) of the first entry where two coefficient
-    sequences differ, reading missing entries as 0; None when equal."""
-    return next(((k, x, y) for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=0))
-                 if x != y), None)
-
-
 def _verify_all_tasks(profile: Profile, order: int, seed: int):
     """(name, callable) pairs; each callable returns (ok, detail)."""
     rng = random.Random(seed)
@@ -293,7 +285,7 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         a = oracle.count_series(profile, order)
         b = series.borodin_product(profile, order)
         work = f"the oracle enumerated {sum(a.coeffs)} partitions up to q^{order}"
-        bad = _first_mismatch(a.coeffs, b.coeffs)
+        bad = series.first_mismatch(a.coeffs, b.coeffs)
         if bad is None:
             return True, f"counts match the infinite product; {work}"
         k, x, y = bad
@@ -304,7 +296,7 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         b = diagram.distinct_gf(profile, order)
         work = (f"the oracle enumerated {sum(oracle.count_series(profile, order).coeffs)} "
                 f"partitions up to q^{order}, {sum(a.coeffs)} into distinct parts")
-        bad = _first_mismatch(a.coeffs, b.coeffs)
+        bad = series.first_mismatch(a.coeffs, b.coeffs)
         if bad is None:
             return True, f"distinct-part counts match the path-count series; {work}"
         k, x, y = bad
@@ -349,8 +341,8 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                      oracle.count_max_at_most),
                     (f"largest={n}", polynomials.largest_part_exact_series,
                      oracle.count_max_exactly)):
-                bad = _first_mismatch(poly_series(profile, n, order).coeffs,
-                                      count(profile, n, order).coeffs)
+                bad = series.first_mismatch(poly_series(profile, n, order).coeffs,
+                                            count(profile, n, order).coeffs)
                 if bad is not None:
                     k, x, y = bad
                     return False, (f"{label} numerator mismatch at q^{k}: "
@@ -359,16 +351,17 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
 
     def two_variable():
         F = polynomials.f_truncated(profile, order)
-        bad = _first_mismatch(F.at_z_one().coeffs,
-                              series.borodin_product(profile, order).coeffs)
+        bad = series.first_mismatch(series.at_z_one(F).coeffs,
+                                    series.borodin_product(profile, order).coeffs)
         if bad is not None:
             k, x, y = bad
             return False, (f"z=1 specialization disagrees with the product at q^{k}: "
                            f"series {x} vs product {y}")
-        bad = _first_mismatch(F.coeffs, oracle.count_bivariate(profile, order).coeffs)
+        bad = series.first_mismatch(F.coeffs,
+                                    oracle.count_bivariate(profile, order).coeffs)
         if bad is not None:
             k, x, y = bad
-            m, a, b = _first_mismatch(x.coeffs, y.coeffs)
+            m, a, b = series.first_mismatch(x.coeffs, y.coeffs)
             return False, (f"largest-part refinement disagrees with the oracle at "
                            f"q^{k} z^{m}: series {a} vs oracle {b}")
         return True, "two-variable series matches oracle and product"

@@ -20,7 +20,8 @@ from .core import Profile, Shape, all_shapes, shape_of_zero
 from .qpoly import QPoly
 from .rings import QuadElement, Ring, ZZ, ring_of
 from .series import TruncatedSeries, inv_poch_finite, lambert_zddz
-from .slices import Slice, slice_shape, slice_with, successors, zero_slice
+from .slices import (Slice, min_slice_weight, slice_shape, slice_with, successors,
+                     zero_slice)
 
 
 class NoRecurrenceFound(Exception):
@@ -60,18 +61,13 @@ def build_graph(rank: int, level: int, profile: Profile | None = None
     for sh in nodes:
         # Representative: the minimal slice of this shape pushed up by enough
         # whole columns that the length floor never interferes.
-        w0 = _min_weight(rep_profile, sh)
+        w0 = min_slice_weight(rep_profile, sh)
         rep = slice_with(rep_profile, sh, w0 + rank * (level + 1))
         assert rep is not None
         for nxt in successors(rep):
             edges.add((sh, slice_shape(nxt)))
     marked = shape_of_zero(profile) if profile is not None else None
     return ShapeTransitionGraph(rank, level, nodes, frozenset(edges), marked)
-
-
-def _min_weight(profile: Profile, shape: Shape) -> int:
-    from .slices import min_slice_weight
-    return min_slice_weight(profile, shape)
 
 
 def weight_class_order(graph: ShapeTransitionGraph) -> tuple[list[Shape], list[int]]:

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .core import CylpartError, Profile, Shape, shape_of_zero
 from .bijection import chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
-from .rings import ZZ
-from .series import (BivariateTruncated, TruncatedSeries, inv_poch_finite,
-                     inv_zq_pochhammer)
+from .rings import ZZ, ZZ_z
+from .series import (TruncatedSeries, first_mismatch, inv_zq_pochhammer,
+                     truncate_z, z_power_times)
 from .oracle import count_bivariate
 from .slices import Slice, slice_shape, slice_with, zero_slice
 
@@ -260,6 +261,7 @@ class LineupCheckReport:
         return f"{self.detail} for {self.profile}, n={self.n}, q^{self.order}: {status}"
 
 
+@lru_cache(maxsize=64)
 def minimal_jammed_correction(n: int, profile: Profile) -> QPoly:
     """Sum over minimal jammed lineups of q^{|lineup|} times the product of
     (1 - q^{rank*j}) over the tightened gap indices."""
@@ -291,14 +293,14 @@ def lemma_check(n: int, profile: Profile, order: int) -> LineupCheckReport:
     for lineup in enumerate_minimal_loose(n, profile):
         numerator = numerator + QPoly.monomial(lineup.weight)
     numerator = numerator + minimal_jammed_correction(n, profile)
-    rhs = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
-    rhs = rhs * inv_poch_finite(n, order, step=profile.rank)
-    ok = lhs.coeffs == rhs.coeffs
+    rhs = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order),
+                                      order).mul_inv_poch(n, profile.rank)
+    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
     detail = "pivot-chain count identity"
-    if not ok:
-        bad = next(i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i])
-        detail += f" (first mismatch at q^{bad}: {lhs.coeffs[bad]} vs {rhs.coeffs[bad]})"
-    return LineupCheckReport(profile, n, order, ok, detail)
+    if bad is not None:
+        k, x, y = bad
+        detail += f" (first mismatch at q^{k}: {x} vs {y})"
+    return LineupCheckReport(profile, n, order, bad is None, detail)
 
 
 def qconj_genfunc_check(profile: Profile, order: int, n_max: int
@@ -313,22 +315,18 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int
     r = profile.rank
     fam = family(r, profile.level)
     zero_shape = shape_of_zero(profile)
-    rhs_sum = BivariateTruncated.zero(order)
+    rhs_sum = TruncatedSeries.zero(ZZ_z, order)
     for n in range(n_max + 1):
         numerator = fam.pivot_lineup(n, zero_shape, order) + \
             minimal_jammed_correction(n, profile)
         series = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
-        series = series * inv_poch_finite(n, order, step=r)
-        contrib = BivariateTruncated(
-            order, tuple(QPoly.monomial(n, c) if c else QPoly()
-                         for c in series.coeffs))
-        rhs_sum = rhs_sum + contrib
-    rhs = (inv_zq_pochhammer(order) * rhs_sum).truncate_z(n_max)
-    lhs = count_bivariate(profile, order).truncate_z(n_max)
-    ok = lhs.coeffs == rhs.coeffs
+        rhs_sum = rhs_sum + z_power_times(n, series.mul_inv_poch(n, r))
+    rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
+    lhs = truncate_z(count_bivariate(profile, order), n_max)
+    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
     detail = "pivot generating-function identity"
-    if not ok:
-        bad = next(i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i])
-        detail += (f" (first mismatch at q^{bad}: oracle {lhs.coeffs[bad].to_str('z')}"
-                   f" vs lineups {rhs.coeffs[bad].to_str('z')})")
-    return LineupCheckReport(profile, n_max, order, ok, detail)
+    if bad is not None:
+        k, x, y = bad
+        detail += (f" (first mismatch at q^{k}: oracle {x.to_str('z')}"
+                   f" vs lineups {y.to_str('z')})")
+    return LineupCheckReport(profile, n_max, order, bad is None, detail)

@@ -18,8 +18,8 @@ from typing import Callable, Iterator
 
 from .core import CylindricPartition, Partition, Profile, check_rows
 from .qpoly import QPoly
-from .series import BivariateTruncated, TruncatedSeries
-from .rings import ZZ
+from .series import TruncatedSeries
+from .rings import ZZ, ZZ_z
 
 DEFAULT_WEIGHT_CAP = 30
 
@@ -145,12 +145,13 @@ def count_series(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) ->
     return _count(profile, order, cap, lambda top, distinct: True)
 
 
-def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> BivariateTruncated:
-    """Counts refined by largest part: the q^n coefficient collects z^{max}."""
+def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
+    """Counts refined by largest part, a series over Z[z]: the q^n
+    coefficient collects z^{max}."""
     buckets: list[dict[int, int]] = [dict() for _ in range(order + 1)]
     for weight, top, _, n in _census(profile, order, cap):
         buckets[weight][top] = buckets[weight].get(top, 0) + n
-    return BivariateTruncated(order, tuple(
+    return TruncatedSeries(ZZ_z, order, tuple(
         QPoly(tuple(d.get(m, 0) for m in range(max(d, default=-1) + 1)))
         for d in buckets))
 

@@ -23,8 +23,9 @@ from operator import add
 
 from .core import Profile, Shape, all_shapes, delta, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
-from .series import (BivariateTruncated, TruncatedSeries, inv_poch_finite)
-from .rings import ZZ
+from .series import (TruncatedSeries, first_mismatch, subst_z_mul_qpow,
+                     z_power_times)
+from .rings import ZZ, ZZ_z
 
 
 def _accumulate(terms, order: int | None) -> QPoly:
@@ -179,25 +180,21 @@ def parts_at_most_series(profile: Profile, n: int, order: int) -> TruncatedSerie
     """parts_at_most numerator over (q^r; q^r)_n, truncated."""
     fam, c = _family_of(profile)
     num = TruncatedSeries.from_coeffs(ZZ, fam.parts_at_most(n, c, order).coeffs, order)
-    return num * inv_poch_finite(n, order, step=profile.rank)
+    return num.mul_inv_poch(n, profile.rank)
 
 
 def largest_part_exact_series(profile: Profile, n: int, order: int) -> TruncatedSeries:
     fam, c = _family_of(profile)
     num = TruncatedSeries.from_coeffs(ZZ, fam.largest_part_exact(n, c, order).coeffs, order)
-    return num * inv_poch_finite(n, order, step=profile.rank)
+    return num.mul_inv_poch(n, profile.rank)
 
 
-def f_truncated(profile: Profile, order: int) -> BivariateTruncated:
-    """The two-variable counting series: z marks the largest part, q the
-    weight; assembled as sum of z^n * largest_part_exact_series(n)."""
-    total = BivariateTruncated.zero(order)
+def f_truncated(profile: Profile, order: int) -> TruncatedSeries:
+    """The two-variable counting series over Z[z]: z marks the largest part,
+    q the weight; assembled as sum of z^n * largest_part_exact_series(n)."""
+    total = TruncatedSeries.zero(ZZ_z, order)
     for n in range(order + 1):
-        piece = largest_part_exact_series(profile, n, order)
-        contrib = BivariateTruncated(
-            order, tuple(QPoly.monomial(n, c) if c else QPoly()
-                         for c in piece.coeffs))
-        total = total + contrib
+        total = total + z_power_times(n, largest_part_exact_series(profile, n, order))
     return total
 
 
@@ -222,20 +219,20 @@ def check_functional_equation(profile: Profile, order: int) -> tuple[bool, str]:
     z = QPoly((0, 1))
 
     lhs = F[c]
-    rhs = F[c].subst_z_mul_qpow(r).mul_inv_one_minus_zq(r).scale_z(one_minus_z)
+    rhs = subst_z_mul_qpow(F[c], r).mul_inv_one_minus(r, z).scale(one_minus_z)
     for d in fam.shapes:
         k = fam.dist(c, d)
         if k == 0:
-            term = F[d].scale_z(z)
+            term = F[d].scale(z)
         else:
-            term = (F[d].subst_z_mul_qpow(k)
-                    .mul_inv_one_minus_zq(k)
-                    .scale_z(one_minus_z)
-                    .shift_q(k)
-                    .scale_z(z))
+            term = (subst_z_mul_qpow(F[d], k)
+                    .mul_inv_one_minus(k, z)
+                    .scale(one_minus_z)
+                    .shift(k)
+                    .scale(z))
         rhs = rhs + term
-    if lhs.coeffs == rhs.coeffs:
+    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
+    if bad is None:
         return True, f"functional equation holds for {profile} to q^{order}"
-    bad = next(i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i])
-    return False, (f"functional equation fails for {profile} at q^{bad}: "
-                   f"{lhs.coeffs[bad]} vs {rhs.coeffs[bad]}")
+    i, x, y = bad
+    return False, f"functional equation fails for {profile} at q^{i}: {x} vs {y}"

@@ -1,14 +1,18 @@
-"""Exact coefficient rings: integers, rationals, and real quadratic fields.
+"""Exact coefficient rings: integers, rationals, real quadratic fields and
+the integer polynomials in z.
 
 Only what the closed-form verifications need: Q(sqrt(3)) and Q(sqrt(5))
 style arithmetic with elements ``a + b*sqrt(d)``, a and b rational, held
-exactly.  No general algebraic-number tower.
+exactly.  No general algebraic-number tower.  Z[z] carries the two-variable
+series, whose q-coefficients are polynomials in z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .qpoly import QPoly
 
 
 class RingMismatch(Exception):
@@ -131,6 +135,9 @@ class Ring:
     def element_to_json(self, x):
         raise NotImplementedError
 
+    def element_to_str(self, x) -> str:
+        return str(x)
+
     def __repr__(self) -> str:
         return self.tag
 
@@ -206,8 +213,34 @@ class QuadraticField(Ring):
         return hash(self.tag)
 
 
+class IntegerPolynomialRing(Ring):
+    """Z[z]: integer polynomials in z, held as :class:`QPoly`."""
+
+    tag = "Z[z]"
+
+    def coerce(self, x):
+        if isinstance(x, QPoly):
+            return x
+        if isinstance(x, int):
+            return QPoly((x,))
+        raise RingMismatch(f"{x!r} is not in Z[z]")
+
+    def element_to_json(self, x):
+        return [str(c) for c in x.coeffs]
+
+    def element_to_str(self, x) -> str:
+        return x.to_str("z") if x.degree <= 0 else f"({x.to_str('z')})"
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerPolynomialRing)
+
+    def __hash__(self):
+        return hash(self.tag)
+
+
 ZZ = IntegerRing()
 QQ = RationalRing()
+ZZ_z = IntegerPolynomialRing()
 
 
 def ring_of(x) -> Ring:

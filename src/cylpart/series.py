@@ -1,18 +1,19 @@
 """Truncated formal power series in q over an exact coefficient ring.
 
 A :class:`TruncatedSeries` stores coefficients c_0..c_N exactly; arithmetic
-never reads beyond the truncation order N.  :class:`BivariateTruncated`
-additionally carries a polynomial in z at every q power (z is never
-truncated; q powers above N are dropped).
+never reads beyond the truncation order N.  A two-variable series is a
+:class:`TruncatedSeries` over Z[z] (``ZZ_z``): it carries a polynomial in z
+at every q power (z is never truncated; q powers above N are dropped).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .core import Profile
 from .qpoly import QPoly
-from .rings import Ring, RingMismatch, ZZ, ring_of
+from .rings import Ring, RingMismatch, ZZ, ZZ_z, ring_of
 
 
 class OrderMismatch(Exception):
@@ -102,23 +103,25 @@ class TruncatedSeries:
         cs = (self.ring.zero,) * k + self.coeffs[:self.order + 1 - k]
         return TruncatedSeries(self.ring, self.order, cs)
 
-    def mul_inv_one_minus(self, e: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^e)."""
+    def mul_inv_one_minus(self, e: int, factor=1) -> "TruncatedSeries":
+        """Multiply by 1/(1 - factor * q^e)."""
         if e < 1:
             raise NonpositiveExponent(f"exponent {e} must be positive")
+        factor = self.ring.coerce(factor)
         cs = list(self.coeffs)
         for i in range(e, self.order + 1):
-            cs[i] = cs[i] + cs[i - e]
+            cs[i] = cs[i] + factor * cs[i - e]
         return TruncatedSeries(self.ring, self.order, tuple(cs))
 
-    def mul_one_minus(self, e: int) -> "TruncatedSeries":
-        """Multiply by (1 - q^e)."""
-        if e < 1:
-            raise NonpositiveExponent(f"exponent {e} must be positive")
-        cs = list(self.coeffs)
-        for i in range(self.order, e - 1, -1):
-            cs[i] = cs[i] - self.coeffs[i - e]
-        return TruncatedSeries(self.ring, self.order, tuple(cs))
+    def mul_inv_poch(self, n: int, step: int = 1) -> "TruncatedSeries":
+        """Multiply by 1/((q^step; q^step)_n), one factor 1/(1 - q^{step*j})
+        at a time."""
+        s = self
+        for j in range(1, n + 1):
+            if step * j > self.order:
+                break
+            s = s.mul_inv_one_minus(step * j)
+        return s
 
     def mul_one_plus(self, e: int, factor) -> "TruncatedSeries":
         """Multiply by (1 + factor * q^e)."""
@@ -133,22 +136,18 @@ class TruncatedSeries:
     def into_ring(self, ring: Ring) -> "TruncatedSeries":
         return TruncatedSeries.from_coeffs(ring, list(self.coeffs), self.order)
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.ring, order, self.coeffs[:order + 1])
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
             if not c and i > 0:
                 continue
+            body = self.ring.element_to_str(c)
             if i == 0:
-                terms.append(str(c))
+                terms.append(body)
             elif i == 1:
-                terms.append(f"{c}*q")
+                terms.append(f"{body}*q")
             else:
-                terms.append(f"{c}*q^{i}")
+                terms.append(f"{body}*q^{i}")
         return " + ".join(terms) + f" + O(q^{self.order + 1})"
 
     def to_json(self) -> dict:
@@ -159,14 +158,16 @@ class TruncatedSeries:
         }
 
 
+def first_mismatch(a, b) -> tuple[int, object, object] | None:
+    """(index, a value, b value) of the first entry where two coefficient
+    sequences differ, reading missing entries as 0; None when equal."""
+    return next(((k, x, y) for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=0))
+                 if x != y), None)
+
+
 def inv_poch_finite(n: int, order: int, ring: Ring = ZZ, step: int = 1) -> TruncatedSeries:
     """1 / ((q^step; q^step)_n) truncated: product of 1/(1 - q^{step*j}), j = 1..n."""
-    s = TruncatedSeries.one(ring, order)
-    for j in range(1, n + 1):
-        if step * j > order:
-            break
-        s = s.mul_inv_one_minus(step * j)
-    return s
+    return TruncatedSeries.one(ring, order).mul_inv_poch(n, step)
 
 
 def poch_finite(n: int, order: int, ring: Ring = ZZ) -> TruncatedSeries:
@@ -175,7 +176,7 @@ def poch_finite(n: int, order: int, ring: Ring = ZZ) -> TruncatedSeries:
     for j in range(1, n + 1):
         if j > order:
             break
-        s = s.mul_one_minus(j)
+        s = s.mul_one_plus(j, -1)
     return s
 
 
@@ -185,7 +186,7 @@ def poch_infinite(base_exp: int, modulus: int, order: int, ring: Ring = ZZ) -> T
         raise NonpositiveExponent(f"exponent {base_exp} must be positive")
     s = TruncatedSeries.one(ring, order)
     for e in range(base_exp, order + 1, modulus):
-        s = s.mul_one_minus(e)
+        s = s.mul_one_plus(e, -1)
     return s
 
 
@@ -245,25 +246,21 @@ def euler_terms(beta, order: int, ring: Ring | None = None):
     n = 0
     power = ring.one
     while n * (n + 1) // 2 <= order:
-        term = inv_poch_finite(n, order, ring).shift(n * (n + 1) // 2).scale(power)
-        yield term
+        # 1/(q;q)_n is integral: build it over Z and lift it once.
+        term = inv_poch_finite(n, order).into_ring(ring)
+        yield term.shift(n * (n + 1) // 2).scale(power)
         n += 1
         power = power * beta
 
 
 def euler_distinct(beta, order: int, ring: Ring | None = None) -> TruncatedSeries:
-    """(-beta*q; q)_infinity, computed both as the finite-factor product and
-    as the q-exponential sum; the two must agree to the truncation order."""
+    """(-beta*q; q)_infinity as the finite-factor product to the truncation
+    order; it equals the sum of :func:`euler_terms`."""
     ring = ring or ring_of(beta)
     beta = ring.coerce(beta)
     prod = TruncatedSeries.one(ring, order)
     for j in range(1, order + 1):
         prod = prod.mul_one_plus(j, beta)
-    total = TruncatedSeries.zero(ring, order)
-    for term in euler_terms(beta, order, ring):
-        total = total + term
-    if prod.coeffs != total.coeffs:
-        raise AssertionError("product and sum expansions disagree")
     return prod
 
 
@@ -302,145 +299,46 @@ def progression_filter(terms, modulus: int, residue: int,
     return total
 
 
-@dataclass(frozen=True)
-class BivariateTruncated:
-    """Series in q to a fixed order whose q-coefficients are z-polynomials."""
-
-    order: int
-    coeffs: tuple  # QPoly in z per q power, length order + 1
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise OrderMismatch(
-                f"needs {self.order + 1} q-coefficients, got {len(self.coeffs)}")
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateTruncated":
-        return cls(order, tuple(QPoly() for _ in range(order + 1)))
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateTruncated":
-        return cls(order, (QPoly.one(),) + tuple(QPoly() for _ in range(order)))
-
-    @classmethod
-    def from_univariate(cls, series: TruncatedSeries) -> "BivariateTruncated":
-        return cls(series.order, tuple(QPoly((c,)) for c in series.coeffs))
-
-    def _check(self, other: "BivariateTruncated"):
-        if self.order != other.order:
-            raise OrderMismatch(f"{self.order} vs {other.order}")
-
-    def __add__(self, other: "BivariateTruncated") -> "BivariateTruncated":
-        self._check(other)
-        return BivariateTruncated(self.order,
-                                  tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "BivariateTruncated") -> "BivariateTruncated":
-        self._check(other)
-        return BivariateTruncated(self.order,
-                                  tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "BivariateTruncated") -> "BivariateTruncated":
-        self._check(other)
-        out = [QPoly() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BivariateTruncated(self.order, tuple(out))
-
-    def scale_z(self, zpoly: QPoly) -> "BivariateTruncated":
-        return BivariateTruncated(self.order, tuple(zpoly * c for c in self.coeffs))
-
-    def shift_q(self, k: int) -> "BivariateTruncated":
-        if k == 0:
-            return self
-        if k > self.order:
-            return BivariateTruncated.zero(self.order)
-        cs = (QPoly(),) * k + self.coeffs[:self.order + 1 - k]
-        return BivariateTruncated(self.order, cs)
-
-    def subst_z_mul_qpow(self, k: int) -> "BivariateTruncated":
-        """Substitute z -> z * q^k: the term z^m q^j becomes z^m q^{j + k m}."""
-        if k == 0:
-            return self
-        out = [dict() for _ in range(self.order + 1)]
-        for j, zp in enumerate(self.coeffs):
-            for m, c in enumerate(zp.coeffs):
-                if not c:
-                    continue
-                jj = j + k * m
-                if jj <= self.order:
-                    out[jj][m] = out[jj].get(m, 0) + c
-        polys = []
-        for d in out:
-            if d:
-                top = max(d)
-                polys.append(QPoly(tuple(d.get(m, 0) for m in range(top + 1))))
-            else:
-                polys.append(QPoly())
-        return BivariateTruncated(self.order, tuple(polys))
-
-    def mul_inv_one_minus_zq(self, k: int) -> "BivariateTruncated":
-        """Multiply by 1/(1 - z q^k) for k >= 1 (geometric series in z q^k)."""
-        if k < 1:
-            raise NonpositiveExponent("geometric factor needs k >= 1")
-        geom = BivariateTruncated(
-            self.order,
-            tuple(QPoly.monomial(j // k) if j % k == 0 else QPoly()
-                  for j in range(self.order + 1)))
-        return self * geom
-
-    def mul_inv_one_minus_q(self, e: int) -> "BivariateTruncated":
-        """Multiply by 1/(1 - q^e)."""
-        if e < 1:
-            raise NonpositiveExponent(f"exponent {e} must be positive")
-        cs = list(self.coeffs)
-        for i in range(e, self.order + 1):
-            cs[i] = cs[i] + cs[i - e]
-        return BivariateTruncated(self.order, tuple(cs))
-
-    def truncate_z(self, zmax: int) -> "BivariateTruncated":
-        return BivariateTruncated(
-            self.order, tuple(QPoly(c.coeffs[:zmax + 1]) for c in self.coeffs))
-
-    def at_z_one(self, ring: Ring = ZZ) -> TruncatedSeries:
-        return TruncatedSeries.from_coeffs(ring, [c(1) for c in self.coeffs], self.order)
-
-    def z_coefficient(self, m: int, ring: Ring = ZZ) -> TruncatedSeries:
-        return TruncatedSeries.from_coeffs(
-            ring, [c.coefficient(m) for c in self.coeffs], self.order)
-
-    def z_degree(self) -> int:
-        return max((c.degree for c in self.coeffs), default=-1)
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c and i > 0:
-                continue
-            zs = c.to_str("z")
-            body = zs if c.degree <= 0 else f"({zs})"
-            terms.append(body if i == 0 else
-                         f"{body}*q" if i == 1 else f"{body}*q^{i}")
-        return " + ".join(terms) + f" + O(q^{self.order + 1})"
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [[str(x) for x in c.coeffs] for c in self.coeffs],
-        }
 
 
-def inv_zq_pochhammer(order: int) -> BivariateTruncated:
-    """1/(zq; q)_infinity truncated: sum of z^m q^m / (q;q)_m."""
-    total = BivariateTruncated.zero(order)
-    for m in range(order + 1):
-        piece = inv_poch_finite(m, order).shift(m)
-        contrib = BivariateTruncated(
-            order, tuple(QPoly.monomial(m, c) if c else QPoly() for c in piece.coeffs))
-        total = total + contrib
-    return total
+def z_power_times(n: int, series: TruncatedSeries) -> TruncatedSeries:
+    """z^n times a one-variable series, as a series over Z[z]."""
+    return TruncatedSeries(ZZ_z, series.order,
+                           tuple(QPoly.monomial(n, c) for c in series.coeffs))
+
+
+def subst_z_mul_qpow(series: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Substitute z -> z * q^k in a series over Z[z]: the term z^m q^j
+    becomes z^m q^{j + k m}."""
+    if k == 0:
+        return series
+    out: list[list] = [[] for _ in range(series.order + 1)]
+    for j, zp in enumerate(series.coeffs):
+        for m, c in enumerate(zp.coeffs):
+            jj = j + k * m
+            if jj > series.order:
+                break
+            row = out[jj]
+            row.extend([0] * (m + 1 - len(row)))
+            row[m] += c
+    return TruncatedSeries(ZZ_z, series.order, tuple(QPoly(row) for row in out))
+
+
+def truncate_z(series: TruncatedSeries, zmax: int) -> TruncatedSeries:
+    """Drop the powers of z above ``zmax`` from a series over Z[z]."""
+    return TruncatedSeries(ZZ_z, series.order,
+                           tuple(QPoly(c.coeffs[:zmax + 1]) for c in series.coeffs))
+
+
+def at_z_one(series: TruncatedSeries) -> TruncatedSeries:
+    """A series over Z[z] evaluated at z = 1."""
+    return TruncatedSeries(ZZ, series.order, tuple(c(1) for c in series.coeffs))
+
+
+def inv_zq_pochhammer(order: int) -> TruncatedSeries:
+    """1/(zq; q)_infinity truncated, over Z[z]: product of 1/(1 - z q^j)."""
+    z = QPoly((0, 1))
+    s = TruncatedSeries.one(ZZ_z, order)
+    for j in range(1, order + 1):
+        s = s.mul_inv_one_minus(j, z)
+    return s

@@ -29,7 +29,7 @@ from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.polynomials import (largest_part_exact_series,
                                  parts_at_most_series)
 from cylpart.rings import QQ, ZZ
-from cylpart.series import TruncatedSeries, inv_poch_finite
+from cylpart.series import TruncatedSeries, at_z_one, inv_poch_finite
 
 from conftest import all_profiles
 
@@ -212,7 +212,7 @@ def test_criterion_06_polynomials():
             assert largest_part_exact_series(profile, n, 12).coeffs == \
                 count_max_exactly(profile, n, 12).coeffs, (profile, n)
         F = f_truncated(profile, 12)
-        assert F.at_z_one().coeffs == borodin_product(profile, 12).coeffs
+        assert at_z_one(F).coeffs == borodin_product(profile, 12).coeffs
 
 
 @criterion(7, "two-variable functional equation to q^10")

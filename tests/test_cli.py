@@ -6,7 +6,7 @@ import pytest
 from cylpart import cli, diagram, lineups, oracle, polynomials
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
-from cylpart.series import BivariateTruncated, TruncatedSeries
+from cylpart.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -185,7 +185,7 @@ def _bump_bivariate(fn, k, m):
         two = fn(*args, **kwargs)
         polys = list(two.coeffs)
         polys[k] = polys[k] + QPoly((0,) * m + (1,))
-        return BivariateTruncated(two.order, tuple(polys))
+        return TruncatedSeries(two.ring, two.order, tuple(polys))
     return bumped
 
 

@@ -116,7 +116,7 @@ class TestMatrices:
         assert char_poly(blocks[1]) == QPoly((3, -4, 1))
         assert char_poly(blocks[1])(3) == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "eigenvalue -1 is arithmetically impossible here: the block is "
         "[[2,1],[1,2]], whose eigenvalues are 3 and 1"))
     def test_rank2_level4_negative_eigenvalue_refuted(self):
@@ -282,7 +282,7 @@ class TestClosedForms:
                                     ring=ring)
         assert report.ok and report.irrational_ok
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "pairing the coefficient (2+sqrt3)/6 with the product over "
         "(1 - sqrt3 q^j) makes the q^1 coefficient -1 instead of 1"))
     def test_level4_pairing_swapped(self):

@@ -10,6 +10,7 @@ from cylpart import oracle
 from cylpart.core import RowCountMismatch, ViolatedInequality, check_rows
 from cylpart.oracle import (count_max_at_most, count_max_exactly,
                             has_distinct_parts)
+from cylpart.series import at_z_one
 from cylpart.slices import decompose, recompose
 
 from conftest import all_profiles
@@ -66,7 +67,7 @@ class TestCounting:
     def test_bivariate_specializes(self):
         prof = Profile.of(1, 1, 1)
         two = count_bivariate(prof, 9)
-        assert two.at_z_one().coeffs == count_series(prof, 9).coeffs
+        assert at_z_one(two).coeffs == count_series(prof, 9).coeffs
         assert two.coeffs[0].coeffs == (1,)
         for n, zpoly in enumerate(two.coeffs):
             assert zpoly.degree <= n
