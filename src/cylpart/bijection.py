@@ -125,20 +125,13 @@ def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
 
 @dataclass(frozen=True)
 class TiledPath:
-    """One slice per weight 0..window, with pivot flags on the chain slices."""
+    """The tiled path: the row lengths of its slice of every weight 0..window."""
 
     profile: Profile
-    window: int
-    slices: tuple[Slice, ...]          # index = weight
-    pivot_weights: frozenset[int]
-    chain: tuple[Slice, ...]
+    slices: tuple[tuple[int, ...], ...]  # index = weight
 
     def slice_at(self, weight: int) -> Slice:
-        return self.slices[weight]
-
-    def pivot_slices(self) -> list[Slice]:
-        """The flagged chain slices, largest first."""
-        return [self.slices[w] for w in sorted(self.pivot_weights, reverse=True)]
+        return Slice(self.profile, self.slices[weight])
 
 
 def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
@@ -147,23 +140,22 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
     Boxes go into each space column by column, left to right, top to bottom
     within a column; past the largest chain slice the infinite strip is
     tiled the same way up to the window.  The result records the unique
-    intermediate slice of every weight 0..window.
+    intermediate slice of every weight 0..window.  The slice of weight w
+    depends only on the first w boxes, so a smaller window gives a prefix
+    of the same path.  The chain is not checked; :func:`pivot_reconstruct`
+    resolves and checks it from beta first.
     """
     slices = sorted(chain, key=lambda s: s.weight)  # smallest first
-    for a, b in zip(slices, slices[1:]):
-        if not (b.contains(a) and a != b):
-            raise InadmissibleBeta(
-                f"{b.lengths} does not strictly contain {a.lengths}")
     if slices and slices[-1].weight > window:
         raise InadmissibleBeta(
             f"window {window} below the largest chain weight {slices[-1].weight}")
 
     offsets = profile.offsets()
     r = profile.rank
-    current = list(zero_slice(profile).lengths)
-    path = [Slice(profile, tuple(current))]
+    current = [0] * r
+    path = [tuple(current)]
 
-    def fill_to(target_lengths, limit: int):
+    def fill_to(target_lengths):
         # Visit the space's cells by (absolute column, row), adding one box
         # at a time and recording each new slice.
         cells = []
@@ -173,13 +165,11 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
             cells.extend((col, i) for col in range(lo, hi + 1))
         cells.sort()
         for _, i in cells:
-            if len(path) - 1 >= limit:
-                return
             current[i] += 1
-            path.append(Slice(profile, tuple(current)))
+            path.append(tuple(current))
 
     for target in slices:
-        fill_to(target.lengths, window)
+        fill_to(target.lengths)
     # Infinite strip past the largest slice: walk absolute columns left to
     # right; a row takes a box in every column beyond its own right end.
     boundary = [offsets[i] + current[i] for i in range(r)]
@@ -188,14 +178,9 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
         for i in range(r):
             if boundary[i] < col and len(path) - 1 < window:
                 current[i] += 1
-                path.append(Slice(profile, tuple(current)))
+                path.append(tuple(current))
         col += 1
-
-    flags = chain_pivots(profile, list(reversed(slices)))
-    pivot_weights = frozenset(s.weight for s, f in
-                              zip(reversed(slices), flags) if f)
-    return TiledPath(profile, window, tuple(path), pivot_weights,
-                     tuple(reversed(slices)))
+    return TiledPath(profile, tuple(path))
 
 
 def pivot_decompose(cp: CylindricPartition
@@ -221,14 +206,29 @@ def pivot_decompose(cp: CylindricPartition
             LabeledDistinctPartition(tuple(beta_entries)))
 
 
-def _beta_slices(beta: LabeledDistinctPartition, profile: Profile) -> list[Slice]:
-    out = []
+def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
+                  ) -> list[Slice]:
+    """The slices named by beta, largest first, after checking that they
+    exist, nest strictly and each come out flagged as a pivot.
+
+    Raises :class:`InadmissibleBeta` with the first failing diagnosis.
+    """
+    slices = []
     for w, sh in beta.entries:
         s = slice_with(profile, sh, w)
         if s is None:
             raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
-        out.append(s)
-    return out
+        slices.append(s)
+    for w, sh in beta.entries:
+        if not sh.parts or sh.parts[0] < 2:
+            raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
+    for a, b in zip(slices, slices[1:]):
+        if not (a.contains(b) and a != b):
+            raise InadmissibleBeta(f"slices {a.lengths} and {b.lengths} do not nest")
+    for (w, sh), flag in zip(beta.entries, chain_pivots(profile, slices)):
+        if not flag:
+            raise InadmissibleBeta(f"{w}^{sh} is not a pivot in this lineup")
+    return slices
 
 
 def validate_beta(beta: LabeledDistinctPartition, profile: Profile
@@ -236,50 +236,24 @@ def validate_beta(beta: LabeledDistinctPartition, profile: Profile
     """Operational admissibility: the slices named by beta, stacked as a
     chain, must each come out flagged as a pivot.  Returns (ok, diagnosis)."""
     try:
-        slices = _beta_slices(beta, profile)
+        _resolve_beta(beta, profile)
     except InadmissibleBeta as e:
         return False, str(e)
-    for w, sh in beta.entries:
-        if not sh.parts or sh.parts[0] < 2:
-            return False, f"shape {sh} of part {w} can never be a pivot"
-    for a, b in zip(slices, slices[1:]):
-        if not (a.contains(b) and a != b):
-            return False, (f"slices {a.lengths} and {b.lengths} do not nest")
-    try:
-        flags = chain_pivots(profile, slices)
-    except InadmissibleBeta as e:
-        return False, str(e)
-    for (w, sh), flag in zip(beta.entries, flags):
-        if not flag:
-            return False, f"{w}^{sh} is not a pivot in this lineup"
     return True, "admissible"
-
-
-def reconstruct_window(beta: LabeledDistinctPartition, mu: Partition,
-                       profile: Profile) -> int:
-    """Tiling window large enough for every pivot decision and mu insertion."""
-    top_beta = beta.entries[0][0] if beta.entries else 0
-    top_mu = mu.part(1)
-    return top_beta + profile.rank * profile.level + top_mu + 1
 
 
 def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
                       profile: Profile) -> CylindricPartition:
     """Inverse of :func:`pivot_decompose`.
 
-    Tiles the pivot chain, then adds one slice per part of ``mu`` at the
-    unique tiled slice of that weight.
+    Tiles the pivot chain up to the largest weight in beta or mu, then adds
+    one slice per part of ``mu`` at the unique tiled slice of that weight.
     """
-    ok, why = validate_beta(beta, profile)
-    if not ok:
-        raise InadmissibleBeta(why)
-    window = reconstruct_window(beta, mu, profile)
-    path = tile(profile, _beta_slices(beta, profile), window)
+    chain = _resolve_beta(beta, profile)
     weights = sorted([w for w, _ in beta.entries] + list(mu.parts), reverse=True)
-    slices = [path.slice_at(w) for w in weights]
-    if not slices:
-        return recompose(SliceChain(profile, ()))
-    return recompose(SliceChain.from_slices(profile, slices))
+    path = tile(profile, chain, weights[0] if weights else 0)
+    at = {w: path.slice_at(w) for w in set(weights)}
+    return recompose(SliceChain.from_slices(profile, [at[w] for w in weights]))
 
 
 def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:

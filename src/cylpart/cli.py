@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=_nonnegative_int, default=n)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("enumerate", help="dump all partitions up to a weight")
     common(p, order=8); p.set_defaults(fn=cmd_enumerate)
@@ -499,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every cross-check for a profile")
     common(p, order=12); p.set_defaults(fn=cmd_verify_all)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the round-trip samples")
 
     return parser
 

@@ -100,9 +100,6 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-EMPTY_PARTITION = Partition()
-
-
 @dataclass(frozen=True)
 class Profile:
     """A composition (c_1, ..., c_r) with all c_i >= 0 and positive sum."""

@@ -39,9 +39,6 @@ class ShapeTransitionGraph:
     def out_neighbors(self, s: Shape) -> list[Shape]:
         return sorted((t for f, t in self.edges if f == s), key=lambda x: x.parts)
 
-    def in_neighbors(self, t: Shape) -> list[Shape]:
-        return sorted((f for f, tt in self.edges if tt == t), key=lambda x: x.parts)
-
     def to_adjacency_text(self) -> str:
         lines = []
         for s in self.nodes:
@@ -164,9 +161,6 @@ class PathCountTable:
     order: int
     totals: tuple[int, ...]                       # a_n for n = 0..order
     by_shape: tuple[tuple[tuple[Shape, int], ...], ...]
-
-    def count_at(self, n: int, shape: Shape) -> int:
-        return dict(self.by_shape[n]).get(shape, 0)
 
 
 def path_counts(profile: Profile, order: int) -> PathCountTable:

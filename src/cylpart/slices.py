@@ -263,19 +263,18 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     return tight, side
 
 
-def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode,
-           profile: Profile | None = None) -> list[Slice]:
+def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
+           ) -> list[Slice]:
     """Inverse of :func:`shrink`: re-grow the chain from the side partition.
 
     Side parts must be multiples of the rank, at most rank * n.
     """
     slices = list(tight)
-    if profile is None:
-        if not slices:
-            if len(side) == 0:
-                return []
-            raise PartTooLarge("side partition given but the tight chain is empty")
-        profile = slices[0].profile
+    if not slices:
+        if len(side) == 0:
+            return []
+        raise PartTooLarge("side partition given but the tight chain is empty")
+    profile = slices[0].profile
     r = profile.rank
     n = len(slices)
     mult: dict[int, int] = {}

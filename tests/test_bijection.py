@@ -24,9 +24,8 @@ def box_order_pivots(profile, chain_slices, window):
     offsets = profile.offsets()
     cols = []
     for prev, cur in zip(path.slices, path.slices[1:]):
-        row = next(i for i in range(profile.rank)
-                   if cur.lengths[i] != prev.lengths[i])
-        cols.append(offsets[row] + cur.lengths[row])
+        row = next(i for i in range(profile.rank) if cur[i] != prev[i])
+        cols.append(offsets[row] + cur[row])
     out = []
     for s in chain_slices:
         w = s.weight
@@ -91,29 +90,42 @@ class TestWorkedExamples:
 
 class TestTiling:
     def test_default_path_has_no_pivots(self):
-        path = tile(P111, [], 15)
-        assert not path.pivot_weights
-        assert path.pivot_slices() == []
+        assert chain_pivots(P111, []) == []
+        assert box_order_pivots(P111, [], 15) == []
 
     def test_pivots_of_tiled_worked_chain(self):
         cp = validate((Partition.of(5, 4), Partition.of(8, 2),
                        Partition.of(7, 5, 1)), P111)
         chain = decompose(cp).distinct()
         path = tile(P111, chain, 12)
-        flagged = path.pivot_slices()
+        flagged = [path.slice_at(s.weight)
+                   for s, flag in zip(chain, chain_pivots(P111, chain)) if flag]
         assert [(s.weight, slice_shape(s).parts) for s in flagged] == \
             [(5, (2, 0)), (1, (2, 2))]
 
     def test_one_slice_per_weight(self, small_profiles):
         for prof in small_profiles[::4]:
             path = tile(prof, [], 12)
-            assert [s.weight for s in path.slices] == list(range(13))
-            for a, b in zip(path.slices, path.slices[1:]):
+            assert len(path.slices) == 13
+            tiled = [path.slice_at(w) for w in range(13)]
+            assert [s.weight for s in tiled] == list(range(13))
+            for a, b in zip(tiled, tiled[1:]):
                 assert b.contains(a)
 
     def test_window_too_small(self):
         with pytest.raises(InadmissibleBeta):
             tile(P111, [slice_with(P111, Shape.of(2, 1), 15)], 10)
+
+    def test_shorter_window_tiles_a_prefix(self, small_profiles):
+        # pivot_reconstruct tiles only to the largest weight it reads
+        for prof in small_profiles:
+            chains = {tuple(decompose(cp).distinct())
+                      for cp in enumerate_by_weight(prof, 8)}
+            for chain in chains:
+                top = chain[0].weight if chain else 0
+                full = tile(prof, chain, top + prof.rank * prof.level + 1).slices
+                for w in range(top, len(full)):
+                    assert tile(prof, chain, w).slices == full[:w + 1]
 
     def test_box_order_agrees_with_column_rule(self):
         # dual route: space-comparison flags vs actual placement order
@@ -147,6 +159,19 @@ class TestValidateBeta:
         beta = LabeledDistinctPartition.parse("2^(2,1)")  # weight residue is off
         ok, why = validate_beta(beta, P111)
         assert not ok and "no slice" in why
+
+    @pytest.mark.parametrize("text,message", [
+        ("2^(2,1)", "no slice of shape (2,1) and weight 2"),
+        ("3^(0,0)", "shape (0,0) of part 3 can never be a pivot"),
+        ("2^(2,0),1^(2,2)", "slices (1, 0, 1) and (0, 1, 0) do not nest"),
+        ("2^(2,0),1^(3,1)", "2^(2,0) is not a pivot in this lineup"),
+    ])
+    def test_each_diagnosis(self, text, message):
+        beta = LabeledDistinctPartition.parse(text)
+        assert validate_beta(beta, P111) == (False, message)
+        with pytest.raises(InadmissibleBeta) as exc:
+            pivot_reconstruct(Partition.of(3, 1), beta, P111)
+        assert str(exc.value) == message
 
     def test_reconstruct_rejects_inadmissible(self):
         with pytest.raises(InadmissibleBeta):

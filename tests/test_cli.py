@@ -161,6 +161,15 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--profile" in capsys.readouterr().err
 
+    def test_seed_only_on_verify_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--profile", "1,1", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        code, payload = run_json(capsys, "verify-all", "--profile", "1,1",
+                                 "--order", "6", "--seed", "3")
+        assert code == 0 and payload["ok"]
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")
