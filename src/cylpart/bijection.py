@@ -16,11 +16,12 @@ each node on it is used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   Shape)
+                   Shape, _trusted)
 from .slices import (Slice, SliceChain, decompose as slice_decompose,
                      recompose, slice_shape, slice_with, zero_slice)
 
@@ -131,7 +132,8 @@ class TiledPath:
     slices: tuple[tuple[int, ...], ...]  # index = weight
 
     def slice_at(self, weight: int) -> Slice:
-        return Slice(self.profile, self.slices[weight])
+        # Tiling adds one valid box at a time, so every recorded slice is valid.
+        return _trusted(Slice, profile=self.profile, lengths=self.slices[weight])
 
 
 def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
@@ -252,8 +254,10 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
     chain = _resolve_beta(beta, profile)
     weights = sorted([w for w, _ in beta.entries] + list(mu.parts), reverse=True)
     path = tile(profile, chain, weights[0] if weights else 0)
-    at = {w: path.slice_at(w) for w in set(weights)}
-    return recompose(SliceChain.from_slices(profile, [at[w] for w in weights]))
+    # Path slices of distinct positive weights nest strictly.
+    entries = tuple((path.slice_at(w), len(list(run)))
+                    for w, run in itertools.groupby(weights))
+    return recompose(_trusted(SliceChain, profile=profile, entries=entries))
 
 
 def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -48,6 +49,36 @@ class RankMismatch(CylpartError):
 
 class LevelTooSmall(CylpartError):
     pass
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with the given field
+    values, built without running ``__post_init__``.
+
+    Only for values the package builds valid by construction, with every
+    field already of its final type (tuples, not lists); public
+    constructors always validate.
+    """
+    obj = object.__new__(cls)
+    # Set attribute by attribute: touching ``obj.__dict__`` would give
+    # every instance its own dict, more than doubling its size.
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _conjugate(column: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Parts of the conjugate of the partition that repeats part ``p``
+    ``m`` times for each ``(p, m)`` in ``column``, read largest part first
+    (zero parts allowed).  One pass: part ``j`` of the result is the total
+    multiplicity of the parts ``>= j``."""
+    out: list[int] = []
+    count = 0
+    for (p, m), (below, _) in itertools.pairwise([*column, (0, 0)]):
+        count += m
+        out.extend([count] * (p - below))
+    out.reverse()
+    return tuple(out)
 
 
 def _check_parts(parts: tuple[int, ...]) -> None:
@@ -91,13 +122,16 @@ class Partition:
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(tuple(sum(1 for p in self.parts if p >= k)
-                               for k in range(1, self.parts[0] + 1)))
+        return _trusted(Partition, parts=_conjugate((p, 1) for p in self.parts))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
+
+
+@lru_cache(maxsize=1024)
+def _offsets(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """o_i = c_{i+1} + ... + c_r; one tuple shared by equal profiles."""
+    return tuple(itertools.accumulate(reversed(parts[1:]), initial=0))[::-1]
 
 
 @dataclass(frozen=True)
@@ -115,6 +149,8 @@ class Profile:
             raise ValueError(f"profile parts must be non-negative: {parts}")
         if sum(parts) < 1:
             raise ValueError("profile level must be positive")
+        # Computed once here, as every slice of the profile reads it.
+        object.__setattr__(self, "_offsets", _offsets(parts))
 
     @classmethod
     def of(cls, *parts: int) -> "Profile":
@@ -130,11 +166,7 @@ class Profile:
 
     def offsets(self) -> tuple[int, ...]:
         """Left-end offset of each row: o_i = c_{i+1} + ... + c_r, o_r = 0."""
-        r = self.rank
-        out = [0] * r
-        for i in range(r - 2, -1, -1):
-            out[i] = out[i + 1] + self.parts[i + 1]
-        return tuple(out)
+        return self._offsets
 
     def __str__(self) -> str:
         return "c=(" + ",".join(str(p) for p in self.parts) + ")"
@@ -254,13 +286,19 @@ def delta_shapes(sigma: Shape, tau: Shape, level: int) -> int:
 
 @dataclass(frozen=True)
 class CylindricPartition:
-    """A validated cylindric partition: profile plus one row per rank."""
+    """A cylindric partition: profile plus one row per rank.
+
+    Construction checks the rows with :func:`check_rows` and raises its
+    errors.
+    """
 
     profile: Profile
     rows: tuple[Partition, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
+        check_rows([row.parts for row in rows], self.profile)
 
     @property
     def weight(self) -> int:
@@ -281,7 +319,8 @@ class CylindricPartition:
         for a, b in zip(self.rows, other.rows):
             n = max(len(a), len(b))
             rows.append(Partition(tuple(a.part(j) + b.part(j) for j in range(1, n + 1))))
-        return CylindricPartition(self.profile, tuple(rows))
+        # Adding two sets of cylindric inequalities gives the sum's.
+        return _trusted(CylindricPartition, profile=self.profile, rows=tuple(rows))
 
     def to_text(self, with_profile: bool = True) -> str:
         body = "|".join(str(row) for row in self.rows)
@@ -329,9 +368,7 @@ def validate(rows: Iterable[Partition], profile: Profile) -> CylindricPartition:
 
     Raises the errors of :func:`check_rows`.
     """
-    rows = tuple(rows)
-    check_rows([row.parts for row in rows], profile)
-    return CylindricPartition(profile, rows)
+    return CylindricPartition(profile, tuple(rows))
 
 
 def empty_partition(profile: Profile) -> CylindricPartition:

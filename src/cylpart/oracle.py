@@ -16,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .core import CylindricPartition, Partition, Profile, check_rows
+from .core import CylindricPartition, Partition, Profile, _trusted, check_rows
 from .qpoly import QPoly
 from .series import TruncatedSeries
 from .rings import ZZ, ZZ_z
@@ -35,31 +35,25 @@ def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
     """
     out: list[tuple[int, ...]] = []
     min_len = len(lower_row)
+    # Bounds on part j at index j - 1.  A row has at most ``budget`` parts.
+    if cap_row is None:
+        caps = (budget,) * budget
+    else:
+        caps = ((budget,) * shift + tuple(cap_row) + (0,) * budget)[:budget]
+    lows = tuple(lower_row) + (0,) * budget
 
-    def cap(j: int) -> int:
-        if cap_row is None:
-            return budget
-        if j <= shift:
-            return budget
-        k = j - shift
-        return cap_row[k - 1] if k <= len(cap_row) else 0
-
-    def low(j: int) -> int:
-        return lower_row[j - 1] if j <= len(lower_row) else 0
-
-    def rec(prefix: list[int], j: int, remaining: int):
+    def rec(prefix: list[int], j: int, remaining: int, top: int):
         if j > min_len:
             out.append(tuple(prefix))
         if remaining <= 0:
             return
-        hi = min(cap(j), remaining, prefix[-1] if prefix else remaining)
-        lo = max(low(j), 1)
-        for p in range(hi, lo - 1, -1):
+        hi = min(caps[j - 1], remaining, top)
+        for p in range(hi, max(lows[j - 1], 1) - 1, -1):
             prefix.append(p)
-            rec(prefix, j + 1, remaining - p)
+            rec(prefix, j + 1, remaining - p, p)
             prefix.pop()
 
-    rec([], 1, budget)
+    rec([], 1, budget, budget)
     return out
 
 
@@ -100,11 +94,12 @@ def _hits(profile: Profile, max_weight: int, cap: int) -> Iterator[_Rows]:
     yield from place([], max_weight)
 
 
-def _text_order(rows: _Rows) -> tuple[int, str]:
-    """(weight, canonical text form without the profile prefix every hit
-    shares): the order :func:`enumerate_by_weight` returns."""
-    return (sum(map(sum, rows)),
-            "|".join(",".join(map(str, row)) for row in rows))
+def _text_order() -> Callable[[_Rows], tuple[int, str]]:
+    """Sort key giving (weight, canonical text form without the profile
+    prefix every hit shares): the order :func:`enumerate_by_weight`
+    returns.  Each distinct row's text is built once per key."""
+    row_text = lru_cache(maxsize=None)(lambda row: ",".join(map(str, row)))
+    return lambda rows: (sum(map(sum, rows)), "|".join(map(row_text, rows)))
 
 
 def enumerate_by_weight(profile: Profile, max_weight: int,
@@ -113,9 +108,11 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
 
     Exhaustive and duplicate-free; results come back sorted by (weight,
     canonical text form) in a fresh list.  ``cap`` guards runaway searches.
+    Every hit has passed :func:`core.check_rows`, so none is re-validated.
     """
-    return [CylindricPartition(profile, tuple(map(Partition, rows)))
-            for rows in sorted(_hits(profile, max_weight, cap), key=_text_order)]
+    return [_trusted(CylindricPartition, profile=profile, rows=tuple(
+                _trusted(Partition, parts=row) for row in rows))
+            for rows in sorted(_hits(profile, max_weight, cap), key=_text_order())]
 
 
 @lru_cache(maxsize=64)

@@ -10,12 +10,14 @@ one unit at a time), and componentwise addition recomposes it.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   RankMismatch, Shape, shape_of_zero)
+                   RankMismatch, Shape, _conjugate, _trusted, shape_of_zero)
 
 
 class ChainNotDecreasing(CylpartError):
@@ -119,7 +121,7 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     assert rem == 0
     offs = profile.offsets()
     lengths = tuple(x + shape.parts[j] - offs[j] for j in range(r - 1)) + (x,)
-    return Slice(profile, lengths)
+    return _trusted(Slice, profile=profile, lengths=lengths)
 
 
 def successors(s: Slice) -> list[Slice]:
@@ -153,16 +155,6 @@ class SliceChain:
                     f"{prev.lengths} does not strictly contain {s.lengths}")
             prev = s
 
-    @classmethod
-    def from_slices(cls, profile: Profile, slices: Iterable[Slice]) -> "SliceChain":
-        entries: list[tuple[Slice, int]] = []
-        for s in slices:
-            if entries and entries[-1][0] == s:
-                entries[-1] = (s, entries[-1][1] + 1)
-            else:
-                entries.append((s, 1))
-        return cls(profile, tuple(entries))
-
     def expanded(self) -> Iterator[Slice]:
         for s, mult in self.entries:
             for _ in range(mult):
@@ -187,28 +179,31 @@ class SliceChain:
 def decompose(cp: CylindricPartition) -> SliceChain:
     """Peel a cylindric partition into its slice chain, largest slice first.
 
-    The k-th slice marks the positions holding parts >= k, so the chain has
-    ``max(cp)`` members (with multiplicity) and recomposes by addition.
+    The k-th slice marks the positions holding parts >= k, so its length in
+    row i is part k of row i's conjugate.  The chain has ``max(cp)`` members
+    (with multiplicity), weakly decreasing by construction, and recomposes
+    by addition.
     """
-    m = cp.max_part
-    slices = []
-    for k in range(1, m + 1):
-        lengths = tuple(sum(1 for p in row.parts if p >= k) for row in cp.rows)
-        slices.append(Slice(cp.profile, lengths))
-    return SliceChain.from_slices(cp.profile, slices)
+    profile = cp.profile
+    columns = [row.conjugate().parts for row in cp.rows]
+    entries = tuple(
+        (_trusted(Slice, profile=profile, lengths=lengths), len(list(run)))
+        for lengths, run in itertools.groupby(
+            itertools.zip_longest(*columns, fillvalue=0)))
+    return _trusted(SliceChain, profile=profile, entries=entries)
 
 
 def recompose(chain: SliceChain) -> CylindricPartition:
-    """Componentwise sum of the chain; inverse of :func:`decompose`."""
-    r = chain.profile.rank
-    rows = []
-    for i in range(r):
-        # Row i is the conjugate of the length column read down the chain.
-        lengths = [s.lengths[i] for s in chain.expanded()]
-        top = max(lengths, default=0)
-        row = tuple(sum(1 for v in lengths if v >= j) for j in range(1, top + 1))
-        rows.append(Partition(row))
-    return CylindricPartition(chain.profile, tuple(rows))
+    """Componentwise sum of the chain; inverse of :func:`decompose`.
+
+    Row i is the conjugate of the length column read down the chain, each
+    distinct slice counted with its multiplicity.
+    """
+    rows = tuple(
+        _trusted(Partition, parts=_conjugate((s.lengths[i], mult)
+                                             for s, mult in chain.entries))
+        for i in range(chain.profile.rank))
+    return _trusted(CylindricPartition, profile=chain.profile, rows=rows)
 
 
 class ShrinkMode(enum.Enum):
@@ -229,45 +224,53 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
            ) -> tuple[list[Slice], Partition]:
     """Tighten a slice chain, returning (tight slices, side partition).
 
-    Walking j = 1..n over the chain (largest slice first, the empty slice
-    appended as the (n+1)-st member), remove
-    ``f_j = min_i (l_j^i - l_{j+1}^i)`` boxes from the right end of every
-    row of slices 1..j; the side partition collects f_j parts of size
-    rank*j.  In EXACT mode the last step keeps one buffer column whenever
-    the smallest slice has the shape of zero, so the tight chain keeps the
-    same number of nonzero slices.  Total weight is conserved:
+    With the chain's slices l_1 >= ... >= l_n (largest first) and the empty
+    slice as l_{n+1}, let ``f_j = min_i (l_j^i - l_{j+1}^i)``, the most
+    boxes every row of slice j can lose and still contain slice j+1.  In EXACT
+    mode f_n is one less whenever the smallest slice has the shape of zero,
+    keeping a buffer column so the tight chain keeps the same number of
+    nonzero slices.  Tight slice j is l_j with the suffix sum
+    ``f_j + ... + f_n`` removed from every row, and the side partition
+    collects f_j parts of size rank*j.  Total weight is conserved:
     |input| = |tight| + |side|.
     """
     profile, slices = _as_slices(chain)
     r = profile.rank
     n = len(slices)
-    for a, b in zip(slices, slices[1:]):
-        if not a.contains(b):
-            raise ChainNotStrict(f"{a.lengths} does not contain {b.lengths}")
     if mode is ShrinkMode.EXACT and (n == 0 or slices[-1].is_zero):
         raise ChainNotStrict("EXACT mode needs a nonzero smallest slice")
 
-    work = [list(s.lengths) for s in slices] + [[0] * r]
+    lengths = [s.lengths for s in slices] + [(0,) * r]
+    f = []
+    for a, b in zip(lengths, lengths[1:]):
+        gap = min(map(operator.sub, a, b))
+        if gap < 0:
+            raise ChainNotStrict(f"{a} does not contain {b}")
+        f.append(gap)
+    if mode is ShrinkMode.EXACT and \
+            slice_shape(slices[-1]) == shape_of_zero(profile):
+        f[-1] -= 1
+    # A uniform shift of every row keeps a slice valid, and l_j^i >=
+    # f_j + ... + f_n keeps it non-negative.
+    tight: list[Slice] = []
     side_parts: list[int] = []
-    for j in range(1, n + 1):
-        f = min(work[j - 1][i] - work[j][i] for i in range(r))
-        if j == n and mode is ShrinkMode.EXACT and \
-                slice_shape(slices[-1]) == shape_of_zero(profile):
-            f -= 1
-        for jj in range(j):
-            for i in range(r):
-                work[jj][i] -= f
-        side_parts.extend([r * j] * f)
-    tight = [Slice(profile, tuple(w)) for w in work[:n]]
-    side = Partition.from_multiset(side_parts)
-    return tight, side
+    shift = 0
+    for j in range(n, 0, -1):
+        shift += f[j - 1]
+        side_parts.extend([r * j] * f[j - 1])
+        s = slices[j - 1]
+        tight.append(_trusted(Slice, profile=s.profile, lengths=tuple(
+            v - shift for v in s.lengths)))
+    tight.reverse()
+    return tight, Partition(tuple(side_parts))
 
 
 def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
            ) -> list[Slice]:
     """Inverse of :func:`shrink`: re-grow the chain from the side partition.
 
-    Side parts must be multiples of the rank, at most rank * n.
+    Side parts must be multiples of the rank, at most rank * n; slice j
+    grows by the number of side parts of size at least rank*j in every row.
     """
     slices = list(tight)
     if not slices:
@@ -277,18 +280,21 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
     profile = slices[0].profile
     r = profile.rank
     n = len(slices)
-    mult: dict[int, int] = {}
+    mult = [0] * (n + 1)
     for p in side.parts:
         if p % r != 0:
             raise NotMultipleOfRank(f"side part {p} is not a multiple of {r}")
         j = p // r
         if j > n:
             raise PartTooLarge(f"side part {p} exceeds rank*length = {r * n}")
-        mult[j] = mult.get(j, 0) + 1
-    work = [list(s.lengths) for s in slices]
-    for j, f in mult.items():
-        for jj in range(j):
-            for i in range(r):
-                work[jj][i] += f
+        mult[j] += 1
     del mode  # growth is identical in both modes; mode kept for symmetry
-    return [Slice(profile, tuple(w)) for w in work]
+    out: list[Slice] = []
+    shift = 0
+    for j in range(n, 0, -1):
+        shift += mult[j]
+        s = slices[j - 1]
+        out.append(_trusted(Slice, profile=s.profile, lengths=tuple(
+            v + shift for v in s.lengths)))
+    out.reverse()
+    return out

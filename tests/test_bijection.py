@@ -328,17 +328,26 @@ class TestRankTwoClosedForm:
                 _assert_validators_agree(profile, chain)
 
     def test_non_nesting_candidates_rejected_by_both(self):
-        profile = Profile.of(2, 1)
-        for w1, s1, w2, s2 in itertools.product(
-                range(1, 10), (2, 3), range(1, 10), (2, 3)):
-            if w2 >= w1 or (w1 + s1) % 2 != 1 or (w2 + s2) % 2 != 1:
-                continue
-            if w1 - w2 >= abs(s1 - s2):   # these nest; covered above
-                continue
-            beta_entries = ((w1, Shape.of(s1)), (w2, Shape.of(s2)))
-            beta = LabeledDistinctPartition(beta_entries)
-            assert not validate_beta(beta, profile)[0]
-            assert not validate_beta_rank2(beta, 2, 1)
+        # Two existing slices of decreasing weight that do not nest.  No
+        # such pair exists for (2,1), (3,0), (2,2), (3,1) or (4,0).
+        for (a, b), pairs in (((3, 2), 13), ((4, 1), 12)):
+            profile = Profile.of(a, b)
+            labels = range(2, a + b + 1)
+            seen = 0
+            for w1, s1, w2, s2 in itertools.product(range(1, 16), labels,
+                                                    range(1, 16), labels):
+                if w2 >= w1:
+                    continue
+                upper = slice_with(profile, Shape.of(s1), w1)
+                lower = slice_with(profile, Shape.of(s2), w2)
+                if upper is None or lower is None or upper.contains(lower):
+                    continue
+                seen += 1
+                beta = LabeledDistinctPartition(((w1, Shape.of(s1)),
+                                                 (w2, Shape.of(s2))))
+                assert not validate_beta(beta, profile)[0]
+                assert not validate_beta_rank2(beta, a, b)
+            assert seen == pairs
 
     def test_gap_rule_example(self):
         # labels (2) and (4) need a weight gap of at least 4

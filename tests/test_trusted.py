@@ -1,0 +1,173 @@
+"""Values the package builds without re-validation must equal the validated
+ones, the linear shrink/expand must match the quadratic definition, and
+public constructors must keep rejecting bad input."""
+
+import ast
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cylpart
+from cylpart import (CylindricPartition, Partition, Profile,
+                     RowCountMismatch, ShrinkMode, Slice, SliceChain,
+                     ViolatedInequality,
+                     decompose, enumerate_by_weight, expand, recompose,
+                     shape_of_zero, shrink, slice_shape, successors, tile,
+                     validate, zero_slice)
+from cylpart.cli import main
+from cylpart.slices import ChainNotDecreasing
+
+from conftest import all_profiles
+
+P111 = Profile.of(1, 1, 1)
+SRC = pathlib.Path(cylpart.__file__).parent
+
+
+class TestTrustedValuesAreValid:
+    def test_over_enumeration(self, small_profiles):
+        for prof in small_profiles:
+            built = set()   # every slice built, each validated once below
+            for cp in enumerate_by_weight(prof, 12):
+                checked = validate(tuple(Partition(row.parts) for row in cp.rows), prof)
+                assert cp == checked
+                chain = decompose(cp)
+                assert chain == SliceChain(prof, chain.entries)
+                assert recompose(chain) == checked
+                built.update(chain.distinct())
+                if cp.is_empty:
+                    continue
+                for mode in ShrinkMode:
+                    tight, side = shrink(chain, mode)
+                    assert side == Partition(side.parts)
+                    built.update(tight, expand(tight, side, mode))
+                window = chain.distinct()[0].weight + prof.rank
+                path = tile(prof, chain.distinct(), window)
+                built.update(path.slice_at(w) for w in range(window + 1))
+            for s in built:
+                assert s == Slice(s.profile, s.lengths)
+
+
+def shrink_reference(slices, mode):
+    """The quadratic definition: step j removes f_j from every earlier slice."""
+    profile = slices[0].profile
+    r, n = profile.rank, len(slices)
+    work = [list(s.lengths) for s in slices] + [[0] * r]
+    side_parts = []
+    for j in range(1, n + 1):
+        f = min(work[j - 1][i] - work[j][i] for i in range(r))
+        if j == n and mode is ShrinkMode.EXACT and \
+                slice_shape(slices[-1]) == shape_of_zero(profile):
+            f -= 1
+        for jj in range(j):
+            for i in range(r):
+                work[jj][i] -= f
+        side_parts.extend([r * j] * f)
+    return [tuple(w) for w in work[:n]], Partition.from_multiset(side_parts)
+
+
+def expand_reference(tight, side):
+    r = tight[0].profile.rank
+    work = [list(s.lengths) for s in tight]
+    for p in side.parts:
+        for jj in range(p // r):
+            for i in range(r):
+                work[jj][i] += 1
+    return [tuple(w) for w in work]
+
+
+@st.composite
+def chains(draw):
+    """A weakly decreasing list of nonzero slices, largest first, grown one
+    box at a time from the empty slice."""
+    prof = draw(st.sampled_from(all_profiles(4, 3)))
+    current = zero_slice(prof)
+    grown = []
+    for k, boxes in enumerate(draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))):
+        for _ in range(max(boxes, 1 if k == 0 else 0)):
+            current = draw(st.sampled_from(successors(current)))
+        grown.append(current)
+    return grown[::-1]
+
+
+class TestLinearShrinkExpand:
+    @given(chains(), st.sampled_from(list(ShrinkMode)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_reference(self, slices, mode, data):
+        tight, side = shrink(slices, mode)
+        ref_tight, ref_side = shrink_reference(slices, mode)
+        assert [t.lengths for t in tight] == ref_tight
+        assert side == ref_side
+        assert [s.lengths for s in expand(tight, side, mode)] == \
+            [s.lengths for s in slices]
+        r, n = slices[0].profile.rank, len(slices)
+        other = Partition.from_multiset(
+            r * j for j in data.draw(st.lists(st.integers(1, n), max_size=6)))
+        assert [s.lengths for s in expand(tight, other, mode)] == \
+            expand_reference(tight, other)
+
+
+class TestPublicConstructorsValidate:
+    def test_slice(self):
+        with pytest.raises(ValueError):
+            Slice(P111, (3, 0, 0))
+        with pytest.raises(ValueError):
+            Slice(P111, (1, 1))
+
+    def test_partition(self):
+        with pytest.raises(ValueError):
+            Partition((1, 2))
+
+    def test_cylindric_partition(self):
+        # Row 1 must dominate row 2 with its first c_2 = 1 part dropped.
+        with pytest.raises(ViolatedInequality):
+            CylindricPartition(P111, (Partition.of(1), Partition.of(5, 5), Partition()))
+        with pytest.raises(RowCountMismatch):
+            CylindricPartition(P111, (Partition.of(1),))
+
+    def test_slice_chain(self):
+        small, large = Slice(P111, (1, 1, 1)), Slice(P111, (2, 2, 2))
+        with pytest.raises(ChainNotDecreasing):
+            SliceChain(P111, ((small, 1), (large, 1)))
+
+    def test_cli_decompose_of_invalid_partition(self, capsys):
+        assert main(["decompose", "--profile", "1,1,1", "1,2|1|1"]) == 2
+        assert main(["decompose", "--profile", "1,1,1", "1|5,5|"]) == 2
+
+
+def _imports_and_trusted_uses(module: str) -> tuple[set[str], int]:
+    """Package modules ``module`` imports from (``cylpart`` for the package
+    itself), and how often it imports or names ``_trusted`` outside its
+    definition."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names, uses = [], 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            uses += sum(alias.name == "_trusted" for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.extend([f"cylpart.{node.module}"] if node.module else
+                         [f"cylpart.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module)
+        elif isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and node.id == "_trusted" or \
+                isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            uses += 1
+    imported = {(name.split(".") + ["cylpart"])[1] for name in names
+                if name.split(".")[0] == "cylpart"}
+    return imported, uses
+
+
+class TestModuleBoundaries:
+    def test_oracle_stays_independent(self):
+        imported, _ = _imports_and_trusted_uses("oracle")
+        assert imported <= {"core", "qpoly", "series", "rings"}
+        assert not imported & {"slices", "bijection", "diagram", "polynomials"}
+
+    def test_trusted_constructor_only_where_values_are_valid_by_construction(self):
+        users = {path.stem for path in SRC.glob("*.py")
+                 if _imports_and_trusted_uses(path.stem)[1]}
+        assert "slices" in users and "oracle" in users
+        assert users <= {"core", "slices", "bijection", "oracle"}
