@@ -17,8 +17,7 @@ from .core import (CylindricPartition, CylpartError, Partition, Profile,
 from .qpoly import QPoly, q_binomial
 from .rings import QQ, QuadElement, QuadraticField, Ring, RingMismatch, ZZ, ZZ_z
 from .series import (TruncatedSeries, at_z_one, borodin_product,
-                     euler_distinct, lambert_zddz, product_inv_factors,
-                     progression_filter)
+                     euler_distinct, euler_sum, product_inv_factors)
 from .oracle import (count_bivariate, count_distinct_series, count_series,
                      enumerate_by_weight)
 from .slices import (Slice, SliceChain, ShrinkMode, decompose, expand,

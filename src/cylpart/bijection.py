@@ -131,8 +131,16 @@ class TiledPath:
     profile: Profile
     slices: tuple[tuple[int, ...], ...]  # index = weight
 
+    def __post_init__(self):
+        checked = tuple(Slice(self.profile, ln).lengths for ln in self.slices)
+        for w, ln in enumerate(checked):
+            if sum(ln) != w:
+                raise ValueError(f"entry {w} of a tiled path has weight {sum(ln)}")
+        object.__setattr__(self, "slices", checked)
+
     def slice_at(self, weight: int) -> Slice:
-        # Tiling adds one valid box at a time, so every recorded slice is valid.
+        # Every entry is a valid slice: checked on construction, or tiled by
+        # :func:`tile` one valid box at a time.
         return _trusted(Slice, profile=self.profile, lengths=self.slices[weight])
 
 
@@ -182,7 +190,7 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
                 current[i] += 1
                 path.append(tuple(current))
         col += 1
-    return TiledPath(profile, tuple(path))
+    return _trusted(TiledPath, profile=profile, slices=tuple(path))
 
 
 def pivot_decompose(cp: CylindricPartition

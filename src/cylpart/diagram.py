@@ -19,7 +19,7 @@ from typing import Sequence
 from .core import Profile, Shape, all_shapes, shape_of_zero
 from .qpoly import QPoly
 from .rings import QuadElement, Ring, ZZ, ring_of
-from .series import TruncatedSeries, inv_poch_finite, lambert_zddz
+from .series import TruncatedSeries, euler_sum, euler_top
 from .slices import (Slice, min_slice_weight, slice_shape, slice_with, successors,
                      zero_slice)
 
@@ -286,18 +286,7 @@ def _solve_exact(rows: list[list[Fraction]], v: int) -> list[Fraction] | None:
 def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     """Generating function for cylindric partitions into distinct parts:
     sum over n of a_n q^{n(n+1)/2} / (q;q)_n, truncated."""
-    top = 0
-    while (top + 1) * (top + 2) // 2 <= order:
-        top += 1
-    counts = path_counts(profile, top)
-    total = TruncatedSeries.zero(ZZ, order)
-    for n in range(top + 1):
-        tri = n * (n + 1) // 2
-        if tri > order:
-            break
-        term = inv_poch_finite(n, order).shift(tri).scale(counts.totals[n])
-        total = total + term
-    return total
+    return euler_sum(path_counts(profile, euler_top(order)).totals, order)
 
 
 @dataclass(frozen=True)
@@ -315,6 +304,25 @@ class ClosedFormReport:
                 f"irrational parts cancel: {self.irrational_ok}")
 
 
+def _closed_form_series(combination, residual, order: int,
+                        ring: Ring) -> TruncatedSeries:
+    """residual(q) + sum over (alpha, beta, k) of
+    alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n, as one :func:`euler_sum`
+    of c_n = sum of alpha * n^k * beta^n."""
+    top = euler_top(order)
+    c = [ring.zero] * (top + 1)
+    for alpha, beta, k in combination:
+        if k < 0:
+            raise ValueError("derivative count must be non-negative")
+        alpha, beta = ring.coerce(alpha), ring.coerce(beta)
+        power = ring.one
+        for n in range(top + 1):
+            c[n] = c[n] + alpha * n ** k * power
+            power = power * beta
+    return (TruncatedSeries.from_coeffs(ring, list(residual), order)
+            + euler_sum(c, order, ring))
+
+
 def verify_closed_form(profile: Profile, combination, residual, order: int,
                        ring: Ring | None = None) -> ClosedFormReport:
     """Check distinct_gf against residual(q) + sum of alpha * termwise
@@ -328,10 +336,7 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
     if ring is None:
         probe = next(iter(combination), None)
         ring = ring_of(probe[0]) if probe else ZZ
-    total = TruncatedSeries.from_coeffs(ring, list(residual), order)
-    for alpha, beta, k in combination:
-        term = lambert_zddz(beta, k, order, ring).scale(alpha)
-        total = total + term
+    total = _closed_form_series(combination, residual, order, ring)
     reference = distinct_gf(profile, order)
     irrational_ok = True
     first_bad = None
@@ -351,9 +356,7 @@ def solve_residual(profile: Profile, combination, degree_bound: int,
     """Convenience mode: the residual polynomial (degree <= degree_bound)
     that reconciles the weighted products with distinct_gf, or None when
     the difference is not a polynomial of that degree."""
-    total = TruncatedSeries.zero(ring, order)
-    for alpha, beta, k in combination:
-        total = total + lambert_zddz(beta, k, order, ring).scale(alpha)
+    total = _closed_form_series(combination, [], order, ring)
     diff = distinct_gf(profile, order).into_ring(ring) - total
     if any(diff.coeffs[i] for i in range(degree_bound + 1, order + 1)):
         return None

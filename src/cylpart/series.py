@@ -8,6 +8,7 @@ at every q power (z is never truncated; q powers above N are dropped).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -165,14 +166,14 @@ def first_mismatch(a, b) -> tuple[int, object, object] | None:
                  if x != y), None)
 
 
-def inv_poch_finite(n: int, order: int, ring: Ring = ZZ, step: int = 1) -> TruncatedSeries:
+def inv_poch_finite(n: int, order: int, step: int = 1) -> TruncatedSeries:
     """1 / ((q^step; q^step)_n) truncated: product of 1/(1 - q^{step*j}), j = 1..n."""
-    return TruncatedSeries.one(ring, order).mul_inv_poch(n, step)
+    return TruncatedSeries.one(ZZ, order).mul_inv_poch(n, step)
 
 
-def poch_finite(n: int, order: int, ring: Ring = ZZ) -> TruncatedSeries:
+def poch_finite(n: int, order: int) -> TruncatedSeries:
     """(q; q)_n truncated."""
-    s = TruncatedSeries.one(ring, order)
+    s = TruncatedSeries.one(ZZ, order)
     for j in range(1, n + 1):
         if j > order:
             break
@@ -180,23 +181,23 @@ def poch_finite(n: int, order: int, ring: Ring = ZZ) -> TruncatedSeries:
     return s
 
 
-def poch_infinite(base_exp: int, modulus: int, order: int, ring: Ring = ZZ) -> TruncatedSeries:
+def poch_infinite(base_exp: int, modulus: int, order: int) -> TruncatedSeries:
     """(q^m; q^t)_infinity truncated: product of (1 - q^{m + j t}), j >= 0."""
     if base_exp < 1:
         raise NonpositiveExponent(f"exponent {base_exp} must be positive")
-    s = TruncatedSeries.one(ring, order)
+    s = TruncatedSeries.one(ZZ, order)
     for e in range(base_exp, order + 1, modulus):
         s = s.mul_one_plus(e, -1)
     return s
 
 
-def product_inv_factors(factors, order: int, ring: Ring = ZZ) -> TruncatedSeries:
+def product_inv_factors(factors, order: int) -> TruncatedSeries:
     """Expansion of a product of 1/(q^m; q^t)_infinity factors.
 
     ``factors`` is an iterable of (base exponent m, modulus t) pairs, with
     multiplicity meaningful.
     """
-    s = TruncatedSeries.one(ring, order)
+    s = TruncatedSeries.one(ZZ, order)
     for m, t in factors:
         if m < 1:
             raise NonpositiveExponent(f"exponent {m} must be positive")
@@ -233,72 +234,44 @@ def borodin_factors(profile: Profile) -> list[tuple[int, int]]:
     return factors
 
 
-def borodin_product(profile: Profile, order: int, ring: Ring = ZZ) -> TruncatedSeries:
+def borodin_product(profile: Profile, order: int) -> TruncatedSeries:
     """The infinite-product form of the cylindric partition counting series."""
-    return product_inv_factors(borodin_factors(profile), order, ring)
+    return product_inv_factors(borodin_factors(profile), order)
 
 
-def euler_terms(beta, order: int, ring: Ring | None = None):
-    """Yield the summands beta^n q^{n(n+1)/2} / (q;q)_n while they can
-    still touch the truncation order."""
-    ring = ring or ring_of(beta)
-    beta = ring.coerce(beta)
-    n = 0
-    power = ring.one
-    while n * (n + 1) // 2 <= order:
-        # 1/(q;q)_n is integral: build it over Z and lift it once.
-        term = inv_poch_finite(n, order).into_ring(ring)
-        yield term.shift(n * (n + 1) // 2).scale(power)
-        n += 1
-        power = power * beta
+def euler_top(order: int) -> int:
+    """The largest n with n(n+1)/2 <= order: the last index :func:`euler_sum`
+    reads."""
+    return (math.isqrt(8 * order + 1) - 1) // 2
+
+
+def euler_sum(coeffs, order: int, ring: Ring = ZZ) -> TruncatedSeries:
+    """Sum of c_n q^{n(n+1)/2} / (q;q)_n over the n with n(n+1)/2 <= order;
+    entries past ``coeffs`` read as 0.
+
+    Built from the inside out, c_0 + q/(1-q) (c_1 + q^2/(1-q^2) (c_2 + ...)),
+    so each level is one shift and one pass of 1/(1 - q^j).
+    """
+    top = euler_top(order)
+    c = [ring.coerce(x) for x in coeffs[:top + 1]]
+    c += [ring.zero] * (top + 1 - len(c))
+    s = TruncatedSeries.constant(ring, c[top], order)
+    for j in range(top, 0, -1):
+        s = s.shift(j).mul_inv_one_minus(j)
+        # The shift left the constant term 0; it becomes c_{j-1}.
+        s = TruncatedSeries(ring, order, (c[j - 1],) + s.coeffs[1:])
+    return s
 
 
 def euler_distinct(beta, order: int, ring: Ring | None = None) -> TruncatedSeries:
     """(-beta*q; q)_infinity as the finite-factor product to the truncation
-    order; it equals the sum of :func:`euler_terms`."""
+    order; it equals :func:`euler_sum` of the powers beta^n."""
     ring = ring or ring_of(beta)
     beta = ring.coerce(beta)
     prod = TruncatedSeries.one(ring, order)
     for j in range(1, order + 1):
         prod = prod.mul_one_plus(j, beta)
     return prod
-
-
-def lambert_zddz(beta, k: int, order: int, ring: Ring | None = None) -> TruncatedSeries:
-    """Sum of n^k beta^n q^{n(n+1)/2} / (q;q)_n.
-
-    This is the k-fold z d/dz derivative of the z-refined distinct-parts
-    product, evaluated at z = 1, applied termwise.
-    """
-    if k < 0:
-        raise ValueError("derivative count must be non-negative")
-    ring = ring or ring_of(beta)
-    total = TruncatedSeries.zero(ring, order)
-    for n, term in enumerate(euler_terms(beta, order, ring)):
-        total = total + term.scale(n ** k)
-    return total
-
-
-def progression_filter(terms, modulus: int, residue: int,
-                       order: int, ring: Ring = ZZ) -> TruncatedSeries:
-    """Sum only the terms with index congruent to ``residue`` mod ``modulus``.
-
-    ``terms`` is an iterable of TruncatedSeries indexed from 0; index
-    filtering is direct, no roots of unity are involved.
-    """
-    if not (0 <= residue < modulus):
-        raise ValueError(f"need 0 <= residue < modulus, got {residue}, {modulus}")
-    total = None
-    for n, term in enumerate(terms):
-        if total is None:
-            total = TruncatedSeries.zero(term.ring, term.order)
-        if n % modulus == residue:
-            total = total + term
-    if total is None:
-        total = TruncatedSeries.zero(ring, order)
-    return total
-
-
 
 
 def z_power_times(n: int, series: TruncatedSeries) -> TruncatedSeries:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cylpart import cli, diagram, lineups, oracle, polynomials
+from cylpart import Profile, cli, diagram, lineups, oracle, polynomials
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.series import TruncatedSeries
@@ -127,6 +127,30 @@ class TestVerificationCommands:
         _, b = run_json(capsys, "verify-all", "--profile", "1,1",
                         "--order", "8", "--jobs", "3", "--seed", "3")
         assert a == b
+
+    def test_round_trip_samples_do_not_depend_on_check_order(self, monkeypatch):
+        # Record the partitions each round-trip check decomposes, running the
+        # checks in two orders; the seed alone must fix every check's sample.
+        seen = []
+        pivot, slices = cli.bijection.pivot_decompose, cli.slice_decompose
+        monkeypatch.setattr(cli.bijection, "pivot_decompose",
+                            lambda cp: (seen.append(cp), pivot(cp))[1])
+        monkeypatch.setattr(cli, "slice_decompose",
+                            lambda cp: (seen.append(cp), slices(cp))[1])
+        names = ["bijection-roundtrip", "slices-roundtrip", "tight-packing-roundtrip"]
+
+        def samples(order):
+            tasks = dict(cli._verify_all_tasks(Profile.of(2, 1), 10, 7))
+            out = {}
+            for name in order:
+                seen.clear()
+                assert tasks[name]()[0], name
+                out[name] = list(seen)
+            return out
+
+        forward, backward = samples(names), samples(names[::-1])
+        assert [len(forward[n]) for n in names] == [400, 400, 300]
+        assert forward == backward
 
 
 class TestUsageErrors:

@@ -4,9 +4,20 @@ import pytest
 
 from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
                      TruncatedSeries, ZZ, borodin_product, euler_distinct,
-                     lambert_zddz, product_inv_factors, progression_filter)
-from cylpart.series import (NonpositiveExponent, OrderMismatch, euler_terms,
+                     euler_sum, path_counts, product_inv_factors)
+from cylpart.series import (NonpositiveExponent, OrderMismatch, euler_top,
                             inv_poch_finite, poch_infinite)
+
+K3, K5 = QuadraticField(3), QuadraticField(5)
+GOLDEN = (K5.one + K5.sqrt()) * Fraction(1, 2)
+
+
+def powers(beta, ring, count):
+    """beta^0 .. beta^(count - 1) in ``ring``."""
+    out = [ring.one]
+    for _ in range(count - 1):
+        out.append(out[-1] * ring.coerce(beta))
+    return out
 
 
 def brute_partition_counts(order, allowed=None, distinct=False):
@@ -102,42 +113,100 @@ class TestEuler:
         assert euler_distinct(2, 3).coeffs == (1, 2, 2, 6)
 
     def test_product_equals_sum_across_rings(self):
-        K3, K5 = QuadraticField(3), QuadraticField(5)
-        golden = (K5.one + K5.sqrt()) * Fraction(1, 2)
         for beta, ring in [(1, ZZ), (2, ZZ), (-1, ZZ),
-                           (K3.sqrt(), K3), (golden, K5)]:
-            total = TruncatedSeries.zero(ring, 30)
-            for term in euler_terms(beta, 30, ring):
-                total = total + term
-            assert euler_distinct(beta, 30, ring).coeffs == total.coeffs, beta
+                           (K3.sqrt(), K3), (GOLDEN, K5)]:
+            assert euler_distinct(beta, 30, ring).coeffs == \
+                euler_sum(powers(beta, ring, euler_top(30) + 1), 30, ring).coeffs, beta
 
     def test_lambert_termwise(self):
-        assert lambert_zddz(1, 0, 8).coeffs == euler_distinct(1, 8).coeffs
-        assert lambert_zddz(1, 1, 3).coeffs == (0, 1, 1, 3)
-        assert lambert_zddz(1, 2, 5).coeffs[0] == 0
+        # sum of n^k q^{n(n+1)/2}/(q;q)_n: the k-fold z d/dz of (-zq;q) at z = 1
+        assert euler_sum([n ** 0 for n in range(4)], 8).coeffs == \
+            euler_distinct(1, 8).coeffs
+        assert euler_sum([n for n in range(3)], 3).coeffs == (0, 1, 1, 3)
+        assert euler_sum([n ** 2 for n in range(4)], 5).coeffs[0] == 0
+
+
+class TestEulerSum:
+    """euler_sum against the term-by-term sum it replaces."""
+
+    @staticmethod
+    def termwise(coeffs, order, ring):
+        total = TruncatedSeries.zero(ring, order)
+        for n, c in enumerate(coeffs):
+            if n * (n + 1) // 2 > order:
+                break
+            term = inv_poch_finite(n, order).into_ring(ring)
+            total = total + term.shift(n * (n + 1) // 2).scale(c)
+        return total
+
+    @staticmethod
+    def sequences(ring, betas):
+        top = 10   # euler_top(60)
+        for parts in [(1, 1, 1), (2, 0, 0), (4, 0), (2, 1, 1), (2, 1)]:
+            yield path_counts(Profile.of(*parts), top).totals
+        for beta in betas:
+            pw = powers(beta, ring, top + 1)
+            for k in range(3):
+                yield [n ** k * p for n, p in enumerate(pw)]
+            for parity in range(2):
+                yield [p if n % 2 == parity else 0 for n, p in enumerate(pw)]
+
+    def test_top(self):
+        for order in range(200):
+            top = euler_top(order)
+            assert top * (top + 1) // 2 <= order < (top + 1) * (top + 2) // 2
+
+    def test_over_integers_every_order(self):
+        for seq in self.sequences(ZZ, [2, -1]):
+            for order in range(61):
+                assert euler_sum(seq, order).coeffs == \
+                    self.termwise(seq, order, ZZ).coeffs, (seq, order)
+
+    @pytest.mark.parametrize("ring,betas", [
+        (QQ, [Fraction(3, 2)]), (K3, [K3.sqrt()]), (K5, [GOLDEN])],
+        ids=["Q", "Q(sqrt 3)", "Q(sqrt 5)"])
+    def test_over_fields_near_triangular_orders(self, ring, betas):
+        orders = sorted({0, 1, 2, 8, 33, 60} |
+                        {t + d for n in range(1, 11) for d in (-1, 0)
+                         for t in [n * (n + 1) // 2]})
+        for seq in self.sequences(ring, betas):
+            for order in orders:
+                assert euler_sum(seq, order, ring).coeffs == \
+                    self.termwise(seq, order, ring).coeffs, (seq, order)
+
+    def test_missing_entries_read_as_zero(self):
+        assert euler_sum([], 6).coeffs == (0,) * 7
+        assert euler_sum([1], 6).coeffs == (1,) + (0,) * 6
+        assert euler_sum([0, 0, 5], 6).coeffs == \
+            self.termwise([0, 0, 5, 0], 6, ZZ).coeffs
+        # Entries past euler_top(order) are never read.
+        assert euler_sum([1, 1, 7, 9], 2).coeffs == euler_sum([1, 1], 2).coeffs
 
 
 class TestProgressionFilter:
+    """Summing only the indices in one residue class: the Euler sum of the
+    powers of beta with the other entries masked to 0."""
+
+    @staticmethod
+    def masked(beta, ring, modulus, residue, order):
+        return [p if n % modulus == residue else 0
+                for n, p in enumerate(powers(beta, ring, euler_top(order) + 1))]
+
     def test_whole_series(self):
-        full = progression_filter(euler_terms(1, 10), 1, 0, 10)
+        full = euler_sum(self.masked(1, ZZ, 1, 0, 10), 10)
         assert full.coeffs == euler_distinct(1, 10).coeffs
 
     def test_classes_partition_the_series(self):
-        even = progression_filter(euler_terms(1, 12), 2, 0, 12)
-        odd = progression_filter(euler_terms(1, 12), 2, 1, 12)
+        even = euler_sum(self.masked(1, ZZ, 2, 0, 12), 12)
+        odd = euler_sum(self.masked(1, ZZ, 2, 1, 12), 12)
         assert (even + odd).coeffs == euler_distinct(1, 12).coeffs
 
     def test_odd_part_in_quadratic_field(self):
-        K = QuadraticField(3)
-        s = K.sqrt()
-        odd = progression_filter(euler_terms(s, 6, K), 2, 1, 6, K)
-        half = K.coerce(Fraction(1, 2))
-        direct = (euler_distinct(s, 6, K) - euler_distinct(-s, 6, K)).scale(half)
+        s = K3.sqrt()
+        odd = euler_sum(self.masked(s, K3, 2, 1, 6), 6, K3)
+        half = K3.coerce(Fraction(1, 2))
+        direct = (euler_distinct(s, 6, K3) - euler_distinct(-s, 6, K3)).scale(half)
         assert odd.coeffs == direct.coeffs
-
-    def test_bad_residue(self):
-        with pytest.raises(ValueError):
-            progression_filter([], 2, 2, 5)
 
 
 class TestFinitePochhammer:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import cylpart
 from cylpart import (CylindricPartition, Partition, Profile,
                      RowCountMismatch, ShrinkMode, Slice, SliceChain,
-                     ViolatedInequality,
-                     decompose, enumerate_by_weight, expand, recompose,
+                     TiledPath, ViolatedInequality,
+                     decompose, enumerate_by_weight, expand, parse_cylindric,
+                     recompose,
                      shape_of_zero, shrink, slice_shape, successors, tile,
                      validate, zero_slice)
 from cylpart.cli import main
@@ -130,6 +131,15 @@ class TestPublicConstructorsValidate:
         small, large = Slice(P111, (1, 1, 1)), Slice(P111, (2, 2, 2))
         with pytest.raises(ChainNotDecreasing):
             SliceChain(P111, ((small, 1), (large, 1)))
+
+    def test_tiled_path(self):
+        with pytest.raises(ValueError):
+            TiledPath(P111, ((5, 0, 0),))
+        with pytest.raises(ValueError):   # valid slice, wrong weight
+            TiledPath(P111, ((0, 0, 0), (1, 1, 0)))
+        chain = decompose(parse_cylindric("3,1|2|2", P111)).distinct()
+        path = tile(P111, chain, 12)
+        assert path == TiledPath(P111, path.slices)
 
     def test_cli_decompose_of_invalid_partition(self, capsys):
         assert main(["decompose", "--profile", "1,1,1", "1,2|1|1"]) == 2
