@@ -23,7 +23,7 @@ from typing import Sequence
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
                    Shape, _trusted)
 from .slices import (Slice, SliceChain, decompose as slice_decompose,
-                     recompose, slice_shape, slice_with, zero_slice)
+                     recompose, slice_shape, slice_with)
 
 
 class InadmissibleBeta(CylpartError):
@@ -89,10 +89,14 @@ def _space_columns(outer: tuple[int, ...], inner: tuple[int, ...]
                    ) -> tuple[int, int] | None:
     """(leftmost, rightmost) absolute columns of the skew space inner->outer,
     both slices given by their right ends, or None when the space is empty."""
-    lo = min((i + 1 for o, i in zip(outer, inner) if o > i), default=None)
-    if lo is None:
-        return None
-    return lo, max(o for o, i in zip(outer, inner) if o > i)
+    lo = hi = None
+    for o, i in zip(outer, inner):
+        if o > i:
+            if lo is None or i < lo:
+                lo = i
+            if hi is None or o > hi:
+                hi = o
+    return None if lo is None else (lo + 1, hi)
 
 
 def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
@@ -119,7 +123,8 @@ def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
 
 def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
     """Pivot flags for a strictly decreasing chain, largest slice first."""
-    ends = [s.right_ends() for s in chain] + [zero_slice(profile).right_ends()]
+    # The empty slice's right ends are the row offsets.
+    ends = [s.right_ends() for s in chain] + [profile.offsets()]
     return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
             for j in range(len(ends) - 1)]
 
@@ -199,7 +204,8 @@ def pivot_decompose(cp: CylindricPartition
 
     ``beta`` takes one copy of every pivot slice as (weight, shape);
     ``mu`` keeps the weights of everything else.  Weights add up:
-    |cp| = |mu| + |beta|.
+    |cp| = |mu| + |beta|.  The chain's weights strictly decrease, so both
+    come out sorted and are built without re-validation.
     """
     chain = slice_decompose(cp)
     distinct = chain.distinct()
@@ -212,8 +218,8 @@ def pivot_decompose(cp: CylindricPartition
             mu_parts.extend([s.weight] * (mult - 1))
         else:
             mu_parts.extend([s.weight] * mult)
-    return (Partition.from_multiset(mu_parts),
-            LabeledDistinctPartition(tuple(beta_entries)))
+    return (_trusted(Partition, parts=tuple(mu_parts)),
+            _trusted(LabeledDistinctPartition, entries=tuple(beta_entries)))
 
 
 def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile

@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bijection, core, diagram, lineups, oracle, polynomials, series
@@ -399,6 +398,8 @@ def cmd_verify_all(args) -> int:
     profile = parse_profile(args.profile)
     tasks = _verify_all_tasks(profile, args.order, args.seed)
     if args.jobs > 1:
+        # Imported only here: it pulls in ``logging`` at start-up otherwise.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(lambda t: (t[0], *t[1]()), tasks))
     else:

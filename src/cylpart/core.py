@@ -227,10 +227,12 @@ def all_shapes(rank: int, level: int) -> list[Shape]:
 
 
 def shape_of_zero(profile: Profile) -> Shape:
-    """Shape of the empty cylindric partition: (c_r+...+c_2, ..., c_r)."""
-    c = profile.parts
-    r = profile.rank
-    return Shape(tuple(sum(c[j:r]) for j in range(1, r)))
+    """Shape of the empty cylindric partition: (c_r+...+c_2, ..., c_r).
+
+    These suffix sums are the row offsets o_1, ..., o_{r-1}, non-negative
+    and weakly decreasing.
+    """
+    return _trusted(Shape, parts=profile.offsets()[:-1])
 
 
 def shape_to_profile(shape: Shape, level: int) -> Profile:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import CylpartError, Profile, Shape, shape_of_zero
-from .bijection import chain_pivots, pivot_flag
+from .bijection import _space_columns, chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ, ZZ_z
@@ -180,12 +180,14 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     found = []   # (shape indices, tight mask, slices, shapes), largest first
     zero = zero_slice(profile)
     # Each entry asks for slice j (0-based, largest first) above ``lower``,
-    # which is slice j + 1 or the empty slice; ``under_ends`` are the right
-    # ends of the slice below ``lower`` (None when ``lower`` is empty).
+    # which is slice j + 1 or the empty slice; ``under_right`` is the
+    # rightmost column of the space under ``lower`` (None when ``lower`` is
+    # empty).  ``lower`` is a pivot when the space above it starts left of
+    # that column, as :func:`pivot_flag` decides.
     stack = [(n - 1, zero, shape_of_zero(profile), zero.right_ends(), None,
               (), 0, (), ())]
     while stack:
-        (j, lower, lower_shape, lower_ends, under_ends,
+        (j, lower, lower_shape, lower_ends, under_right,
          picks, mask, chain, labels) = stack.pop()
         for pick, sh in shapes:
             step = fam.dist(lower_shape, sh)
@@ -194,13 +196,14 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
                 if s is None or s == lower or not s.contains(lower):
                     continue
                 ends = s.right_ends()
-                if under_ends is not None and \
-                        not pivot_flag(ends, lower_ends, under_ends):
+                # Not None: s strictly contains lower.
+                space = _space_columns(ends, lower_ends)
+                if under_right is not None and space[0] >= under_right:
                     continue
                 entry = ((pick,) + picks, mask | (1 << j) if tight else mask,
                          (s,) + chain, (sh,) + labels)
                 if j > 0:
-                    stack.append((j - 1, s, sh, ends, lower_ends, *entry))
+                    stack.append((j - 1, s, sh, ends, space[1], *entry))
                 elif entry[1] and pivot_flag(None, ends, lower_ends):
                     found.append(entry)
     found.sort()   # (shape indices, mask) is unique, so slices never compare

@@ -110,8 +110,12 @@ class TruncatedSeries:
             raise NonpositiveExponent(f"exponent {e} must be positive")
         factor = self.ring.coerce(factor)
         cs = list(self.coeffs)
-        for i in range(e, self.order + 1):
-            cs[i] = cs[i] + factor * cs[i - e]
+        if factor == self.ring.one:
+            for i in range(e, self.order + 1):
+                cs[i] = cs[i] + cs[i - e]
+        else:
+            for i in range(e, self.order + 1):
+                cs[i] = cs[i] + factor * cs[i - e]
         return TruncatedSeries(self.ring, self.order, tuple(cs))
 
     def mul_inv_poch(self, n: int, step: int = 1) -> "TruncatedSeries":

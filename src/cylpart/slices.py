@@ -88,7 +88,8 @@ def zero_slice(profile: Profile) -> Slice:
 def slice_shape(s: Slice) -> Shape:
     """Right-end shape: (e_1 - e_r, ..., e_{r-1} - e_r)."""
     e = s.right_ends()
-    return Shape(tuple(e[j] - e[-1] for j in range(len(e) - 1)))
+    # The right ends of a valid slice weakly decrease down the rows.
+    return _trusted(Shape, parts=tuple(v - e[-1] for v in e[:-1]))
 
 
 def min_slice_weight(profile: Profile, shape: Shape) -> int:
@@ -211,13 +212,16 @@ class ShrinkMode(enum.Enum):
     EXACT = "exact"
 
 
-def _as_slices(chain: SliceChain | Sequence[Slice]) -> tuple[Profile, list[Slice]]:
+def _runs(chain: SliceChain | Sequence[Slice]
+          ) -> tuple[Profile, Sequence[tuple[Slice, int]]]:
+    """The chain as runs (slice, multiplicity); a plain slice list is read
+    as runs of length 1."""
     if isinstance(chain, SliceChain):
-        return chain.profile, list(chain.expanded())
+        return chain.profile, chain.entries
     slices = list(chain)
     if not slices:
         raise ChainNotStrict("an explicit slice list must be non-empty")
-    return slices[0].profile, slices
+    return slices[0].profile, [(s, 1) for s in slices]
 
 
 def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
@@ -233,36 +237,42 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     ``f_j + ... + f_n`` removed from every row, and the side partition
     collects f_j parts of size rank*j.  Total weight is conserved:
     |input| = |tight| + |side|.
+
+    The chain is walked run by run, a run being a distinct slice with its
+    multiplicity (a plain slice list is read as runs of length 1).  Inside
+    a run every f_j is 0, so all its copies tighten to one shared slice;
+    only the run's last copy, at index j, can have f_j > 0.
     """
-    profile, slices = _as_slices(chain)
+    profile, runs = _runs(chain)
     r = profile.rank
-    n = len(slices)
-    if mode is ShrinkMode.EXACT and (n == 0 or slices[-1].is_zero):
+    if mode is ShrinkMode.EXACT and (not runs or runs[-1][0].is_zero):
         raise ChainNotStrict("EXACT mode needs a nonzero smallest slice")
 
-    lengths = [s.lengths for s in slices] + [(0,) * r]
-    f = []
+    lengths = [s.lengths for s, _ in runs] + [(0,) * r]
+    gaps = []   # f_j at the last copy of each run
     for a, b in zip(lengths, lengths[1:]):
         gap = min(map(operator.sub, a, b))
         if gap < 0:
             raise ChainNotStrict(f"{a} does not contain {b}")
-        f.append(gap)
+        gaps.append(gap)
     if mode is ShrinkMode.EXACT and \
-            slice_shape(slices[-1]) == shape_of_zero(profile):
-        f[-1] -= 1
+            slice_shape(runs[-1][0]) == shape_of_zero(profile):
+        gaps[-1] -= 1
     # A uniform shift of every row keeps a slice valid, and l_j^i >=
     # f_j + ... + f_n keeps it non-negative.
-    tight: list[Slice] = []
+    n = sum(mult for _, mult in runs)
+    tight: list[Slice] = [None] * n  # type: ignore[list-item]
     side_parts: list[int] = []
     shift = 0
-    for j in range(n, 0, -1):
-        shift += f[j - 1]
-        side_parts.extend([r * j] * f[j - 1])
-        s = slices[j - 1]
-        tight.append(_trusted(Slice, profile=s.profile, lengths=tuple(
-            v - shift for v in s.lengths)))
-    tight.reverse()
-    return tight, Partition(tuple(side_parts))
+    j = n
+    for (s, mult), gap in zip(reversed(runs), reversed(gaps)):
+        shift += gap
+        side_parts.extend([r * j] * gap)
+        tight[j - mult:j] = [_trusted(Slice, profile=s.profile, lengths=tuple(
+            v - shift for v in s.lengths))] * mult
+        j -= mult
+    # Parts r*j are added with j decreasing.
+    return tight, _trusted(Partition, parts=tuple(side_parts))
 
 
 def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
@@ -271,6 +281,10 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
 
     Side parts must be multiples of the rank, at most rank * n; slice j
     grows by the number of side parts of size at least rank*j in every row.
+    Walking j from n down, a new slice is built only when the input slice
+    (by identity) or that growth changes, so the copies of a run that
+    :func:`shrink` tightened to one shared slice grow to one shared slice,
+    unless a side part of size rank*j splits the run at j.
     """
     slices = list(tight)
     if not slices:
@@ -289,12 +303,15 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
             raise PartTooLarge(f"side part {p} exceeds rank*length = {r * n}")
         mult[j] += 1
     del mode  # growth is identical in both modes; mode kept for symmetry
-    out: list[Slice] = []
+    out: list[Slice] = [None] * n  # type: ignore[list-item]
     shift = 0
+    last = grown = None
     for j in range(n, 0, -1):
-        shift += mult[j]
         s = slices[j - 1]
-        out.append(_trusted(Slice, profile=s.profile, lengths=tuple(
-            v + shift for v in s.lengths)))
-    out.reverse()
+        if mult[j] or s is not last:
+            shift += mult[j]
+            grown = _trusted(Slice, profile=s.profile, lengths=tuple(
+                v + shift for v in s.lengths))
+            last = s
+        out[j - 1] = grown
     return out

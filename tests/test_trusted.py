@@ -3,6 +3,7 @@ ones, the linear shrink/expand must match the quadratic definition, and
 public constructors must keep rejecting bad input."""
 
 import ast
+import itertools
 import pathlib
 
 import pytest
@@ -10,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylpart
-from cylpart import (CylindricPartition, Partition, Profile,
-                     RowCountMismatch, ShrinkMode, Slice, SliceChain,
-                     TiledPath, ViolatedInequality,
+from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
+                     Profile, RowCountMismatch, Shape, ShrinkMode, Slice,
+                     SliceChain, TiledPath, ViolatedInequality,
                      decompose, enumerate_by_weight, expand, parse_cylindric,
-                     recompose,
+                     pivot_decompose, recompose,
                      shape_of_zero, shrink, slice_shape, successors, tile,
                      validate, zero_slice)
+from cylpart.bijection import _space_columns
 from cylpart.cli import main
-from cylpart.slices import ChainNotDecreasing
+from cylpart.slices import ChainNotDecreasing, ChainNotStrict
 
 from conftest import all_profiles
 
@@ -29,6 +31,8 @@ SRC = pathlib.Path(cylpart.__file__).parent
 class TestTrustedValuesAreValid:
     def test_over_enumeration(self, small_profiles):
         for prof in small_profiles:
+            zero_shape = shape_of_zero(prof)
+            assert zero_shape == Shape(zero_shape.parts)
             built = set()   # every slice built, each validated once below
             for cp in enumerate_by_weight(prof, 12):
                 checked = validate(tuple(Partition(row.parts) for row in cp.rows), prof)
@@ -37,6 +41,9 @@ class TestTrustedValuesAreValid:
                 assert chain == SliceChain(prof, chain.entries)
                 assert recompose(chain) == checked
                 built.update(chain.distinct())
+                mu, beta = pivot_decompose(cp)
+                assert mu == Partition(mu.parts)
+                assert beta == LabeledDistinctPartition(beta.entries)
                 if cp.is_empty:
                     continue
                 for mode in ShrinkMode:
@@ -48,6 +55,8 @@ class TestTrustedValuesAreValid:
                 built.update(path.slice_at(w) for w in range(window + 1))
             for s in built:
                 assert s == Slice(s.profile, s.lengths)
+                shape = slice_shape(s)
+                assert shape == Shape(shape.parts)
 
 
 def shrink_reference(slices, mode):
@@ -92,21 +101,80 @@ def chains(draw):
     return grown[::-1]
 
 
+@st.composite
+def slice_chains(draw):
+    """A chain of the distinct slices of :func:`chains`, each repeated one
+    to three times."""
+    distinct = [s for s, _ in itertools.groupby(draw(chains()))]
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(distinct),
+                          max_size=len(distinct)))
+    return SliceChain(distinct[0].profile, tuple(zip(distinct, mults)))
+
+
+def space_columns_reference(outer, inner):
+    """The two-pass definition: leftmost and rightmost column of the rows
+    where ``outer`` reaches past ``inner``."""
+    grown = [(o, i) for o, i in zip(outer, inner) if o > i]
+    if not grown:
+        return None
+    return min(i + 1 for _, i in grown), max(o for o, _ in grown)
+
+
 class TestLinearShrinkExpand:
-    @given(chains(), st.sampled_from(list(ShrinkMode)), st.data())
+    @given(slice_chains(), st.sampled_from(list(ShrinkMode)), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_quadratic_reference(self, slices, mode, data):
-        tight, side = shrink(slices, mode)
+    def test_matches_quadratic_reference(self, chain, mode, data):
+        slices = list(chain.expanded())
+        tight, side = shrink(chain, mode)
+        # A plain slice list is read as runs of length 1.
+        assert (tight, side) == shrink(slices, mode)
         ref_tight, ref_side = shrink_reference(slices, mode)
         assert [t.lengths for t in tight] == ref_tight
         assert side == ref_side
+        # Every copy of a run tightens to one shared slice.
+        assert len({id(t) for t in tight}) == len(chain.entries)
         assert [s.lengths for s in expand(tight, side, mode)] == \
             [s.lengths for s in slices]
-        r, n = slices[0].profile.rank, len(slices)
+        # Side parts at any index, most of them inside a run.
+        r, n = chain.profile.rank, chain.length
         other = Partition.from_multiset(
             r * j for j in data.draw(st.lists(st.integers(1, n), max_size=6)))
         assert [s.lengths for s in expand(tight, other, mode)] == \
             expand_reference(tight, other)
+
+    def test_side_part_inside_a_run(self):
+        big, small = Slice(P111, (3, 2, 2)), Slice(P111, (1, 1, 1))
+        chain = SliceChain(P111, ((big, 3), (small, 2)))
+        tight, side = shrink(chain, ShrinkMode.EXACT)
+        assert [t.lengths for t in tight] == [(2, 1, 1)] * 3 + [(1, 1, 1)] * 2
+        assert side == Partition.of(9)   # f_3 = 1; EXACT takes f_5 from 1 to 0
+        # 6 = rank * 2 lands between copies 2 and 3 of the first run.
+        grown = expand(tight, Partition.of(6), ShrinkMode.EXACT)
+        assert [s.lengths for s in grown] == \
+            [(3, 2, 2), (3, 2, 2), (2, 1, 1), (1, 1, 1), (1, 1, 1)]
+        assert grown[0] is grown[1] and grown[1] is not grown[2]
+
+    def test_first_failing_pair_from_the_top_is_named(self):
+        a, b, c = (Slice(P111, ln) for ln in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        with pytest.raises(ChainNotStrict, match=r"\(1, 1, 0\) does not"):
+            shrink([a, b, c], ShrinkMode.AT_MOST)
+
+
+class TestSpaceColumns:
+    def test_one_pass_matches_two_pass_over_nested_slices(self, small_profiles):
+        compared = 0
+        for prof in small_profiles:
+            layer, pool = {zero_slice(prof)}, set()
+            for _ in range(6):
+                pool |= layer
+                layer = {t for s in layer for t in successors(s)}
+            for outer, inner in itertools.product(pool, repeat=2):
+                if outer.contains(inner):
+                    got = _space_columns(outer.right_ends(), inner.right_ends())
+                    assert got == space_columns_reference(
+                        outer.right_ends(), inner.right_ends())
+                    compared += got is not None
+        assert compared > 1000
 
 
 class TestPublicConstructorsValidate:
