@@ -260,17 +260,17 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
         gaps[-1] -= 1
     # A uniform shift of every row keeps a slice valid, and l_j^i >=
     # f_j + ... + f_n keeps it non-negative.
-    n = sum(mult for _, mult in runs)
-    tight: list[Slice] = [None] * n  # type: ignore[list-item]
+    tight: list[Slice] = []
     side_parts: list[int] = []
     shift = 0
-    j = n
+    j = sum(mult for _, mult in runs)
     for (s, mult), gap in zip(reversed(runs), reversed(gaps)):
         shift += gap
         side_parts.extend([r * j] * gap)
-        tight[j - mult:j] = [_trusted(Slice, profile=s.profile, lengths=tuple(
-            v - shift for v in s.lengths))] * mult
+        tight.extend([_trusted(Slice, profile=s.profile, lengths=tuple(
+            v - shift for v in s.lengths))] * mult)
         j -= mult
+    tight.reverse()
     # Parts r*j are added with j decreasing.
     return tight, _trusted(Partition, parts=tuple(side_parts))
 
@@ -303,7 +303,7 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
             raise PartTooLarge(f"side part {p} exceeds rank*length = {r * n}")
         mult[j] += 1
     del mode  # growth is identical in both modes; mode kept for symmetry
-    out: list[Slice] = [None] * n  # type: ignore[list-item]
+    out: list[Slice] = []
     shift = 0
     last = grown = None
     for j in range(n, 0, -1):
@@ -313,5 +313,6 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
             grown = _trusted(Slice, profile=s.profile, lengths=tuple(
                 v + shift for v in s.lengths))
             last = s
-        out[j - 1] = grown
+        out.append(grown)
+    out.reverse()
     return out
