@@ -33,7 +33,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
     if args.format == "json":
         payload["schema"] = SCHEMA
         print(json.dumps(payload, indent=2))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -60,19 +60,20 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    profile = parse_profile(args.profile)
-    ts = oracle.count_series(profile, args.order)
-    _emit(args, {"command": "count", "profile": list(profile.parts),
-                 **ts.to_json()},
-          [str(ts)], [[i, c] for i, c in enumerate(ts.coeffs)])
-    return 0
+# Each series subcommand names the (module, function) that builds its
+# series from (profile, order).  The function is looked up when the command
+# runs, so wrappers installed later on the module (the benchmark's tracer)
+# see every call.
+_SERIES_COMMANDS = {"count": (oracle, "count_series"),
+                    "borodin": (series, "borodin_product"),
+                    "distinct-gf": (diagram, "distinct_gf")}
 
 
-def cmd_borodin(args) -> int:
+def cmd_series(args) -> int:
     profile = parse_profile(args.profile)
-    ts = series.borodin_product(profile, args.order)
-    _emit(args, {"command": "borodin", "profile": list(profile.parts),
+    module, name = _SERIES_COMMANDS[args.command]
+    ts = getattr(module, name)(profile, args.order)
+    _emit(args, {"command": args.command, "profile": list(profile.parts),
                  **ts.to_json()},
           [str(ts)], [[i, c] for i, c in enumerate(ts.coeffs)])
     return 0
@@ -158,15 +159,6 @@ def cmd_path_counts(args) -> int:
                  "by_shape": [{str(s): str(v) for s, v in layer}
                               for layer in table.by_shape]},
           lines, [[n, v] for n, v in enumerate(table.totals)])
-    return 0
-
-
-def cmd_distinct_gf(args) -> int:
-    profile = parse_profile(args.profile)
-    ts = diagram.distinct_gf(profile, args.order)
-    _emit(args, {"command": "distinct-gf", "profile": list(profile.parts),
-                 **ts.to_json()},
-          [str(ts)], [[i, c] for i, c in enumerate(ts.coeffs)])
     return 0
 
 
@@ -432,7 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations and identity checks for cylindric partitions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile_required=True, order=None, n=None):
+    # ``csv`` is offered only where a subcommand writes rows.
+    plain, with_csv = ["text", "json"], ["text", "json", "csv"]
+
+    def common(p, formats, profile_required=True, order=None, n=None):
         p.add_argument("--profile", required=profile_required,
                        help="comma separated, e.g. 1,2,0")
         if order is not None:
@@ -440,69 +435,69 @@ def build_parser() -> argparse.ArgumentParser:
                            help="truncation order / weight bound")
         if n is not None:
             p.add_argument("--n", type=_nonnegative_int, default=n)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("enumerate", help="dump all partitions up to a weight")
-    common(p, order=8); p.set_defaults(fn=cmd_enumerate)
+    common(p, with_csv, order=8); p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("count", help="counts by weight from the enumerator")
-    common(p, order=12); p.set_defaults(fn=cmd_count)
+    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("borodin", help="counts by weight from the infinite product")
-    common(p, order=12); p.set_defaults(fn=cmd_borodin)
+    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("decompose", help="split into (mu, beta)")
     p.add_argument("partition", help="rows like '5,4|8,2|7,5,1', or - for stdin")
-    common(p, profile_required=False); p.set_defaults(fn=cmd_decompose)
+    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="rebuild from --beta and --mu")
     p.add_argument("--beta", default="", help="e.g. 15^(2,1),11^(3,2)")
     p.add_argument("--mu", default="", help="comma separated parts")
-    common(p); p.set_defaults(fn=cmd_reconstruct)
+    common(p, plain); p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("slices", help="slice chain with multiplicities")
     p.add_argument("partition")
-    common(p, profile_required=False); p.set_defaults(fn=cmd_slices)
+    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_slices)
 
     p = sub.add_parser("shrink", help="tight packing and side partition")
     p.add_argument("partition")
     p.add_argument("--mode", choices=["at_most", "exact"], default="at_most")
-    common(p, profile_required=False); p.set_defaults(fn=cmd_shrink)
+    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_shrink)
 
     p = sub.add_parser("stg", help="shape transition graph and matrices")
     p.add_argument("--rank", type=int)
     p.add_argument("--level", type=int)
-    common(p, profile_required=False); p.set_defaults(fn=cmd_stg)
+    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_stg)
 
     p = sub.add_parser("path-counts", help="chain counts out of the empty slice")
-    common(p, order=12); p.set_defaults(fn=cmd_path_counts)
+    common(p, with_csv, order=12); p.set_defaults(fn=cmd_path_counts)
 
     p = sub.add_parser("distinct-gf", help="distinct-parts generating function")
-    common(p, order=12); p.set_defaults(fn=cmd_distinct_gf)
+    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("verify-closed-form", help="check a built-in closed form")
-    common(p, order=25); p.set_defaults(fn=cmd_verify_closed_form)
+    common(p, plain, order=25); p.set_defaults(fn=cmd_verify_closed_form)
 
     p = sub.add_parser("poly", help="polynomial numerators")
     p.add_argument("kind", choices=sorted(_POLY_KINDS))
-    common(p, n=3); p.set_defaults(fn=cmd_poly)
+    common(p, with_csv, n=3); p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("functional-eq", help="two-variable functional equation")
-    common(p, order=10); p.set_defaults(fn=cmd_functional_eq)
+    common(p, plain, order=10); p.set_defaults(fn=cmd_functional_eq)
 
     p = sub.add_parser("lineups", help="enumerate minimal lineups")
     p.add_argument("--kind", choices=["mll", "mjl"], default="mll")
-    common(p, n=2); p.set_defaults(fn=cmd_lineups)
+    common(p, with_csv, n=2); p.set_defaults(fn=cmd_lineups)
 
     p = sub.add_parser("lemma-check", help="pivot-chain counting identity")
-    common(p, order=12, n=2); p.set_defaults(fn=cmd_lemma_check)
+    common(p, plain, order=12, n=2); p.set_defaults(fn=cmd_lemma_check)
 
     p = sub.add_parser("qconj-check", help="pivot generating-function identity")
-    common(p, order=10, n=2); p.set_defaults(fn=cmd_qconj_check)
+    common(p, plain, order=10, n=2); p.set_defaults(fn=cmd_qconj_check)
 
     p = sub.add_parser("verify-all", help="run every cross-check for a profile")
-    common(p, order=12); p.set_defaults(fn=cmd_verify_all)
+    common(p, plain, order=12); p.set_defaults(fn=cmd_verify_all)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the round-trip samples")
 

@@ -253,37 +253,40 @@ def shape_to_profile(shape: Shape, level: int) -> Profile:
     return Profile(tuple(c))
 
 
+def _delta(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
+    """The tight-packing distance from shape parts ``sigma`` to ``tau``
+    (both of length rank - 1): r * max(0, max_j (sigma_j - tau_j))
+    + |tau| - |sigma|."""
+    worst = max([0, *map(operator.sub, sigma, tau)])
+    return (len(sigma) + 1) * worst + sum(tau) - sum(sigma)
+
+
 def delta(c: Profile, d: Profile) -> int:
     """Minimal weight of a slice whose shape is the zero-shape of ``d``,
     packed tightly against the zero-shape of ``c``.
 
-    For compositions c, d of the same rank r this is
+    With sigma and tau the zero shapes of c and d (rank r), this is
 
-        sum_{k=2}^{r} (k-1) (d_k - c_k)
-        + r * max(0, max_{j=2}^{r} (c_r + ... + c_j) - (d_r + ... + d_j)).
+        r * max(0, max_j (sigma_j - tau_j)) + |tau| - |sigma|.
 
     Not symmetric; delta(c, c) = 0.  The two profiles may have different
     levels (only their zero-shapes matter).
     """
     if c.rank != d.rank:
         raise RankMismatch(f"ranks differ: {c.rank} vs {d.rank}")
-    r = c.rank
-    lin = sum((k - 1) * (d.parts[k - 1] - c.parts[k - 1]) for k in range(2, r + 1))
-    worst = 0
-    tail_c = tail_d = 0
-    for k in range(r, 1, -1):
-        tail_c += c.parts[k - 1]
-        tail_d += d.parts[k - 1]
-        worst = max(worst, tail_c - tail_d)
-    return lin + r * worst
+    return _delta(c.offsets()[:-1], d.offsets()[:-1])
 
 
 def delta_shapes(sigma: Shape, tau: Shape, level: int) -> int:
-    """Shape overload of :func:`delta`: converts both shapes to profiles
-    at the given level, never duplicating the formula."""
+    """Shape overload of :func:`delta`: the same formula on the shapes
+    themselves, which must both fit the given level."""
     if sigma.rank != tau.rank:
         raise RankMismatch(f"ranks differ: {sigma.rank} vs {tau.rank}")
-    return delta(shape_to_profile(sigma, level), shape_to_profile(tau, level))
+    for shape in (sigma, tau):
+        if shape.parts and shape.parts[0] > level:
+            raise LevelTooSmall(
+                f"shape {shape} needs level >= {shape.parts[0]}, got {level}")
+    return _delta(sigma.parts, tau.parts)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Sequence
 from .core import Profile, Shape, all_shapes, shape_of_zero
 from .qpoly import QPoly
 from .rings import QuadElement, Ring, ZZ, ring_of
-from .series import TruncatedSeries, euler_sum, euler_top
+from .series import TruncatedSeries, euler_sum, euler_top, first_mismatch
 from .slices import (Slice, min_slice_weight, slice_shape, slice_with, successors,
                      zero_slice)
 
@@ -293,13 +293,25 @@ def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
 class ClosedFormReport:
     profile: Profile
     order: int
-    ok: bool
-    first_mismatch: int | None
+    # (index, closed-form value, path-count value) of the first bad
+    # coefficient, None when every coefficient agrees.
+    mismatch: tuple[int, object, object] | None
     irrational_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
+
+    @property
+    def first_mismatch(self) -> int | None:
+        return None if self.mismatch is None else self.mismatch[0]
 
     def __str__(self) -> str:
         status = "ok" if self.ok and self.irrational_ok else "MISMATCH"
-        extra = "" if self.first_mismatch is None else f" at q^{self.first_mismatch}"
+        extra = ""
+        if self.mismatch is not None:
+            k, x, y = self.mismatch
+            extra = f" at q^{k}: closed form {x} vs path counts {y}"
         return (f"closed form for {self.profile} to q^{self.order}: {status}{extra}; "
                 f"irrational parts cancel: {self.irrational_ok}")
 
@@ -337,17 +349,11 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
         probe = next(iter(combination), None)
         ring = ring_of(probe[0]) if probe else ZZ
     total = _closed_form_series(combination, residual, order, ring)
-    reference = distinct_gf(profile, order)
-    irrational_ok = True
-    first_bad = None
-    for i in range(order + 1):
-        lhs = total.coeffs[i]
-        rhs = ring.coerce(reference.coeffs[i])
-        if isinstance(lhs, QuadElement) and lhs.b != 0:
-            irrational_ok = False
-        if lhs != rhs and first_bad is None:
-            first_bad = i
-    return ClosedFormReport(profile, order, first_bad is None, first_bad,
+    reference = distinct_gf(profile, order).into_ring(ring)
+    irrational_ok = not any(isinstance(x, QuadElement) and x.b != 0
+                            for x in total.coeffs)
+    return ClosedFormReport(profile, order,
+                            first_mismatch(total.coeffs, reference.coeffs),
                             irrational_ok)
 
 

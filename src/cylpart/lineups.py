@@ -42,7 +42,7 @@ class NotPotentialPivot(CylpartError):
 def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
     """All shapes with first part >= 2; there are
     binomial(level + rank - 1, rank - 1) - rank of them."""
-    return [s for s in family(rank, level).shapes if s.parts and s.parts[0] >= 2]
+    return list(family(rank, level).pivot_shapes)
 
 
 @dataclass(frozen=True)

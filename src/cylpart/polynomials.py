@@ -21,7 +21,7 @@ import threading
 from functools import lru_cache
 from operator import add
 
-from .core import Profile, Shape, all_shapes, delta, shape_of_zero, shape_to_profile
+from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
 from .series import (TruncatedSeries, first_mismatch, subst_z_mul_qpow,
                      z_power_times)
@@ -58,11 +58,8 @@ class PolynomialFamily:
         self.level = level
         self.shapes = all_shapes(rank, level)
         self.pivot_shapes = [s for s in self.shapes if s.parts and s.parts[0] >= 2]
-        self._delta = {}
-        for a in self.shapes:
-            pa = shape_to_profile(a, level)
-            for b in self.shapes:
-                self._delta[(a, b)] = delta(pa, shape_to_profile(b, level))
+        self._delta = {(a, b): _delta(a.parts, b.parts)
+                       for a in self.shapes for b in self.shapes}
         self._lock = threading.Lock()
         self._parts_at_most: dict[int | None, list[dict[Shape, QPoly]]] = {}
         self._pivot_lineup: dict[int | None, list[dict[Shape, QPoly]]] = {}

@@ -11,6 +11,21 @@ class IndexOutOfRange(Exception):
     pass
 
 
+def _convolve(a: Sequence, b: Sequence, size: int, zero) -> list:
+    """The first ``size`` coefficients of the product of the coefficient
+    sequences ``a`` and ``b`` (constant term first), each sum started from
+    ``zero``.  Zero entries of either factor are skipped."""
+    out = [zero] * size
+    for i in range(min(len(a), size)):
+        x = a[i]
+        if x:
+            for j in range(min(len(b), size - i)):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
 class QPoly:
     """A polynomial stored as a dense coefficient tuple, constant term first.
 
@@ -83,13 +98,8 @@ class QPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(tuple(out))
+        return QPoly(_convolve(self.coeffs, other.coeffs,
+                               len(self.coeffs) + len(other.coeffs) - 1, 0))
 
     __rmul__ = __mul__
 

@@ -117,7 +117,10 @@ class QuadElement:
 
 
 class Ring:
-    """Tagged coercion helper; elements themselves carry the arithmetic."""
+    """Tagged coercion helper; elements themselves carry the arithmetic.
+
+    Two rings are equal when they have the same type and tag.
+    """
 
     tag: str
 
@@ -138,6 +141,12 @@ class Ring:
     def element_to_str(self, x) -> str:
         return str(x)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other.tag == self.tag
+
+    def __hash__(self):
+        return hash((type(self), self.tag))
+
     def __repr__(self) -> str:
         return self.tag
 
@@ -155,12 +164,6 @@ class IntegerRing(Ring):
     def element_to_json(self, x):
         return str(x)
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(self.tag)
-
 
 class RationalRing(Ring):
     tag = "Q"
@@ -172,12 +175,6 @@ class RationalRing(Ring):
 
     def element_to_json(self, x):
         return [str(x.numerator), str(x.denominator)]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(self.tag)
 
 
 class QuadraticField(Ring):
@@ -206,12 +203,6 @@ class QuadraticField(Ring):
         return [str(x.a.numerator), str(x.a.denominator),
                 str(x.b.numerator), str(x.b.denominator)]
 
-    def __eq__(self, other):
-        return isinstance(other, QuadraticField) and other.d == self.d
-
-    def __hash__(self):
-        return hash(self.tag)
-
 
 class IntegerPolynomialRing(Ring):
     """Z[z]: integer polynomials in z, held as :class:`QPoly`."""
@@ -230,12 +221,6 @@ class IntegerPolynomialRing(Ring):
 
     def element_to_str(self, x) -> str:
         return x.to_str("z") if x.degree <= 0 else f"({x.to_str('z')})"
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerPolynomialRing)
-
-    def __hash__(self):
-        return hash(self.tag)
 
 
 ZZ = IntegerRing()

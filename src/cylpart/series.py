@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .core import Profile
-from .qpoly import QPoly
+from .qpoly import QPoly, _convolve
 from .rings import Ring, RingMismatch, ZZ, ZZ_z, ring_of
 
 
@@ -79,16 +79,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        n = self.order
-        out = [self.ring.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, n, tuple(out))
+        return TruncatedSeries(self.ring, self.order, tuple(_convolve(
+            self.coeffs, other.coeffs, self.order + 1, self.ring.zero)))
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = self.ring.coerce(factor)

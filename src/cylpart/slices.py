@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   RankMismatch, Shape, _conjugate, _trusted, shape_of_zero)
+                   RankMismatch, Shape, _conjugate, _delta, _trusted,
+                   shape_of_zero)
 
 
 class ChainNotDecreasing(CylpartError):
@@ -95,14 +96,12 @@ def slice_shape(s: Slice) -> Shape:
 def min_slice_weight(profile: Profile, shape: Shape) -> int:
     """Smallest weight of a slice with the given shape, 0 for the zero shape.
 
-    Equals the tight-packing distance ``delta`` from the profile's zero
-    shape to ``shape``.
+    This is the tight-packing distance ``delta`` from the profile's zero
+    shape to ``shape``, computed by the one formula in :mod:`cylpart.core`.
     """
-    z = shape_of_zero(profile)
     if shape.rank != profile.rank:
         raise RankMismatch(f"shape rank {shape.rank} vs profile rank {profile.rank}")
-    h = max([0] + [z.parts[j] - shape.parts[j] for j in range(len(z.parts))])
-    return profile.rank * h + shape.weight - z.weight
+    return _delta(profile.offsets()[:-1], shape.parts)
 
 
 @lru_cache(maxsize=65536)
@@ -126,14 +125,16 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
 
 
 def successors(s: Slice) -> list[Slice]:
-    """All slices obtained from ``s`` by adding one box to some row."""
-    out = []
-    for i in range(s.profile.rank):
-        try:
-            out.append(s.bump(i))
-        except ValueError:
-            pass
-    return out
+    """All slices obtained from ``s`` by adding one box to some row.
+
+    A box on row i can break only l_i <= l_{i-1} + c_i (cyclically, row 1
+    compares with row r), so exactly the rows with l_i < l_{i-1} + c_i grow,
+    and the grown slices are valid by construction.
+    """
+    ln, c = s.lengths, s.profile.parts
+    return [_trusted(Slice, profile=s.profile,
+                     lengths=ln[:i] + (ln[i] + 1,) + ln[i + 1:])
+            for i in range(len(ln)) if ln[i] < ln[i - 1] + c[i]]
 
 
 @dataclass(frozen=True)

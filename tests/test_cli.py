@@ -1,11 +1,13 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from cylpart import Profile, cli, diagram, lineups, oracle, polynomials
+from cylpart import Profile, cli, diagram, lineups, oracle, polynomials, series
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
+from cylpart.rings import ZZ
 from cylpart.series import TruncatedSeries
 
 
@@ -84,6 +86,40 @@ class TestStructuredOutput:
         lines = out.strip().splitlines()
         assert lines[0] == "rank,level,n,shape,value_at_1,min_coefficient"
         assert all(len(line.split(",")) == 6 for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--profile", "2,1", "--order", "6"],
+        ["borodin", "--profile", "2,1", "--order", "6"],
+        ["distinct-gf", "--profile", "2,1", "--order", "6"],
+        ["path-counts", "--profile", "1,1,1", "--order", "6"]])
+    def test_series_csv_rows(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        values = payload.get("coeffs") or payload.get("totals")
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [f"{i},{v}" for i, v in enumerate(values)]
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("count", oracle, "count_series"),
+        ("borodin", series, "borodin_product"),
+        ("distinct-gf", diagram, "distinct_gf")])
+    def test_series_command_looks_up_its_builder(self, capsys, monkeypatch,
+                                                 command, module, name):
+        # Looked up when the command runs, so a wrapper set later is seen.
+        monkeypatch.setattr(module, name, lambda profile, order:
+                            TruncatedSeries.from_coeffs(ZZ, [7], order))
+        code, payload = run_json(capsys, command, "--profile", "2,1", "--order", "2")
+        assert code == 0 and payload["command"] == command
+        assert payload["coeffs"] == ["7", "0", "0"]
+
+    @pytest.mark.parametrize("argv, key", [
+        (["enumerate", "--profile", "1,1", "--order", "4"], "partitions"),
+        (["lineups", "--profile", "1,1,0", "--kind", "mjl", "--n", "2"], "lineups")])
+    def test_listing_csv_rows(self, capsys, argv, key):
+        code, payload = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and payload[key]
+        assert out.splitlines() == payload[key]
 
     def test_lineups(self, capsys):
         code, payload = run_json(capsys, "lineups", "--profile", "1,1,0",
@@ -194,11 +230,29 @@ class TestUsageErrors:
                                  "--order", "6", "--seed", "3")
         assert code == 0 and payload["ok"]
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--profile", "1,1,1", "5,4|8,2|7,5,1"],
+        ["reconstruct", "--profile", "1,1,1"],
+        ["slices", "--profile", "2,1", "15,15,10,10,6,5|18,13,6,6"],
+        ["shrink", "--profile", "1,1,1", "5,4|8,2|7,5,1"],
+        ["stg", "--rank", "3", "--level", "2"],
+        ["verify-closed-form", "--profile", "2,0,0"],
+        ["functional-eq", "--profile", "2,1"],
+        ["lemma-check", "--profile", "1,1,0"],
+        ["qconj-check", "--profile", "2,1"],
+        ["verify-all", "--profile", "1,1"]])
+    def test_csv_only_where_rows_are_written(self, capsys, argv):
+        cli.build_parser().parse_args([*argv, "--format", "json"])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "cmd_count", boom)
+        monkeypatch.setattr(cli, "cmd_series", boom)
         assert main(["count", "--profile", "2,1", "--order", "3"]) == 3
         err = capsys.readouterr().err.strip()
         assert err == "internal error: RuntimeError: boom"
@@ -269,3 +323,21 @@ class TestMismatchDetails:
         assert details["count-vs-product"].endswith(
             "the oracle enumerated 221 partitions up to q^8")
         assert details["distinct-vs-oracle"].endswith("73 into distinct parts")
+
+
+class TestBenchmarkJobs:
+    def test_spec_jobs_parse_and_dispatch(self):
+        # The command lines the benchmark runs, completed as its CLI runner
+        # completes them, must parse and reach their subcommand's handler.
+        spec_path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
+        workloads = json.loads(spec_path.read_text())["workloads"]
+        jobs = [job for name in ("verify", "gf") for job in workloads[name]["jobs"]]
+        assert jobs
+        series_commands = {"count", "borodin", "distinct-gf"}
+        parser = cli.build_parser()
+        for job in jobs:
+            seed = ["--seed", "1"] if job[0] == "verify-all" else []
+            args = parser.parse_args([*job, *seed, "--format", "json", "--jobs", "1"])
+            handler = ("cmd_series" if job[0] in series_commands
+                       else "cmd_" + job[0].replace("-", "_"))
+            assert args.fn is getattr(cli, handler), job

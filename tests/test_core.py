@@ -122,6 +122,36 @@ class TestDelta:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             delta(Profile.of(1, 1), Profile.of(1, 1, 1))
+        with pytest.raises(RankMismatch):
+            delta_shapes(Shape.of(1), Shape.of(1, 0), 3)
+
+    def test_shapes_must_fit_the_level(self):
+        with pytest.raises(LevelTooSmall):
+            delta_shapes(Shape.of(4, 1), Shape.of(0, 0), 3)
+        with pytest.raises(LevelTooSmall):
+            delta_shapes(Shape.of(0, 0), Shape.of(4, 1), 3)
+
+    def test_rank_one_is_zero(self):
+        # Rank 1 has the one empty shape, so the max runs over nothing.
+        assert delta(Profile.of(3), Profile.of(2)) == 0
+        assert delta_shapes(Shape(), Shape(), 2) == 0
+
+    def test_matches_the_profile_sum_form(self):
+        # The textbook form on compositions: sum_{k>=2} (k-1)(d_k - c_k)
+        # + r * max(0, max_j (c_j + ... + c_r) - (d_j + ... + d_r)).
+        for c in all_profiles(4, 3):
+            for d in all_profiles(4, 3):
+                if c.rank != d.rank:
+                    continue
+                r = c.rank
+                lin = sum((k - 1) * (d.parts[k - 1] - c.parts[k - 1])
+                          for k in range(2, r + 1))
+                worst = max([0] + [sum(c.parts[j:]) - sum(d.parts[j:])
+                                   for j in range(1, r)])
+                assert delta(c, d) == lin + r * worst, (c, d)
+                level = max(c.level, d.level)
+                assert delta_shapes(shape_of_zero(c), shape_of_zero(d), level) \
+                    == delta(c, d)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

@@ -298,6 +298,8 @@ class TestClosedForms:
         report = verify_closed_form(Profile.of(1, 1, 1),
                                     [(Fraction(3, 2), 2, 0)], [0], 10, ring=QQ)
         assert not report.ok and report.first_mismatch == 0
+        # The closed form gives 3/2 at q^0, the path counts 1.
+        assert "MISMATCH at q^0: closed form 3/2 vs path counts 1;" in str(report)
 
     def test_solve_residual(self):
         ring, combination, residual = _closed_form((1, 1, 1))

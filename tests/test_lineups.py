@@ -5,7 +5,7 @@ import pytest
 
 from conftest import all_profiles
 from cylpart import (Profile, QPoly, Shape, classify, enumerate_minimal_jammed,
-                     enumerate_minimal_loose, lemma_check, pivot_chain_gf,
+                     enumerate_minimal_loose, family, lemma_check, pivot_chain_gf,
                      potential_pivot_shapes, qconj_genfunc_check, slice_with)
 from cylpart.lineups import (NotPotentialPivot, _chain_from_gaps,
                              minimal_jammed_correction)
@@ -29,6 +29,12 @@ class TestPotentialPivots:
 
     def test_none_at_level_one(self):
         assert potential_pivot_shapes(2, 1) == []
+
+    def test_a_copy_of_the_family_list(self):
+        got = potential_pivot_shapes(3, 2)
+        assert got == family(3, 2).pivot_shapes
+        got.clear()
+        assert len(family(3, 2).pivot_shapes) == 3
 
     def test_count_formula(self):
         for r in range(1, 5):

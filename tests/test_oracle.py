@@ -38,7 +38,10 @@ class TestEnumeration:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             enumerate_by_weight(Profile.of(1, 1), 40)
-        enumerate_by_weight(Profile.of(1, 1), 35, cap=35)
+        # At the cap itself the census runs in full and matches the product.
+        census = count_series(Profile.of(1, 1), 35, cap=35)
+        assert census.coeffs == borodin_product(Profile.of(1, 1), 35).coeffs
+        assert sum(census.coeffs) == 487_560
 
     def test_closed_under_slice_recomposition(self):
         pool = enumerate_by_weight(Profile.of(1, 2, 0), 9)

@@ -5,14 +5,15 @@ import threading
 import pytest
 
 from cylpart import (Profile, QPoly, Shape, borodin_product, count_bivariate,
-                     family, f_truncated, check_functional_equation,
-                     shape_of_zero)
+                     delta, family, f_truncated, check_functional_equation,
+                     shape_of_zero, shape_to_profile)
 from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.polynomials import (PolynomialFamily, largest_part_exact_series,
                                  parts_at_most_poly, parts_at_most_series,
                                  pivot_corrected_poly, pivot_lineup_poly)
 from cylpart.qpoly import q_binomial
 from cylpart.rings import ZZ_z
+from cylpart.slices import min_slice_weight
 from cylpart.series import (TruncatedSeries, at_z_one, inv_poch_finite,
                             inv_zq_pochhammer, subst_z_mul_qpow, z_power_times)
 
@@ -49,6 +50,16 @@ class TestUpdateMatrix:
         nonpiv = [s for s in fam.shapes if s not in piv]
         assert [[fam.dist(c, d) + 3 for d in piv] for c in nonpiv] == \
             [[5, 6, 7], [4, 5, 6], [6, 4, 5]]
+
+
+    @pytest.mark.parametrize("rank,level", [(1, 1), (1, 3), (2, 3), (3, 3), (4, 2)])
+    def test_dist_is_delta_of_the_zero_profiles(self, rank, level):
+        fam = family(rank, level)
+        for a in fam.shapes:
+            pa = shape_to_profile(a, level)
+            for b in fam.shapes:
+                assert fam.dist(a, b) == delta(pa, shape_to_profile(b, level)) \
+                    == min_slice_weight(pa, b), (a, b)
 
 
 class TestTables:

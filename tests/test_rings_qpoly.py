@@ -112,6 +112,15 @@ class TestQuadraticField:
         assert ZZ.element_to_json(10**30) == str(10**30)
         assert QQ.element_to_json(Fraction(1, 3)) == ["1", "3"]
 
+    def test_ring_equality_by_type_and_tag(self):
+        from cylpart.rings import IntegerPolynomialRing, IntegerRing, RationalRing, ZZ_z
+        assert ZZ == IntegerRing() and QQ == RationalRing()
+        assert ZZ_z == IntegerPolynomialRing()
+        assert QuadraticField(5) == QuadraticField(5) != QuadraticField(3)
+        assert len({ZZ, IntegerRing(), QQ, ZZ_z, QuadraticField(5),
+                    QuadraticField(5), QuadraticField(3)}) == 5
+        assert ZZ != QQ and ZZ != "Z" and QQ != ZZ_z
+
     def test_integer_ring_rejects_fractions(self):
         with pytest.raises(RingMismatch):
             ZZ.coerce(Fraction(1, 2))

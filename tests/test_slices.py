@@ -7,7 +7,8 @@ from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
                      shape_of_zero, shrink, slice_shape, slice_with,
                      successors, validate, zero_slice, delta_shapes)
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
-                            NotMultipleOfRank, PartTooLarge, min_slice_weight)
+                            NotMultipleOfRank, PartTooLarge, Slice,
+                            min_slice_weight)
 
 from conftest import all_profiles
 
@@ -93,6 +94,23 @@ class TestShapesAndSuccessors:
                     assert t.weight == s.weight + 1
                     assert t.contains(s)
                     assert sum(a != b for a, b in zip(t.lengths, s.lengths)) == 1
+
+    def test_successors_are_the_valid_bumps(self, small_profiles):
+        # Reference: bump every row through the validating constructor and
+        # keep the bumps it accepts.
+        for prof in small_profiles + [Profile.of(2, 0, 1, 1), Profile.of(1, 0, 2, 0)]:
+            for layer in bfs_slices_by_weight(prof, 5):
+                for s in layer:
+                    expected = []
+                    for i in range(prof.rank):
+                        try:
+                            expected.append(s.bump(i))
+                        except ValueError:
+                            pass
+                    got = successors(s)
+                    assert got == expected, s
+                    for t in got:
+                        assert Slice(prof, t.lengths) == t
 
     def test_three_successors_from_zero_shape_slice(self):
         s = slice_with(P111, Shape.of(2, 1), 3)
