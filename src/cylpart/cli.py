@@ -41,6 +41,16 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
             print(line)
 
 
+def _emit_each(args, payload: dict, text_lines: list[str]):
+    """:func:`_emit` for one of the partitions read by :func:`_partitions_from`:
+    JSON read from ``-`` is JSON Lines, one compact document per input line."""
+    if args.format == "json" and args.partition == "-":
+        payload["schema"] = SCHEMA
+        print(json.dumps(payload))
+    else:
+        _emit(args, payload, text_lines)
+
+
 def _partitions_from(args) -> list[core.CylindricPartition]:
     profile = parse_profile(args.profile) if args.profile else None
     if args.partition == "-":
@@ -83,9 +93,9 @@ def cmd_decompose(args) -> int:
     for cp in _partitions_from(args):
         mu, beta = bijection.pivot_decompose(cp)
         line = f"beta={beta.to_text() or '-'} mu={mu or '-'}"
-        _emit(args, {"command": "decompose", "input": cp.to_json(),
-                     "beta": beta.to_text(), "mu": [str(p) for p in mu.parts]},
-              [line])
+        _emit_each(args, {"command": "decompose", "input": cp.to_json(),
+                          "beta": beta.to_text(), "mu": [str(p) for p in mu.parts]},
+                   [line])
     return 0
 
 
@@ -104,11 +114,11 @@ def cmd_slices(args) -> int:
         chain = slice_decompose(cp)
         lines = [f"{s.weight}^{slice_shape(s)} x{mult} [{','.join(map(str, s.lengths))}]"
                  for s, mult in chain.entries]
-        _emit(args, {"command": "slices", "input": cp.to_json(),
-                     "chain": [{"lengths": list(s.lengths), "multiplicity": m,
-                                "shape": list(slice_shape(s).parts)}
-                               for s, m in chain.entries]},
-              lines)
+        _emit_each(args, {"command": "slices", "input": cp.to_json(),
+                          "chain": [{"lengths": list(s.lengths), "multiplicity": m,
+                                     "shape": list(slice_shape(s).parts)}
+                                    for s, m in chain.entries]},
+                   lines)
     return 0
 
 
@@ -119,10 +129,10 @@ def cmd_shrink(args) -> int:
         tight, side = shrink(chain, mode)
         lines = [f"tight: {'; '.join(str(list(t.lengths)) for t in tight)}",
                  f"side:  {side or '-'}"]
-        _emit(args, {"command": "shrink", "mode": args.mode,
-                     "tight": [list(t.lengths) for t in tight],
-                     "side": [str(p) for p in side.parts]},
-              lines)
+        _emit_each(args, {"command": "shrink", "mode": args.mode,
+                          "tight": [list(t.lengths) for t in tight],
+                          "side": [str(p) for p in side.parts]},
+                   lines)
     return 0
 
 

@@ -1,11 +1,16 @@
 """Shape transition graphs, path counts, and distinct-parts series.
 
 Chains of slices that grow one box at a time project onto a finite directed
-graph on shapes.  Grouping the shapes by weight class mod the rank makes
-the adjacency matrix block-cyclic, and its rank-th power block diagonal;
-the blocks drive linear recurrences for the number ``a_n`` of chains of
-length n out of the empty slice, which in turn give the generating function
-for cylindric partitions into distinct parts:
+graph on shapes: which rows of a slice may grow depends only on its shape,
+and a slice is fixed by its shape and weight.  So the number ``a_n`` of
+chains of length n out of the empty slice is the number of length-n walks
+in that graph from the profile's zero shape, 1^T M^n e_0 for the integer
+adjacency matrix M, and :func:`path_counts` counts them by walking the
+graph.  Grouping the shapes by weight class mod the rank makes M
+block-cyclic and its rank-th power block diagonal; the characteristic
+polynomials of the blocks give the linear recurrences of ``a_n``, which in
+turn feed the generating function for cylindric partitions into distinct
+parts:
 
     sum over n of a_n * q^(n(n+1)/2) / (q;q)_n.
 """
@@ -17,11 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Profile, Shape, all_shapes, shape_of_zero
-from .qpoly import QPoly
+from .qpoly import QPoly, _convolve
 from .rings import QuadElement, Ring, ZZ, ring_of
 from .series import TruncatedSeries, euler_sum, euler_top, first_mismatch
-from .slices import (Slice, min_slice_weight, slice_shape, slice_with, successors,
-                     zero_slice)
+from .slices import min_slice_weight, slice_shape, slice_with, successors
 
 
 class NoRecurrenceFound(Exception):
@@ -51,18 +55,14 @@ class ShapeTransitionGraph:
 def build_graph(rank: int, level: int, profile: Profile | None = None
                 ) -> ShapeTransitionGraph:
     """Directed graph on all shapes of the family, one edge per outer-corner
-    addition, computed on representative slices far from the length floor."""
+    addition.  Which rows of a slice may grow depends only on its shape, so
+    the minimal slice of each shape stands for all of them."""
     nodes = tuple(all_shapes(rank, level))
     rep_profile = profile if profile is not None else Profile((level,) + (0,) * (rank - 1))
     edges = set()
     for sh in nodes:
-        # Representative: the minimal slice of this shape pushed up by enough
-        # whole columns that the length floor never interferes.
-        w0 = min_slice_weight(rep_profile, sh)
-        rep = slice_with(rep_profile, sh, w0 + rank * (level + 1))
-        assert rep is not None
-        for nxt in successors(rep):
-            edges.add((sh, slice_shape(nxt)))
+        rep = slice_with(rep_profile, sh, min_slice_weight(rep_profile, sh))
+        edges.update((sh, slice_shape(nxt)) for nxt in successors(rep))
     marked = shape_of_zero(profile) if profile is not None else None
     return ShapeTransitionGraph(rank, level, nodes, frozenset(edges), marked)
 
@@ -127,30 +127,25 @@ def diagonal_blocks(mat: Sequence[Sequence[int]], sizes: Sequence[int]
     return blocks
 
 
-def char_poly(block: Sequence[Sequence] ) -> QPoly:
-    """Monic characteristic polynomial det(xI - M), computed by
-    fraction-free (Bareiss) elimination over exact polynomials."""
-    n = len(block)
-    m = [[QPoly((0, 1)) if i == j else QPoly() for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m[i][j] = m[i][j] - QPoly((block[i][j],))
-    sign = 1
-    prev = QPoly.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                continue
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).div_exact(prev)
-            m[i][k] = QPoly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1] if n else QPoly.one()
-    return det if sign == 1 else -det
+def char_poly(block: Sequence[Sequence]) -> QPoly:
+    """Monic characteristic polynomial det(xI - M), computed without any
+    division (Samuelson-Berkowitz), so it stays exact over int or Fraction
+    entries.
+
+    The polynomial of each leading (k+1) x (k+1) submatrix is the Toeplitz
+    product of the one before with (1, -a, -R S, -R A S, ..., -R A^(k-1) S),
+    where A is the leading k x k submatrix, a = M[k][k], R the row left of
+    it and S the column above it.
+    """
+    coeffs = [1]  # highest power first
+    for k in range(len(block)):
+        row, col = block[k][:k], [block[i][k] for i in range(k)]
+        t = [1, -block[k][k]]
+        for _ in range(k):
+            t.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(block[i][:k], col)) for i in range(k)]
+        coeffs = _convolve(t, coeffs, k + 2, 0)
+    return QPoly(tuple(reversed(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -164,22 +159,23 @@ class PathCountTable:
 
 
 def path_counts(profile: Profile, order: int) -> PathCountTable:
-    """Dynamic program over slices of weight <= order; a chain advances by
-    one outer corner per step, so layer n holds the counts after n steps."""
-    layer: dict[Slice, int] = {zero_slice(profile): 1}
-    totals = [1]
-    by_shape = [((slice_shape(zero_slice(profile)), 1),)]
-    for _ in range(order):
-        nxt: dict[Slice, int] = {}
-        for s, cnt in layer.items():
-            for t in successors(s):
-                nxt[t] = nxt.get(t, 0) + cnt
-        layer = nxt
+    """Walks of length 0..order in the profile's shape transition graph,
+    out of its zero shape; layer n maps each shape to its walk count."""
+    graph = build_graph(profile.rank, profile.level, profile)
+    adj: dict[Shape, list[Shape]] = {s: [] for s in graph.nodes}
+    for f, t in graph.edges:
+        adj[f].append(t)
+    layer = {shape_of_zero(profile): 1}
+    totals, by_shape = [], []
+    for n in range(order + 1):
+        if n:
+            nxt: dict[Shape, int] = {}
+            for s, cnt in layer.items():
+                for t in adj[s]:
+                    nxt[t] = nxt.get(t, 0) + cnt
+            layer = nxt
         totals.append(sum(layer.values()))
-        shapes: dict[Shape, int] = {}
-        for s, cnt in layer.items():
-            shapes[slice_shape(s)] = shapes.get(slice_shape(s), 0) + cnt
-        by_shape.append(tuple(sorted(shapes.items(), key=lambda kv: kv[0].parts)))
+        by_shape.append(tuple(sorted(layer.items(), key=lambda kv: kv[0].parts)))
     return PathCountTable(profile, order, tuple(totals), tuple(by_shape))
 
 

@@ -134,32 +134,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def div_exact(self, other: "QPoly") -> "QPoly":
-        """Exact polynomial division; raises if the remainder is nonzero.
-
-        Exactness is required, so the computation runs over Fractions and
-        the result coefficients are re-normalised to int when possible.
-        """
-        if not other.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        dcs = [Fraction(c) for c in other.coeffs]
-        dq = len(dcs) - 1
-        if len(rem) - 1 < dq:
-            if any(rem):
-                raise ValueError("division is not exact")
-            return QPoly()
-        out = [Fraction(0)] * (len(rem) - dq)
-        for k in range(len(out) - 1, -1, -1):
-            c = rem[k + dq] / dcs[-1]
-            out[k] = c
-            if c:
-                for j, d in enumerate(dcs):
-                    rem[k + j] -= c * d
-        if any(rem):
-            raise ValueError("division is not exact")
-        return QPoly(tuple(int(c) if c.denominator == 1 else c for c in out))
-
     def truncated(self, order: int) -> tuple:
         """Coefficients 0..order, zero padded."""
         cs = self.coeffs[:max(order + 1, 0)]
@@ -197,16 +171,12 @@ def geometric_sum(ratio_exponent: int, top: int) -> QPoly:
     return QPoly(tuple(out))
 
 
-def poch_poly(n: int) -> QPoly:
-    """The finite product (1-q)(1-q^2)...(1-q^n) as an exact polynomial."""
-    out = QPoly.one()
-    for j in range(1, n + 1):
-        out = out * QPoly((1,) + (0,) * (j - 1) + (-1,))
-    return out
-
-
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient via exact polynomial division."""
+    """Gaussian binomial coefficient [n, k] by the q-Pascal rule
+    [m, j] = [m-1, j-1] + q^j [m-1, j], one row of m at a time."""
     if not (0 <= k <= n):
         raise IndexOutOfRange(f"need 0 <= k <= n, got n={n}, k={k}")
-    return poch_poly(n).div_exact(poch_poly(k) * poch_poly(n - k))
+    row = [QPoly.one()] + [QPoly()] * k  # [m, j] for j = 0..k, from m = 0
+    for _ in range(n):
+        row = [QPoly.one()] + [row[j - 1] + row[j].shift(j) for j in range(1, k + 1)]
+    return row[k]

@@ -117,8 +117,7 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     if weight < base or (weight - base) % r != 0:
         return None
     # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
-    x, rem = divmod(weight - shape.weight + z.weight, r)
-    assert rem == 0
+    x = (weight - shape.weight + z.weight) // r
     offs = profile.offsets()
     lengths = tuple(x + shape.parts[j] - offs[j] for j in range(r - 1)) + (x,)
     return _trusted(Slice, profile=profile, lengths=lengths)

@@ -64,6 +64,22 @@ class TestBasicCommands:
         code, out = run_cli(capsys, "decompose", "--profile", "1,1,1", "-")
         assert code == 0 and "beta=5^(2,0),1^(2,2)" in out
 
+    @pytest.mark.parametrize("command", ["decompose", "slices", "shrink"])
+    def test_stdin_json_is_json_lines(self, capsys, monkeypatch, command):
+        texts = ["5,4|8,2|7,5,1", "9|1,1|", "3,1|2|2"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(texts) + "\n"))
+        code, out = run_cli(capsys, command, "--profile", "1,1,1", "-",
+                            "--format", "json")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        docs = [json.loads(line) for line in lines]
+        assert [d["schema"] for d in docs] == [1, 1, 1]
+        assert [d["command"] for d in docs] == [command] * 3
+        for text, doc in zip(texts, docs):
+            code, single = run_json(capsys, command, "--profile", "1,1,1", text)
+            assert code == 0 and single == doc
+
 
 class TestStructuredOutput:
     def test_stg_json(self, capsys):
@@ -196,9 +212,13 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_bad_partition_text(self, capsys):
-        assert main(["decompose", "--profile", "1,1,1", "9|1,1|"]) in (0, 2)
-        code = main(["decompose", "--profile", "1,1,1", "1|4|x"])
-        assert code == 2
+        code, out = run_cli(capsys, "decompose", "--profile", "1,1,1", "9|1,1|")
+        assert code == 0
+        assert out == "beta=3^(3,3),1^(3,1) mu=1,1,1,1,1,1,1\n"
+        assert main(["decompose", "--profile", "1,1,1", "1|4|x"]) == 2
+        assert main(["decompose", "--profile", "1,1,1", "1|1,1,1|"]) == 2
+        err = capsys.readouterr().err
+        assert "cylindric inequality violated" in err
 
     @pytest.mark.parametrize("argv", [
         ["functional-eq", "--profile", "1,1,1", "--order", "-1"],

@@ -8,8 +8,9 @@ from cylpart import (LinearRecurrence, Profile, QPoly, Shape,
                      count_distinct_series, diagonal_blocks, distinct_gf,
                      fit_recurrence, matrix_power, path_counts, QuadraticField,
                      shape_of_zero, verify_closed_form)
-from cylpart.diagram import NoRecurrenceFound, solve_residual
+from cylpart.diagram import NoRecurrenceFound, _matmul, solve_residual
 from cylpart.rings import QQ
+from cylpart.slices import slice_shape, successors, zero_slice
 
 from conftest import all_profiles
 
@@ -35,6 +36,27 @@ def laplace_char_poly(mat):
         return total
 
     return det(tuple(range(n)), tuple(range(n)))
+
+
+def slice_dp_path_counts(profile, order):
+    """Independent route: the slice-level dynamic program.  Layer n holds
+    every slice reached by n outer-corner steps from the empty slice, and
+    is then summed by shape."""
+    layer = {zero_slice(profile): 1}
+    totals, by_shape = [], []
+    for n in range(order + 1):
+        if n:
+            nxt = {}
+            for s, cnt in layer.items():
+                for t in successors(s):
+                    nxt[t] = nxt.get(t, 0) + cnt
+            layer = nxt
+        totals.append(sum(layer.values()))
+        shapes = {}
+        for s, cnt in layer.items():
+            shapes[slice_shape(s)] = shapes.get(slice_shape(s), 0) + cnt
+        by_shape.append(tuple(sorted(shapes.items(), key=lambda kv: kv[0].parts)))
+    return tuple(totals), tuple(by_shape)
 
 
 class TestGraph:
@@ -159,6 +181,29 @@ class TestMatrices:
     def test_char_poly_identity_block(self):
         assert char_poly([[1, 0], [0, 1]]) == QPoly((1, -2, 1))  # (x-1)^2
 
+    def test_char_poly_fraction_entries(self):
+        F = Fraction
+        mats = [[[F(1, 2)]], [[F(1, 2), F(1, 3)], [F(2), F(-3, 4)]],
+                [[F(0), F(1, 5), F(2)], [F(-1, 2), F(1), F(0)], [F(3), F(1, 7), F(2, 3)]],
+                [[F(1, 2), 1, 0, F(-1, 3)], [2, F(5, 6), 2, 0], [0, 1, F(1, 4), 1],
+                 [F(7, 2), 0, 1, 0]]]
+        for m in mats:
+            assert char_poly(m) == laplace_char_poly(m)
+        assert char_poly(mats[1]) == QPoly((F(-3, 8) - F(2, 3), F(1, 4), 1))
+
+    def test_cayley_hamilton_on_full_adjacency_matrix(self):
+        _, mat, _ = adjacency_matrix(build_graph(4, 4))
+        n = len(mat)
+        p = char_poly(mat)
+        assert n == 35 and p.degree == n and p.coeffs[-1] == 1
+        assert all(type(c) is int for c in p.coeffs)
+        acc = [[0] * n for _ in range(n)]   # Horner: p(M) = (..(M + c)M + ..) + c_0
+        for c in reversed(p.coeffs):
+            acc = _matmul(acc, mat)
+            for i in range(n):
+                acc[i][i] += c
+        assert acc == [[0] * n for _ in range(n)]
+
 
 class TestPathCounts:
     def test_doubling_family(self):
@@ -195,6 +240,14 @@ class TestPathCounts:
                 seq = table.totals[s::profile.rank]
                 start = rec.order + rec.exceptions
                 assert all(rec.holds_at(seq, n) for n in range(start, len(seq)))
+
+    def test_graph_walk_matches_slice_dp(self):
+        profiles = set(all_profiles(3, 3) + all_profiles(4, 2) + all_profiles(2, 4)
+                       + [Profile.of(level) for level in range(1, 7)])
+        for profile in sorted(profiles, key=lambda p: p.parts):
+            table = path_counts(profile, 14)
+            assert (table.totals, table.by_shape) == \
+                slice_dp_path_counts(profile, 14), profile
 
     def test_start_concentrated_at_zero_shape(self):
         table = path_counts(Profile.of(0, 2, 0), 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpart import QQ, QPoly, QuadElement, QuadraticField, RingMismatch, ZZ, q_binomial
-from cylpart.qpoly import IndexOutOfRange, geometric_sum, poch_poly
+from cylpart.qpoly import IndexOutOfRange, geometric_sum
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 
@@ -25,12 +25,6 @@ class TestQPoly:
         assert p.shift(2) == QPoly((0, 0, 1, 2, 3))
         assert p.subst_power(3) == QPoly((1, 0, 0, 2, 0, 0, 3))
         assert p(2) == 1 + 4 + 12
-
-    def test_exact_division(self):
-        num = QPoly((1, 1)) * QPoly((1, 0, 1))
-        assert num.div_exact(QPoly((1, 1))) == QPoly((1, 0, 1))
-        with pytest.raises(ValueError):
-            QPoly((1, 1, 1)).div_exact(QPoly((1, 1)))
 
     def test_str(self):
         assert str(QPoly((1, 0, 2))) == "1 + 2*q^2"
@@ -62,8 +56,14 @@ class TestQBinomial:
         with pytest.raises(IndexOutOfRange):
             q_binomial(3, -1)
 
-    def test_pochhammer_product(self):
-        assert poch_poly(3) == QPoly((1, -1)) * QPoly((1, 0, -1)) * QPoly((1, 0, 0, -1))
+    def test_times_pochhammer_products(self):
+        """[n, k] (q;q)_k (q;q)_{n-k} = (q;q)_n, with (q;q)_m built here."""
+        poch = [QPoly.one()]
+        for m in range(1, 13):
+            poch.append(poch[-1] * (QPoly.one() - QPoly.monomial(m)))
+        for n in range(13):
+            for k in range(n + 1):
+                assert q_binomial(n, k) * poch[k] * poch[n - k] == poch[n], (n, k)
 
 
 class TestQuadraticField:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
-                     decompose, enumerate_by_weight, expand, recompose,
+                     all_shapes, decompose, enumerate_by_weight, expand, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
                      successors, validate, zero_slice, delta_shapes)
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
@@ -141,6 +141,24 @@ class TestShapesAndSuccessors:
             for shape, w in first_seen.items():
                 assert min_slice_weight(prof, shape) == w
                 assert delta_shapes(shape_of_zero(prof), shape, prof.level) == w
+
+    def test_every_shape_has_a_slice_of_every_admissible_weight(self):
+        """slice_with returns None exactly below the minimal weight or off
+        its residue class mod the rank, and otherwise a slice of the
+        requested shape and weight; so every shape of the family, the
+        graph's nodes, has a representative."""
+        for prof in all_profiles(4, 5):
+            r = prof.rank
+            for shape in all_shapes(r, prof.level):
+                base = min_slice_weight(prof, shape)
+                for w in range(base + 3 * r):
+                    s = slice_with(prof, shape, w)
+                    if w < base or (w - base) % r:
+                        assert s is None, (prof, shape, w)
+                    else:
+                        assert s is not None, (prof, shape, w)
+                        assert (slice_shape(s), s.weight) == (shape, w)
+                        assert s == Slice(prof, s.lengths)
 
 
 class TestShrinkExpand:

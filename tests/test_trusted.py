@@ -249,3 +249,11 @@ class TestModuleBoundaries:
                  if _imports_and_trusted_uses(path.stem)[1]}
         assert "slices" in users and "oracle" in users
         assert users <= {"core", "slices", "bijection", "oracle"}
+
+    def test_no_runtime_self_checks_in_library(self):
+        """Library code states its invariants in tests, not as asserts."""
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name}: assert at lines {lines}"
