@@ -21,16 +21,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   Shape, _trusted)
+                   Shape, _space_columns, _trusted)
 from .slices import (Slice, SliceChain, decompose as slice_decompose,
                      recompose, slice_shape, slice_with)
+
+_new_partition = _trusted(Partition)
+_new_slice = _trusted(Slice)
+_new_chain = _trusted(SliceChain)
 
 
 class InadmissibleBeta(CylpartError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledDistinctPartition:
     """Strictly decreasing weights, each labeled by a shape."""
 
@@ -85,18 +89,7 @@ class LabeledDistinctPartition:
         return cls(tuple(entries))
 
 
-def _space_columns(outer: tuple[int, ...], inner: tuple[int, ...]
-                   ) -> tuple[int, int] | None:
-    """(leftmost, rightmost) absolute columns of the skew space inner->outer,
-    both slices given by their right ends, or None when the space is empty."""
-    lo = hi = None
-    for o, i in zip(outer, inner):
-        if o > i:
-            if lo is None or i < lo:
-                lo = i
-            if hi is None or o > hi:
-                hi = o
-    return None if lo is None else (lo + 1, hi)
+_new_labeled = _trusted(LabeledDistinctPartition)
 
 
 def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
@@ -129,7 +122,7 @@ def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
             for j in range(len(ends) - 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TiledPath:
     """The tiled path: the row lengths of its slice of every weight 0..window."""
 
@@ -146,7 +139,10 @@ class TiledPath:
     def slice_at(self, weight: int) -> Slice:
         # Every entry is a valid slice: checked on construction, or tiled by
         # :func:`tile` one valid box at a time.
-        return _trusted(Slice, profile=self.profile, lengths=self.slices[weight])
+        return _new_slice(self.profile, self.slices[weight])
+
+
+_new_tiled_path = _trusted(TiledPath)
 
 
 def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
@@ -195,7 +191,7 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
                 current[i] += 1
                 path.append(tuple(current))
         col += 1
-    return _trusted(TiledPath, profile=profile, slices=tuple(path))
+    return _new_tiled_path(profile, tuple(path))
 
 
 def pivot_decompose(cp: CylindricPartition
@@ -218,8 +214,8 @@ def pivot_decompose(cp: CylindricPartition
             mu_parts.extend([s.weight] * (mult - 1))
         else:
             mu_parts.extend([s.weight] * mult)
-    return (_trusted(Partition, parts=tuple(mu_parts)),
-            _trusted(LabeledDistinctPartition, entries=tuple(beta_entries)))
+    return (_new_partition(tuple(mu_parts)),
+            _new_labeled(tuple(beta_entries)))
 
 
 def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
@@ -271,7 +267,7 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
     # Path slices of distinct positive weights nest strictly.
     entries = tuple((path.slice_at(w), len(list(run)))
                     for w, run in itertools.groupby(weights))
-    return recompose(_trusted(SliceChain, profile=profile, entries=entries))
+    return recompose(_new_chain(profile, entries))
 
 
 def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:

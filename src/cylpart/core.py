@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -51,20 +51,35 @@ class LevelTooSmall(CylpartError):
     pass
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with the given field
-    values, built without running ``__post_init__``.
+def _trusted(cls):
+    """A positional builder for the slotted frozen dataclass ``cls``: it
+    takes the field values in field order and returns an instance built
+    without running ``__post_init__``.
 
-    Only for values the package builds valid by construction, with every
-    field already of its final type (tuples, not lists); public
-    constructors always validate.
+    Make each builder once, at module level.  Only for values the package
+    builds valid by construction, with every field already of its final
+    type (tuples, not lists); public constructors always validate.
     """
-    obj = object.__new__(cls)
-    # Set attribute by attribute: touching ``obj.__dict__`` would give
-    # every instance its own dict, more than doubling its size.
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+    new = object.__new__
+    # Each field's slot descriptor sets the value past the frozen
+    # ``__setattr__``, with no per-instance ``__dict__`` to fill.
+    setters = [vars(cls)[f.name].__set__ for f in fields(cls)]
+    if len(setters) == 1:
+        (set_a,) = setters
+
+        def build(a):
+            obj = new(cls)
+            set_a(obj, a)
+            return obj
+    else:
+        set_a, set_b = setters
+
+        def build(a, b):
+            obj = new(cls)
+            set_a(obj, a)
+            set_b(obj, b)
+            return obj
+    return build
 
 
 def _conjugate(column: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -88,7 +103,7 @@ def _check_parts(parts: tuple[int, ...]) -> None:
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition: weakly decreasing positive parts."""
 
@@ -122,10 +137,13 @@ class Partition:
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        return _trusted(Partition, parts=_conjugate((p, 1) for p in self.parts))
+        return _new_partition(_conjugate((p, 1) for p in self.parts))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
+
+
+_new_partition = _trusted(Partition)
 
 
 @lru_cache(maxsize=1024)
@@ -172,7 +190,7 @@ class Profile:
         return "c=(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shape:
     """Right-end shape of a slice: weakly decreasing, length rank-1.
 
@@ -212,6 +230,9 @@ class Shape:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+_new_shape = _trusted(Shape)
+
+
 def all_shapes(rank: int, level: int) -> list[Shape]:
     """Every shape of the given rank with parts at most ``level``.
 
@@ -232,7 +253,7 @@ def shape_of_zero(profile: Profile) -> Shape:
     These suffix sums are the row offsets o_1, ..., o_{r-1}, non-negative
     and weakly decreasing.
     """
-    return _trusted(Shape, parts=profile.offsets()[:-1])
+    return _new_shape(profile.offsets()[:-1])
 
 
 def shape_to_profile(shape: Shape, level: int) -> Profile:
@@ -259,6 +280,20 @@ def _delta(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
     + |tau| - |sigma|."""
     worst = max([0, *map(operator.sub, sigma, tau)])
     return (len(sigma) + 1) * worst + sum(tau) - sum(sigma)
+
+
+def _space_columns(outer: tuple[int, ...], inner: tuple[int, ...]
+                   ) -> tuple[int, int] | None:
+    """(leftmost, rightmost) absolute columns of the skew space inner->outer,
+    both slices given by their right ends, or None when the space is empty."""
+    lo = hi = None
+    for o, i in zip(outer, inner):
+        if o > i:
+            if lo is None or i < lo:
+                lo = i
+            if hi is None or o > hi:
+                hi = o
+    return None if lo is None else (lo + 1, hi)
 
 
 def delta(c: Profile, d: Profile) -> int:
@@ -289,7 +324,7 @@ def delta_shapes(sigma: Shape, tau: Shape, level: int) -> int:
     return _delta(sigma.parts, tau.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CylindricPartition:
     """A cylindric partition: profile plus one row per rank.
 
@@ -325,7 +360,7 @@ class CylindricPartition:
             n = max(len(a), len(b))
             rows.append(Partition(tuple(a.part(j) + b.part(j) for j in range(1, n + 1))))
         # Adding two sets of cylindric inequalities gives the sum's.
-        return _trusted(CylindricPartition, profile=self.profile, rows=tuple(rows))
+        return _new_cylindric(self.profile, tuple(rows))
 
     def to_text(self, with_profile: bool = True) -> str:
         body = "|".join(str(row) for row in self.rows)
@@ -341,6 +376,9 @@ class CylindricPartition:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_new_cylindric = _trusted(CylindricPartition)
 
 
 def check_rows(rows: Sequence[tuple[int, ...]], profile: Profile) -> None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .core import CylpartError, Profile, Shape, shape_of_zero
-from .bijection import _space_columns, chain_pivots, pivot_flag
+from .core import CylpartError, Profile, Shape, _space_columns, shape_of_zero
+from .bijection import chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ, ZZ_z

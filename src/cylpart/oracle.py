@@ -21,6 +21,9 @@ from .qpoly import QPoly
 from .series import TruncatedSeries
 from .rings import ZZ, ZZ_z
 
+_new_partition = _trusted(Partition)
+_new_cylindric = _trusted(CylindricPartition)
+
 DEFAULT_WEIGHT_CAP = 30
 
 _Rows = tuple[tuple[int, ...], ...]
@@ -110,8 +113,7 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
     canonical text form) in a fresh list.  ``cap`` guards runaway searches.
     Every hit has passed :func:`core.check_rows`, so none is re-validated.
     """
-    return [_trusted(CylindricPartition, profile=profile, rows=tuple(
-                _trusted(Partition, parts=row) for row in rows))
+    return [_new_cylindric(profile, tuple(map(_new_partition, rows)))
             for rows in sorted(_hits(profile, max_weight, cap), key=_text_order())]
 
 

@@ -20,6 +20,10 @@ from .core import (CylindricPartition, CylpartError, Partition, Profile,
                    RankMismatch, Shape, _conjugate, _delta, _trusted,
                    shape_of_zero)
 
+_new_partition = _trusted(Partition)
+_new_shape = _trusted(Shape)
+_new_cylindric = _trusted(CylindricPartition)
+
 
 class ChainNotDecreasing(CylpartError):
     pass
@@ -37,7 +41,7 @@ class NotMultipleOfRank(CylpartError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
     profile: Profile
     lengths: tuple[int, ...]
@@ -82,6 +86,9 @@ class Slice:
         return f"{self.profile} [{','.join(str(v) for v in self.lengths)}]"
 
 
+_new_slice = _trusted(Slice)
+
+
 def zero_slice(profile: Profile) -> Slice:
     return Slice(profile, (0,) * profile.rank)
 
@@ -90,7 +97,7 @@ def slice_shape(s: Slice) -> Shape:
     """Right-end shape: (e_1 - e_r, ..., e_{r-1} - e_r)."""
     e = s.right_ends()
     # The right ends of a valid slice weakly decrease down the rows.
-    return _trusted(Shape, parts=tuple(v - e[-1] for v in e[:-1]))
+    return _new_shape(tuple(v - e[-1] for v in e[:-1]))
 
 
 def min_slice_weight(profile: Profile, shape: Shape) -> int:
@@ -120,7 +127,7 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     x = (weight - shape.weight + z.weight) // r
     offs = profile.offsets()
     lengths = tuple(x + shape.parts[j] - offs[j] for j in range(r - 1)) + (x,)
-    return _trusted(Slice, profile=profile, lengths=lengths)
+    return _new_slice(profile, lengths)
 
 
 def successors(s: Slice) -> list[Slice]:
@@ -131,12 +138,11 @@ def successors(s: Slice) -> list[Slice]:
     and the grown slices are valid by construction.
     """
     ln, c = s.lengths, s.profile.parts
-    return [_trusted(Slice, profile=s.profile,
-                     lengths=ln[:i] + (ln[i] + 1,) + ln[i + 1:])
+    return [_new_slice(s.profile, ln[:i] + (ln[i] + 1,) + ln[i + 1:])
             for i in range(len(ln)) if ln[i] < ln[i - 1] + c[i]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceChain:
     """A weakly decreasing chain of nonzero slices, largest first."""
 
@@ -177,6 +183,9 @@ class SliceChain:
                            for s, mult in self.entries)
 
 
+_new_chain = _trusted(SliceChain)
+
+
 def decompose(cp: CylindricPartition) -> SliceChain:
     """Peel a cylindric partition into its slice chain, largest slice first.
 
@@ -188,10 +197,10 @@ def decompose(cp: CylindricPartition) -> SliceChain:
     profile = cp.profile
     columns = [row.conjugate().parts for row in cp.rows]
     entries = tuple(
-        (_trusted(Slice, profile=profile, lengths=lengths), len(list(run)))
+        (_new_slice(profile, lengths), len(list(run)))
         for lengths, run in itertools.groupby(
             itertools.zip_longest(*columns, fillvalue=0)))
-    return _trusted(SliceChain, profile=profile, entries=entries)
+    return _new_chain(profile, entries)
 
 
 def recompose(chain: SliceChain) -> CylindricPartition:
@@ -201,10 +210,10 @@ def recompose(chain: SliceChain) -> CylindricPartition:
     distinct slice counted with its multiplicity.
     """
     rows = tuple(
-        _trusted(Partition, parts=_conjugate((s.lengths[i], mult)
-                                             for s, mult in chain.entries))
+        _new_partition(_conjugate((s.lengths[i], mult)
+                                  for s, mult in chain.entries))
         for i in range(chain.profile.rank))
-    return _trusted(CylindricPartition, profile=chain.profile, rows=rows)
+    return _new_cylindric(chain.profile, rows)
 
 
 class ShrinkMode(enum.Enum):
@@ -267,12 +276,12 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     for (s, mult), gap in zip(reversed(runs), reversed(gaps)):
         shift += gap
         side_parts.extend([r * j] * gap)
-        tight.extend([_trusted(Slice, profile=s.profile, lengths=tuple(
+        tight.extend([_new_slice(s.profile, tuple(
             v - shift for v in s.lengths))] * mult)
         j -= mult
     tight.reverse()
     # Parts r*j are added with j decreasing.
-    return tight, _trusted(Partition, parts=tuple(side_parts))
+    return tight, _new_partition(tuple(side_parts))
 
 
 def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
@@ -310,8 +319,7 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
         s = slices[j - 1]
         if mult[j] or s is not last:
             shift += mult[j]
-            grown = _trusted(Slice, profile=s.profile, lengths=tuple(
-                v + shift for v in s.lengths))
+            grown = _new_slice(s.profile, tuple(v + shift for v in s.lengths))
             last = s
         out.append(grown)
     out.reverse()

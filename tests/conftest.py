@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cylpart import Profile
+from cylpart import CylindricPartition, Profile, enumerate_by_weight
 
 
 def all_profiles(max_rank: int, max_level: int) -> list[Profile]:
@@ -19,3 +19,11 @@ def all_profiles(max_rank: int, max_level: int) -> list[Profile]:
 @pytest.fixture(scope="session")
 def small_profiles() -> list[Profile]:
     return all_profiles(3, 3)
+
+
+@pytest.fixture(scope="session")
+def small_enumerations(small_profiles) -> dict[Profile, list[CylindricPartition]]:
+    """Every cylindric partition of weight <= 12 for each small profile,
+    enumerated once per session; the values are immutable, so tests share
+    them."""
+    return {prof: enumerate_by_weight(prof, 12) for prof in small_profiles}

@@ -57,9 +57,9 @@ class TestDecompose:
         assert chain.length == 0
         assert recompose(chain) == cp
 
-    def test_roundtrip_over_enumeration(self, small_profiles):
-        for prof in small_profiles:
-            for cp in enumerate_by_weight(prof, 12):
+    def test_roundtrip_over_enumeration(self, small_enumerations):
+        for prof, partitions in small_enumerations.items():
+            for cp in partitions:
                 chain = decompose(cp)
                 assert recompose(chain) == cp
                 assert chain.weight == cp.weight

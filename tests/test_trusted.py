@@ -3,8 +3,12 @@ ones, the linear shrink/expand must match the quadratic definition, and
 public constructors must keep rejecting bad input."""
 
 import ast
+import copy
+import dataclasses
+import importlib
 import itertools
 import pathlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +18,11 @@ import cylpart
 from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
                      Profile, RowCountMismatch, Shape, ShrinkMode, Slice,
                      SliceChain, TiledPath, ViolatedInequality,
-                     decompose, enumerate_by_weight, expand, parse_cylindric,
+                     decompose, expand, parse_cylindric,
                      pivot_decompose, recompose,
                      shape_of_zero, shrink, slice_shape, successors, tile,
                      validate, zero_slice)
-from cylpart.bijection import _space_columns
+from cylpart.core import _space_columns
 from cylpart.cli import main
 from cylpart.slices import ChainNotDecreasing, ChainNotStrict
 
@@ -29,12 +33,12 @@ SRC = pathlib.Path(cylpart.__file__).parent
 
 
 class TestTrustedValuesAreValid:
-    def test_over_enumeration(self, small_profiles):
-        for prof in small_profiles:
+    def test_over_enumeration(self, small_enumerations):
+        for prof, partitions in small_enumerations.items():
             zero_shape = shape_of_zero(prof)
             assert zero_shape == Shape(zero_shape.parts)
             built = set()   # every slice built, each validated once below
-            for cp in enumerate_by_weight(prof, 12):
+            for cp in partitions:
                 checked = validate(tuple(Partition(row.parts) for row in cp.rows), prof)
                 assert cp == checked
                 chain = decompose(cp)
@@ -214,6 +218,70 @@ class TestPublicConstructorsValidate:
         assert main(["decompose", "--profile", "1,1,1", "1|5,5|"]) == 2
 
 
+CP = parse_cylindric("5,3,1|4,2|3,3,1", P111)
+
+
+def _library_and_constructor_built():
+    """For each slotted value class: (an instance the library builds on the
+    trusted path, an equal one from the validating constructor, a field
+    value that constructor rejects, the error it raises)."""
+    chain = decompose(CP)
+    mu, beta = pivot_decompose(CP)
+    path = tile(P111, chain.distinct(), 20)
+    lengths = chain.distinct()[0].lengths
+    return {
+        "Partition": (mu, Partition(mu.parts), {"parts": (1, 2)}, ValueError),
+        "Shape": (shape_of_zero(P111), Shape.of(2, 1), {"parts": (1, 2)},
+                  ValueError),
+        "CylindricPartition": (
+            recompose(chain), CylindricPartition(P111, CP.rows),
+            {"rows": (Partition.of(1),)}, RowCountMismatch),
+        "Slice": (chain.distinct()[0], Slice(P111, lengths),
+                  {"lengths": (3, 0, 0)}, ValueError),
+        "SliceChain": (chain, SliceChain(P111, chain.entries),
+                       {"entries": chain.entries[::-1]}, ChainNotDecreasing),
+        "TiledPath": (path, TiledPath(P111, path.slices),
+                      {"slices": ((5, 0, 0),)}, ValueError),
+        "LabeledDistinctPartition": (
+            beta, LabeledDistinctPartition(beta.entries),
+            {"entries": beta.entries[::-1]}, ValueError),
+    }
+
+
+SLOTTED = _library_and_constructor_built()
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+class TestSlottedValues:
+    def test_library_built_equals_constructor_built(self, name):
+        built, checked, _, _ = SLOTTED[name]
+        assert type(built) is type(checked) and type(built).__name__ == name
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+
+    def test_no_instance_dict(self, name):
+        for value in SLOTTED[name][:2]:
+            assert not hasattr(value, "__dict__")
+
+    def test_frozen(self, name):
+        for value in SLOTTED[name][:2]:
+            field = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, getattr(value, field))
+
+    def test_deepcopy_and_pickle(self, name):
+        for value in SLOTTED[name][:2]:
+            for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin is not value
+                assert type(twin) is type(value) and twin == value
+                assert hash(twin) == hash(value)
+
+    def test_replace_validates(self, name):
+        built, _, bad, error = SLOTTED[name]
+        with pytest.raises(error):
+            dataclasses.replace(built, **bad)
+
+
 def _imports_and_trusted_uses(module: str) -> tuple[set[str], int]:
     """Package modules ``module`` imports from (``cylpart`` for the package
     itself), and how often it imports or names ``_trusted`` outside its
@@ -249,6 +317,36 @@ class TestModuleBoundaries:
                  if _imports_and_trusted_uses(path.stem)[1]}
         assert "slices" in users and "oracle" in users
         assert users <= {"core", "slices", "bijection", "oracle"}
+
+    def test_builders_made_once_at_import(self):
+        """Every ``_trusted`` call is a module-level assignment of one
+        private builder from one slotted class, so no value pays for making
+        its builder; no module imports another module's builder."""
+        builders = set()
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+        for module, tree in trees.items():
+            assigned = {id(node.value): node.targets for node in tree.body
+                        if isinstance(node, ast.Assign)}
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and
+                        isinstance(node.func, ast.Name) and node.func.id == "_trusted"):
+                    continue
+                where = f"{module}.py line {node.lineno}"
+                assert id(node) in assigned, f"{where}: _trusted called below module level"
+                (target,) = assigned[id(node)]
+                assert isinstance(target, ast.Name) and target.id.startswith("_"), where
+                builders.add(target.id)
+                assert len(node.args) == 1 and not node.keywords, where
+                assert isinstance(node.args[0], ast.Name), where
+                cls = getattr(importlib.import_module(f"cylpart.{module}"),
+                              node.args[0].id)
+                assert isinstance(cls, type) and "__slots__" in vars(cls), where
+        assert len(builders) >= 7
+        for module, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert not {alias.name for alias in node.names} & builders, module
 
     def test_no_runtime_self_checks_in_library(self):
         """Library code states its invariants in tests, not as asserts."""
