@@ -16,15 +16,18 @@ strings.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import random
 import sys
-from fractions import Fraction
 
-from . import bijection, core, diagram, lineups, oracle, polynomials, series
+# ``import cylpart`` loads only core and slices; every other module is
+# reached through the package, which imports it on first access.
+import cylpart
+
+from . import core
 from .core import Partition, Profile, parse_cylindric, parse_profile
-from .rings import QQ, QuadraticField
-from .slices import ShrinkMode, decompose as slice_decompose, shrink, slice_shape
+from .slices import (ShrinkMode, decompose as slice_decompose, expand, recompose,
+                     shrink, slice_shape)
 
 SCHEMA = 1
 
@@ -62,7 +65,7 @@ def _partitions_from(args) -> list[core.CylindricPartition]:
 
 def cmd_enumerate(args) -> int:
     profile = parse_profile(args.profile)
-    found = oracle.enumerate_by_weight(profile, args.order)
+    found = cylpart.oracle.enumerate_by_weight(profile, args.order)
     lines = [cp.to_text() for cp in found]
     _emit(args, {"command": "enumerate", "profile": list(profile.parts),
                  "order": args.order, "partitions": lines},
@@ -71,18 +74,18 @@ def cmd_enumerate(args) -> int:
 
 
 # Each series subcommand names the (module, function) that builds its
-# series from (profile, order).  The function is looked up when the command
-# runs, so wrappers installed later on the module (the benchmark's tracer)
-# see every call.
-_SERIES_COMMANDS = {"count": (oracle, "count_series"),
-                    "borodin": (series, "borodin_product"),
-                    "distinct-gf": (diagram, "distinct_gf")}
+# series from (profile, order).  Both are looked up when the command runs,
+# so only that module is loaded, and wrappers installed later on the module
+# (the benchmark's tracer) see every call.
+_SERIES_COMMANDS = {"count": ("oracle", "count_series"),
+                    "borodin": ("series", "borodin_product"),
+                    "distinct-gf": ("diagram", "distinct_gf")}
 
 
 def cmd_series(args) -> int:
     profile = parse_profile(args.profile)
     module, name = _SERIES_COMMANDS[args.command]
-    ts = getattr(module, name)(profile, args.order)
+    ts = getattr(getattr(cylpart, module), name)(profile, args.order)
     _emit(args, {"command": args.command, "profile": list(profile.parts),
                  **ts.to_json()},
           [str(ts)], [[i, c] for i, c in enumerate(ts.coeffs)])
@@ -91,7 +94,7 @@ def cmd_series(args) -> int:
 
 def cmd_decompose(args) -> int:
     for cp in _partitions_from(args):
-        mu, beta = bijection.pivot_decompose(cp)
+        mu, beta = cylpart.bijection.pivot_decompose(cp)
         line = f"beta={beta.to_text() or '-'} mu={mu or '-'}"
         _emit_each(args, {"command": "decompose", "input": cp.to_json(),
                           "beta": beta.to_text(), "mu": [str(p) for p in mu.parts]},
@@ -101,10 +104,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     profile = parse_profile(args.profile)
-    beta = bijection.LabeledDistinctPartition.parse(args.beta or "")
+    beta = cylpart.bijection.LabeledDistinctPartition.parse(args.beta or "")
     mu_parts = tuple(int(p) for p in args.mu.split(",") if p.strip()) if args.mu else ()
     mu = Partition(tuple(sorted(mu_parts, reverse=True)))
-    cp = bijection.pivot_reconstruct(mu, beta, profile)
+    cp = cylpart.bijection.pivot_reconstruct(mu, beta, profile)
     _emit(args, {"command": "reconstruct", "result": cp.to_json()}, [cp.to_text()])
     return 0
 
@@ -138,22 +141,29 @@ def cmd_shrink(args) -> int:
 
 def cmd_stg(args) -> int:
     profile = parse_profile(args.profile) if args.profile else None
+    if profile is not None:
+        for flag, given, own in (("rank", args.rank, profile.rank),
+                                 ("level", args.level, profile.level)):
+            if given is not None and given != own:
+                print(f"stg: --{flag} {given} disagrees with the {flag} {own} "
+                      f"of profile {args.profile}", file=sys.stderr)
+                return 2
     rank = profile.rank if profile else args.rank
     level = profile.level if profile else args.level
     if rank is None or level is None:
         print("stg needs --profile or both --rank and --level", file=sys.stderr)
         return 2
-    graph = diagram.build_graph(rank, level, profile)
-    order, mat, sizes = diagram.adjacency_matrix(graph)
-    power = diagram.matrix_power(mat, rank)
-    blocks = diagram.diagonal_blocks(power, sizes)
+    graph = cylpart.diagram.build_graph(rank, level, profile)
+    order, mat, sizes = cylpart.diagram.adjacency_matrix(graph)
+    power = cylpart.diagram.matrix_power(mat, rank)
+    blocks = cylpart.diagram.diagonal_blocks(power, sizes)
     payload = {
         "command": "stg", "rank": rank, "level": level,
         "nodes": [list(s.parts) for s in order],
         "class_sizes": sizes,
         "adjacency": mat,
         "rank_power_blocks": blocks,
-        "block_char_polys": [[str(c) for c in diagram.char_poly(b).coeffs]
+        "block_char_polys": [[str(c) for c in cylpart.diagram.char_poly(b).coeffs]
                              for b in blocks],
     }
     _emit(args, payload, [graph.to_adjacency_text()])
@@ -162,7 +172,7 @@ def cmd_stg(args) -> int:
 
 def cmd_path_counts(args) -> int:
     profile = parse_profile(args.profile)
-    table = diagram.path_counts(profile, args.order)
+    table = cylpart.diagram.path_counts(profile, args.order)
     lines = [f"a_{n} = {v}" for n, v in enumerate(table.totals)]
     _emit(args, {"command": "path-counts", "profile": list(profile.parts),
                  "totals": [str(v) for v in table.totals],
@@ -174,6 +184,8 @@ def cmd_path_counts(args) -> int:
 
 def builtin_closed_form(profile: Profile):
     """The worked closed forms: residual polynomial plus weighted products."""
+    from fractions import Fraction
+    QQ, QuadraticField = cylpart.rings.QQ, cylpart.rings.QuadraticField
     key = profile.parts
     if key == (1, 1, 1):
         return QQ, [(Fraction(3, 2), 2, 0)], [Fraction(-1, 2)]
@@ -198,8 +210,8 @@ def cmd_verify_closed_form(args) -> int:
               f"known profiles: 1,1,1  2,0,0  4,0", file=sys.stderr)
         return 2
     ring, combination, residual = preset
-    report = diagram.verify_closed_form(profile, combination, residual,
-                                        args.order, ring=ring)
+    report = cylpart.diagram.verify_closed_form(profile, combination, residual,
+                                                args.order, ring=ring)
     _emit(args, {"command": "verify-closed-form", "profile": list(profile.parts),
                  "ok": report.ok and report.irrational_ok,
                  "first_mismatch": report.first_mismatch},
@@ -220,7 +232,7 @@ def cmd_poly(args) -> int:
     method = _POLY_KINDS[args.kind]
     rows = None
     if args.format == "csv":
-        fam = polynomials.family(profile.rank, profile.level)
+        fam = cylpart.polynomials.family(profile.rank, profile.level)
         rows = [["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]]
         for n in range(args.n + 1):
             for sh in fam.shapes:
@@ -228,7 +240,7 @@ def cmd_poly(args) -> int:
                 mn = min(poly.coeffs) if poly.coeffs else 0
                 rows.append([profile.rank, profile.level, n,
                              f"({'-'.join(map(str, sh.parts))})", poly(1), mn])
-    poly = getattr(polynomials, f"{method}_poly")(profile, args.n)
+    poly = getattr(cylpart.polynomials, f"{method}_poly")(profile, args.n)
     _emit(args, {"command": f"poly {args.kind}", "profile": list(profile.parts),
                  "n": args.n, "coeffs": [str(c) for c in poly.coeffs]},
           [f"{args.kind}[n={args.n}] = {poly}"], rows)
@@ -237,7 +249,7 @@ def cmd_poly(args) -> int:
 
 def cmd_functional_eq(args) -> int:
     profile = parse_profile(args.profile)
-    ok, detail = polynomials.check_functional_equation(profile, args.order)
+    ok, detail = cylpart.polynomials.check_functional_equation(profile, args.order)
     _emit(args, {"command": "functional-eq", "profile": list(profile.parts),
                  "order": args.order, "ok": ok, "detail": detail},
           [detail])
@@ -247,9 +259,9 @@ def cmd_functional_eq(args) -> int:
 def cmd_lineups(args) -> int:
     profile = parse_profile(args.profile)
     if args.kind == "mll":
-        found = lineups.enumerate_minimal_loose(args.n, profile)
+        found = cylpart.lineups.enumerate_minimal_loose(args.n, profile)
     else:
-        found = lineups.enumerate_minimal_jammed(args.n, profile)
+        found = cylpart.lineups.enumerate_minimal_jammed(args.n, profile)
     lines = [l.to_text() for l in found]
     _emit(args, {"command": "lineups", "profile": list(profile.parts),
                  "kind": args.kind, "n": args.n, "lineups": lines},
@@ -259,7 +271,7 @@ def cmd_lineups(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     profile = parse_profile(args.profile)
-    report = lineups.lemma_check(args.n, profile, args.order)
+    report = cylpart.lineups.lemma_check(args.n, profile, args.order)
     _emit(args, {"command": "lemma-check", "profile": list(profile.parts),
                  "n": args.n, "order": args.order, "ok": report.ok},
           [str(report)])
@@ -268,7 +280,7 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_qconj_check(args) -> int:
     profile = parse_profile(args.profile)
-    report = lineups.qconj_genfunc_check(profile, args.order, args.n)
+    report = cylpart.lineups.qconj_genfunc_check(profile, args.order, args.n)
     _emit(args, {"command": "qconj-check", "profile": list(profile.parts),
                  "n_max": args.n, "order": args.order, "ok": report.ok},
           [str(report)])
@@ -277,9 +289,10 @@ def cmd_qconj_check(args) -> int:
 
 def _verify_all_tasks(profile: Profile, order: int, seed: int):
     """(name, callable) pairs; each callable returns (ok, detail)."""
+    import random
     rng = random.Random(seed)
     # The round-trip checks only read this pool, so they share one list.
-    pool = oracle.enumerate_by_weight(profile, min(order, 10))
+    pool = cylpart.oracle.enumerate_by_weight(profile, min(order, 10))
 
     def sample(items, k):
         return items if len(items) <= k else rng.sample(items, k)
@@ -291,21 +304,22 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
     tight_sample = sample([cp for cp in pool if not cp.is_empty], 300)
 
     def borodin_vs_oracle():
-        a = oracle.count_series(profile, order)
-        b = series.borodin_product(profile, order)
+        a = cylpart.oracle.count_series(profile, order)
+        b = cylpart.series.borodin_product(profile, order)
         work = f"the oracle enumerated {sum(a.coeffs)} partitions up to q^{order}"
-        bad = series.first_mismatch(a.coeffs, b.coeffs)
+        bad = cylpart.series.first_mismatch(a.coeffs, b.coeffs)
         if bad is None:
             return True, f"counts match the infinite product; {work}"
         k, x, y = bad
         return False, f"first mismatch at q^{k}: oracle {x} vs product {y}; {work}"
 
     def distinct_vs_oracle():
-        a = oracle.count_distinct_series(profile, order)
-        b = diagram.distinct_gf(profile, order)
-        work = (f"the oracle enumerated {sum(oracle.count_series(profile, order).coeffs)} "
-                f"partitions up to q^{order}, {sum(a.coeffs)} into distinct parts")
-        bad = series.first_mismatch(a.coeffs, b.coeffs)
+        a = cylpart.oracle.count_distinct_series(profile, order)
+        b = cylpart.diagram.distinct_gf(profile, order)
+        total = sum(cylpart.oracle.count_series(profile, order).coeffs)
+        work = (f"the oracle enumerated {total} partitions up to q^{order}, "
+                f"{sum(a.coeffs)} into distinct parts")
+        bad = cylpart.series.first_mismatch(a.coeffs, b.coeffs)
         if bad is None:
             return True, f"distinct-part counts match the path-count series; {work}"
         k, x, y = bad
@@ -313,20 +327,18 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
 
     def bijection_roundtrip():
         for cp in pivot_sample:
-            mu, beta = bijection.pivot_decompose(cp)
-            if bijection.pivot_reconstruct(mu, beta, profile) != cp:
+            mu, beta = cylpart.bijection.pivot_decompose(cp)
+            if cylpart.bijection.pivot_reconstruct(mu, beta, profile) != cp:
                 return False, f"roundtrip broke on {cp.to_text()}"
         return True, f"pivot roundtrip on {len(pivot_sample)} partitions"
 
     def slices_roundtrip():
-        from .slices import recompose
         for cp in slice_sample:
             if recompose(slice_decompose(cp)) != cp:
                 return False, f"slice roundtrip broke on {cp.to_text()}"
         return True, f"slice roundtrip on {len(slice_sample)} partitions"
 
     def tight_packing_roundtrip():
-        from .slices import expand
         for cp in tight_sample:
             chain = slice_decompose(cp)
             for mode in ShrinkMode:
@@ -342,12 +354,12 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
     def bounded_polys():
         for n in range(min(4, order) + 1):
             for label, poly_series, count in (
-                    (f"parts<= {n}", polynomials.parts_at_most_series,
-                     oracle.count_max_at_most),
-                    (f"largest={n}", polynomials.largest_part_exact_series,
-                     oracle.count_max_exactly)):
-                bad = series.first_mismatch(poly_series(profile, n, order).coeffs,
-                                            count(profile, n, order).coeffs)
+                    (f"parts<= {n}", cylpart.polynomials.parts_at_most_series,
+                     cylpart.oracle.count_max_at_most),
+                    (f"largest={n}", cylpart.polynomials.largest_part_exact_series,
+                     cylpart.oracle.count_max_exactly)):
+                bad = cylpart.series.first_mismatch(poly_series(profile, n, order).coeffs,
+                                                    count(profile, n, order).coeffs)
                 if bad is not None:
                     k, x, y = bad
                     return False, (f"{label} numerator mismatch at q^{k}: "
@@ -355,31 +367,32 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         return True, "bounded-part numerators match the oracle"
 
     def two_variable():
-        F = polynomials.f_truncated(profile, order)
-        bad = series.first_mismatch(series.at_z_one(F).coeffs,
-                                    series.borodin_product(profile, order).coeffs)
+        F = cylpart.polynomials.f_truncated(profile, order)
+        bad = cylpart.series.first_mismatch(
+            cylpart.series.at_z_one(F).coeffs,
+            cylpart.series.borodin_product(profile, order).coeffs)
         if bad is not None:
             k, x, y = bad
             return False, (f"z=1 specialization disagrees with the product at q^{k}: "
                            f"series {x} vs product {y}")
-        bad = series.first_mismatch(F.coeffs,
-                                    oracle.count_bivariate(profile, order).coeffs)
+        bad = cylpart.series.first_mismatch(
+            F.coeffs, cylpart.oracle.count_bivariate(profile, order).coeffs)
         if bad is not None:
             k, x, y = bad
-            m, a, b = series.first_mismatch(x.coeffs, y.coeffs)
+            m, a, b = cylpart.series.first_mismatch(x.coeffs, y.coeffs)
             return False, (f"largest-part refinement disagrees with the oracle at "
                            f"q^{k} z^{m}: series {a} vs oracle {b}")
         return True, "two-variable series matches oracle and product"
 
     def functional_eq():
-        return polynomials.check_functional_equation(profile, min(order, 10))
+        return cylpart.polynomials.check_functional_equation(profile, min(order, 10))
 
     def lemma():
-        rep = lineups.lemma_check(2, profile, min(order, 12))
+        rep = cylpart.lineups.lemma_check(2, profile, min(order, 12))
         return rep.ok, str(rep)
 
     def qconj():
-        rep = lineups.qconj_genfunc_check(profile, min(order, 10), 2)
+        rep = cylpart.lineups.qconj_genfunc_check(profile, min(order, 10), 2)
         return rep.ok, str(rep)
 
     return [
@@ -426,6 +439,23 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+# The cylpart modules each subcommand's handler reaches, beyond core and
+# slices, which ``import cylpart`` always loads.  ``main`` imports them
+# before the handler runs, in the main thread, so the ``--jobs`` pool of
+# ``verify-all`` never imports anything.
+_MODULES = {
+    "enumerate": ("oracle",), "count": ("oracle",), "borodin": ("series",),
+    "decompose": ("bijection",), "reconstruct": ("bijection",),
+    "slices": (), "shrink": (),
+    "stg": ("diagram",), "path-counts": ("diagram",), "distinct-gf": ("diagram",),
+    "verify-closed-form": ("diagram", "rings"),
+    "poly": ("polynomials",), "functional-eq": ("polynomials",),
+    "lineups": ("lineups",), "lemma-check": ("lineups",), "qconj-check": ("lineups",),
+    "verify-all": ("bijection", "diagram", "lineups", "oracle", "polynomials",
+                   "series"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,6 +548,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _MODULES[args.command]:
+            importlib.import_module(f"cylpart.{name}")
         return args.fn(args)
     except (core.CylpartError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

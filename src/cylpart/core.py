@@ -140,7 +140,7 @@ class Partition:
         return _new_partition(_conjugate((p, 1) for p in self.parts))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
 
 _new_partition = _trusted(Partition)
@@ -187,7 +187,7 @@ class Profile:
         return self._offsets
 
     def __str__(self) -> str:
-        return "c=(" + ",".join(str(p) for p in self.parts) + ")"
+        return "c=(" + ",".join(map(str, self.parts)) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +227,7 @@ class Shape:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self.parts)) + ")"
 
 
 _new_shape = _trusted(Shape)
@@ -363,7 +363,7 @@ class CylindricPartition:
         return _new_cylindric(self.profile, tuple(rows))
 
     def to_text(self, with_profile: bool = True) -> str:
-        body = "|".join(str(row) for row in self.rows)
+        body = "|".join(map(str, self.rows))
         return f"{self.profile} {body}" if with_profile else body
 
     def to_json(self) -> dict:

@@ -71,7 +71,7 @@ class Lineup:
     def to_text(self) -> str:
         body = ",".join(f"{s.weight}^{sh}" for s, sh in
                         zip(reversed(self.slices), reversed(self.labels)))
-        iota = "{" + ",".join(str(j) for j in sorted(self.iota)) + "}"
+        iota = "{" + ",".join(map(str, sorted(self.iota))) + "}"
         return f"{body} iota={iota} class={self.classification}"
 
     def __str__(self) -> str:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from cylpart import Profile, cli, diagram, lineups, oracle, polynomials, series
+from cylpart import (Profile, bijection, cli, diagram, lineups, oracle, polynomials,
+                     series)
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
@@ -180,12 +181,18 @@ class TestVerificationCommands:
                         "--order", "8", "--jobs", "3", "--seed", "3")
         assert a == b
 
+    def test_verify_all_text_identical_across_jobs(self, capsys):
+        argv = ["verify-all", "--profile", "1,1,1", "--order", "10"]
+        one = run_cli(capsys, *argv, "--jobs", "1")
+        two = run_cli(capsys, *argv, "--jobs", "2")
+        assert one[0] == 0 and one == two
+
     def test_round_trip_samples_do_not_depend_on_check_order(self, monkeypatch):
         # Record the partitions each round-trip check decomposes, running the
         # checks in two orders; the seed alone must fix every check's sample.
         seen = []
-        pivot, slices = cli.bijection.pivot_decompose, cli.slice_decompose
-        monkeypatch.setattr(cli.bijection, "pivot_decompose",
+        pivot, slices = bijection.pivot_decompose, cli.slice_decompose
+        monkeypatch.setattr(bijection, "pivot_decompose",
                             lambda cp: (seen.append(cp), pivot(cp))[1])
         monkeypatch.setattr(cli, "slice_decompose",
                             lambda cp: (seen.append(cp), slices(cp))[1])
@@ -229,6 +236,17 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank", "3", "--level", "3"], "--rank 3 disagrees with the rank 2"),
+        (["--level", "4"], "--level 4 disagrees with the level 3")])
+    def test_stg_flags_must_match_profile(self, capsys, flags, message):
+        assert main(["stg", "--profile", "2,1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        code, _ = run_cli(capsys, "stg", "--profile", "2,1", "--rank", "2",
+                          "--level", "3")
+        assert code == 0
 
     def test_invalid_partition_rejected(self, capsys):
         # top row must dominate the shifted second row: 1 >= 5 fails

@@ -1,0 +1,120 @@
+"""What ``import cylpart`` and each subcommand load, read in fresh
+interpreters, and the public names the lazy package namespace resolves."""
+
+import argparse
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cylpart
+from cylpart import cli
+
+SRC = str(Path(cylpart.__file__).resolve().parent.parent)
+
+# Runs one subcommand as ``python -m cylpart`` does, with its stdout dropped.
+RUN_COMMAND = """
+import contextlib, io, runpy, sys
+sys.argv = ["cylpart", *{argv!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("cylpart", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+"""
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The cylpart modules loaded once ``code`` has run in a fresh interpreter."""
+    report = ("\nimport sys\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cylpart'))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code + report], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_import_loads_core_and_slices_only():
+    assert loaded_modules("import cylpart") == \
+        {"cylpart", "cylpart.core", "cylpart.slices"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["borodin", "--profile", "2,1", "--order", "6"],
+    ["poly", "P", "--profile", "2,1", "--n", "2"],
+    ["path-counts", "--profile", "1,1,1", "--order", "6"]])
+def test_subcommand_loads_its_table_closure(argv):
+    closure = loaded_modules(
+        "\n".join(f"import cylpart.{name}" for name in cli._MODULES[argv[0]]))
+    assert loaded_modules(RUN_COMMAND.format(argv=argv)) == closure | {"cylpart.cli"}
+
+
+def test_table_keys_are_the_subcommands():
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    assert set(cli._MODULES) == set(subparsers.choices)
+
+
+# Every public name the package exported when it imported all its modules
+# eagerly, by defining module.
+EXPORTED = {
+    "core": ["CylindricPartition", "CylpartError", "Partition", "Profile",
+             "RankMismatch", "RowCountMismatch", "Shape", "ViolatedInequality",
+             "all_shapes", "delta", "delta_shapes", "empty_partition",
+             "parse_cylindric", "parse_profile", "shape_of_zero",
+             "shape_to_profile", "validate"],
+    "qpoly": ["QPoly", "q_binomial"],
+    "rings": ["QQ", "QuadElement", "QuadraticField", "Ring", "RingMismatch", "ZZ",
+              "ZZ_z"],
+    "series": ["TruncatedSeries", "at_z_one", "borodin_product", "euler_distinct",
+               "euler_sum", "product_inv_factors"],
+    "oracle": ["count_bivariate", "count_distinct_series", "count_series",
+               "enumerate_by_weight"],
+    "slices": ["Slice", "SliceChain", "ShrinkMode", "decompose", "expand",
+               "recompose", "shrink", "slice_shape", "slice_with", "successors",
+               "zero_slice"],
+    "bijection": ["LabeledDistinctPartition", "TiledPath", "pivot_decompose",
+                  "pivot_reconstruct", "tile", "validate_beta",
+                  "validate_beta_rank2"],
+    "diagram": ["ClosedFormReport", "LinearRecurrence", "PathCountTable",
+                "ShapeTransitionGraph", "adjacency_matrix", "build_graph",
+                "char_poly", "diagonal_blocks", "distinct_gf", "fit_recurrence",
+                "matrix_power", "path_counts", "solve_residual",
+                "verify_closed_form"],
+    "polynomials": ["PolynomialFamily", "check_functional_equation", "family",
+                    "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
+                    "pivot_corrected_poly", "pivot_lineup_poly"],
+    "lineups": ["Lineup", "classify", "enumerate_minimal_jammed",
+                "enumerate_minimal_loose", "lemma_check", "pivot_chain_gf",
+                "potential_pivot_shapes", "qconj_genfunc_check"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_exported_names_resolve_to_their_definitions(module):
+    defining = importlib.import_module(f"cylpart.{module}")
+    assert getattr(cylpart, module) is defining
+    for name in EXPORTED[module]:
+        namespace = {}
+        exec(f"from cylpart import {name}", namespace)
+        assert namespace[name] is getattr(defining, name), name
+        assert name in dir(cylpart), name
+
+
+def test_star_import_gives_every_name_and_module():
+    namespace = {}
+    exec("from cylpart import *", namespace)
+    for module, names in EXPORTED.items():
+        assert namespace[module] is importlib.import_module(f"cylpart.{module}")
+        for name in names:
+            assert namespace[name] is getattr(namespace[module], name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cylpart.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cylpart import no_such_name", {})
