@@ -7,7 +7,9 @@ slots into CI pipelines.  Exit codes:
 * 1 -- a verification subcommand found a mismatch (naming the first bad
   coefficient with both values);
 * 2 -- usage error: bad arguments, malformed input or an invalid partition;
-* 3 -- internal error: any other exception, reported on one stderr line.
+* 3 -- internal error: any other exception, reported on one stderr line;
+* 141 -- the reader closed stdout early (128 + SIGPIPE, as a shell shows a
+  tool killed by SIGPIPE); nothing is written to stderr.
 
 JSON output carries ``"schema": 1`` and serializes big integers as
 strings.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 
 # ``import cylpart`` loads only core and slices; every other module is
@@ -431,14 +434,23 @@ def cmd_verify_all(args) -> int:
     return 0 if all_ok else 1
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(low: int, rule: str):
+    """An argparse ``type`` for integers >= ``low``; ``rule`` words the
+    usage error, which also names the value given."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "must be non-negative")
+_positive_int = _int_at_least(1, "must be at least 1")
 
 
 # The cylpart modules each subcommand's handler reaches, beyond core and
@@ -476,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         if n is not None:
             p.add_argument("--n", type=_nonnegative_int, default=n)
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("enumerate", help="dump all partitions up to a weight")
     common(p, with_csv, order=8); p.set_defaults(fn=cmd_enumerate)
@@ -550,7 +562,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in _MODULES[args.command]:
             importlib.import_module(f"cylpart.{name}")
-        return args.fn(args)
+        code = args.fn(args)
+        # Flushed here, so a reader gone before the output fits in the
+        # buffer is seen below, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): not an error of ours.
+        # The rest of the buffered output goes to the null device, so the
+        # flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (core.CylpartError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,19 @@ def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
     return list(family(rank, level).pivot_shapes)
 
 
+# Text pieces repeat across the lineups of one listing: one slice sits in
+# many chains and an iota has at most 2^n values.  Bounded, so a long-lived
+# process keeps a fixed number of strings.
+@lru_cache(maxsize=4096)
+def _piece_text(weight: int, shape: Shape) -> str:
+    return f"{weight}^{shape}"
+
+
+@lru_cache(maxsize=1024)
+def _iota_text(iota: frozenset[int]) -> str:
+    return "{" + ",".join(map(str, sorted(iota))) + "}"
+
+
 @dataclass(frozen=True)
 class Lineup:
     profile: Profile
@@ -69,10 +82,9 @@ class Lineup:
         return list(self.labels)
 
     def to_text(self) -> str:
-        body = ",".join(f"{s.weight}^{sh}" for s, sh in
-                        zip(reversed(self.slices), reversed(self.labels)))
-        iota = "{" + ",".join(map(str, sorted(self.iota))) + "}"
-        return f"{body} iota={iota} class={self.classification}"
+        body = ",".join([_piece_text(s.weight, sh) for s, sh in
+                         zip(reversed(self.slices), reversed(self.labels))])
+        return f"{body} iota={_iota_text(self.iota)} class={self.classification}"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -168,15 +180,39 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     largest slice; each step picks a shape and a tight or loose gap.  A
     member's pivot flag depends only on its neighbours, so it is decided as
     soon as the slice above it is chosen, and a prefix holding a non-pivot
-    is cut once, with all its completions.  Listed by shape choice (largest
-    slice first, in ``itertools.product`` order), then by the set of tight
-    gaps read as a bit mask (bit j - 1 for gap j), ascending.
+    is cut once, with all its completions.  The steps out of a slice do not
+    depend on where in the chain it sits, so each call lists them once per
+    distinct lower slice, in a table local to the call.  Listed by shape
+    choice (largest slice first, in ``itertools.product`` order), then by
+    the set of tight gaps read as a bit mask (bit j - 1 for gap j),
+    ascending.
     """
     if n == 0:
         return []
     r = profile.rank
     fam = family(r, profile.level)
     shapes = list(enumerate(potential_pivot_shapes(r, profile.level)))
+    # Lower slice lengths -> every admissible step above it, as (shape
+    # index, shape, tight, slice above, (leftmost, rightmost) column of the
+    # space between them, pivot flag of the slice above as the largest
+    # member).
+    steps_above: dict[tuple[int, ...], list[tuple]] = {}
+
+    def steps(lower: Slice, lower_shape: Shape) -> list[tuple]:
+        out = []
+        lower_ends = lower.right_ends()
+        for pick, sh in shapes:
+            step = lower.weight + fam.dist(lower_shape, sh)
+            for tight in (True, False):
+                s = slice_with(profile, sh, step if tight else step + r)
+                if s is None or s == lower or not s.contains(lower):
+                    continue
+                ends = s.right_ends()
+                # Not None: s strictly contains lower.
+                out.append((pick, sh, tight, s, _space_columns(ends, lower_ends),
+                            pivot_flag(None, ends, lower_ends)))
+        return out
+
     found = []   # (shape indices, tight mask, slices, shapes), largest first
     zero = zero_slice(profile)
     # Each entry asks for slice j (0-based, largest first) above ``lower``,
@@ -184,32 +220,31 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     # rightmost column of the space under ``lower`` (None when ``lower`` is
     # empty).  ``lower`` is a pivot when the space above it starts left of
     # that column, as :func:`pivot_flag` decides.
-    stack = [(n - 1, zero, shape_of_zero(profile), zero.right_ends(), None,
-              (), 0, (), ())]
+    stack = [(n - 1, zero, shape_of_zero(profile), None, (), 0, (), ())]
     while stack:
-        (j, lower, lower_shape, lower_ends, under_right,
-         picks, mask, chain, labels) = stack.pop()
-        for pick, sh in shapes:
-            step = fam.dist(lower_shape, sh)
-            for tight in (True, False):
-                s = slice_with(profile, sh, lower.weight + step + (0 if tight else r))
-                if s is None or s == lower or not s.contains(lower):
-                    continue
-                ends = s.right_ends()
-                # Not None: s strictly contains lower.
-                space = _space_columns(ends, lower_ends)
-                if under_right is not None and space[0] >= under_right:
-                    continue
-                entry = ((pick,) + picks, mask | (1 << j) if tight else mask,
-                         (s,) + chain, (sh,) + labels)
-                if j > 0:
-                    stack.append((j - 1, s, sh, ends, space[1], *entry))
-                elif entry[1] and pivot_flag(None, ends, lower_ends):
-                    found.append(entry)
+        j, lower, lower_shape, under_right, picks, mask, chain, labels = stack.pop()
+        table = steps_above.get(lower.lengths)
+        if table is None:
+            table = steps_above[lower.lengths] = steps(lower, lower_shape)
+        bit = 1 << j
+        for pick, sh, tight, s, (left, right), top_pivot in table:
+            if under_right is not None and left >= under_right:
+                continue
+            m = mask | bit if tight else mask
+            if j > 0:
+                stack.append((j - 1, s, sh, right, (pick,) + picks, m,
+                              (s,) + chain, (sh,) + labels))
+            elif m and top_pivot:
+                found.append(((pick,) + picks, m, (s,) + chain, (sh,) + labels))
     found.sort()   # (shape indices, mask) is unique, so slices never compare
-    return [Lineup(profile, chain, "minimal-jammed",
-                   frozenset(j + 1 for j in range(n) if mask >> j & 1), labels)
-            for _, mask, chain, labels in found]
+    iotas: dict[int, frozenset[int]] = {}
+    out = []
+    for _, mask, chain, labels in found:
+        iota = iotas.get(mask)
+        if iota is None:
+            iota = iotas[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
+        out.append(Lineup(profile, chain, "minimal-jammed", iota, labels))
+    return out
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -285,6 +288,33 @@ class TestUsageErrors:
             main([*argv, "--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["verify-all", "--profile", "1,1", "--jobs", "-4"], "-4"),
+        (["count", "--profile", "1,1", "--jobs", "0"], "0")])
+    def test_jobs_below_one_rejected(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: must be at least 1, got {value}" in err
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # The listing (about 350 kB) outgrows the pipe, so the writer is
+        # still writing when the reader closes its end after one line.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cylpart", "lineups", "--kind", "mjl",
+             "--n", "3", "--profile", "4,0,0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+        assert first.endswith(b"class=minimal-jammed\n")
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def boom(args):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import all_profiles
 from cylpart import (Profile, QPoly, Shape, classify, enumerate_minimal_jammed,
                      enumerate_minimal_loose, family, lemma_check, pivot_chain_gf,
                      potential_pivot_shapes, qconj_genfunc_check, slice_with)
+from cylpart import lineups
 from cylpart.lineups import (NotPotentialPivot, _chain_from_gaps,
                              minimal_jammed_correction)
 
@@ -153,6 +156,8 @@ def brute_force_minimal_jammed(n, profile):
 
 WALK_CASES = [(prof, n) for prof in all_profiles(3, 3) for n in range(4)] + \
     [(prof, n) for prof in (Profile.of(1, 1, 1, 1), P400) for n in range(3)]
+# The sizes the ``lineups --kind mjl --n 3`` benchmark jobs list.
+GF_CASES = [(P400, 3), (Profile.of(2, 1, 1), 3)]
 
 
 class TestMinimalJammed:
@@ -179,12 +184,36 @@ class TestMinimalJammed:
                     assert lineup.iota
 
     def test_walk_equals_brute_force(self):
-        for prof, n in WALK_CASES:
+        for prof, n in WALK_CASES + GF_CASES:
             expected = brute_force_minimal_jammed(n, prof)
             found = enumerate_minimal_jammed(n, prof)
             assert found == expected, (prof, n)
             assert [l.to_text() for l in found] == \
                 [l.to_text() for l in expected], (prof, n)
+
+    def test_concurrent_calls_match_serial(self):
+        # Each call keeps its step table to itself; the text caches are
+        # shared, so the threads format their lineups too.
+        def listing(prof, n):
+            found = enumerate_minimal_jammed(n, prof)
+            return found, [l.to_text() for l in found]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for prof, n in GF_CASES:
+                serial = listing(prof, n)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(listing, prof, n) for _ in range(4)]
+                    results = [f.result(timeout=120) for f in futures]
+                assert all(r == serial for r in results), (prof, n)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_text_caches_are_bounded(self):
+        for cache in (lineups._piece_text, lineups._iota_text):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0
 
     def test_correction_equals_per_lineup_sum(self):
         for prof, n in WALK_CASES:
