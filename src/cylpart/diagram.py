@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .core import Profile, Shape, all_shapes, shape_of_zero
@@ -103,9 +104,8 @@ def matrix_power(mat: Sequence[Sequence[int]], k: int) -> list[list[int]]:
 
 
 def _matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def diagonal_blocks(mat: Sequence[Sequence[int]], sizes: Sequence[int]

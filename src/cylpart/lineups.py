@@ -192,13 +192,13 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     r = profile.rank
     fam = family(r, profile.level)
     shapes = list(enumerate(potential_pivot_shapes(r, profile.level)))
-    # Lower slice lengths -> every admissible step above it, as (shape
+    # Lower slice lengths -> every admissible step above it, as [shape
     # index, shape, tight, slice above, (leftmost, rightmost) column of the
     # space between them, pivot flag of the slice above as the largest
-    # member).
-    steps_above: dict[tuple[int, ...], list[tuple]] = {}
+    # member].  The flag is None until the row is first placed on top.
+    steps_above: dict[tuple[int, ...], list[list]] = {}
 
-    def steps(lower: Slice, lower_shape: Shape) -> list[tuple]:
+    def steps(lower: Slice, lower_shape: Shape) -> list[list]:
         out = []
         lower_ends = lower.right_ends()
         for pick, sh in shapes:
@@ -209,8 +209,7 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
                     continue
                 ends = s.right_ends()
                 # Not None: s strictly contains lower.
-                out.append((pick, sh, tight, s, _space_columns(ends, lower_ends),
-                            pivot_flag(None, ends, lower_ends)))
+                out.append([pick, sh, tight, s, _space_columns(ends, lower_ends), None])
         return out
 
     found = []   # (shape indices, tight mask, slices, shapes), largest first
@@ -227,15 +226,20 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
         if table is None:
             table = steps_above[lower.lengths] = steps(lower, lower_shape)
         bit = 1 << j
-        for pick, sh, tight, s, (left, right), top_pivot in table:
+        for row in table:
+            pick, sh, tight, s, (left, right), top_pivot = row
             if under_right is not None and left >= under_right:
                 continue
             m = mask | bit if tight else mask
             if j > 0:
                 stack.append((j - 1, s, sh, right, (pick,) + picks, m,
                               (s,) + chain, (sh,) + labels))
-            elif m and top_pivot:
-                found.append(((pick,) + picks, m, (s,) + chain, (sh,) + labels))
+            elif m:
+                if top_pivot is None:
+                    top_pivot = row[-1] = pivot_flag(None, s.right_ends(),
+                                                     lower.right_ends())
+                if top_pivot:
+                    found.append(((pick,) + picks, m, (s,) + chain, (sh,) + labels))
     found.sort()   # (shape indices, mask) is unique, so slices never compare
     iotas: dict[int, frozenset[int]] = {}
     out = []

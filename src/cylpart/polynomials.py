@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from operator import add
 
 from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
@@ -28,29 +27,43 @@ from .series import (TruncatedSeries, first_mismatch, subst_z_mul_qpow,
 from .rings import ZZ, ZZ_z
 
 
-def _accumulate(terms, order: int | None) -> QPoly:
-    """Sum of p * q^k over the pairs (p, k) in ``terms``, dropping powers of
-    q above ``order``; ``order=None`` keeps every power."""
-    out: list = []
-    for p, k in terms:
-        cs = p.coeffs
-        if order is not None:
-            if k > order:
-                continue
-            cs = cs[:order + 1 - k]
-        end = k + len(cs)
-        if end > len(out):
-            out.extend([0] * (end - len(out)))
-        out[k:end] = map(add, out[k:end], cs)
-    return QPoly(out)
+def _slot_bytes(count: int, top: int) -> int:
+    """Bytes per slot that hold every coefficient of a sum of count^top
+    non-negative terms."""
+    return max(1, -(-(count ** top).bit_length() // 8))
+
+
+def _fold(entries, exps, k: int, width: int, order: int | None) -> int:
+    """Sum of entries[j] * q^{k * exps[j]} over j, in slots of ``width``
+    bytes, dropping powers of q above ``order`` (``None``: keep all)."""
+    step = 8 * width * k
+    if order is None:
+        return sum(x << step * e for x, e in zip(entries, exps))
+    total = sum(x << step * e for x, e in zip(entries, exps) if k * e <= order)
+    return total & ((1 << 8 * width * (order + 1)) - 1)
+
+
+def _unpack(packed: int, width: int) -> QPoly:
+    """The polynomial whose coefficient k sits in slot k of ``packed``."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return QPoly([int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width)])
 
 
 class PolynomialFamily:
     """Memoized polynomial tables for one (rank, level) family.
 
-    Tables are kept per truncation order (``None`` for full degree) and are
-    extended under a per-family lock, so one family may be shared across
-    threads; a layer is published only once all its entries are built.
+    Shapes are indexed by position.  A table entry is one non-negative int
+    with coefficient k in slot k, a fixed number of bytes wide (Kronecker
+    substitution), so a layer step is shifts and adds of whole ints.  Every
+    entry of layer k has non-negative coefficients summing to |S|^k, S the
+    recurrence's shape list, so slots of (|S|^k).bit_length() bits hold
+    every coefficient of layer k, truncated or not, without carries.
+
+    Tables are kept per recurrence and truncation order (``None`` for full
+    degree) and are extended under a per-family lock, so one family may be
+    shared across threads; a table is published only when complete and is
+    never changed afterwards.
     """
 
     def __init__(self, rank: int, level: int):
@@ -58,37 +71,52 @@ class PolynomialFamily:
         self.level = level
         self.shapes = all_shapes(rank, level)
         self.pivot_shapes = [s for s in self.shapes if s.parts and s.parts[0] >= 2]
-        self._delta = {(a, b): _delta(a.parts, b.parts)
-                       for a in self.shapes for b in self.shapes}
+        self._index = {s: i for i, s in enumerate(self.shapes)}
+        self._delta = [[_delta(a.parts, b.parts) for b in self.shapes]
+                       for a in self.shapes]
+        self._pivot_index = {s: i for i, s in enumerate(self.pivot_shapes)}
+        # Exponent rows of the pivot recurrence, one per shape of the family.
+        self._pivot_exps = [[row[self._index[d]] + rank for d in self.pivot_shapes]
+                            for row in self._delta]
+        self._pivot_rows = [self._pivot_exps[self._index[c]] for c in self.pivot_shapes]
         self._lock = threading.Lock()
-        self._parts_at_most: dict[int | None, list[dict[Shape, QPoly]]] = {}
-        self._pivot_lineup: dict[int | None, list[dict[Shape, QPoly]]] = {}
+        # order -> (slot bytes, layers); entry i of a layer is shape i's.
+        self._parts_at_most: dict[int | None, tuple[int, tuple[list[int], ...]]] = {}
+        self._pivot_lineup: dict[int | None, tuple[int, tuple[list[int], ...]]] = {}
 
     def dist(self, a: Shape, b: Shape) -> int:
-        return self._delta[(a, b)]
+        return self._delta[self._index[a]][self._index[b]]
 
-    def _layers(self, tables: dict, shapes: list[Shape], extra: int, n: int,
-                order: int | None) -> list[dict[Shape, QPoly]]:
-        """Layers 0..n (at least) of the recurrence over ``shapes`` whose
-        step to layer k takes entry d of layer k-1 times
-        q^{k (delta(c, d) + extra)}, truncated at ``order``."""
+    def _layers(self, tables: dict, rows: list[list[int]], n: int, top: int,
+                order: int | None) -> tuple[int, tuple[list[int], ...]]:
+        """Slot bytes and layers 0..n (at least) of the recurrence whose step
+        to layer k adds entry j of layer k-1 times q^{k rows[i][j]} into
+        entry i, truncated at ``order``; the slots fit layer ``top``."""
+        need = _slot_bytes(len(rows), top)
         with self._lock:
-            layers = tables.setdefault(order, [dict.fromkeys(shapes, QPoly.one())])
-            while len(layers) <= n:
-                k = len(layers)
-                prev = layers[-1]
-                layers.append({
-                    c: _accumulate(((prev[d], k * (self.dist(c, d) + extra))
-                                    for d in shapes), order)
-                    for c in shapes})
-        return layers
+            width, layers = tables.get(order, (0, ()))
+            if width >= need and len(layers) > n:
+                return width, layers
+            if width < need:
+                # Doubling the slots on a rebuild keeps requests for
+                # n = 0, 1, ..., N to O(log N) rebuilds.
+                width, layers = max(need, 2 * width), ([1] * len(rows),)
+            grown = list(layers)
+            while len(grown) <= n:
+                k = len(grown)
+                prev = grown[-1]
+                grown.append([_fold(prev, row, k, width, order) for row in rows])
+            layers = tuple(grown)
+            tables[order] = width, layers
+        return width, layers
 
     def parts_at_most(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Numerator of the count of cylindric partitions with parts <= n,
         truncated at q^order (``None``: full degree)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        return self._layers(self._parts_at_most, self.shapes, 0, n, order)[n][c]
+        width, layers = self._layers(self._parts_at_most, self._delta, n, n, order)
+        return _unpack(layers[n][self._index[c]], width)
 
     def largest_part_exact(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Numerator with largest part exactly n: the diagonal step pays a
@@ -98,9 +126,11 @@ class PolynomialFamily:
             raise ValueError("n must be non-negative")
         if n == 0:
             return QPoly.one()
-        prev = self._layers(self._parts_at_most, self.shapes, 0, n - 1, order)[n - 1]
-        return _accumulate(((prev[d], n * (self.rank if d == c else self.dist(c, d)))
-                            for d in self.shapes), order)
+        i = self._index[c]
+        width, layers = self._layers(self._parts_at_most, self._delta, n - 1, n, order)
+        exps = list(self._delta[i])
+        exps[i] = self.rank
+        return _unpack(_fold(layers[n - 1], exps, n, width, order), width)
 
     def pivot_lineup(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Weight numerator of minimal loose pivot lineups below shape c,
@@ -113,13 +143,15 @@ class PolynomialFamily:
             raise ValueError("n must be non-negative")
         if n == 0:
             return QPoly.one()
-        if c in self.pivot_shapes:
-            return self._layers(self._pivot_lineup, self.pivot_shapes,
-                                self.rank, n, order)[n][c]
-        prev = self._layers(self._pivot_lineup, self.pivot_shapes,
-                            self.rank, n - 1, order)[n - 1]
-        return _accumulate(((prev[d], n * (self.dist(c, d) + self.rank))
-                            for d in self.pivot_shapes), order)
+        i = self._pivot_index.get(c)
+        if i is not None:
+            width, layers = self._layers(self._pivot_lineup, self._pivot_rows,
+                                         n, n, order)
+            return _unpack(layers[n][i], width)
+        width, layers = self._layers(self._pivot_lineup, self._pivot_rows,
+                                     n - 1, n, order)
+        return _unpack(_fold(layers[n - 1], self._pivot_exps[self._index[c]],
+                             n, width, order), width)
 
     def pivot_corrected(self, n: int, c: Shape) -> QPoly:
         """Alternating combination of largest-part numerators:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,20 @@ class TestMatrices:
         assert blocks == [[[1, 2], [2, 3]], [[3, 2], [2, 1]], [[3, 2], [2, 1]]]
         for b in blocks:
             assert char_poly(b) == QPoly((-1, -4, 1))  # x^2 - 4x - 1
+
+    def test_matmul_equals_triple_loop(self):
+        rng = random.Random(7)
+        for n in (0, 1, 2, 5, 9):
+            for entry in (lambda: rng.randint(-9, 9),
+                          lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+                a = [[entry() for _ in range(n)] for _ in range(n)]
+                b = [[entry() for _ in range(n)] for _ in range(n)]
+                naive = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                         for i in range(n)]
+                got = _matmul(a, b)
+                assert got == naive, (n, a, b)
+                assert all(type(x) is type(y) for r, s in zip(got, naive)
+                           for x, y in zip(r, s))
 
     def test_rank3_level3_char_polys_agree_up_to_x(self):
         g = build_graph(3, 3)

@@ -191,6 +191,33 @@ class TestMinimalJammed:
             assert [l.to_text() for l in found] == \
                 [l.to_text() for l in expected], (prof, n)
 
+    def test_top_flag_once_per_lower_slice_and_row(self, monkeypatch):
+        # The n <= 2 calls verify-all makes, where each lower slice is
+        # visited about once; flagging every row of a step table when it
+        # was listed made 4,717 calls here.
+        seen = []
+        flag = lineups.pivot_flag
+
+        def counting(above, ends, below):
+            seen.append((above, ends, below))
+            return flag(above, ends, below)
+
+        monkeypatch.setattr(lineups, "pivot_flag", counting)
+        total = 0
+        for parts in [(2, 1), (3, 1), (1, 1, 1), (1, 1, 0), (2, 1, 1), (1, 1, 1, 1)]:
+            prof = Profile.of(*parts)
+            for n in (1, 2):
+                seen.clear()
+                found = enumerate_minimal_jammed(n, prof)
+                # A (lower slice, row) pair fixes both right-end tuples.
+                assert len(set(seen)) == len(seen), (prof, n)
+                total += len(seen)
+                expected = brute_force_minimal_jammed(n, prof)
+                assert found == expected, (prof, n)
+                assert [l.to_text() for l in found] == \
+                    [l.to_text() for l in expected], (prof, n)
+        assert total == 3026
+
     def test_concurrent_calls_match_serial(self):
         # Each call keeps its step table to itself; the text caches are
         # shared, so the threads format their lineups too.

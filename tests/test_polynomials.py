@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from operator import add
 
 import pytest
 
@@ -8,7 +9,8 @@ from cylpart import (Profile, QPoly, Shape, borodin_product, count_bivariate,
                      delta, family, f_truncated, check_functional_equation,
                      shape_of_zero, shape_to_profile)
 from cylpart.oracle import count_max_at_most, count_max_exactly
-from cylpart.polynomials import (PolynomialFamily, largest_part_exact_series,
+from cylpart.cli import main
+from cylpart.polynomials import (PolynomialFamily, _unpack, largest_part_exact_series,
                                  parts_at_most_poly, parts_at_most_series,
                                  pivot_corrected_poly, pivot_lineup_poly)
 from cylpart.qpoly import q_binomial
@@ -118,6 +120,138 @@ class TestTables:
         assert fam.pivot_lineup(0, Shape(())) == QPoly.one()
         assert fam.pivot_lineup(2, Shape(())) == QPoly.zero()
         assert fam.parts_at_most(3, Shape(()))(1) == 1
+
+
+def _accumulate(terms, order):
+    """Sum of p * q^k over the pairs (p, k) in ``terms``, dropping powers of
+    q above ``order``; ``order=None`` keeps every power."""
+    out: list = []
+    for p, k in terms:
+        cs = p.coeffs
+        if order is not None:
+            if k > order:
+                continue
+            cs = cs[:order + 1 - k]
+        end = k + len(cs)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        out[k:end] = map(add, out[k:end], cs)
+    return QPoly(out)
+
+
+def reference_entries(fam, n, order=None):
+    """The dict recurrence the packed tables replaced, coefficient lists
+    added one int at a time: shape -> (parts_at_most, largest_part_exact,
+    pivot_lineup) at n, truncated at ``order``."""
+    def layers(shapes, extra, top):
+        out = [dict.fromkeys(shapes, QPoly.one())]
+        for k in range(1, top + 1):
+            prev = out[-1]
+            out.append({c: _accumulate(((prev[d], k * (fam.dist(c, d) + extra))
+                                        for d in shapes), order)
+                        for c in shapes})
+        return out
+
+    r = fam.rank
+    full = layers(fam.shapes, 0, n)
+    pivot = layers(fam.pivot_shapes, r, n)
+    got = {}
+    for c in fam.shapes:
+        if n == 0:
+            got[c] = (QPoly.one(), QPoly.one(), QPoly.one())
+            continue
+        exact = _accumulate(((full[n - 1][d], n * (r if d == c else fam.dist(c, d)))
+                             for d in fam.shapes), order)
+        if c in fam.pivot_shapes:
+            lineup = pivot[n][c]
+        else:
+            lineup = _accumulate(((pivot[n - 1][d], n * (fam.dist(c, d) + r))
+                                  for d in fam.pivot_shapes), order)
+        got[c] = (full[n][c], exact, lineup)
+    return got
+
+
+def entries(fam, n, order=None):
+    return {c: (fam.parts_at_most(n, c, order), fam.largest_part_exact(n, c, order),
+                fam.pivot_lineup(n, c, order))
+            for c in fam.shapes}
+
+
+def slot_bytes(fam, order=None):
+    """Slot width of the family's parts_at_most table at ``order``."""
+    return fam._parts_at_most[order][0]
+
+
+class TestPackedTables:
+    @pytest.mark.parametrize("n,width", [(7, 1), (8, 2), (15, 2), (16, 3)])
+    def test_byte_boundary_widths(self, n, width):
+        # |S| = 2, so layer n needs n + 1 bits: slots are full at n = 7, 15.
+        fam = PolynomialFamily(2, 1)
+        assert len(fam.shapes) == 2
+        for c in fam.shapes:
+            fam.parts_at_most(n, c)
+        assert slot_bytes(fam) == width
+        for order in (None, 3, 40):
+            assert entries(fam, n, order) == reference_entries(fam, n, order), order
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_rank3_level3_against_dict_recurrence(self, n):
+        fam = PolynomialFamily(3, 3)
+        for order in (None, 0, 7):
+            assert entries(fam, n, order) == reference_entries(fam, n, order), order
+
+    @pytest.mark.parametrize("order", [None, 10])
+    def test_growth_order_matches_one_request(self, order):
+        grown = PolynomialFamily(3, 3)
+        widths = []
+        for n in [*range(13), 5, 20]:
+            entries(grown, n, order)
+            widths.append(slot_bytes(grown, order))
+        once = PolynomialFamily(3, 3)
+        entries(once, 20, order)
+        for n in range(21):
+            assert entries(grown, n, order) == entries(once, n, order), n
+        # Each build widens the slots, at least doubling them after the
+        # first, so 15 requests up to n = 20 build O(log 20) tables.
+        builds = len(set(widths))
+        assert widths == sorted(widths)
+        assert builds <= 1 + math.ceil(math.log2(20)), widths
+        assert len(grown._parts_at_most[order][1]) == 21
+
+    def test_request_builds_no_layer_past_n(self):
+        fam = PolynomialFamily(3, 3)
+        c = fam.shapes[0]
+        fam.largest_part_exact(12, c)
+        assert len(fam._parts_at_most[None][1]) == 12
+        fam.pivot_lineup(6, fam.pivot_shapes[0])
+        assert len(fam._pivot_lineup[None][1]) == 7
+
+    def test_empty_entries_unpack_to_zero(self):
+        for width in (1, 2, 3, 9):
+            assert _unpack(0, width) == QPoly.zero()
+        fam = PolynomialFamily(1, 2)
+        for n in range(1, 5):
+            for order in (None, 0, 6):
+                assert fam.pivot_lineup(n, Shape(()), order) == QPoly.zero()
+        fam = PolynomialFamily(3, 3)
+        for n in range(1, 4):
+            for c in fam.shapes:
+                assert fam.largest_part_exact(n, c, 0) == QPoly.zero()
+                assert fam.pivot_lineup(n, c, 0) == QPoly.zero()
+                assert fam.parts_at_most(n, c, 0) == QPoly.one()
+
+    def test_poly_csv_rows_match_dict_recurrence(self, capsys):
+        assert main(["poly", "P", "--profile", "2,1", "--n", "6", "--format", "csv"]) == 0
+        fam = family(2, 3)   # profile (2,1): rank 2, level 3
+        want = [["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]]
+        for n in range(7):
+            ref = reference_entries(fam, n)
+            for sh in fam.shapes:
+                poly = ref[sh][0]
+                want.append([2, 3, n, f"({'-'.join(map(str, sh.parts))})",
+                             poly(1), min(poly.coeffs)])
+        assert capsys.readouterr().out.splitlines() == \
+            [",".join(map(str, row)) for row in want]
 
 
 class TestThreadedExtension:
