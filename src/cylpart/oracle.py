@@ -3,20 +3,21 @@
 This module is the ground truth every identity in the package is checked
 against, so it stays deliberately simple: a depth-first search over rows,
 bounding each part by the cyclic constraints and the remaining weight
-budget, with every hit checked by :func:`core.check_rows` as it is found.
-The search yields plain row tuples.  All counts read one census per
-(profile, order, cap), built in a single pass; only
-:func:`enumerate_by_weight` turns hits into :class:`CylindricPartition`
-values.
+budget.  Those bounds make every hit valid, so no hit is checked again
+here; the tests run :func:`core.check_rows` on the hits instead.  The
+search hands each hit to a visitor as plain row tuples, with its weight,
+largest part and whether all its parts are distinct, all worked out on
+the way down.  All counts read one census per (profile, order, cap),
+tallied in a single pass; only :func:`enumerate_by_weight` turns hits into
+:class:`CylindricPartition` values.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
-from .core import CylindricPartition, Partition, Profile, _trusted, check_rows
+from .core import CylindricPartition, Partition, Profile, _trusted
 from .qpoly import QPoly
 from .series import TruncatedSeries
 from .rings import ZZ, ZZ_z
@@ -31,12 +32,13 @@ _Rows = tuple[tuple[int, ...], ...]
 
 def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
                  shift: int, budget: int):
-    """All partitions with weight <= budget, part j <= cap_row[j - shift - 1]
-    (no cap for j <= shift, 0 beyond the caps), and part j >= lower_row[j-1].
+    """(row, weight) for every partition with weight <= budget, part j <=
+    cap_row[j - shift - 1] (no cap for j <= shift, 0 beyond the caps), and
+    part j >= lower_row[j-1].
 
     ``cap_row=None`` means unconstrained from above except by the budget.
     """
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], int]] = []
     min_len = len(lower_row)
     # Bounds on part j at index j - 1.  A row has at most ``budget`` parts.
     if cap_row is None:
@@ -47,7 +49,7 @@ def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
 
     def rec(prefix: list[int], j: int, remaining: int, top: int):
         if j > min_len:
-            out.append(tuple(prefix))
+            out.append((tuple(prefix), budget - remaining))
         if remaining <= 0:
             return
         hi = min(caps[j - 1], remaining, top)
@@ -60,12 +62,16 @@ def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
     return out
 
 
-def _hits(profile: Profile, max_weight: int, cap: int) -> Iterator[_Rows]:
-    """Rows of every cylindric partition with the given profile and weight
-    <= max_weight, one tuple of part tuples per partition, each checked.
+def _search(profile: Profile, max_weight: int, cap: int,
+            visit: Callable[[list[tuple[int, ...]], int, int, bool], None]) -> None:
+    """Call ``visit(rows, weight, largest, distinct)`` once for every
+    cylindric partition with the given profile and weight <= max_weight.
 
-    Exhaustive and duplicate-free, in search order.  ``cap`` guards runaway
-    searches; the guard fires when iteration starts.
+    ``rows`` holds one part tuple per row; it is the search's own list and
+    changes once ``visit`` returns, so a visitor that keeps it copies it.
+    ``largest`` is the largest part and ``distinct`` says whether all parts
+    across rows differ.  Exhaustive and duplicate-free, in search order.
+    ``cap`` guards runaway searches; the guard fires before the search.
     """
     if max_weight < 0:
         return
@@ -74,8 +80,11 @@ def _hits(profile: Profile, max_weight: int, cap: int) -> Iterator[_Rows]:
                          f"raise `cap` explicitly if this is intended")
     r = profile.rank
     c = profile.parts
+    rows: list[tuple[int, ...]] = []
 
-    def place(rows: list[tuple[int, ...]], budget: int) -> Iterator[_Rows]:
+    def place(budget: int, largest: int, seen: set[int] | None):
+        # ``seen`` holds the parts placed so far while they are all
+        # distinct, and is None from the first repeat on.
         i = len(rows)
         if i == 0:
             choices = _rows_within(None, (), 0, budget)
@@ -84,17 +93,24 @@ def _hits(profile: Profile, max_weight: int, cap: int) -> Iterator[_Rows]:
         else:
             # Last row: also bounded below by the wraparound against row 1.
             choices = _rows_within(rows[i - 1], rows[0][c[0]:], c[i], budget)
-        for row in choices:
+        last = i + 1 == r
+        spent = max_weight - budget
+        for row, weight in choices:
+            # Rows are non-increasing, so the largest part is a first part.
+            top = row[0] if row and row[0] > largest else largest
+            parts = seen
+            if seen is not None:
+                parts = seen.union(row)
+                if len(parts) != len(seen) + len(row):
+                    parts = None
             rows.append(row)
-            if i + 1 == r:
-                hit = tuple(rows)
-                check_rows(hit, profile)
-                yield hit
+            if last:
+                visit(rows, spent + weight, top, parts is not None)
             else:
-                yield from place(rows, budget - sum(row))
+                place(budget - weight, top, parts)
             rows.pop()
 
-    yield from place([], max_weight)
+    place(max_weight, 0, set())
 
 
 def _text_order() -> Callable[[_Rows], tuple[int, str]]:
@@ -111,21 +127,32 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
 
     Exhaustive and duplicate-free; results come back sorted by (weight,
     canonical text form) in a fresh list.  ``cap`` guards runaway searches.
-    Every hit has passed :func:`core.check_rows`, so none is re-validated.
+    The search's bounds make every hit valid, so none is re-validated.
     """
+    found: list[_Rows] = []
+    _search(profile, max_weight, cap,
+            lambda rows, weight, largest, distinct: found.append(tuple(rows)))
     return [_new_cylindric(profile, tuple(map(_new_partition, rows)))
-            for rows in sorted(_hits(profile, max_weight, cap), key=_text_order())]
+            for rows in sorted(found, key=_text_order())]
 
 
 @lru_cache(maxsize=64)
 def _census(profile: Profile, order: int, cap: int) -> tuple[tuple[int, int, bool, int], ...]:
     """(weight, largest part, all parts distinct, count) for every class of
     cylindric partitions with weight <= order, from one pass of the search."""
-    tally: Counter[tuple[int, int, bool]] = Counter()
-    for rows in _hits(profile, order, cap):
-        parts = [p for row in rows for p in row]
-        tally[sum(parts), max(parts, default=0), len(set(parts)) == len(parts)] += 1
-    return tuple(key + (n,) for key, n in sorted(tally.items()))
+    # tally[weight][largest][distinct]; no part exceeds the weight, and the
+    # search refuses an order above the cap before it visits anything.
+    size = min(order, cap) + 1
+    tally = [[[0, 0] for _ in range(size)] for _ in range(size)]
+
+    def visit(rows, weight, largest, distinct):
+        tally[weight][largest][distinct] += 1
+
+    _search(profile, order, cap, visit)
+    return tuple((weight, top, distinct, n)
+                 for weight, by_top in enumerate(tally)
+                 for top, pair in enumerate(by_top)
+                 for distinct, n in zip((False, True), pair) if n)
 
 
 def _count(profile: Profile, order: int, cap: int,
@@ -153,12 +180,6 @@ def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP)
     return TruncatedSeries(ZZ_z, order, tuple(
         QPoly(tuple(d.get(m, 0) for m in range(max(d, default=-1) + 1)))
         for d in buckets))
-
-
-def has_distinct_parts(cp: CylindricPartition) -> bool:
-    """True when the multiset of all positive parts across rows has no repeats."""
-    parts = [p for row in cp.rows for p in row.parts]
-    return len(set(parts)) == len(parts)
 
 
 def count_distinct_series(profile: Profile, order: int,

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -8,12 +9,17 @@ from cylpart import (Partition, Profile, borodin_product, count_bivariate,
                      validate)
 from cylpart import oracle
 from cylpart.core import RowCountMismatch, ViolatedInequality, check_rows
-from cylpart.oracle import (count_max_at_most, count_max_exactly,
-                            has_distinct_parts)
+from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.series import at_z_one
 from cylpart.slices import decompose, recompose
 
 from conftest import all_profiles
+
+
+def has_distinct_parts(cp):
+    """True when the multiset of all positive parts across rows has no repeats."""
+    parts = [p for row in cp.rows for p in row.parts]
+    return len(set(parts)) == len(parts)
 
 
 class TestEnumeration:
@@ -229,3 +235,131 @@ class TestCheckRows:
         assert {ValueError, RowCountMismatch} <= kinds
         if prof.rank > 1:
             assert ViolatedInequality in kinds
+
+
+def _reference_rows_within(cap_row, lower_row, shift, budget):
+    """The row enumeration the search used before it tallied as it went:
+    all partitions with weight <= budget, part j <= cap_row[j - shift - 1]
+    (no cap for j <= shift, 0 beyond the caps), and part j >=
+    lower_row[j-1]."""
+    out = []
+    min_len = len(lower_row)
+    if cap_row is None:
+        caps = (budget,) * budget
+    else:
+        caps = ((budget,) * shift + tuple(cap_row) + (0,) * budget)[:budget]
+    lows = tuple(lower_row) + (0,) * budget
+
+    def rec(prefix, j, remaining, top):
+        if j > min_len:
+            out.append(tuple(prefix))
+        if remaining <= 0:
+            return
+        hi = min(caps[j - 1], remaining, top)
+        for p in range(hi, max(lows[j - 1], 1) - 1, -1):
+            prefix.append(p)
+            rec(prefix, j + 1, remaining - p, p)
+            prefix.pop()
+
+    rec([], 1, budget, budget)
+    return out
+
+
+def _reference_hits(profile, max_weight, cap):
+    """The former search: rows of every hit, each checked by ``check_rows``."""
+    if max_weight < 0:
+        return
+    if max_weight > cap:
+        raise ValueError(f"weight bound {max_weight} exceeds the cap {cap}")
+    r = profile.rank
+    c = profile.parts
+
+    def place(rows, budget):
+        i = len(rows)
+        if i == 0:
+            choices = _reference_rows_within(None, (), 0, budget)
+        elif i < r - 1:
+            choices = _reference_rows_within(rows[i - 1], (), c[i], budget)
+        else:
+            choices = _reference_rows_within(rows[i - 1], rows[0][c[0]:], c[i], budget)
+        for row in choices:
+            rows.append(row)
+            if i + 1 == r:
+                hit = tuple(rows)
+                check_rows(hit, profile)
+                yield hit
+            else:
+                yield from place(rows, budget - sum(row))
+            rows.pop()
+
+    yield from place([], max_weight)
+
+
+def _reference_census(profile, order, cap):
+    """The former census: a recount of every hit's parts."""
+    tally = Counter()
+    for rows in _reference_hits(profile, order, cap):
+        parts = [p for row in rows for p in row]
+        tally[sum(parts), max(parts, default=0), len(set(parts)) == len(parts)] += 1
+    return tuple(key + (n,) for key, n in sorted(tally.items()))
+
+
+def _reference_texts(profile, max_weight):
+    """Text forms of the former search's hits, in the enumeration's order."""
+    def key(rows):
+        return sum(map(sum, rows)), "|".join(",".join(map(str, row)) for row in rows)
+
+    hits = sorted(_reference_hits(profile, max_weight, oracle.DEFAULT_WEIGHT_CAP), key=key)
+    return [validate(tuple(map(Partition, rows)), profile).to_text() for rows in hits]
+
+
+class TestSearch:
+    def test_every_hit_is_valid_and_carries_its_own_tallies(self):
+        weight = 10
+        for prof in all_profiles(3, 3) + all_profiles(4, 2):
+            hits = []
+
+            def visit(rows, total, largest, distinct):
+                assert check_rows(rows, prof) is None
+                parts = [p for row in rows for p in row]
+                assert (total, largest, distinct) == (
+                    sum(parts), max(parts, default=0),
+                    len(set(parts)) == len(parts)), (prof, rows)
+                hits.append(tuple(rows))
+
+            oracle._search(prof, weight, oracle.DEFAULT_WEIGHT_CAP, visit)
+            assert hits and len(set(hits)) == len(hits), prof
+
+    def test_matches_the_former_search(self):
+        cap = oracle.DEFAULT_WEIGHT_CAP
+        for prof in all_profiles(4, 3) + all_profiles(5, 2):
+            for order in (0, 3, 8):
+                assert oracle._census(prof, order, cap) == \
+                    _reference_census(prof, order, cap), (prof, order)
+                assert [cp.to_text() for cp in enumerate_by_weight(prof, order)] == \
+                    _reference_texts(prof, order), (prof, order)
+
+    def test_negative_bound_gives_no_hits(self):
+        for prof in [Profile.of(2, 1), Profile.of(1, 1, 1), Profile.of(3)]:
+            hits = []
+            oracle._search(prof, -1, oracle.DEFAULT_WEIGHT_CAP,
+                           lambda *hit: hits.append(hit))
+            assert hits == []
+            assert enumerate_by_weight(prof, -1) == []
+            assert oracle._census(prof, -1, oracle.DEFAULT_WEIGHT_CAP) == ()
+            assert list(_reference_hits(prof, -1, oracle.DEFAULT_WEIGHT_CAP)) == []
+
+    def test_bound_above_cap_raises_before_searching(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(oracle, "_rows_within", no_search)
+        prof = Profile.of(1, 1)
+        with pytest.raises(ValueError, match="exceeds the cap 5"):
+            oracle._search(prof, 6, 5, no_search)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            enumerate_by_weight(prof, oracle.DEFAULT_WEIGHT_CAP + 1)
+        with pytest.raises(ValueError, match="exceeds the cap 5"):
+            count_series(prof, 6, cap=5)
+        with pytest.raises(ValueError):
+            list(_reference_hits(prof, 6, 5))
