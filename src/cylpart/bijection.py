@@ -17,11 +17,10 @@ each node on it is used.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   Shape, _space_columns, _trusted)
+                   Shape, _Frozen, _space_columns, _trusted)
 from .slices import (Slice, SliceChain, decompose as slice_decompose,
                      recompose, slice_shape, slice_with)
 
@@ -34,19 +33,19 @@ class InadmissibleBeta(CylpartError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledDistinctPartition:
+class LabeledDistinctPartition(_Frozen):
     """Strictly decreasing weights, each labeled by a shape."""
 
-    entries: tuple[tuple[int, Shape], ...] = ()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ws = [w for w, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[int, Shape], ...] = ()):
+        entries = tuple(entries)
+        ws = [w for w, _ in entries]
         if any(w < 1 for w in ws):
             raise ValueError("weights must be positive")
         if any(a <= b for a, b in zip(ws, ws[1:])):
             raise ValueError("weights must be strictly decreasing")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def weight(self) -> int:
@@ -122,18 +121,18 @@ def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
             for j in range(len(ends) - 1)]
 
 
-@dataclass(frozen=True, slots=True)
-class TiledPath:
-    """The tiled path: the row lengths of its slice of every weight 0..window."""
+class TiledPath(_Frozen):
+    """The tiled path: the row lengths of its slice of every weight
+    0..window, indexed by weight."""
 
-    profile: Profile
-    slices: tuple[tuple[int, ...], ...]  # index = weight
+    __slots__ = _fields = ("profile", "slices")
 
-    def __post_init__(self):
-        checked = tuple(Slice(self.profile, ln).lengths for ln in self.slices)
+    def __init__(self, profile: Profile, slices: tuple[tuple[int, ...], ...]):
+        checked = tuple(Slice(profile, ln).lengths for ln in slices)
         for w, ln in enumerate(checked):
             if sum(ln) != w:
                 raise ValueError(f"entry {w} of a tiled path has weight {sum(ln)}")
+        object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "slices", checked)
 
     def slice_at(self, weight: int) -> Slice:

@@ -464,101 +464,112 @@ _MODULES = {
     "stg": ("diagram",), "path-counts": ("diagram",), "distinct-gf": ("diagram",),
     "verify-closed-form": ("diagram", "rings"),
     "poly": ("polynomials",), "functional-eq": ("polynomials",),
-    "lineups": ("lineups",), "lemma-check": ("lineups",), "qconj-check": ("lineups",),
+    "lineups": ("lineups",), "lemma-check": ("lineups",),
+    "qconj-check": ("lineups", "oracle"),
     "verify-all": ("bijection", "diagram", "lineups", "oracle", "polynomials",
                    "series"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _options(formats: list[str], profile_required: bool = True,
+             order: int | None = None, n: int | None = None) -> list:
+    """The options the subcommands share, as (flags, keywords) pairs;
+    ``--order`` and ``--n`` only where the subcommand gives a default."""
+    out = [(("--profile",), {"required": profile_required,
+                             "help": "comma separated, e.g. 1,2,0"})]
+    if order is not None:
+        out.append((("--order",), {"type": _nonnegative_int, "default": order,
+                                   "help": "truncation order / weight bound"}))
+    if n is not None:
+        out.append((("--n",), {"type": _nonnegative_int, "default": n}))
+    out.append((("--format",), {"choices": formats, "default": "text"}))
+    out.append((("--jobs",), {"type": _positive_int, "default": 1}))
+    return out
+
+
+def _subcommands() -> dict[str, tuple]:
+    """Every subcommand as name -> (help, handler, its arguments as
+    (flags, keywords) pairs in the order they are added).  Made on each
+    call, so the handlers are the module's attributes of the moment."""
+    # ``csv`` is offered only where a subcommand writes rows.
+    plain, with_csv = ["text", "json"], ["text", "json", "csv"]
+    partition = (("partition",), {})
+    return {
+        "enumerate": ("dump all partitions up to a weight", cmd_enumerate,
+                      _options(with_csv, order=8)),
+        "count": ("counts by weight from the enumerator", cmd_series,
+                  _options(with_csv, order=12)),
+        "borodin": ("counts by weight from the infinite product", cmd_series,
+                    _options(with_csv, order=12)),
+        "decompose": ("split into (mu, beta)", cmd_decompose, [
+            (("partition",), {"help": "rows like '5,4|8,2|7,5,1', or - for stdin"}),
+            *_options(plain, profile_required=False)]),
+        "reconstruct": ("rebuild from --beta and --mu", cmd_reconstruct, [
+            (("--beta",), {"default": "", "help": "e.g. 15^(2,1),11^(3,2)"}),
+            (("--mu",), {"default": "", "help": "comma separated parts"}),
+            *_options(plain)]),
+        "slices": ("slice chain with multiplicities", cmd_slices,
+                   [partition, *_options(plain, profile_required=False)]),
+        "shrink": ("tight packing and side partition", cmd_shrink, [
+            partition,
+            (("--mode",), {"choices": ["at_most", "exact"], "default": "at_most"}),
+            *_options(plain, profile_required=False)]),
+        "stg": ("shape transition graph and matrices", cmd_stg, [
+            (("--rank",), {"type": int}), (("--level",), {"type": int}),
+            *_options(plain, profile_required=False)]),
+        "path-counts": ("chain counts out of the empty slice", cmd_path_counts,
+                        _options(with_csv, order=12)),
+        "distinct-gf": ("distinct-parts generating function", cmd_series,
+                        _options(with_csv, order=12)),
+        "verify-closed-form": ("check a built-in closed form",
+                               cmd_verify_closed_form, _options(plain, order=25)),
+        "poly": ("polynomial numerators", cmd_poly, [
+            (("kind",), {"choices": sorted(_POLY_KINDS)}), *_options(with_csv, n=3)]),
+        "functional-eq": ("two-variable functional equation", cmd_functional_eq,
+                          _options(plain, order=10)),
+        "lineups": ("enumerate minimal lineups", cmd_lineups, [
+            (("--kind",), {"choices": ["mll", "mjl"], "default": "mll"}),
+            *_options(with_csv, n=2)]),
+        "lemma-check": ("pivot-chain counting identity", cmd_lemma_check,
+                        _options(plain, order=12, n=2)),
+        "qconj-check": ("pivot generating-function identity", cmd_qconj_check,
+                        _options(plain, order=10, n=2)),
+        "verify-all": ("run every cross-check for a profile", cmd_verify_all, [
+            *_options(plain, order=12),
+            (("--seed",), {"type": int, "default": 0,
+                           "help": "seed of the round-trip samples"})]),
+    }
+
+
+def build_parser(commands: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the named subcommands, or of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="cylpart",
         description="Exact computations and identity checks for cylindric partitions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # ``csv`` is offered only where a subcommand writes rows.
-    plain, with_csv = ["text", "json"], ["text", "json", "csv"]
-
-    def common(p, formats, profile_required=True, order=None, n=None):
-        p.add_argument("--profile", required=profile_required,
-                       help="comma separated, e.g. 1,2,0")
-        if order is not None:
-            p.add_argument("--order", type=_nonnegative_int, default=order,
-                           help="truncation order / weight bound")
-        if n is not None:
-            p.add_argument("--n", type=_nonnegative_int, default=n)
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--jobs", type=_positive_int, default=1)
-
-    p = sub.add_parser("enumerate", help="dump all partitions up to a weight")
-    common(p, with_csv, order=8); p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("count", help="counts by weight from the enumerator")
-    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("borodin", help="counts by weight from the infinite product")
-    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("decompose", help="split into (mu, beta)")
-    p.add_argument("partition", help="rows like '5,4|8,2|7,5,1', or - for stdin")
-    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("reconstruct", help="rebuild from --beta and --mu")
-    p.add_argument("--beta", default="", help="e.g. 15^(2,1),11^(3,2)")
-    p.add_argument("--mu", default="", help="comma separated parts")
-    common(p, plain); p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("slices", help="slice chain with multiplicities")
-    p.add_argument("partition")
-    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_slices)
-
-    p = sub.add_parser("shrink", help="tight packing and side partition")
-    p.add_argument("partition")
-    p.add_argument("--mode", choices=["at_most", "exact"], default="at_most")
-    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_shrink)
-
-    p = sub.add_parser("stg", help="shape transition graph and matrices")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--level", type=int)
-    common(p, plain, profile_required=False); p.set_defaults(fn=cmd_stg)
-
-    p = sub.add_parser("path-counts", help="chain counts out of the empty slice")
-    common(p, with_csv, order=12); p.set_defaults(fn=cmd_path_counts)
-
-    p = sub.add_parser("distinct-gf", help="distinct-parts generating function")
-    common(p, with_csv, order=12); p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("verify-closed-form", help="check a built-in closed form")
-    common(p, plain, order=25); p.set_defaults(fn=cmd_verify_closed_form)
-
-    p = sub.add_parser("poly", help="polynomial numerators")
-    p.add_argument("kind", choices=sorted(_POLY_KINDS))
-    common(p, with_csv, n=3); p.set_defaults(fn=cmd_poly)
-
-    p = sub.add_parser("functional-eq", help="two-variable functional equation")
-    common(p, plain, order=10); p.set_defaults(fn=cmd_functional_eq)
-
-    p = sub.add_parser("lineups", help="enumerate minimal lineups")
-    p.add_argument("--kind", choices=["mll", "mjl"], default="mll")
-    common(p, with_csv, n=2); p.set_defaults(fn=cmd_lineups)
-
-    p = sub.add_parser("lemma-check", help="pivot-chain counting identity")
-    common(p, plain, order=12, n=2); p.set_defaults(fn=cmd_lemma_check)
-
-    p = sub.add_parser("qconj-check", help="pivot generating-function identity")
-    common(p, plain, order=10, n=2); p.set_defaults(fn=cmd_qconj_check)
-
-    p = sub.add_parser("verify-all", help="run every cross-check for a profile")
-    common(p, plain, order=12); p.set_defaults(fn=cmd_verify_all)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the round-trip samples")
-
+    table = _subcommands()
+    # A parser built for some subcommands still names all of them in its
+    # usage line, as the full parser does.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if commands is None else "{" + ",".join(table) + "}")
+    for name in table if commands is None else commands:
+        help_text, handler, arguments = table[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known subcommand gets a parser that builds that subcommand only.
+    # Anything else (no command, an unknown one, a top-level flag) gets
+    # every subcommand, so ``cylpart -h`` and the invalid-choice error list
+    # them all.
+    args = build_parser(argv[:1] if argv and argv[0] in _MODULES else None
+                        ).parse_args(argv)
     try:
         for name in _MODULES[args.command]:
             importlib.import_module(f"cylpart.{name}")

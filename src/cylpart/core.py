@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -51,10 +50,57 @@ class LevelTooSmall(CylpartError):
     pass
 
 
+class FrozenInstanceError(CylpartError, AttributeError):
+    """An attempt to set or delete an attribute of a frozen value."""
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names the fields that make up its value, in constructor
+    order, in ``_fields``, and declares them (and any attribute it caches)
+    in ``__slots__``.  Its ``__init__`` validates the arguments and sets
+    each slot with ``object.__setattr__``.  Equality and hashing compare
+    the fields, ``repr`` lists them as ``Name(field=value, ...)``, and a
+    copy or pickle calls the constructor again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The field's value, or the tuple of the values of several fields:
+        # what equality and hashing compare.
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 def _trusted(cls):
-    """A positional builder for the slotted frozen dataclass ``cls``: it
-    takes the field values in field order and returns an instance built
-    without running ``__post_init__``.
+    """A positional builder for the frozen value class ``cls``: it takes
+    the values of ``cls._fields`` in order and returns an instance built
+    without running ``__init__``.
 
     Make each builder once, at module level.  Only for values the package
     builds valid by construction, with every field already of its final
@@ -63,7 +109,7 @@ def _trusted(cls):
     new = object.__new__
     # Each field's slot descriptor sets the value past the frozen
     # ``__setattr__``, with no per-instance ``__dict__`` to fill.
-    setters = [vars(cls)[f.name].__set__ for f in fields(cls)]
+    setters = [vars(cls)[name].__set__ for name in cls._fields]
     if len(setters) == 1:
         (set_a,) = setters
 
@@ -82,17 +128,22 @@ def _trusted(cls):
     return build
 
 
-def _conjugate(column: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Parts of the conjugate of the partition that repeats part ``p``
-    ``m`` times for each ``(p, m)`` in ``column``, read largest part first
-    (zero parts allowed).  One pass: part ``j`` of the result is the total
-    multiplicity of the parts ``>= j``."""
+def _conjugate(parts: Sequence[int], counts: Sequence[int] | None = None
+               ) -> tuple[int, ...]:
+    """Parts of the conjugate of the partition with the weakly decreasing
+    ``parts`` (zero parts allowed), largest first.  ``counts[i]`` is how
+    many parts the partition has from ``parts[0]`` to ``parts[i]``, with
+    multiplicity; without ``counts`` each part occurs once.  One pass from
+    the small end: part j of the result is the number of parts >= j.
+    """
+    if counts is None:
+        counts = range(1, len(parts) + 1)
     out: list[int] = []
-    count = 0
-    for (p, m), (below, _) in itertools.pairwise([*column, (0, 0)]):
-        count += m
-        out.extend([count] * (p - below))
-    out.reverse()
+    below = 0
+    for p, count in zip(reversed(parts), reversed(counts)):
+        if p > below:
+            out += [count] * (p - below)
+            below = p
     return tuple(out)
 
 
@@ -103,24 +154,19 @@ def _check_parts(parts: tuple[int, ...]) -> None:
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(_Frozen):
     """An integer partition: weakly decreasing positive parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = tuple(parts)
         _check_parts(parts)
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
         return cls(tuple(parts))
-
-    @classmethod
-    def from_multiset(cls, values: Iterable[int]) -> "Partition":
-        return cls(tuple(sorted(values, reverse=True)))
 
     @property
     def weight(self) -> int:
@@ -137,7 +183,7 @@ class Partition:
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        return _new_partition(_conjugate((p, 1) for p in self.parts))
+        return _new_partition(_conjugate(self.parts))
 
     def __str__(self) -> str:
         return ",".join(map(str, self.parts))
@@ -152,21 +198,21 @@ def _offsets(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(reversed(parts[1:]), initial=0))[::-1]
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Frozen):
     """A composition (c_1, ..., c_r) with all c_i >= 0 and positive sum."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts", "_offsets")
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         if len(parts) < 1:
             raise ValueError("profile needs at least one part")
         if any(p < 0 for p in parts):
             raise ValueError(f"profile parts must be non-negative: {parts}")
         if sum(parts) < 1:
             raise ValueError("profile level must be positive")
+        object.__setattr__(self, "parts", parts)
         # Computed once here, as every slice of the profile reads it.
         object.__setattr__(self, "_offsets", _offsets(parts))
 
@@ -190,23 +236,22 @@ class Profile:
         return "c=(" + ",".join(map(str, self.parts)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class Shape:
+class Shape(_Frozen):
     """Right-end shape of a slice: weakly decreasing, length rank-1.
 
     Shapes are always zero-padded to exactly ``rank - 1`` entries so the
     rank stays recoverable from the value itself.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = tuple(parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"shape parts must be non-negative: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"shape parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Shape":
@@ -324,21 +369,20 @@ def delta_shapes(sigma: Shape, tau: Shape, level: int) -> int:
     return _delta(sigma.parts, tau.parts)
 
 
-@dataclass(frozen=True, slots=True)
-class CylindricPartition:
+class CylindricPartition(_Frozen):
     """A cylindric partition: profile plus one row per rank.
 
     Construction checks the rows with :func:`check_rows` and raises its
     errors.
     """
 
-    profile: Profile
-    rows: tuple[Partition, ...]
+    __slots__ = _fields = ("profile", "rows")
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
+    def __init__(self, profile: Profile, rows: tuple[Partition, ...]):
+        rows = tuple(rows)
+        check_rows([row.parts for row in rows], profile)
+        object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "rows", rows)
-        check_rows([row.parts for row in rows], self.profile)
 
     @property
     def weight(self) -> int:

@@ -17,12 +17,11 @@ parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .core import Profile, Shape, all_shapes, shape_of_zero
+from .core import Profile, Shape, _Frozen, all_shapes, shape_of_zero
 from .qpoly import QPoly, _convolve
 from .rings import QuadElement, Ring, ZZ, ring_of
 from .series import TruncatedSeries, euler_sum, euler_top, first_mismatch
@@ -33,13 +32,19 @@ class NoRecurrenceFound(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ShapeTransitionGraph:
-    rank: int
-    level: int
-    nodes: tuple[Shape, ...]
-    edges: frozenset[tuple[Shape, Shape]]  # (source, target), weight goes up 1
-    marked: Shape | None = None
+class ShapeTransitionGraph(_Frozen):
+    """Shapes as nodes; each edge is a (source, target) pair whose weight
+    goes up by 1."""
+
+    __slots__ = _fields = ("rank", "level", "nodes", "edges", "marked")
+
+    def __init__(self, rank: int, level: int, nodes: tuple[Shape, ...],
+                 edges: frozenset[tuple[Shape, Shape]], marked: Shape | None = None):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "marked", marked)
 
     def out_neighbors(self, s: Shape) -> list[Shape]:
         return sorted((t for f, t in self.edges if f == s), key=lambda x: x.parts)
@@ -148,14 +153,18 @@ def char_poly(block: Sequence[Sequence]) -> QPoly:
     return QPoly(tuple(reversed(coeffs)))
 
 
-@dataclass(frozen=True)
-class PathCountTable:
-    """Chain counts out of the empty slice, total and per ending shape."""
+class PathCountTable(_Frozen):
+    """Chain counts out of the empty slice: ``totals`` holds a_n for
+    n = 0..order, and ``by_shape`` the (shape, count) pairs of each n."""
 
-    profile: Profile
-    order: int
-    totals: tuple[int, ...]                       # a_n for n = 0..order
-    by_shape: tuple[tuple[tuple[Shape, int], ...], ...]
+    __slots__ = _fields = ("profile", "order", "totals", "by_shape")
+
+    def __init__(self, profile: Profile, order: int, totals: tuple[int, ...],
+                 by_shape: tuple[tuple[tuple[Shape, int], ...], ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "totals", totals)
+        object.__setattr__(self, "by_shape", by_shape)
 
 
 def path_counts(profile: Profile, order: int) -> PathCountTable:
@@ -179,16 +188,19 @@ def path_counts(profile: Profile, order: int) -> PathCountTable:
     return PathCountTable(profile, order, tuple(totals), tuple(by_shape))
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """A_0 b_n + A_1 b_{n-1} + ... + A_v b_{n-v} = 0.
+class LinearRecurrence(_Frozen):
+    """A_0 b_n + A_1 b_{n-1} + ... + A_v b_{n-v} = 0, with ``coeffs``
+    holding A_0..A_v and A_0 = 1.
 
     ``exceptions`` counts the leading windows that break the rule: the
     relation holds at every n >= order + exceptions.
     """
 
-    coeffs: tuple[Fraction, ...]   # A_0..A_v, A_0 = 1
-    exceptions: int
+    __slots__ = _fields = ("coeffs", "exceptions")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], exceptions: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "exceptions", exceptions)
 
     @property
     def order(self) -> int:
@@ -285,14 +297,17 @@ def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     return euler_sum(path_counts(profile, euler_top(order)).totals, order)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    profile: Profile
-    order: int
-    # (index, closed-form value, path-count value) of the first bad
-    # coefficient, None when every coefficient agrees.
-    mismatch: tuple[int, object, object] | None
-    irrational_ok: bool
+class ClosedFormReport(_Frozen):
+    __slots__ = _fields = ("profile", "order", "mismatch", "irrational_ok")
+
+    def __init__(self, profile: Profile, order: int,
+                 mismatch: tuple[int, object, object] | None, irrational_ok: bool):
+        # ``mismatch`` is (index, closed-form value, path-count value) of
+        # the first bad coefficient, None when every coefficient agrees.
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mismatch", mismatch)
+        object.__setattr__(self, "irrational_ok", irrational_ok)
 
     @property
     def ok(self) -> bool:

@@ -20,18 +20,21 @@ from the largest slice down; index n is the gap onto the empty slice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .core import CylpartError, Profile, Shape, _space_columns, shape_of_zero
+# The oracle is reached through the package, which imports it on first
+# access, so loading this module does not load the oracle.
+import cylpart
+
+from .core import (CylpartError, Profile, Shape, _Frozen, _space_columns,
+                   shape_of_zero)
 from .bijection import chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ, ZZ_z
 from .series import (TruncatedSeries, first_mismatch, inv_zq_pochhammer,
                      truncate_z, z_power_times)
-from .oracle import count_bivariate
 from .slices import Slice, slice_shape, slice_with, zero_slice
 
 
@@ -58,21 +61,27 @@ def _iota_text(iota: frozenset[int]) -> str:
     return "{" + ",".join(map(str, sorted(iota))) + "}"
 
 
-@dataclass(frozen=True)
-class Lineup:
-    profile: Profile
-    slices: tuple[Slice, ...]        # largest first
-    classification: str              # loose | minimal-loose | jammed | minimal-jammed | none
-    iota: frozenset[int]
-    # Shapes of the slices, largest first; derived from the slices unless
-    # the builder of the chain, which chose them, passes them in.
-    labels: tuple[Shape, ...] | None = field(default=None, compare=False,
-                                             repr=False)
+class Lineup(_Frozen):
+    """A chain of potential pivots, ``slices`` largest first, with its
+    ``classification`` (loose, minimal-loose, jammed, minimal-jammed or
+    none) and ``iota``.  ``labels`` holds the shapes of the slices, largest
+    first; they are derived from the slices unless the builder of the
+    chain, which chose them, passes them in.  They are not part of the
+    value: equality, hashing and ``repr`` skip them."""
 
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels",
-                               tuple(slice_shape(s) for s in self.slices))
+    __slots__ = ("profile", "slices", "classification", "iota", "labels")
+    _fields = ("profile", "slices", "classification", "iota")
+
+    def __init__(self, profile: Profile, slices: tuple[Slice, ...],
+                 classification: str, iota: frozenset[int],
+                 labels: tuple[Shape, ...] | None = None):
+        if labels is None:
+            labels = tuple(slice_shape(s) for s in slices)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "iota", iota)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def weight(self) -> int:
@@ -290,13 +299,15 @@ def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(ZZ, counts, order)
 
 
-@dataclass(frozen=True)
-class LineupCheckReport:
-    profile: Profile
-    n: int
-    order: int
-    ok: bool
-    detail: str
+class LineupCheckReport(_Frozen):
+    __slots__ = _fields = ("profile", "n", "order", "ok", "detail")
+
+    def __init__(self, profile: Profile, n: int, order: int, ok: bool, detail: str):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "MISMATCH"
@@ -364,7 +375,7 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int
         series = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
         rhs_sum = rhs_sum + z_power_times(n, series.mul_inv_poch(n, r))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
-    lhs = truncate_z(count_bivariate(profile, order), n_max)
+    lhs = truncate_z(cylpart.oracle.count_bivariate(profile, order), n_max)
     bad = first_mismatch(lhs.coeffs, rhs.coeffs)
     detail = "pivot generating-function identity"
     if bad is not None:

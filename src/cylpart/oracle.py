@@ -89,7 +89,12 @@ def _search(profile: Profile, max_weight: int, cap: int,
         if i == 0:
             choices = _rows_within(None, (), 0, budget)
         elif i < r - 1:
-            choices = _rows_within(rows[i - 1], (), c[i], budget)
+            # The last row dominates rows[0][c[0]:], so it weighs at least
+            # that much; a middle row may spend only what is left over.
+            floor = sum(rows[0][c[0]:])
+            if budget < floor:
+                return
+            choices = _rows_within(rows[i - 1], (), c[i], budget - floor)
         else:
             # Last row: also bounded below by the wraparound against row 1.
             choices = _rows_within(rows[i - 1], rows[0][c[0]:], c[i], budget)

@@ -9,9 +9,9 @@ series, whose q-coefficients are polynomials in z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import _Frozen
 from .qpoly import QPoly
 
 
@@ -31,17 +31,15 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(_Frozen):
     """``a + b*sqrt(d)`` with exact rational a, b and squarefree d."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = _fields = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "d", d)
 
     def _lift(self, other) -> "QuadElement":
         if isinstance(other, QuadElement):

@@ -9,10 +9,9 @@ at every q power (z is never truncated; q powers above N are dropped).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .core import Profile
+from .core import Profile, _Frozen
 from .qpoly import QPoly, _convolve
 from .rings import Ring, RingMismatch, ZZ, ZZ_z, ring_of
 
@@ -25,17 +24,17 @@ class NonpositiveExponent(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    ring: Ring
-    order: int
-    coeffs: tuple
+class TruncatedSeries(_Frozen):
+    __slots__ = _fields = ("ring", "order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, ring: Ring, order: int, coeffs: tuple):
+        if len(coeffs) != order + 1:
             raise OrderMismatch(
-                f"series of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}")
+                f"series of order {order} needs {order + 1} coefficients, "
+                f"got {len(coeffs)}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, ring: Ring, coeffs, order: int) -> "TruncatedSeries":
@@ -165,26 +164,6 @@ def first_mismatch(a, b) -> tuple[int, object, object] | None:
 def inv_poch_finite(n: int, order: int, step: int = 1) -> TruncatedSeries:
     """1 / ((q^step; q^step)_n) truncated: product of 1/(1 - q^{step*j}), j = 1..n."""
     return TruncatedSeries.one(ZZ, order).mul_inv_poch(n, step)
-
-
-def poch_finite(n: int, order: int) -> TruncatedSeries:
-    """(q; q)_n truncated."""
-    s = TruncatedSeries.one(ZZ, order)
-    for j in range(1, n + 1):
-        if j > order:
-            break
-        s = s.mul_one_plus(j, -1)
-    return s
-
-
-def poch_infinite(base_exp: int, modulus: int, order: int) -> TruncatedSeries:
-    """(q^m; q^t)_infinity truncated: product of (1 - q^{m + j t}), j >= 0."""
-    if base_exp < 1:
-        raise NonpositiveExponent(f"exponent {base_exp} must be positive")
-    s = TruncatedSeries.one(ZZ, order)
-    for e in range(base_exp, order + 1, modulus):
-        s = s.mul_one_plus(e, -1)
-    return s
 
 
 def product_inv_factors(factors, order: int) -> TruncatedSeries:

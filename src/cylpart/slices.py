@@ -12,13 +12,12 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   RankMismatch, Shape, _conjugate, _delta, _trusted,
-                   shape_of_zero)
+                   RankMismatch, Shape, _Frozen, _conjugate, _delta,
+                   _trusted, shape_of_zero)
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
@@ -41,25 +40,24 @@ class NotMultipleOfRank(CylpartError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Slice:
-    profile: Profile
-    lengths: tuple[int, ...]
+class Slice(_Frozen):
+    __slots__ = _fields = ("profile", "lengths")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        ln = self.lengths
-        c = self.profile.parts
-        r = self.profile.rank
+    def __init__(self, profile: Profile, lengths: tuple[int, ...]):
+        ln = tuple(lengths)
+        c = profile.parts
+        r = profile.rank
         if len(ln) != r:
             raise ValueError(f"slice needs {r} lengths, got {len(ln)}")
         if any(v < 0 for v in ln):
             raise ValueError(f"negative slice length: {ln}")
         for i in range(r - 1):
             if ln[i + 1] > ln[i] + c[i + 1]:
-                raise ValueError(f"invalid slice {ln} for {self.profile}")
+                raise ValueError(f"invalid slice {ln} for {profile}")
         if r >= 1 and ln[0] > ln[-1] + c[0]:
-            raise ValueError(f"invalid slice {ln} for {self.profile}")
+            raise ValueError(f"invalid slice {ln} for {profile}")
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "lengths", ln)
 
     @property
     def weight(self) -> int:
@@ -142,17 +140,16 @@ def successors(s: Slice) -> list[Slice]:
             for i in range(len(ln)) if ln[i] < ln[i - 1] + c[i]]
 
 
-@dataclass(frozen=True, slots=True)
-class SliceChain:
-    """A weakly decreasing chain of nonzero slices, largest first."""
+class SliceChain(_Frozen):
+    """A weakly decreasing chain of nonzero slices, largest first, as
+    (distinct slice, multiplicity) entries."""
 
-    profile: Profile
-    entries: tuple[tuple[Slice, int], ...]  # (distinct slice, multiplicity)
+    __slots__ = _fields = ("profile", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, profile: Profile, entries: tuple[tuple[Slice, int], ...]):
+        entries = tuple(entries)
         prev = None
-        for s, mult in self.entries:
+        for s, mult in entries:
             if mult < 1:
                 raise ChainNotDecreasing("multiplicities must be >= 1")
             if s.is_zero:
@@ -161,6 +158,8 @@ class SliceChain:
                 raise ChainNotDecreasing(
                     f"{prev.lengths} does not strictly contain {s.lengths}")
             prev = s
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "entries", entries)
 
     def expanded(self) -> Iterator[Slice]:
         for s, mult in self.entries:
@@ -195,7 +194,7 @@ def decompose(cp: CylindricPartition) -> SliceChain:
     by addition.
     """
     profile = cp.profile
-    columns = [row.conjugate().parts for row in cp.rows]
+    columns = [_conjugate(row.parts) for row in cp.rows]
     entries = tuple(
         (_new_slice(profile, lengths), len(list(run)))
         for lengths, run in itertools.groupby(
@@ -209,10 +208,10 @@ def recompose(chain: SliceChain) -> CylindricPartition:
     Row i is the conjugate of the length column read down the chain, each
     distinct slice counted with its multiplicity.
     """
-    rows = tuple(
-        _new_partition(_conjugate((s.lengths[i], mult)
-                                  for s, mult in chain.entries))
-        for i in range(chain.profile.rank))
+    lengths = [s.lengths for s, _ in chain.entries]
+    counts = list(itertools.accumulate(mult for _, mult in chain.entries))
+    rows = tuple(_new_partition(_conjugate([ln[i] for ln in lengths], counts))
+                 for i in range(chain.profile.rank))
     return _new_cylindric(chain.profile, rows)
 
 

@@ -6,7 +6,7 @@ from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
                      TruncatedSeries, ZZ, borodin_product, euler_distinct,
                      euler_sum, path_counts, product_inv_factors)
 from cylpart.series import (NonpositiveExponent, OrderMismatch, euler_top,
-                            inv_poch_finite, poch_infinite)
+                            inv_poch_finite)
 
 K3, K5 = QuadraticField(3), QuadraticField(5)
 GOLDEN = (K5.one + K5.sqrt()) * Fraction(1, 2)
@@ -18,6 +18,23 @@ def powers(beta, ring, count):
     for _ in range(count - 1):
         out.append(out[-1] * ring.coerce(beta))
     return out
+
+
+def poch_finite(n, order):
+    """(q; q)_n truncated, one factor (1 - q^j) at a time: an independent
+    reference for the inverse products."""
+    s = TruncatedSeries.one(ZZ, order)
+    for j in range(1, min(n, order) + 1):
+        s = s.mul_one_plus(j, -1)
+    return s
+
+
+def poch_infinite(base_exp, modulus, order):
+    """(q^m; q^t)_infinity truncated: product of (1 - q^{m + j t}), j >= 0."""
+    s = TruncatedSeries.one(ZZ, order)
+    for e in range(base_exp, order + 1, modulus):
+        s = s.mul_one_plus(e, -1)
+    return s
 
 
 def brute_partition_counts(order, allowed=None, distinct=False):
@@ -211,7 +228,6 @@ class TestProgressionFilter:
 
 class TestFinitePochhammer:
     def test_inverse_pair(self):
-        from cylpart.series import poch_finite
         n, order = 4, 12
         assert (inv_poch_finite(n, order) * poch_finite(n, order)).coeffs \
             == TruncatedSeries.one(ZZ, order).coeffs

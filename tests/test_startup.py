@@ -2,7 +2,9 @@
 interpreters, and the public names the lazy package namespace resolves."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -27,14 +29,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The cylpart modules loaded once ``code`` has run in a fresh interpreter."""
-    report = ("\nimport sys\n"
-              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cylpart'))")
+def all_loaded_modules(code: str) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter."""
+    report = "\nimport sys\nprint(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", code + report], env=env,
                           capture_output=True, text=True, check=True)
     return set(done.stdout.split())
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The cylpart modules loaded once ``code`` has run in a fresh interpreter."""
+    return {m for m in all_loaded_modules(code) if m.split(".")[0] == "cylpart"}
 
 
 def test_import_loads_core_and_slices_only():
@@ -45,17 +51,75 @@ def test_import_loads_core_and_slices_only():
 @pytest.mark.parametrize("argv", [
     ["borodin", "--profile", "2,1", "--order", "6"],
     ["poly", "P", "--profile", "2,1", "--n", "2"],
-    ["path-counts", "--profile", "1,1,1", "--order", "6"]])
+    ["path-counts", "--profile", "1,1,1", "--order", "6"],
+    ["lineups", "--kind", "mjl", "--profile", "2,1", "--n", "2"],
+    ["qconj-check", "--profile", "1,1", "--order", "4", "--n", "1"]])
 def test_subcommand_loads_its_table_closure(argv):
     closure = loaded_modules(
         "\n".join(f"import cylpart.{name}" for name in cli._MODULES[argv[0]]))
     assert loaded_modules(RUN_COMMAND.format(argv=argv)) == closure | {"cylpart.cli"}
+    # Only the subcommands that run the oracle load it.
+    assert ("cylpart.oracle" in closure) == ("oracle" in cli._MODULES[argv[0]])
+
+
+# One small run of each subcommand.
+RUNS = {
+    "enumerate": ["--profile", "1,1", "--order", "2"],
+    "count": ["--profile", "1,1", "--order", "2"],
+    "borodin": ["--profile", "1,1", "--order", "2"],
+    "decompose": ["--profile", "1,1,1", "3,1|2|2"],
+    "reconstruct": ["--profile", "1,1,1", "--mu", "2"],
+    "slices": ["--profile", "1,1,1", "3,1|2|2"],
+    "shrink": ["--profile", "1,1,1", "3,1|2|2"],
+    "stg": ["--rank", "2", "--level", "2"],
+    "path-counts": ["--profile", "1,1", "--order", "3"],
+    "distinct-gf": ["--profile", "1,1", "--order", "3"],
+    "verify-closed-form": ["--profile", "1,1,1", "--order", "5"],
+    "poly": ["P", "--profile", "1,1", "--n", "1"],
+    "functional-eq": ["--profile", "1,1", "--order", "3"],
+    "lineups": ["--profile", "2,1", "--n", "1"],
+    "lemma-check": ["--profile", "1,1,1", "--n", "1", "--order", "4"],
+    "qconj-check": ["--profile", "1,1", "--order", "3", "--n", "1"],
+    "verify-all": ["--profile", "1,1", "--order", "3"],
+}
 
 
 def test_table_keys_are_the_subcommands():
     [subparsers] = [action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
-    assert set(cli._MODULES) == set(subparsers.choices)
+    assert list(cli._MODULES) == list(subparsers.choices)
+    assert set(RUNS) == set(cli._MODULES)
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_subcommand_runs_without_dataclasses_or_inspect(command):
+    loaded = all_loaded_modules(RUN_COMMAND.format(argv=[command, *RUNS[command]]))
+    assert "cylpart.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def _parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parsing ``argv``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli._MODULES))
+def test_own_parser_matches_the_full_parser(command):
+    """A subcommand's own parser prints the same help and usage errors as
+    the parser of every subcommand: an error of the subcommand's parser
+    and one the top-level parser reports."""
+    full, own = cli.build_parser(), cli.build_parser([command])
+    help_text = _parse_outcome(full, [command, "--help"])
+    assert help_text[0] == 0 and help_text[1].startswith(f"usage: cylpart {command} ")
+    assert _parse_outcome(own, [command, "--help"]) == help_text
+    for argv in ([command, "--format", "xml"], [command, *RUNS[command], "--bogus"]):
+        error = _parse_outcome(full, argv)
+        assert error[0] == 2 and "error:" in error[2]
+        assert _parse_outcome(own, argv) == error
 
 
 # Every public name the package exported when it imported all its modules

@@ -4,7 +4,6 @@ public constructors must keep rejecting bad input."""
 
 import ast
 import copy
-import dataclasses
 import importlib
 import itertools
 import pathlib
@@ -22,7 +21,7 @@ from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
                      pivot_decompose, recompose,
                      shape_of_zero, shrink, slice_shape, successors, tile,
                      validate, zero_slice)
-from cylpart.core import _space_columns
+from cylpart.core import FrozenInstanceError, _Frozen, _space_columns
 from cylpart.cli import main
 from cylpart.slices import ChainNotDecreasing, ChainNotStrict
 
@@ -63,6 +62,11 @@ class TestTrustedValuesAreValid:
                 assert shape == Shape(shape.parts)
 
 
+def partition_of_multiset(values):
+    """The partition with the given parts, in any order."""
+    return Partition(tuple(sorted(values, reverse=True)))
+
+
 def shrink_reference(slices, mode):
     """The quadratic definition: step j removes f_j from every earlier slice."""
     profile = slices[0].profile
@@ -78,7 +82,7 @@ def shrink_reference(slices, mode):
             for i in range(r):
                 work[jj][i] -= f
         side_parts.extend([r * j] * f)
-    return [tuple(w) for w in work[:n]], Partition.from_multiset(side_parts)
+    return [tuple(w) for w in work[:n]], partition_of_multiset(side_parts)
 
 
 def expand_reference(tight, side):
@@ -141,7 +145,7 @@ class TestLinearShrinkExpand:
             [s.lengths for s in slices]
         # Side parts at any index, most of them inside a run.
         r, n = chain.profile.rank, chain.length
-        other = Partition.from_multiset(
+        other = partition_of_multiset(
             r * j for j in data.draw(st.lists(st.integers(1, n), max_size=6)))
         assert [s.lengths for s in expand(tight, other, mode)] == \
             expand_reference(tight, other)
@@ -265,9 +269,11 @@ class TestSlottedValues:
 
     def test_frozen(self, name):
         for value in SLOTTED[name][:2]:
-            field = dataclasses.fields(value)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            field = type(value)._fields[0]
+            with pytest.raises(FrozenInstanceError):
                 setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
 
     def test_deepcopy_and_pickle(self, name):
         for value in SLOTTED[name][:2]:
@@ -277,9 +283,79 @@ class TestSlottedValues:
                 assert hash(twin) == hash(value)
 
     def test_replace_validates(self, name):
+        """The constructor, given a built value's fields with one of them
+        replaced by a bad value, rejects it."""
         built, _, bad, error = SLOTTED[name]
+        fields = {field: getattr(built, field) for field in type(built)._fields}
         with pytest.raises(error):
-            dataclasses.replace(built, **bad)
+            type(built)(**{**fields, **bad})
+
+
+def _every_value_class():
+    """One value of each class built on ``core._Frozen``, keyed by class."""
+    from cylpart import lineups, rings, series
+    from cylpart.diagram import (ClosedFormReport, build_graph, fit_recurrence,
+                                 path_counts)
+    chain = decompose(CP)
+    mu, beta = pivot_decompose(CP)
+    values = [mu, shape_of_zero(P111), CP, P111, chain.distinct()[0], chain, beta,
+              tile(P111, chain.distinct(), 12),
+              series.TruncatedSeries.one(rings.ZZ, 4),
+              rings.QuadraticField(5).sqrt(),
+              build_graph(2, 2, Profile.of(1, 1)), path_counts(P111, 4),
+              fit_recurrence([1, 1, 2, 3, 5, 8, 13, 21, 34, 55]),
+              ClosedFormReport(P111, 5, None, True),
+              lineups.classify(P111, []), lineups.lemma_check(1, P111, 4)]
+    return {type(value): value for value in values}
+
+
+class TestValueClasses:
+    def test_every_class_is_covered_and_slotted(self):
+        values = _every_value_class()
+        assert set(values) == set(_Frozen.__subclasses__())
+        assert len(values) == 16
+        for cls, value in values.items():
+            assert "__slots__" in vars(cls) and not hasattr(value, "__dict__"), cls
+            assert set(cls._fields) <= set(cls.__slots__), cls
+
+    @pytest.mark.parametrize("cls", sorted(_every_value_class(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_frozen_equal_copies_and_field_repr(self, cls):
+        value = _every_value_class()[cls]
+        for name in cls.__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin is not value and type(twin) is cls
+            assert twin == value and hash(twin) == hash(value)
+        fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls._fields)
+        assert repr(value) == f"{cls.__name__}({fields})"
+
+    def test_repr_reads_as_before(self):
+        assert repr(Partition.of(3, 1)) == "Partition(parts=(3, 1))"
+        assert repr(P111) == "Profile(parts=(1, 1, 1))"
+        assert repr(Slice(P111, (1, 1, 0))) == \
+            "Slice(profile=Profile(parts=(1, 1, 1)), lengths=(1, 1, 0))"
+
+    def test_lineup_labels_are_not_part_of_the_value(self):
+        from cylpart import lineups
+        s = Slice(P111, (2, 1, 1))
+        derived = lineups.Lineup(P111, (s,), "none", frozenset())
+        assert derived.labels == (slice_shape(s),)
+        other = lineups.Lineup(P111, (s,), "none", frozenset(), (Shape.of(0, 0),))
+        assert other == derived and hash(other) == hash(derived)
+        assert repr(other) == repr(derived) and "labels" not in repr(other)
+
+    def test_field_order_is_the_constructor_order(self):
+        """A copy calls the constructor with the fields in ``_fields``
+        order, so that order must be the constructor's."""
+        import inspect
+        for cls in _every_value_class():
+            params = list(inspect.signature(cls.__init__).parameters)[1:]
+            assert params[:len(cls._fields)] == list(cls._fields), cls
 
 
 def _imports_and_trusted_uses(module: str) -> tuple[set[str], int]:
@@ -355,3 +431,14 @@ class TestModuleBoundaries:
             lines = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, ast.Assert)]
             assert not lines, f"{path.name}: assert at lines {lines}"
+
+    def test_no_dataclasses_in_library(self):
+        """The value classes build on ``core._Frozen``, so no job pays for
+        importing ``dataclasses`` and the modules it pulls in."""
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = [alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+            names += [node.module for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and not node.level]
+            assert not [n for n in names if n.split(".")[0] == "dataclasses"], path.name
