@@ -29,8 +29,8 @@ _PUBLIC = {
     "qpoly": ("QPoly", "q_binomial"),
     "rings": ("QQ", "QuadElement", "QuadraticField", "Ring", "RingMismatch",
               "ZZ", "ZZ_z"),
-    "series": ("TruncatedSeries", "at_z_one", "borodin_product",
-               "euler_distinct", "euler_sum", "product_inv_factors"),
+    "series": ("TruncatedSeries", "at_z_one", "borodin_product", "euler_sum",
+               "product_inv_factors"),
     "oracle": ("count_bivariate", "count_distinct_series", "count_series",
                "enumerate_by_weight"),
     "slices": ("Slice", "SliceChain", "ShrinkMode", "decompose", "expand",

@@ -12,21 +12,29 @@ labeled distinct partition ``beta``; the weights of all remaining slices
 form the plain partition ``mu``.  The map is a bijection: ``beta`` pins the
 unique infinite path through the slice poset, and ``mu`` says how often
 each node on it is used.
+
+Both directions work on plain row-length and right-end tuples and build
+value objects only for what they return.  Reconstruction tiles the path
+only as far as the largest weight of ``beta`` and ``mu`` and records the
+path's slice only at those weights; :func:`tile` runs the same routine and
+records every weight of its window.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import operator
+from typing import Iterable, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   Shape, _Frozen, _space_columns, _trusted)
-from .slices import (Slice, SliceChain, decompose as slice_decompose,
-                     recompose, slice_shape, slice_with)
+                   Shape, _Frozen, _int_fields, _space_columns, _trusted,
+                   _unwrap)
+from .slices import Slice, _chain_runs, _summed_rows, slice_with
 
 _new_partition = _trusted(Partition)
+_new_shape = _trusted(Shape)
 _new_slice = _trusted(Slice)
-_new_chain = _trusted(SliceChain)
+_new_cylindric = _trusted(CylindricPartition)
 
 
 class InadmissibleBeta(CylpartError):
@@ -82,8 +90,7 @@ class LabeledDistinctPartition(_Frozen):
         entries = []
         for chunk in text.replace("),", ");").split(";"):
             w_text, _, s_text = chunk.partition("^")
-            shape = Shape(tuple(int(v) for v in s_text.strip("()").split(",")
-                                if v.strip() != ""))
+            shape = Shape(_int_fields(_unwrap(s_text.strip())))
             entries.append((int(w_text), shape))
         return cls(tuple(entries))
 
@@ -113,12 +120,29 @@ def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
     return first_after < before[1]
 
 
+def _pivot_flags(ends: Sequence[tuple[int, ...]]) -> list[bool]:
+    """Pivot flags of a chain from the right ends of its slices, largest
+    first, followed by those of the empty slice under it (the row
+    offsets).
+
+    The flags are those of :func:`pivot_flag`; each space is measured once,
+    as the space below one slice and above the next.
+    """
+    flags = []
+    first_after = min(ends[0]) + 1
+    for upper, lower in zip(ends, ends[1:]):
+        space = _space_columns(upper, lower)
+        if space is None:
+            raise InadmissibleBeta(f"chain stalls at right ends {upper}")
+        flags.append(first_after < space[1])
+        first_after = space[0]
+    return flags
+
+
 def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
     """Pivot flags for a strictly decreasing chain, largest slice first."""
     # The empty slice's right ends are the row offsets.
-    ends = [s.right_ends() for s in chain] + [profile.offsets()]
-    return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
-            for j in range(len(ends) - 1)]
+    return _pivot_flags([s.right_ends() for s in chain] + [profile.offsets()])
 
 
 class TiledPath(_Frozen):
@@ -144,6 +168,62 @@ class TiledPath(_Frozen):
 _new_tiled_path = _trusted(TiledPath)
 
 
+def _tiled_at(offsets: tuple[int, ...], chain: Sequence[tuple[int, ...]],
+              weights: Iterable[int]) -> list[tuple[int, ...]]:
+    """Row lengths of the tiled path's slice at each of the ascending
+    ``weights``, tiling only as far as the largest of them.
+
+    ``chain`` gives the chain's row lengths, smallest slice first.  A space
+    that holds none of the weights is stepped over whole, since filling it
+    leaves every row as long as the larger of the two slices.
+    """
+    r = len(offsets)
+    wanted = iter(weights)
+    want = next(wanted, None)
+    out = []
+    current = [0] * r
+    weight = 0
+    if want == 0:
+        out.append(tuple(current))
+        want = next(wanted, None)
+    for target in chain:
+        if want is None:
+            return out
+        filled = list(map(max, current, target))
+        if want > sum(filled):
+            current, weight = filled, sum(filled)
+            continue
+        # Visit the space's cells by (absolute column, row), adding one box
+        # at a time.
+        cells = sorted((col, i) for i in range(r)
+                       for col in range(offsets[i] + current[i] + 1,
+                                        offsets[i] + target[i] + 1))
+        for _, i in cells:
+            current[i] += 1
+            weight += 1
+            if weight == want:
+                out.append(tuple(current))
+                want = next(wanted, None)
+                if want is None:
+                    return out
+    # Infinite strip past the largest slice: walk absolute columns left to
+    # right; a row takes a box in every column beyond its own right end.
+    boundary = list(map(operator.add, offsets, current))
+    col = min(boundary) + 1
+    while want is not None:
+        for i in range(r):
+            if boundary[i] < col:
+                current[i] += 1
+                weight += 1
+                if weight == want:
+                    out.append(tuple(current))
+                    want = next(wanted, None)
+                    if want is None:
+                        break
+        col += 1
+    return out
+
+
 def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
     """Fill the spaces of a strictly decreasing chain box by box.
 
@@ -153,43 +233,19 @@ def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
     intermediate slice of every weight 0..window.  The slice of weight w
     depends only on the first w boxes, so a smaller window gives a prefix
     of the same path.  The chain is not checked; :func:`pivot_reconstruct`
-    resolves and checks it from beta first.
+    resolves and checks it from beta first, and reads the path only at the
+    weights of beta and mu, so it tiles through the same routine but records
+    only those slices.
     """
     slices = sorted(chain, key=lambda s: s.weight)  # smallest first
     if slices and slices[-1].weight > window:
         raise InadmissibleBeta(
             f"window {window} below the largest chain weight {slices[-1].weight}")
-
-    offsets = profile.offsets()
-    r = profile.rank
-    current = [0] * r
-    path = [tuple(current)]
-
-    def fill_to(target_lengths):
-        # Visit the space's cells by (absolute column, row), adding one box
-        # at a time and recording each new slice.
-        cells = []
-        for i in range(r):
-            lo = offsets[i] + current[i] + 1
-            hi = offsets[i] + target_lengths[i]
-            cells.extend((col, i) for col in range(lo, hi + 1))
-        cells.sort()
-        for _, i in cells:
-            current[i] += 1
-            path.append(tuple(current))
-
-    for target in slices:
-        fill_to(target.lengths)
-    # Infinite strip past the largest slice: walk absolute columns left to
-    # right; a row takes a box in every column beyond its own right end.
-    boundary = [offsets[i] + current[i] for i in range(r)]
-    col = min(boundary) + 1
-    while len(path) - 1 < window:
-        for i in range(r):
-            if boundary[i] < col and len(path) - 1 < window:
-                current[i] += 1
-                path.append(tuple(current))
-        col += 1
+    lengths = [s.lengths for s in slices]
+    # The path always holds the empty slice at weight 0, and every box of
+    # the chain's spaces: slices that do not nest fill past the largest one.
+    filled = sum(map(max, zip(*lengths)))
+    path = _tiled_at(profile.offsets(), lengths, range(max(window, filled) + 1))
     return _new_tiled_path(profile, tuple(path))
 
 
@@ -200,46 +256,55 @@ def pivot_decompose(cp: CylindricPartition
     ``beta`` takes one copy of every pivot slice as (weight, shape);
     ``mu`` keeps the weights of everything else.  Weights add up:
     |cp| = |mu| + |beta|.  The chain's weights strictly decrease, so both
-    come out sorted and are built without re-validation.
+    come out sorted and are built without re-validation.  The chain is
+    read as row lengths; only the shapes of the pivots are built.
     """
-    chain = slice_decompose(cp)
-    distinct = chain.distinct()
-    flags = chain_pivots(cp.profile, distinct)
+    runs = _chain_runs(cp.rows)
+    offsets = cp.profile.offsets()
+    ends = [tuple(map(operator.add, offsets, lengths)) for lengths, _ in runs]
+    ends.append(offsets)
     beta_entries = []
     mu_parts: list[int] = []
-    for (s, mult), flag in zip(chain.entries, flags):
+    for (lengths, mult), e, flag in zip(runs, ends, _pivot_flags(ends)):
+        weight = sum(lengths)
         if flag:
-            beta_entries.append((s.weight, slice_shape(s)))
-            mu_parts.extend([s.weight] * (mult - 1))
+            # The shape (e_1 - e_r, ..., e_{r-1} - e_r) of the slice.
+            beta_entries.append((weight, _new_shape(
+                tuple([v - e[-1] for v in e[:-1]]))))
+            mu_parts += [weight] * (mult - 1)
         else:
-            mu_parts.extend([s.weight] * mult)
+            mu_parts += [weight] * mult
     return (_new_partition(tuple(mu_parts)),
             _new_labeled(tuple(beta_entries)))
 
 
 def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
-                  ) -> list[Slice]:
-    """The slices named by beta, largest first, after checking that they
-    exist, nest strictly and each come out flagged as a pivot.
+                  ) -> list[tuple[int, ...]]:
+    """The row lengths of the slices named by beta, largest first, after
+    checking that they exist, nest strictly and each come out flagged as a
+    pivot.
 
     Raises :class:`InadmissibleBeta` with the first failing diagnosis.
     """
-    slices = []
+    chain = []
     for w, sh in beta.entries:
         s = slice_with(profile, sh, w)
         if s is None:
             raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
-        slices.append(s)
+        chain.append(s.lengths)
     for w, sh in beta.entries:
         if not sh.parts or sh.parts[0] < 2:
             raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
-    for a, b in zip(slices, slices[1:]):
-        if not (a.contains(b) and a != b):
-            raise InadmissibleBeta(f"slices {a.lengths} and {b.lengths} do not nest")
-    for (w, sh), flag in zip(beta.entries, chain_pivots(profile, slices)):
+    for a, b in zip(chain, chain[1:]):
+        if a == b or any(map(operator.lt, a, b)):
+            raise InadmissibleBeta(f"slices {a} and {b} do not nest")
+    offsets = profile.offsets()
+    ends = [tuple(map(operator.add, offsets, lengths)) for lengths in chain]
+    ends.append(offsets)
+    for (w, sh), flag in zip(beta.entries, _pivot_flags(ends)):
         if not flag:
             raise InadmissibleBeta(f"{w}^{sh} is not a pivot in this lineup")
-    return slices
+    return chain
 
 
 def validate_beta(beta: LabeledDistinctPartition, profile: Profile
@@ -257,16 +322,21 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
                       profile: Profile) -> CylindricPartition:
     """Inverse of :func:`pivot_decompose`.
 
-    Tiles the pivot chain up to the largest weight in beta or mu, then adds
-    one slice per part of ``mu`` at the unique tiled slice of that weight.
+    Tiles the pivot chain up to the largest weight in beta or mu, recording
+    only the slices at those weights, then adds one slice per part of
+    ``mu`` at the unique tiled slice of that weight.
     """
     chain = _resolve_beta(beta, profile)
-    weights = sorted([w for w, _ in beta.entries] + list(mu.parts), reverse=True)
-    path = tile(profile, chain, weights[0] if weights else 0)
-    # Path slices of distinct positive weights nest strictly.
-    entries = tuple((path.slice_at(w), len(list(run)))
-                    for w, run in itertools.groupby(weights))
-    return recompose(_new_chain(profile, entries))
+    weights = sorted([w for w, _ in beta.entries] + list(mu.parts))
+    distinct, mults = [], []
+    for w, run in itertools.groupby(weights):
+        distinct.append(w)
+        mults.append(len(list(run)))
+    lengths = _tiled_at(profile.offsets(), chain[::-1], distinct)
+    # Path slices of distinct positive weights nest strictly; the sum reads
+    # them largest first.
+    return _new_cylindric(profile, _summed_rows(lengths[::-1], mults[::-1],
+                                                profile.rank))
 
 
 def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:

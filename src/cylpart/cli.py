@@ -108,8 +108,7 @@ def cmd_decompose(args) -> int:
 def cmd_reconstruct(args) -> int:
     profile = parse_profile(args.profile)
     beta = cylpart.bijection.LabeledDistinctPartition.parse(args.beta or "")
-    mu_parts = tuple(int(p) for p in args.mu.split(",") if p.strip()) if args.mu else ()
-    mu = Partition(tuple(sorted(mu_parts, reverse=True)))
+    mu = Partition(tuple(sorted(core._int_fields(args.mu), reverse=True)))
     cp = cylpart.bijection.pivot_reconstruct(mu, beta, profile)
     _emit(args, {"command": "reconstruct", "result": cp.to_json()}, [cp.to_text()])
     return 0

@@ -63,6 +63,12 @@ class _Frozen:
     each slot with ``object.__setattr__``.  Equality and hashing compare
     the fields, ``repr`` lists them as ``Name(field=value, ...)``, and a
     copy or pickle calls the constructor again.
+
+    The classes hashed and compared in inner loops (``Partition``,
+    ``Profile``, ``Shape``, ``CylindricPartition`` and ``Slice``) spell
+    out ``__eq__`` and ``__hash__`` with direct slot reads, which are
+    faster than the generic by-name reads; they compare and hash the same
+    values.
     """
 
     __slots__ = ()
@@ -164,6 +170,14 @@ class Partition(_Frozen):
         _check_parts(parts)
         object.__setattr__(self, "parts", parts)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
     @classmethod
     def of(cls, *parts: int) -> "Partition":
         return cls(tuple(parts))
@@ -181,9 +195,6 @@ class Partition(_Frozen):
     def part(self, j: int) -> int:
         """1-based part access, 0 beyond the end."""
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
-
-    def conjugate(self) -> "Partition":
-        return _new_partition(_conjugate(self.parts))
 
     def __str__(self) -> str:
         return ",".join(map(str, self.parts))
@@ -215,6 +226,14 @@ class Profile(_Frozen):
         object.__setattr__(self, "parts", parts)
         # Computed once here, as every slice of the profile reads it.
         object.__setattr__(self, "_offsets", _offsets(parts))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Profile":
@@ -252,6 +271,14 @@ class Shape(_Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"shape parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Shape":
@@ -384,6 +411,14 @@ class CylindricPartition(_Frozen):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "rows", rows)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.rows) == (other.profile, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.rows))
+
     @property
     def weight(self) -> int:
         return sum(row.weight for row in self.rows)
@@ -462,13 +497,36 @@ def empty_partition(profile: Profile) -> CylindricPartition:
     return CylindricPartition(profile, tuple(Partition() for _ in range(profile.rank)))
 
 
+def _int_fields(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; a blank text has none.
+
+    An empty field (``3,,1`` or ``1,2,0,``) raises ``ValueError``.
+    """
+    if not text.strip():
+        return ()
+    fields = text.split(",")
+    if not all(field.strip() for field in fields):
+        raise ValueError(f"empty field in {text!r}")
+    return tuple(map(int, fields))
+
+
+def _unwrap(text: str) -> str:
+    """``text`` without one pair of enclosing parentheses, if it has them.
+
+    Any other parenthesis (unbalanced or doubled) raises ``ValueError``.
+    """
+    body = text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
+    if "(" in body or ")" in body:
+        raise ValueError(f"unbalanced or doubled parentheses in {text!r}")
+    return body
+
+
 def parse_profile(text: str) -> Profile:
     """Parse ``c=(1,2,0)`` or plain ``1,2,0``."""
     body = text.strip()
     if body.startswith("c="):
         body = body[2:].strip()
-    body = body.strip("()")
-    return Profile(tuple(int(p) for p in body.split(",") if p.strip() != ""))
+    return Profile(_int_fields(_unwrap(body)))
 
 
 def parse_cylindric(text: str, profile: Profile | None = None) -> CylindricPartition:
@@ -487,8 +545,5 @@ def parse_cylindric(text: str, profile: Profile | None = None) -> CylindricParti
     row_texts = body.split("|") if body else []
     if body == "":
         row_texts = [""] * profile.rank
-    rows = tuple(
-        Partition(tuple(int(p) for p in rt.split(",") if p.strip() != ""))
-        for rt in row_texts
-    )
+    rows = tuple(Partition(_int_fields(rt)) for rt in row_texts)
     return validate(rows, profile)

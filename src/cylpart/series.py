@@ -13,7 +13,7 @@ from itertools import zip_longest
 
 from .core import Profile, _Frozen
 from .qpoly import QPoly, _convolve
-from .rings import Ring, RingMismatch, ZZ, ZZ_z, ring_of
+from .rings import Ring, RingMismatch, ZZ, ZZ_z
 
 
 class OrderMismatch(Exception):
@@ -236,17 +236,6 @@ def euler_sum(coeffs, order: int, ring: Ring = ZZ) -> TruncatedSeries:
         # The shift left the constant term 0; it becomes c_{j-1}.
         s = TruncatedSeries(ring, order, (c[j - 1],) + s.coeffs[1:])
     return s
-
-
-def euler_distinct(beta, order: int, ring: Ring | None = None) -> TruncatedSeries:
-    """(-beta*q; q)_infinity as the finite-factor product to the truncation
-    order; it equals :func:`euler_sum` of the powers beta^n."""
-    ring = ring or ring_of(beta)
-    beta = ring.coerce(beta)
-    prod = TruncatedSeries.one(ring, order)
-    for j in range(1, order + 1):
-        prod = prod.mul_one_plus(j, beta)
-    return prod
 
 
 def z_power_times(n: int, series: TruncatedSeries) -> TruncatedSeries:

@@ -59,6 +59,14 @@ class Slice(_Frozen):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lengths", ln)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.lengths) == (other.profile, other.lengths)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.lengths))
+
     @property
     def weight(self) -> int:
         return sum(self.lengths)
@@ -69,7 +77,7 @@ class Slice(_Frozen):
 
     def right_ends(self) -> tuple[int, ...]:
         """Absolute column of the last box per row (the row offset if empty)."""
-        return tuple(o + l for o, l in zip(self.profile.offsets(), self.lengths))
+        return tuple(map(operator.add, self.profile.offsets(), self.lengths))
 
     def contains(self, other: "Slice") -> bool:
         return all(a >= b for a, b in zip(self.lengths, other.lengths))
@@ -113,13 +121,17 @@ def min_slice_weight(profile: Profile, shape: Shape) -> int:
 def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     """The unique slice of the given shape and weight, or None.
 
-    A slice exists exactly when ``weight >= min_slice_weight`` and
-    ``weight`` is congruent to it modulo the rank.
+    A slice exists exactly when the shape fits the level (the first part
+    of a slice's shape is e_1 - e_r <= c_1 + ... + c_r),
+    ``weight >= min_slice_weight`` and ``weight`` is congruent to it modulo
+    the rank.
     """
     r = profile.rank
     z = shape_of_zero(profile)
     base = min_slice_weight(profile, shape)
     if weight < base or (weight - base) % r != 0:
+        return None
+    if shape.parts and shape.parts[0] > profile.level:
         return None
     # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
     x = (weight - shape.weight + z.weight) // r
@@ -185,34 +197,48 @@ class SliceChain(_Frozen):
 _new_chain = _trusted(SliceChain)
 
 
+def _chain_runs(rows: Sequence[Partition]) -> list[tuple[tuple[int, ...], int]]:
+    """The slice chain of the rows as (row lengths, multiplicity) runs,
+    largest slice first.
+
+    The k-th slice marks the positions holding parts >= k, so its length in
+    row i is part k of row i's conjugate.
+    """
+    columns = [_conjugate(row.parts) for row in rows]
+    return [(lengths, len(list(run))) for lengths, run in itertools.groupby(
+        itertools.zip_longest(*columns, fillvalue=0))]
+
+
+def _summed_rows(lengths: Sequence[tuple[int, ...]], mults: Sequence[int],
+                 rank: int) -> tuple[Partition, ...]:
+    """The rows of the sum of a chain of distinct slices, given by their row
+    lengths (largest first) and multiplicities: row i is the conjugate of
+    the length column read down the chain, each slice counted with its
+    multiplicity."""
+    if not lengths:
+        return (_new_partition(()),) * rank
+    counts = list(itertools.accumulate(mults))
+    return tuple(_new_partition(_conjugate(column, counts))
+                 for column in zip(*lengths))
+
+
 def decompose(cp: CylindricPartition) -> SliceChain:
     """Peel a cylindric partition into its slice chain, largest slice first.
 
-    The k-th slice marks the positions holding parts >= k, so its length in
-    row i is part k of row i's conjugate.  The chain has ``max(cp)`` members
-    (with multiplicity), weakly decreasing by construction, and recomposes
-    by addition.
+    The chain has ``max(cp)`` members (with multiplicity), weakly
+    decreasing by construction, and recomposes by addition.
     """
     profile = cp.profile
-    columns = [_conjugate(row.parts) for row in cp.rows]
-    entries = tuple(
-        (_new_slice(profile, lengths), len(list(run)))
-        for lengths, run in itertools.groupby(
-            itertools.zip_longest(*columns, fillvalue=0)))
-    return _new_chain(profile, entries)
+    return _new_chain(profile, tuple((_new_slice(profile, lengths), mult)
+                                     for lengths, mult in _chain_runs(cp.rows)))
 
 
 def recompose(chain: SliceChain) -> CylindricPartition:
-    """Componentwise sum of the chain; inverse of :func:`decompose`.
-
-    Row i is the conjugate of the length column read down the chain, each
-    distinct slice counted with its multiplicity.
-    """
-    lengths = [s.lengths for s, _ in chain.entries]
-    counts = list(itertools.accumulate(mult for _, mult in chain.entries))
-    rows = tuple(_new_partition(_conjugate([ln[i] for ln in lengths], counts))
-                 for i in range(chain.profile.rank))
-    return _new_cylindric(chain.profile, rows)
+    """Componentwise sum of the chain; inverse of :func:`decompose`."""
+    entries = chain.entries
+    return _new_cylindric(chain.profile, _summed_rows(
+        [s.lengths for s, _ in entries], [mult for _, mult in entries],
+        chain.profile.rank))
 
 
 class ShrinkMode(enum.Enum):
@@ -253,30 +279,33 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     """
     profile, runs = _runs(chain)
     r = profile.rank
-    if mode is ShrinkMode.EXACT and (not runs or runs[-1][0].is_zero):
+    lengths = [s.lengths for s, _ in runs]
+    if mode is ShrinkMode.EXACT and (not lengths or not any(lengths[-1])):
         raise ChainNotStrict("EXACT mode needs a nonzero smallest slice")
 
-    lengths = [s.lengths for s, _ in runs] + [(0,) * r]
     gaps = []   # f_j at the last copy of each run
-    for a, b in zip(lengths, lengths[1:]):
+    for a, b in zip(lengths, lengths[1:] + [(0,) * r]):
         gap = min(map(operator.sub, a, b))
         if gap < 0:
             raise ChainNotStrict(f"{a} does not contain {b}")
         gaps.append(gap)
-    if mode is ShrinkMode.EXACT and \
-            slice_shape(runs[-1][0]) == shape_of_zero(profile):
+    # A slice has the shape of zero exactly when its rows are equally long,
+    # since row i's right end is o_i + l_i.
+    if mode is ShrinkMode.EXACT and min(lengths[-1]) == max(lengths[-1]):
         gaps[-1] -= 1
     # A uniform shift of every row keeps a slice valid, and l_j^i >=
-    # f_j + ... + f_n keeps it non-negative.
+    # f_j + ... + f_n keeps it non-negative.  Below the lowest non-zero gap
+    # the shift is 0 and a run's slice is its own tight slice.
     tight: list[Slice] = []
     side_parts: list[int] = []
     shift = 0
     j = sum(mult for _, mult in runs)
-    for (s, mult), gap in zip(reversed(runs), reversed(gaps)):
+    for (s, mult), ln, gap in zip(reversed(runs), reversed(lengths), reversed(gaps)):
         shift += gap
-        side_parts.extend([r * j] * gap)
-        tight.extend([_new_slice(s.profile, tuple(
-            v - shift for v in s.lengths))] * mult)
+        side_parts += [r * j] * gap
+        if shift:
+            s = _new_slice(s.profile, tuple([v - shift for v in ln]))
+        tight += [s] * mult
         j -= mult
     tight.reverse()
     # Parts r*j are added with j decreasing.
@@ -292,7 +321,8 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
     Walking j from n down, a new slice is built only when the input slice
     (by identity) or that growth changes, so the copies of a run that
     :func:`shrink` tightened to one shared slice grow to one shared slice,
-    unless a side part of size rank*j splits the run at j.
+    unless a side part of size rank*j splits the run at j.  A slice that
+    does not grow is returned as it is.
     """
     slices = list(tight)
     if not slices:
@@ -318,7 +348,8 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
         s = slices[j - 1]
         if mult[j] or s is not last:
             shift += mult[j]
-            grown = _new_slice(s.profile, tuple(v + shift for v in s.lengths))
+            grown = _new_slice(s.profile, tuple([v + shift for v in s.lengths])
+                               ) if shift else s
             last = s
         out.append(grown)
     out.reverse()

@@ -251,6 +251,39 @@ class TestUsageErrors:
                           "--level", "3")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        # An empty field or an unbalanced or doubled parenthesis is a usage
+        # error, in a partition, a profile, --mu or --beta.
+        (["slices", "c=(1,1) 3,,1|2"], 2, "", "empty field"),
+        (["slices", "c=(1,1) 3,1,|2"], 2, "", "empty field"),
+        (["decompose", "c=(1,1 3|2"], 2, "", "parentheses"),
+        (["decompose", "c=((1,1)) 3|2"], 2, "", "parentheses"),
+        (["decompose", "c=(1,1)) 3|2"], 2, "", "parentheses"),
+        (["count", "--profile", "1,2,0,", "--order", "3"], 2, "", "empty field"),
+        (["count", "--profile", "(1,1", "--order", "3"], 2, "", "parentheses"),
+        (["reconstruct", "--profile", "1,1,1", "--mu", "3,,1"], 2, "", "empty field"),
+        (["reconstruct", "--profile", "1,1,1", "--mu", "3,1,"], 2, "", "empty field"),
+        (["reconstruct", "--profile", "1,1,1", "--beta", "5^(2,,0)"], 2, "",
+         "empty field"),
+        (["reconstruct", "--profile", "1,1,1", "--beta", "5^((2,0))"], 2, "",
+         "parentheses"),
+        (["reconstruct", "--profile", "1,1,1", "--beta", "5^(2,0"], 2, "",
+         "parentheses"),
+        # Empty rows, the empty partition and the empty rank-1 shape parse.
+        (["slices", "c=(1,1,1) 3||2"], 0,
+         "2^(2,0) x2 [1,0,1]\n1^(3,1) x1 [1,0,0]\n", ""),
+        (["decompose", "--profile", "(1,1,1)", "3||2"], 0,
+         "beta=1^(3,1) mu=2,2\n", ""),
+        (["decompose", "c=(1,1) "], 0, "beta=- mu=-\n", ""),
+        (["reconstruct", "--profile", "1", "--beta", "7^()"], 2, "",
+         "shape () of part 7 can never be a pivot"),
+        (["reconstruct", "--profile", "1,1,1", "--mu", "3,1"], 0,
+         "c=(1,1,1) |1|2,1\n", "")])
+    def test_malformed_text_is_a_usage_error(self, capsys, argv, code, out, err):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == out and err in captured.err
+
     def test_invalid_partition_rejected(self, capsys):
         # top row must dominate the shifted second row: 1 >= 5 fails
         code = main(["decompose", "--profile", "1,1,1", "1|5,5|"])

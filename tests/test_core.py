@@ -6,7 +6,7 @@ from cylpart import (Partition, Profile, RankMismatch,
                      RowCountMismatch, Shape, ViolatedInequality, all_shapes,
                      delta, delta_shapes, empty_partition, parse_cylindric,
                      parse_profile, shape_of_zero, shape_to_profile, validate)
-from cylpart.core import LevelTooSmall
+from cylpart.core import LevelTooSmall, _conjugate
 from cylpart.oracle import enumerate_by_weight
 
 from conftest import all_profiles
@@ -14,6 +14,13 @@ from conftest import all_profiles
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+def conjugate(p):
+    """The conjugate partition, from the definition: part j counts the
+    parts >= j."""
+    return Partition(tuple(sum(1 for q in p.parts if q >= j)
+                           for j in range(1, p.part(1) + 1)))
 
 
 class TestPartition:
@@ -30,8 +37,11 @@ class TestPartition:
 
     def test_conjugate_involution(self):
         p = P(4, 2, 2, 1)
-        assert p.conjugate() == P(4, 3, 1, 1)
-        assert p.conjugate().conjugate() == p
+        assert conjugate(p) == P(4, 3, 1, 1)
+        assert conjugate(conjugate(p)) == p
+        # The library's one-pass conjugate agrees with the definition.
+        for q in (p, P(4, 3, 1, 1), Partition(), P(5), P(1, 1, 1), P(6, 6, 2)):
+            assert _conjugate(q.parts) == conjugate(q).parts
 
 
 class TestValidate:

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
-                     TruncatedSeries, ZZ, borodin_product, euler_distinct,
-                     euler_sum, path_counts, product_inv_factors)
+                     TruncatedSeries, ZZ, borodin_product, euler_sum,
+                     path_counts, product_inv_factors)
+from cylpart.rings import ring_of
 from cylpart.series import (NonpositiveExponent, OrderMismatch, euler_top,
                             inv_poch_finite)
 
@@ -18,6 +19,18 @@ def powers(beta, ring, count):
     for _ in range(count - 1):
         out.append(out[-1] * ring.coerce(beta))
     return out
+
+
+def euler_distinct(beta, order, ring=None):
+    """(-beta*q; q)_infinity as the finite-factor product to the truncation
+    order, one factor (1 + beta*q^j) at a time: an independent reference
+    for :func:`euler_sum` of the powers beta^n."""
+    ring = ring or ring_of(beta)
+    beta = ring.coerce(beta)
+    prod = TruncatedSeries.one(ring, order)
+    for j in range(1, order + 1):
+        prod = prod.mul_one_plus(j, beta)
+    return prod
 
 
 def poch_finite(n, order):

@@ -161,6 +161,22 @@ class TestShapesAndSuccessors:
                         assert s == Slice(prof, s.lengths)
 
 
+    def test_no_slice_of_a_shape_past_the_level(self):
+        """A shape whose first part exceeds the level has no slice: the
+        lengths the weight formula gives for it break a slice inequality."""
+        checked = 0
+        for prof in all_profiles(4, 3):
+            r = prof.rank
+            for shape in all_shapes(r, prof.level + 2):
+                if not shape.parts or shape.parts[0] <= prof.level:
+                    continue
+                for w in range(4 * r + 8):
+                    assert slice_with(prof, shape, w) is None, (prof, shape, w)
+                    checked += 1
+        assert checked > 1000
+        assert slice_with(Profile.of(0, 0, 0, 1), Shape.of(2, 1, 1), 1) is None
+
+
 class TestShrinkExpand:
     CP = validate((Partition.of(3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1),
                    Partition.of(3, 3, 3, 2, 2, 2, 1, 1, 1, 1),

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 import cylpart
 from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
                      Profile, RowCountMismatch, Shape, ShrinkMode, Slice,
-                     SliceChain, TiledPath, ViolatedInequality,
+                     SliceChain, TiledPath, ViolatedInequality, all_shapes,
                      decompose, expand, parse_cylindric,
-                     pivot_decompose, recompose,
-                     shape_of_zero, shrink, slice_shape, successors, tile,
-                     validate, zero_slice)
+                     pivot_decompose, pivot_reconstruct, recompose,
+                     shape_of_zero, shrink, slice_shape, slice_with,
+                     successors, tile, validate, validate_beta, zero_slice)
+from cylpart.bijection import InadmissibleBeta, chain_pivots, pivot_flag
 from cylpart.core import FrozenInstanceError, _Frozen, _space_columns
 from cylpart.cli import main
 from cylpart.slices import ChainNotDecreasing, ChainNotStrict
@@ -166,6 +167,203 @@ class TestLinearShrinkExpand:
         a, b, c = (Slice(P111, ln) for ln in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
         with pytest.raises(ChainNotStrict, match=r"\(1, 1, 0\) does not"):
             shrink([a, b, c], ShrinkMode.AT_MOST)
+
+
+def chain_pivots_reference(profile, chain):
+    """Pivot flags one slice at a time through :func:`pivot_flag`, which
+    measures every space twice: below one slice and above the next."""
+    ends = [s.right_ends() for s in chain] + [profile.offsets()]
+    return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
+            for j in range(len(ends) - 1)]
+
+
+def tile_reference(profile, chain, window):
+    """Row lengths of the tiled path at every weight 0..window, recording a
+    tuple for every box placed."""
+    slices = sorted(chain, key=lambda s: s.weight)
+    if slices and slices[-1].weight > window:
+        raise InadmissibleBeta(
+            f"window {window} below the largest chain weight {slices[-1].weight}")
+    offsets, r = profile.offsets(), profile.rank
+    current = [0] * r
+    path = [tuple(current)]
+    for target in slices:
+        cells = sorted((col, i) for i in range(r)
+                       for col in range(offsets[i] + current[i] + 1,
+                                        offsets[i] + target.lengths[i] + 1))
+        for _, i in cells:
+            current[i] += 1
+            path.append(tuple(current))
+    boundary = [offsets[i] + current[i] for i in range(r)]
+    col = min(boundary) + 1
+    while len(path) - 1 < window:
+        for i in range(r):
+            if boundary[i] < col and len(path) - 1 < window:
+                current[i] += 1
+                path.append(tuple(current))
+        col += 1
+    return tuple(path)
+
+
+def pivot_decompose_reference(cp):
+    """(mu, beta) read off the slice chain as ``Slice`` values."""
+    chain = decompose(cp)
+    flags = chain_pivots_reference(cp.profile, chain.distinct())
+    beta, mu = [], []
+    for (s, mult), flag in zip(chain.entries, flags):
+        if flag:
+            beta.append((s.weight, slice_shape(s)))
+        mu += [s.weight] * (mult - flag)
+    return Partition(tuple(mu)), LabeledDistinctPartition(tuple(beta))
+
+
+def resolve_beta_reference(beta, profile):
+    """The slices named by beta, checked in the order and with the messages
+    of :func:`validate_beta`."""
+    slices = []
+    for w, sh in beta.entries:
+        s = slice_with(profile, sh, w)
+        if s is None:
+            raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
+        slices.append(s)
+    for w, sh in beta.entries:
+        if not sh.parts or sh.parts[0] < 2:
+            raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
+    for a, b in zip(slices, slices[1:]):
+        if not (a.contains(b) and a != b):
+            raise InadmissibleBeta(f"slices {a.lengths} and {b.lengths} do not nest")
+    for (w, sh), flag in zip(beta.entries, chain_pivots_reference(profile, slices)):
+        if not flag:
+            raise InadmissibleBeta(f"{w}^{sh} is not a pivot in this lineup")
+    return slices
+
+
+def validate_beta_reference(beta, profile):
+    try:
+        resolve_beta_reference(beta, profile)
+    except InadmissibleBeta as exc:
+        return False, str(exc)
+    return True, "admissible"
+
+
+def pivot_reconstruct_reference(mu, beta, profile):
+    """The tiled path to the largest weight, one ``Slice`` per part of mu
+    and beta, summed as a ``SliceChain``."""
+    chain = resolve_beta_reference(beta, profile)
+    weights = sorted([w for w, _ in beta.entries] + list(mu.parts), reverse=True)
+    path = tile_reference(profile, chain, weights[0] if weights else 0)
+    return recompose(SliceChain(profile, tuple(
+        (Slice(profile, path[w]), len(list(run)))
+        for w, run in itertools.groupby(weights))))
+
+
+def outcome(function, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_profile(draw, rank, level):
+    """A profile of the given rank and level: the gaps between sorted cut
+    points in 0..level."""
+    cuts = sorted(draw(st.lists(st.integers(0, level), min_size=rank - 1,
+                                max_size=rank - 1)))
+    return Profile(tuple(b - a for a, b in zip([0, *cuts], [*cuts, level])))
+
+
+@st.composite
+def workload_partitions(draw):
+    """Cylindric partitions of rank 2 to 4, level 1 to 4 and weight up to
+    about 120: a chain of slices grown from the empty one a few boxes at a
+    time, sometimes repeating a slice, summed."""
+    prof = random_profile(draw, draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+    target = draw(st.integers(0, 120))
+    current, grown, weight = zero_slice(prof), [], 0
+    while weight < target:
+        for _ in range(draw(st.integers(0 if grown else 1, 3))):
+            current = draw(st.sampled_from(successors(current)))
+        grown.append(current)
+        weight += current.weight
+    entries = tuple((s, len(list(run))) for s, run in itertools.groupby(grown[::-1]))
+    return recompose(SliceChain(prof, entries))
+
+
+@st.composite
+def beta_candidates(draw):
+    """A profile and a labeled distinct partition on it that need not be
+    admissible: strictly decreasing weights, each with a shape whose parts
+    reach one past the level."""
+    prof = random_profile(draw, draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+    weights = sorted(draw(st.sets(st.integers(1, 40), max_size=4)), reverse=True)
+    shapes = all_shapes(prof.rank, prof.level + 1)
+    return prof, LabeledDistinctPartition(
+        tuple((w, draw(st.sampled_from(shapes))) for w in weights))
+
+
+class TestPivotReference:
+    """The pivot bijection, read on row-length tuples, against the former
+    ``Slice``-based implementation."""
+
+    @given(workload_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_workload_mix(self, cp):
+        prof = cp.profile
+        mu, beta = pivot_decompose(cp)
+        assert (mu, beta) == pivot_decompose_reference(cp)
+        assert pivot_reconstruct(mu, beta, prof) == cp
+        assert pivot_reconstruct_reference(mu, beta, prof) == cp
+        chain = decompose(cp).distinct()
+        assert chain_pivots(prof, chain) == chain_pivots_reference(prof, chain)
+        widest = max([*mu.parts, *(w for w, _ in beta.entries), 0]) + prof.rank
+        for tiled in (chain, resolve_beta_reference(beta, prof)):
+            # The reference records one box at a time and stops at the
+            # window, so its path at a smaller window is a prefix of this
+            # one; below the largest chain weight it raises.
+            path = tile_reference(prof, tiled, widest)
+            low = max([s.weight for s in tiled], default=0)
+            for window in range(-1, widest + 1):
+                got = outcome(lambda: tile(prof, tiled, window).slices)
+                if window < low:
+                    assert got == outcome(tile_reference, prof, tiled, window)
+                else:
+                    assert got == path[:max(window, 0) + 1], window
+
+    def test_matches_reference_over_enumeration(self, small_enumerations):
+        """Every partition of weight <= 12 on the small profiles gives the
+        reference's (mu, beta), and that pair reconstructs the partition."""
+        for prof, partitions in small_enumerations.items():
+            for cp in partitions:
+                mu, beta = pivot_decompose(cp)
+                assert (mu, beta) == pivot_decompose_reference(cp)
+                assert pivot_reconstruct(mu, beta, prof) == cp
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tile_of_any_slice_list(self, data):
+        """``tile`` does not check its chain; slices that do not nest tile
+        as they did before."""
+        prof = random_profile(data.draw, data.draw(st.integers(2, 4)),
+                              data.draw(st.integers(1, 4)))
+        listed = []
+        for steps in data.draw(st.lists(st.integers(0, 12), max_size=4)):
+            current = zero_slice(prof)
+            for _ in range(steps):
+                current = data.draw(st.sampled_from(successors(current)))
+            listed.append(current)
+        window = data.draw(st.integers(-1, 30))
+        assert outcome(lambda: tile(prof, listed, window).slices) == \
+            outcome(tile_reference, prof, listed, window)
+
+    @given(beta_candidates(), st.lists(st.integers(1, 40), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_same_diagnosis_of_any_beta(self, candidate, mu_parts):
+        prof, beta = candidate
+        mu = partition_of_multiset(mu_parts)
+        assert validate_beta(beta, prof) == validate_beta_reference(beta, prof)
+        got = outcome(pivot_reconstruct, mu, beta, prof)
+        assert got == outcome(pivot_reconstruct_reference, mu, beta, prof)
 
 
 class TestSpaceColumns:
