@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cylpart import (Profile, bijection, cli, diagram, oracle, polynomials,
-                     series)
+from cylpart import (Profile, bijection, cli, diagram, lineups, oracle,
+                     polynomials, series)
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
@@ -379,8 +379,10 @@ def _bump_bivariate(fn, k, m):
 
 # verify-all checks that read a function besides the check named for it:
 # the pivot generating-function check compares with the oracle's
-# bivariate counts too.
-ALSO_READ_BY = {"count_bivariate": {"pivot-genfunc"}}
+# bivariate counts too, and the two-variable check builds the same
+# two-variable series as the functional equation.
+ALSO_READ_BY = {"count_bivariate": {"pivot-genfunc"},
+                "f_truncated": {"two-variable-series"}}
 
 
 class TestMismatchDetails:
@@ -401,6 +403,14 @@ class TestMismatchDetails:
          lambda f: _bump_bivariate(f, 6, 2),
          "largest-part refinement disagrees with the oracle at q^6 z^2: "
          "series 10 vs oracle 11"),
+        ("functional-equation", polynomials, "f_truncated",
+         lambda f: _bump_bivariate(f, 6, 2),
+         "functional equation fails for c=(2,1) at q^6: "
+         "2*q + 11*q^2 + 11*q^3 + 7*q^4 + 3*q^5 + 2*q^6 vs "
+         "2*q + 10*q^2 + 12*q^3 + 7*q^4 + 3*q^5 + 2*q^6"),
+        ("pivot-chain-lemma", lineups, "pivot_chain_gf", lambda f: _bump_series(f, 5),
+         "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
+         "for c=(2,1), n=2, q^8: MISMATCH"),
     ])
     def test_first_bad_coefficient(self, capsys, monkeypatch, check, module,
                                    name, bump, expected):
@@ -423,6 +433,28 @@ class TestMismatchDetails:
             "pivot generating-function identity (first mismatch at q^6: "
             "oracle 4*z + 23*z^2 vs lineups 4*z + 22*z^2) "
             "for c=(1,1,1), n=2, q^8: MISMATCH")
+
+    @pytest.mark.parametrize("argv,module,name,bump,expected", [
+        (["functional-eq", "--profile", "2,1", "--order", "8"],
+         polynomials, "f_truncated", lambda f: _bump_bivariate(f, 6, 2),
+         "functional equation fails for c=(2,1) at q^6: "
+         "2*q + 11*q^2 + 11*q^3 + 7*q^4 + 3*q^5 + 2*q^6 vs "
+         "2*q + 10*q^2 + 12*q^3 + 7*q^4 + 3*q^5 + 2*q^6"),
+        (["lemma-check", "--profile", "1,1,0", "--n", "2", "--order", "10"],
+         lineups, "pivot_chain_gf", lambda f: _bump_series(f, 5),
+         "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
+         "for c=(1,1,0), n=2, q^10: MISMATCH"),
+        (["verify-closed-form", "--profile", "1,1,1", "--order", "20"],
+         diagram, "distinct_gf", lambda f: _bump_series(f, 5),
+         "closed form for c=(1,1,1) to q^20: MISMATCH at q^5: "
+         "closed form 15 vs path counts 16; irrational parts cancel: True"),
+    ])
+    def test_check_subcommand_names_first_bad_coefficient(
+            self, capsys, monkeypatch, argv, module, name, bump, expected):
+        monkeypatch.setattr(module, name, bump(getattr(module, name)))
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == expected + "\n"
 
     def test_passing_checks_report_their_work(self, capsys):
         _, payload = run_json(capsys, "verify-all", "--profile", "2,1",
