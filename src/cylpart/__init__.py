@@ -29,8 +29,8 @@ _PUBLIC = {
     "qpoly": ("QPoly", "q_binomial"),
     "rings": ("QQ", "QuadElement", "QuadraticField", "Ring", "RingMismatch",
               "ZZ", "ZZ_z"),
-    "series": ("TruncatedSeries", "at_z_one", "borodin_product", "euler_sum",
-               "product_inv_factors"),
+    "series": ("Check", "TruncatedSeries", "at_z_one", "borodin_product",
+               "euler_sum", "product_inv_factors"),
     "oracle": ("count_bivariate", "count_distinct_series", "count_series",
                "enumerate_by_weight"),
     "slices": ("Slice", "SliceChain", "ShrinkMode", "decompose", "expand",
@@ -39,10 +39,9 @@ _PUBLIC = {
     "bijection": ("LabeledDistinctPartition", "TiledPath", "pivot_decompose",
                   "pivot_reconstruct", "tile", "validate_beta",
                   "validate_beta_rank2"),
-    "diagram": ("ClosedFormReport", "LinearRecurrence", "PathCountTable",
-                "ShapeTransitionGraph", "adjacency_matrix", "build_graph",
-                "char_poly", "diagonal_blocks", "distinct_gf", "fit_recurrence",
-                "matrix_power", "path_counts", "solve_residual",
+    "diagram": ("LinearRecurrence", "PathCountTable", "ShapeTransitionGraph",
+                "adjacency_matrix", "build_graph", "char_poly", "diagonal_blocks",
+                "distinct_gf", "fit_recurrence", "matrix_power", "path_counts",
                 "verify_closed_form"),
     "polynomials": ("PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly",

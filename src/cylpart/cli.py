@@ -57,6 +57,15 @@ def _emit_each(args, payload: dict, text_lines: list[str]):
         _emit(args, payload, text_lines)
 
 
+def _emit_check(args, payload: dict, check) -> int:
+    """Emit a check subcommand's record, after the subcommand's own keys;
+    the exit code is 0 when the check held and 1 when it failed."""
+    _emit(args, {**payload, "ok": check.ok, "detail": check.detail,
+                 "first_mismatch": check.mismatch},
+          [check.detail])
+    return 0 if check.ok else 1
+
+
 def _partitions_from(args) -> list[core.CylindricPartition]:
     profile = parse_profile(args.profile) if args.profile else None
     if args.partition == "-":
@@ -212,13 +221,10 @@ def cmd_verify_closed_form(args) -> int:
               f"known profiles: 1,1,1  2,0,0  4,0", file=sys.stderr)
         return 2
     ring, combination, residual = preset
-    report = cylpart.diagram.verify_closed_form(profile, combination, residual,
-                                                args.order, ring=ring)
-    _emit(args, {"command": "verify-closed-form", "profile": list(profile.parts),
-                 "ok": report.ok and report.irrational_ok,
-                 "first_mismatch": report.first_mismatch},
-          [str(report)])
-    return 0 if report.ok and report.irrational_ok else 1
+    check = cylpart.diagram.verify_closed_form(profile, combination, residual,
+                                               args.order, ring=ring)
+    return _emit_check(args, {"command": "verify-closed-form",
+                              "profile": list(profile.parts)}, check)
 
 
 # Each kind names a PolynomialFamily method.  The profile's own polynomial
@@ -251,11 +257,9 @@ def cmd_poly(args) -> int:
 
 def cmd_functional_eq(args) -> int:
     profile = parse_profile(args.profile)
-    ok, detail = cylpart.polynomials.check_functional_equation(profile, args.order)
-    _emit(args, {"command": "functional-eq", "profile": list(profile.parts),
-                 "order": args.order, "ok": ok, "detail": detail},
-          [detail])
-    return 0 if ok else 1
+    check = cylpart.polynomials.check_functional_equation(profile, args.order)
+    return _emit_check(args, {"command": "functional-eq", "profile": list(profile.parts),
+                              "order": args.order}, check)
 
 
 def cmd_lineups(args) -> int:
@@ -273,26 +277,24 @@ def cmd_lineups(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     profile = parse_profile(args.profile)
-    report = cylpart.lineups.lemma_check(args.n, profile, args.order)
-    _emit(args, {"command": "lemma-check", "profile": list(profile.parts),
-                 "n": args.n, "order": args.order, "ok": report.ok},
-          [str(report)])
-    return 0 if report.ok else 1
+    check = cylpart.lineups.lemma_check(args.n, profile, args.order)
+    return _emit_check(args, {"command": "lemma-check", "profile": list(profile.parts),
+                              "n": args.n, "order": args.order}, check)
 
 
 def cmd_qconj_check(args) -> int:
     profile = parse_profile(args.profile)
-    report = cylpart.lineups.qconj_genfunc_check(profile, args.order, args.n)
-    _emit(args, {"command": "qconj-check", "profile": list(profile.parts),
-                 "n_max": args.n, "order": args.order, "ok": report.ok},
-          [str(report)])
-    return 0 if report.ok else 1
+    check = cylpart.lineups.qconj_genfunc_check(profile, args.order, args.n)
+    return _emit_check(args, {"command": "qconj-check", "profile": list(profile.parts),
+                              "n_max": args.n, "order": args.order}, check)
 
 
 def _verify_all_tasks(profile: Profile, order: int, seed: int):
-    """(name, callable) pairs; each callable returns (ok, detail)."""
+    """The verify-all checks, as callables that each return their named
+    ``series.Check``."""
     import random
     rng = random.Random(seed)
+    Check, compare = cylpart.series.Check, cylpart.series.compare
     # The round-trip checks only read this pool, so they share one list.
     pool = cylpart.oracle.enumerate_by_weight(profile, min(order, 10))
 
@@ -309,11 +311,10 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         a = cylpart.oracle.count_series(profile, order)
         b = cylpart.series.borodin_product(profile, order)
         work = f"the oracle enumerated {sum(a.coeffs)} partitions up to q^{order}"
-        bad = cylpart.series.first_mismatch(a.coeffs, b.coeffs)
-        if bad is None:
-            return True, f"counts match the infinite product; {work}"
-        k, x, y = bad
-        return False, f"first mismatch at q^{k}: oracle {x} vs product {y}; {work}"
+        return compare("count-vs-product", a.coeffs, b.coeffs,
+                       f"counts match the infinite product; {work}",
+                       lambda k, x, y: f"first mismatch at q^{k}: oracle {x} "
+                                       f"vs product {y}; {work}")
 
     def distinct_vs_oracle():
         a = cylpart.oracle.count_distinct_series(profile, order)
@@ -321,37 +322,41 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         total = sum(cylpart.oracle.count_series(profile, order).coeffs)
         work = (f"the oracle enumerated {total} partitions up to q^{order}, "
                 f"{sum(a.coeffs)} into distinct parts")
-        bad = cylpart.series.first_mismatch(a.coeffs, b.coeffs)
-        if bad is None:
-            return True, f"distinct-part counts match the path-count series; {work}"
-        k, x, y = bad
-        return False, f"first mismatch at q^{k}: oracle {x} vs path counts {y}; {work}"
+        return compare("distinct-vs-oracle", a.coeffs, b.coeffs,
+                       f"distinct-part counts match the path-count series; {work}",
+                       lambda k, x, y: f"first mismatch at q^{k}: oracle {x} "
+                                       f"vs path counts {y}; {work}")
 
     def bijection_roundtrip():
+        name = "bijection-roundtrip"
         for cp in pivot_sample:
             mu, beta = cylpart.bijection.pivot_decompose(cp)
             if cylpart.bijection.pivot_reconstruct(mu, beta, profile) != cp:
-                return False, f"roundtrip broke on {cp.to_text()}"
-        return True, f"pivot roundtrip on {len(pivot_sample)} partitions"
+                return Check(name, False, f"roundtrip broke on {cp.to_text()}")
+        return Check(name, True, f"pivot roundtrip on {len(pivot_sample)} partitions")
 
     def slices_roundtrip():
+        name = "slices-roundtrip"
         for cp in slice_sample:
             if recompose(slice_decompose(cp)) != cp:
-                return False, f"slice roundtrip broke on {cp.to_text()}"
-        return True, f"slice roundtrip on {len(slice_sample)} partitions"
+                return Check(name, False, f"slice roundtrip broke on {cp.to_text()}")
+        return Check(name, True, f"slice roundtrip on {len(slice_sample)} partitions")
 
     def tight_packing_roundtrip():
+        name = "tight-packing-roundtrip"
         for cp in tight_sample:
             chain = slice_decompose(cp)
             for mode in ShrinkMode:
                 tight, side = shrink(chain, mode)
                 if chain.weight != sum(t.weight for t in tight) + side.weight:
-                    return False, f"weight bookkeeping broke on {cp.to_text()}"
+                    return Check(name, False,
+                                 f"weight bookkeeping broke on {cp.to_text()}")
                 regrown = expand(tight, side, mode)
                 if [s.lengths for s in regrown] != \
                         [s.lengths for s in chain.expanded()]:
-                    return False, f"tight packing broke on {cp.to_text()}"
-        return True, f"tight packing roundtrip on {len(tight_sample)} partitions"
+                    return Check(name, False, f"tight packing broke on {cp.to_text()}")
+        return Check(name, True,
+                     f"tight packing roundtrip on {len(tight_sample)} partitions")
 
     def bounded_polys():
         for n in range(min(4, order) + 1):
@@ -360,54 +365,44 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                      cylpart.oracle.count_max_at_most),
                     (f"largest={n}", cylpart.polynomials.largest_part_exact_series,
                      cylpart.oracle.count_max_exactly)):
-                bad = cylpart.series.first_mismatch(poly_series(profile, n, order).coeffs,
-                                                    count(profile, n, order).coeffs)
-                if bad is not None:
-                    k, x, y = bad
-                    return False, (f"{label} numerator mismatch at q^{k}: "
-                                   f"polynomial {x} vs oracle {y}")
-        return True, "bounded-part numerators match the oracle"
+                check = compare("bounded-polynomials",
+                                poly_series(profile, n, order).coeffs,
+                                count(profile, n, order).coeffs,
+                                "bounded-part numerators match the oracle",
+                                lambda k, x, y: f"{label} numerator mismatch at "
+                                                f"q^{k}: polynomial {x} vs oracle {y}")
+                if not check.ok:
+                    return check
+        return check
 
     def two_variable():
+        name, passed = "two-variable-series", "two-variable series matches oracle and product"
         F = cylpart.polynomials.f_truncated(profile, order)
-        bad = cylpart.series.first_mismatch(
-            cylpart.series.at_z_one(F).coeffs,
-            cylpart.series.borodin_product(profile, order).coeffs)
-        if bad is not None:
-            k, x, y = bad
-            return False, (f"z=1 specialization disagrees with the product at q^{k}: "
-                           f"series {x} vs product {y}")
-        bad = cylpart.series.first_mismatch(
-            F.coeffs, cylpart.oracle.count_bivariate(profile, order).coeffs)
-        if bad is not None:
-            k, x, y = bad
-            m, a, b = cylpart.series.first_mismatch(x.coeffs, y.coeffs)
-            return False, (f"largest-part refinement disagrees with the oracle at "
-                           f"q^{k} z^{m}: series {a} vs oracle {b}")
-        return True, "two-variable series matches oracle and product"
-
-    def functional_eq():
-        return cylpart.polynomials.check_functional_equation(profile, min(order, 10))
-
-    def lemma():
-        rep = cylpart.lineups.lemma_check(2, profile, min(order, 12))
-        return rep.ok, str(rep)
-
-    def qconj():
-        rep = cylpart.lineups.qconj_genfunc_check(profile, min(order, 10), 2)
-        return rep.ok, str(rep)
+        check = compare(name, cylpart.series.at_z_one(F).coeffs,
+                        cylpart.series.borodin_product(profile, order).coeffs, passed,
+                        lambda k, x, y: f"z=1 specialization disagrees with the "
+                                        f"product at q^{k}: series {x} vs product {y}")
+        if not check.ok:
+            return check
+        # The first bad q power names the first bad z power within it.
+        return compare(name, F.coeffs, cylpart.oracle.count_bivariate(profile, order).coeffs,
+                       passed, lambda k, x, y: compare(
+                           name, x.coeffs, y.coeffs, "",
+                           lambda m, a, b: f"largest-part refinement disagrees with "
+                                           f"the oracle at q^{k} z^{m}: series {a} "
+                                           f"vs oracle {b}").detail)
 
     return [
-        ("count-vs-product", borodin_vs_oracle),
-        ("distinct-vs-oracle", distinct_vs_oracle),
-        ("bijection-roundtrip", bijection_roundtrip),
-        ("slices-roundtrip", slices_roundtrip),
-        ("tight-packing-roundtrip", tight_packing_roundtrip),
-        ("bounded-polynomials", bounded_polys),
-        ("two-variable-series", two_variable),
-        ("functional-equation", functional_eq),
-        ("pivot-chain-lemma", lemma),
-        ("pivot-genfunc", qconj),
+        borodin_vs_oracle,
+        distinct_vs_oracle,
+        bijection_roundtrip,
+        slices_roundtrip,
+        tight_packing_roundtrip,
+        bounded_polys,
+        two_variable,
+        lambda: cylpart.polynomials.check_functional_equation(profile, min(order, 10)),
+        lambda: cylpart.lineups.lemma_check(2, profile, min(order, 12)),
+        lambda: cylpart.lineups.qconj_genfunc_check(profile, min(order, 10), 2),
     ]
 
 
@@ -418,18 +413,16 @@ def cmd_verify_all(args) -> int:
         # Imported only here: it pulls in ``logging`` at start-up otherwise.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda t: (t[0], *t[1]()), tasks))
+            checks = list(pool.map(lambda task: task(), tasks))
     else:
-        results = [(name, *fn()) for name, fn in tasks]
-    results.sort(key=lambda r: r[0])
-    lines = [f"[{'pass' if ok else 'FAIL'}] {name}: {detail}"
-             for name, ok, detail in results]
-    all_ok = all(ok for _, ok, _ in results)
+        checks = [task() for task in tasks]
+    checks.sort(key=lambda c: c.name)
+    all_ok = all(c.ok for c in checks)
     _emit(args, {"command": "verify-all", "profile": list(profile.parts),
                  "order": args.order, "ok": all_ok,
-                 "checks": [{"name": n, "ok": ok, "detail": d}
-                            for n, ok, d in results]},
-          lines)
+                 "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail,
+                             "first_mismatch": c.mismatch} for c in checks]},
+          [f"[{'pass' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in checks])
     return 0 if all_ok else 1
 
 
@@ -471,13 +464,14 @@ _MODULES = {
 
 
 def _options(formats: list[str], profile_required: bool = True,
-             order: int | None = None, n: int | None = None) -> list:
+             order: int | None = None, n: int | None = None,
+             order_type=_nonnegative_int) -> list:
     """The options the subcommands share, as (flags, keywords) pairs;
     ``--order`` and ``--n`` only where the subcommand gives a default."""
     out = [(("--profile",), {"required": profile_required,
                              "help": "comma separated, e.g. 1,2,0"})]
     if order is not None:
-        out.append((("--order",), {"type": _nonnegative_int, "default": order,
+        out.append((("--order",), {"type": order_type, "default": order,
                                    "help": "truncation order / weight bound"}))
     if n is not None:
         out.append((("--n",), {"type": _nonnegative_int, "default": n}))
@@ -533,8 +527,9 @@ def _subcommands() -> dict[str, tuple]:
                         _options(plain, order=12, n=2)),
         "qconj-check": ("pivot generating-function identity", cmd_qconj_check,
                         _options(plain, order=10, n=2)),
+        # At order 0 the round trips would see only the empty partition.
         "verify-all": ("run every cross-check for a profile", cmd_verify_all, [
-            *_options(plain, order=12),
+            *_options(plain, order=12, order_type=_positive_int),
             (("--seed",), {"type": int, "default": 0,
                            "help": "seed of the round-trip samples"})]),
     }

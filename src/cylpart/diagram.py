@@ -24,7 +24,7 @@ from typing import Sequence
 from .core import Profile, Shape, _Frozen, all_shapes, shape_of_zero
 from .qpoly import QPoly, _convolve
 from .rings import QuadElement, Ring, ZZ, ring_of
-from .series import TruncatedSeries, euler_sum, euler_top, first_mismatch
+from .series import Check, TruncatedSeries, compare, euler_sum, euler_top
 from .slices import min_slice_weight, slice_shape, slice_with, successors
 
 
@@ -297,36 +297,6 @@ def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     return euler_sum(path_counts(profile, euler_top(order)).totals, order)
 
 
-class ClosedFormReport(_Frozen):
-    __slots__ = _fields = ("profile", "order", "mismatch", "irrational_ok")
-
-    def __init__(self, profile: Profile, order: int,
-                 mismatch: tuple[int, object, object] | None, irrational_ok: bool):
-        # ``mismatch`` is (index, closed-form value, path-count value) of
-        # the first bad coefficient, None when every coefficient agrees.
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mismatch", mismatch)
-        object.__setattr__(self, "irrational_ok", irrational_ok)
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatch is None
-
-    @property
-    def first_mismatch(self) -> int | None:
-        return None if self.mismatch is None else self.mismatch[0]
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok and self.irrational_ok else "MISMATCH"
-        extra = ""
-        if self.mismatch is not None:
-            k, x, y = self.mismatch
-            extra = f" at q^{k}: closed form {x} vs path counts {y}"
-        return (f"closed form for {self.profile} to q^{self.order}: {status}{extra}; "
-                f"irrational parts cancel: {self.irrational_ok}")
-
-
 def _closed_form_series(combination, residual, order: int,
                         ring: Ring) -> TruncatedSeries:
     """residual(q) + sum over (alpha, beta, k) of
@@ -347,14 +317,14 @@ def _closed_form_series(combination, residual, order: int,
 
 
 def verify_closed_form(profile: Profile, combination, residual, order: int,
-                       ring: Ring | None = None) -> ClosedFormReport:
-    """Check distinct_gf against residual(q) + sum of alpha * termwise
-    z-derivative series.
+                       ring: Ring | None = None) -> Check:
+    """The ``closed-form`` check of distinct_gf against residual(q) + sum
+    of alpha * termwise z-derivative series.
 
     ``combination`` lists (alpha, beta, k) triples, evaluated as
     alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n; ``residual`` is a low-order
     coefficient list.  Over a quadratic field the final coefficients must
-    also have vanishing irrational part.
+    also have vanishing irrational part; the report says whether they do.
     """
     if ring is None:
         probe = next(iter(combination), None)
@@ -363,18 +333,11 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
     reference = distinct_gf(profile, order).into_ring(ring)
     irrational_ok = not any(isinstance(x, QuadElement) and x.b != 0
                             for x in total.coeffs)
-    return ClosedFormReport(profile, order,
-                            first_mismatch(total.coeffs, reference.coeffs),
-                            irrational_ok)
+    head = f"closed form for {profile} to q^{order}: "
+    tail = f"; irrational parts cancel: {irrational_ok}"
+    # Coefficients equal to the rational reference have no irrational
+    # part, so a closed form that matches it always reads True here.
+    return compare("closed-form", total.coeffs, reference.coeffs, f"{head}ok{tail}",
+                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
+                                   f"vs path counts {y}{tail}")
 
-
-def solve_residual(profile: Profile, combination, degree_bound: int,
-                   order: int, ring: Ring) -> QPoly | None:
-    """Convenience mode: the residual polynomial (degree <= degree_bound)
-    that reconciles the weighted products with distinct_gf, or None when
-    the difference is not a polynomial of that degree."""
-    total = _closed_form_series(combination, [], order, ring)
-    diff = distinct_gf(profile, order).into_ring(ring) - total
-    if any(diff.coeffs[i] for i in range(degree_bound + 1, order + 1)):
-        return None
-    return QPoly(diff.coeffs[:degree_bound + 1])

@@ -33,7 +33,7 @@ from .bijection import chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ, ZZ_z
-from .series import (TruncatedSeries, first_mismatch, inv_zq_pochhammer,
+from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
                      truncate_z, z_power_times)
 from .slices import Slice, slice_shape, slice_with, zero_slice
 
@@ -299,21 +299,6 @@ def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(ZZ, counts, order)
 
 
-class LineupCheckReport(_Frozen):
-    __slots__ = _fields = ("profile", "n", "order", "ok", "detail")
-
-    def __init__(self, profile: Profile, n: int, order: int, ok: bool, detail: str):
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else "MISMATCH"
-        return f"{self.detail} for {self.profile}, n={self.n}, q^{self.order}: {status}"
-
-
 @lru_cache(maxsize=64)
 def minimal_jammed_correction(n: int, profile: Profile) -> QPoly:
     """Sum over minimal jammed lineups of q^{|lineup|} times the product of
@@ -334,8 +319,9 @@ def minimal_jammed_correction(n: int, profile: Profile) -> QPoly:
     return total
 
 
-def lemma_check(n: int, profile: Profile, order: int) -> LineupCheckReport:
-    """Chains of n pivots, counted two ways.
+def lemma_check(n: int, profile: Profile, order: int) -> Check:
+    """Chains of n pivots, counted two ways: the ``pivot-chain-lemma``
+    check.
 
     Brute force on the left; on the right, minimal loose lineup weights
     plus the sign-corrected minimal jammed weights, all over
@@ -348,17 +334,16 @@ def lemma_check(n: int, profile: Profile, order: int) -> LineupCheckReport:
     numerator = numerator + minimal_jammed_correction(n, profile)
     rhs = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order),
                                       order).mul_inv_poch(n, profile.rank)
-    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
-    detail = "pivot-chain count identity"
-    if bad is not None:
-        k, x, y = bad
-        detail += f" (first mismatch at q^{k}: {x} vs {y})"
-    return LineupCheckReport(profile, n, order, bad is None, detail)
+    where = f"for {profile}, n={n}, q^{order}"
+    return compare("pivot-chain-lemma", lhs.coeffs, rhs.coeffs,
+                   f"pivot-chain count identity {where}: ok",
+                   lambda k, x, y: f"pivot-chain count identity (first mismatch "
+                                   f"at q^{k}: {x} vs {y}) {where}: MISMATCH")
 
 
-def qconj_genfunc_check(profile: Profile, order: int, n_max: int
-                        ) -> LineupCheckReport:
-    """Full two-variable identity against the enumeration oracle:
+def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
+    """The ``pivot-genfunc`` check: the full two-variable identity against
+    the enumeration oracle,
 
         F(z, q) = 1/(zq; q)_inf *
                   sum_n (pivot_lineup + jammed correction) z^n / (q^r; q^r)_n
@@ -376,10 +361,9 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int
         rhs_sum = rhs_sum + z_power_times(n, series.mul_inv_poch(n, r))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
     lhs = truncate_z(cylpart.oracle.count_bivariate(profile, order), n_max)
-    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
-    detail = "pivot generating-function identity"
-    if bad is not None:
-        k, x, y = bad
-        detail += (f" (first mismatch at q^{k}: oracle {x.to_str('z')}"
-                   f" vs lineups {y.to_str('z')})")
-    return LineupCheckReport(profile, n_max, order, bad is None, detail)
+    where = f"for {profile}, n={n_max}, q^{order}"
+    return compare("pivot-genfunc", lhs.coeffs, rhs.coeffs,
+                   f"pivot generating-function identity {where}: ok",
+                   lambda k, x, y: f"pivot generating-function identity (first "
+                                   f"mismatch at q^{k}: oracle {x.to_str('z')} vs "
+                                   f"lineups {y.to_str('z')}) {where}: MISMATCH")

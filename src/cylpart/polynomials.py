@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
-from .series import (TruncatedSeries, first_mismatch, subst_z_mul_qpow,
+from .series import (Check, TruncatedSeries, compare, subst_z_mul_qpow,
                      z_power_times)
 from .rings import ZZ, ZZ_z
 
@@ -227,7 +227,7 @@ def f_truncated(profile: Profile, order: int) -> TruncatedSeries:
     return total
 
 
-def check_functional_equation(profile: Profile, order: int) -> tuple[bool, str]:
+def check_functional_equation(profile: Profile, order: int) -> Check:
     """Truncated bivariate identity relating the counting series of all
     shapes at one level:
 
@@ -237,7 +237,7 @@ def check_functional_equation(profile: Profile, order: int) -> tuple[bool, str]:
 
     with the d-sum taken over shapes other than c (the d = c term is the
     plain z F_c(z, q), already accounted for on the left after moving it
-    over).  Returns (ok, detail).
+    over).  Returns the ``functional-equation`` check.
     """
     r = profile.rank
     level = profile.level
@@ -260,8 +260,7 @@ def check_functional_equation(profile: Profile, order: int) -> tuple[bool, str]:
                     .shift(k)
                     .scale(z))
         rhs = rhs + term
-    bad = first_mismatch(lhs.coeffs, rhs.coeffs)
-    if bad is None:
-        return True, f"functional equation holds for {profile} to q^{order}"
-    i, x, y = bad
-    return False, f"functional equation fails for {profile} at q^{i}: {x} vs {y}"
+    return compare("functional-equation", lhs.coeffs, rhs.coeffs,
+                   f"functional equation holds for {profile} to q^{order}",
+                   lambda i, x, y: f"functional equation fails for {profile} "
+                                   f"at q^{i}: {x} vs {y}")

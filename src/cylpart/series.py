@@ -161,6 +161,30 @@ def first_mismatch(a, b) -> tuple[int, object, object] | None:
                  if x != y), None)
 
 
+class Check(_Frozen):
+    """The outcome of one identity check: its name, whether it held, the
+    line that reports it, and the index of the first bad coefficient (None
+    when the check held or does not compare coefficients)."""
+
+    __slots__ = _fields = ("name", "ok", "detail", "mismatch")
+
+    def __init__(self, name: str, ok: bool, detail: str, mismatch: int | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "mismatch", mismatch)
+
+
+def compare(name: str, a, b, passed: str, failed) -> Check:
+    """The check that coefficient sequences ``a`` and ``b`` agree:
+    ``passed`` reports it when they do, ``failed(index, a value, b value)``
+    words the first entry where they differ."""
+    bad = first_mismatch(a, b)
+    if bad is None:
+        return Check(name, True, passed)
+    return Check(name, False, failed(*bad), bad[0])
+
+
 def inv_poch_finite(n: int, order: int, step: int = 1) -> TruncatedSeries:
     """1 / ((q^step; q^step)_n) truncated: product of 1/(1 - q^{step*j}), j = 1..n."""
     return TruncatedSeries.one(ZZ, order).mul_inv_poch(n, step)

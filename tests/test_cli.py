@@ -202,11 +202,13 @@ class TestVerificationCommands:
         names = ["bijection-roundtrip", "slices-roundtrip", "tight-packing-roundtrip"]
 
         def samples(order):
-            tasks = dict(cli._verify_all_tasks(Profile.of(2, 1), 10, 7))
+            tasks = {task.__name__.replace("_", "-"): task
+                     for task in cli._verify_all_tasks(Profile.of(2, 1), 10, 7)}
             out = {}
             for name in order:
                 seen.clear()
-                assert tasks[name]()[0], name
+                check = tasks[name]()
+                assert check.ok and check.name == name, check
                 out[name] = list(seen)
             return out
 
@@ -239,6 +241,14 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_verify_all_order_below_one_rejected(self, capsys, order):
+        # At order 0 the round trips would pass on the empty partition alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--profile", "1,1", "--order", order])
+        assert exc.value.code == 2
+        assert f"must be at least 1, got {order}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--rank", "3", "--level", "3"], "--rank 3 disagrees with the rank 2"),

@@ -9,7 +9,7 @@ from cylpart import (LinearRecurrence, Profile, QPoly, Shape,
                      count_distinct_series, diagonal_blocks, distinct_gf,
                      fit_recurrence, matrix_power, path_counts, QuadraticField,
                      shape_of_zero, verify_closed_form)
-from cylpart.diagram import NoRecurrenceFound, _matmul, solve_residual
+from cylpart.diagram import NoRecurrenceFound, _matmul
 from cylpart.rings import QQ
 from cylpart.slices import slice_shape, successors, zero_slice
 
@@ -348,7 +348,7 @@ class TestClosedForms:
         ring, combination, residual = _closed_form(key)
         report = verify_closed_form(Profile(key), combination, residual, 25,
                                     ring=ring)
-        assert report.ok and report.irrational_ok
+        assert report.ok and "irrational parts cancel: True" in report.detail
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "pairing the coefficient (2+sqrt3)/6 with the product over "
@@ -365,13 +365,6 @@ class TestClosedForms:
     def test_mismatch_reported_with_position(self):
         report = verify_closed_form(Profile.of(1, 1, 1),
                                     [(Fraction(3, 2), 2, 0)], [0], 10, ring=QQ)
-        assert not report.ok and report.first_mismatch == 0
+        assert not report.ok and report.mismatch == 0
         # The closed form gives 3/2 at q^0, the path counts 1.
-        assert "MISMATCH at q^0: closed form 3/2 vs path counts 1;" in str(report)
-
-    def test_solve_residual(self):
-        ring, combination, residual = _closed_form((1, 1, 1))
-        found = solve_residual(Profile.of(1, 1, 1), combination, 0, 20, ring)
-        assert found == QPoly((Fraction(-1, 2),))
-        assert solve_residual(Profile.of(1, 1, 1),
-                              [(Fraction(1), 2, 0)], 0, 20, ring) is None
+        assert "MISMATCH at q^0: closed form 3/2 vs path counts 1;" in report.detail

@@ -314,13 +314,13 @@ class TestAgainstEnumeration:
 class TestFunctionalEquation:
     @pytest.mark.parametrize("profile", [Profile.of(2, 1), Profile.of(1, 1, 1)])
     def test_holds_to_order_ten(self, profile):
-        ok, detail = check_functional_equation(profile, 10)
-        assert ok, detail
+        check = check_functional_equation(profile, 10)
+        assert check.ok, check.detail
 
     def test_more_profiles(self):
         for profile in [Profile.of(0, 2, 0), Profile.of(3, 0), Profile.of(1, 3)]:
-            ok, detail = check_functional_equation(profile, 8)
-            assert ok, detail
+            check = check_functional_equation(profile, 8)
+            assert check.ok, check.detail
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "replacing the q^rank shift of the self term by a plain q shift "

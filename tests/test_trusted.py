@@ -492,8 +492,7 @@ class TestSlottedValues:
 def _every_value_class():
     """One value of each class built on ``core._Frozen``, keyed by class."""
     from cylpart import lineups, rings, series
-    from cylpart.diagram import (ClosedFormReport, build_graph, fit_recurrence,
-                                 path_counts)
+    from cylpart.diagram import build_graph, fit_recurrence, path_counts
     chain = decompose(CP)
     mu, beta = pivot_decompose(CP)
     values = [mu, shape_of_zero(P111), CP, P111, chain.distinct()[0], chain, beta,
@@ -502,7 +501,6 @@ def _every_value_class():
               rings.QuadraticField(5).sqrt(),
               build_graph(2, 2, Profile.of(1, 1)), path_counts(P111, 4),
               fit_recurrence([1, 1, 2, 3, 5, 8, 13, 21, 34, 55]),
-              ClosedFormReport(P111, 5, None, True),
               lineups.classify(P111, []), lineups.lemma_check(1, P111, 4)]
     return {type(value): value for value in values}
 
@@ -511,7 +509,7 @@ class TestValueClasses:
     def test_every_class_is_covered_and_slotted(self):
         values = _every_value_class()
         assert set(values) == set(_Frozen.__subclasses__())
-        assert len(values) == 16
+        assert len(values) == 15
         for cls, value in values.items():
             assert "__slots__" in vars(cls) and not hasattr(value, "__dict__"), cls
             assert set(cls._fields) <= set(cls.__slots__), cls
@@ -629,6 +627,18 @@ class TestModuleBoundaries:
             lines = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, ast.Assert)]
             assert not lines, f"{path.name}: assert at lines {lines}"
+
+    def test_mismatches_are_found_and_worded_in_series_only(self):
+        """Every check finds its first bad coefficient through
+        ``series.compare``, so one module decides how a failure reads."""
+        for path in sorted(SRC.glob("*.py")):
+            if path.stem == "series":
+                continue
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and "first_mismatch" in
+                     (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+            assert not lines, f"{path.name}: first_mismatch called at lines {lines}"
 
     def test_no_dataclasses_in_library(self):
         """The value classes build on ``core._Frozen``, so no job pays for
