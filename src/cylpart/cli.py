@@ -376,7 +376,8 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
         return check
 
     def two_variable():
-        name, passed = "two-variable-series", "two-variable series matches oracle and product"
+        name = "two-variable-series"
+        passed = "two-variable series matches oracle and product"
         F = cylpart.polynomials.f_truncated(profile, order)
         check = compare(name, cylpart.series.at_z_one(F).coeffs,
                         cylpart.series.borodin_product(profile, order).coeffs, passed,
@@ -384,13 +385,16 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                                         f"product at q^{k}: series {x} vs product {y}")
         if not check.ok:
             return check
-        # The first bad q power names the first bad z power within it.
-        return compare(name, F.coeffs, cylpart.oracle.count_bivariate(profile, order).coeffs,
-                       passed, lambda k, x, y: compare(
-                           name, x.coeffs, y.coeffs, "",
+
+        def refinement(k, x, y):
+            # Named by the first bad z power of the first bad q power.
+            return compare(name, x.coeffs, y.coeffs, "",
                            lambda m, a, b: f"largest-part refinement disagrees with "
                                            f"the oracle at q^{k} z^{m}: series {a} "
-                                           f"vs oracle {b}").detail)
+                                           f"vs oracle {b}").detail
+
+        oracle = cylpart.oracle.count_bivariate(profile, order)
+        return compare(name, F.coeffs, oracle.coeffs, passed, refinement)
 
     return [
         borodin_vs_oracle,

@@ -340,4 +340,3 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
     return compare("closed-form", total.coeffs, reference.coeffs, f"{head}ok{tail}",
                    lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
                                    f"vs path counts {y}{tail}")
-
