@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import sys
@@ -35,16 +36,32 @@ from .slices import (ShrinkMode, decompose as slice_decompose, expand, recompose
 SCHEMA = 1
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None):
+def _emit(args, payload: dict, text_lines: list[str], csv_rows=None):
+    """Write the payload (JSON), the rows ``csv_rows()`` makes (CSV) or the
+    text lines.  JSON is written as it is encoded, so the document is never
+    held as one string; the CSV rows are made only for ``--format csv``."""
     if args.format == "json":
         payload["schema"] = SCHEMA
-        print(json.dumps(payload, indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        # Some dozens of encoder chunks per write: one write per chunk is
+        # one system call per chunk when stdout is unbuffered (``-u``).
+        while piece := "".join(itertools.islice(chunks, 64)):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
     elif args.format == "csv":
-        for row in csv_rows:
+        for row in csv_rows():
             print(",".join(str(x) for x in row))
     else:
         for line in text_lines:
             print(line)
+
+
+def _texts(items: list) -> list[str]:
+    """``items`` with each item replaced in place by its text form, so each
+    item is freed as its text is made."""
+    for i, item in enumerate(items):
+        items[i] = item.to_text()
+    return items
 
 
 def _emit_each(args, payload: dict, text_lines: list[str]):
@@ -77,11 +94,10 @@ def _partitions_from(args) -> list[core.CylindricPartition]:
 
 def cmd_enumerate(args) -> int:
     profile = parse_profile(args.profile)
-    found = cylpart.oracle.enumerate_by_weight(profile, args.order)
-    lines = [cp.to_text() for cp in found]
+    lines = _texts(cylpart.oracle.enumerate_by_weight(profile, args.order))
     _emit(args, {"command": "enumerate", "profile": list(profile.parts),
                  "order": args.order, "partitions": lines},
-          lines, [[t] for t in lines])
+          lines, lambda: ([t] for t in lines))
     return 0
 
 
@@ -100,7 +116,7 @@ def cmd_series(args) -> int:
     ts = getattr(getattr(cylpart, module), name)(profile, args.order)
     _emit(args, {"command": args.command, "profile": list(profile.parts),
                  **ts.to_json()},
-          [str(ts)], [[i, c] for i, c in enumerate(ts.coeffs)])
+          [str(ts)], lambda: enumerate(ts.coeffs))
     return 0
 
 
@@ -189,7 +205,7 @@ def cmd_path_counts(args) -> int:
                  "totals": [str(v) for v in table.totals],
                  "by_shape": [{str(s): str(v) for s, v in layer}
                               for layer in table.by_shape]},
-          lines, [[n, v] for n, v in enumerate(table.totals)])
+          lines, lambda: enumerate(table.totals))
     return 0
 
 
@@ -238,16 +254,17 @@ _POLY_KINDS = {"P": "parts_at_most", "Peq": "largest_part_exact",
 def cmd_poly(args) -> int:
     profile = parse_profile(args.profile)
     method = _POLY_KINDS[args.kind]
-    rows = None
-    if args.format == "csv":
+
+    def rows():
         fam = cylpart.polynomials.family(profile.rank, profile.level)
-        rows = [["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]]
+        yield ["rank", "level", "n", "shape", "value_at_1", "min_coefficient"]
         for n in range(args.n + 1):
             for sh in fam.shapes:
                 poly = getattr(fam, method)(n, sh)
                 mn = min(poly.coeffs) if poly.coeffs else 0
-                rows.append([profile.rank, profile.level, n,
-                             f"({'-'.join(map(str, sh.parts))})", poly(1), mn])
+                yield [profile.rank, profile.level, n,
+                       f"({'-'.join(map(str, sh.parts))})", poly(1), mn]
+
     poly = getattr(cylpart.polynomials, f"{method}_poly")(profile, args.n)
     _emit(args, {"command": f"poly {args.kind}", "profile": list(profile.parts),
                  "n": args.n, "coeffs": [str(c) for c in poly.coeffs]},
@@ -268,10 +285,10 @@ def cmd_lineups(args) -> int:
         found = cylpart.lineups.enumerate_minimal_loose(args.n, profile)
     else:
         found = cylpart.lineups.enumerate_minimal_jammed(args.n, profile)
-    lines = [l.to_text() for l in found]
+    lines = _texts(found)
     _emit(args, {"command": "lineups", "profile": list(profile.parts),
                  "kind": args.kind, "n": args.n, "lineups": lines},
-          lines, [[t] for t in lines])
+          lines, lambda: ([t] for t in lines))
     return 0
 
 
@@ -294,7 +311,8 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
     ``series.Check``."""
     import random
     rng = random.Random(seed)
-    Check, compare = cylpart.series.Check, cylpart.series.compare
+    Check, compare, refinement = (cylpart.series.Check, cylpart.series.compare,
+                                  cylpart.series.refinement)
     # The round-trip checks only read this pool, so they share one list.
     pool = cylpart.oracle.enumerate_by_weight(profile, min(order, 10))
 
@@ -385,16 +403,12 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                                         f"product at q^{k}: series {x} vs product {y}")
         if not check.ok:
             return check
-
-        def refinement(k, x, y):
-            # Named by the first bad z power of the first bad q power.
-            return compare(name, x.coeffs, y.coeffs, "",
-                           lambda m, a, b: f"largest-part refinement disagrees with "
-                                           f"the oracle at q^{k} z^{m}: series {a} "
-                                           f"vs oracle {b}").detail
-
         oracle = cylpart.oracle.count_bivariate(profile, order)
-        return compare(name, F.coeffs, oracle.coeffs, passed, refinement)
+        return compare(name, F.coeffs, oracle.coeffs, passed,
+                       refinement(lambda k, m, a, b: f"largest-part refinement "
+                                                     f"disagrees with the oracle at "
+                                                     f"q^{k} z^{m}: series {a} vs "
+                                                     f"oracle {b}"))
 
     return [
         borodin_vs_oracle,

@@ -20,6 +20,7 @@ from the largest slice down; index n is the gap onto the empty slice.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .polynomials import family
 from .qpoly import QPoly
 from .rings import ZZ, ZZ_z
 from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
-                     truncate_z, z_power_times)
+                     refinement, truncate_z, z_power_times)
 from .slices import Slice, slice_shape, slice_with, zero_slice
 
 
@@ -185,26 +186,48 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     """All minimal jammed lineups with n pivots: chains whose every gap is
     delta or delta + rank, some gap delta, every member a pivot.
 
+    Listed by shape choice (largest slice first, in ``itertools.product``
+    order), then by the set of tight gaps read as a bit mask (bit j - 1 for
+    gap j), ascending.
+    """
+    found = list(_minimal_jammed(n, profile, math.inf))
+    found.sort()   # (shape indices, mask) is unique, so slices never compare
+    iotas: dict[int, frozenset[int]] = {}
+    # Each sort entry is replaced by its lineup, and so freed, in turn.
+    for i, (_, mask, _, chain, labels) in enumerate(found):
+        iota = iotas.get(mask)
+        if iota is None:
+            iota = iotas[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
+        found[i] = Lineup(profile, chain, "minimal-jammed", iota, labels)
+    return found
+
+
+def _minimal_jammed(n: int, profile: Profile, order):
+    """Yield (shape indices, tight mask, weight, slices, shapes), slices and
+    shapes largest first, for each minimal jammed lineup with n pivots and
+    weight <= order (``math.inf``: every one), in no set order.
+
     The chain is walked bottom-up, from gap n onto the empty slice to the
     largest slice; each step picks a shape and a tight or loose gap.  A
     member's pivot flag depends only on its neighbours, so it is decided as
     soon as the slice above it is chosen, and a prefix holding a non-pivot
-    is cut once, with all its completions.  The steps out of a slice do not
-    depend on where in the chain it sits, so each call lists them once per
-    distinct lower slice, in a table local to the call.  Listed by shape
-    choice (largest slice first, in ``itertools.product`` order), then by
-    the set of tight gaps read as a bit mask (bit j - 1 for gap j),
-    ascending.
+    is cut once, with all its completions.  So is a prefix that cannot stay
+    within the order: each slice still to place above a slice of weight w
+    weighs more than w.  The steps out of a slice do not depend on where in
+    the chain it sits, so each call lists them once per distinct lower
+    slice, in a table local to the call, leaving out slices heavier than
+    the order.
     """
     if n == 0:
-        return []
+        return
     r = profile.rank
     fam = family(r, profile.level)
     shapes = list(enumerate(potential_pivot_shapes(r, profile.level)))
     # Lower slice lengths -> every admissible step above it, as [shape
-    # index, shape, tight, slice above, (leftmost, rightmost) column of the
-    # space between them, pivot flag of the slice above as the largest
-    # member].  The flag is None until the row is first placed on top.
+    # index, shape, tight, slice above, its weight, (leftmost, rightmost)
+    # column of the space between them, pivot flag of the slice above as
+    # the largest member].  The flag is None until the row is first placed
+    # on top.
     steps_above: dict[tuple[int, ...], list[list]] = {}
 
     def steps(lower: Slice, lower_shape: Shape) -> list[list]:
@@ -212,52 +235,49 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
         lower_ends = lower.right_ends()
         for pick, sh in shapes:
             step = lower.weight + fam.dist(lower_shape, sh)
-            for tight in (True, False):
-                s = slice_with(profile, sh, step if tight else step + r)
+            for tight, weight in ((True, step), (False, step + r)):
+                if weight > order:
+                    break
+                s = slice_with(profile, sh, weight)
                 if s is None or s == lower or not s.contains(lower):
                     continue
                 ends = s.right_ends()
                 # Not None: s strictly contains lower.
-                out.append([pick, sh, tight, s, _space_columns(ends, lower_ends), None])
+                out.append([pick, sh, tight, s, weight,
+                            _space_columns(ends, lower_ends), None])
         return out
 
-    found = []   # (shape indices, tight mask, slices, shapes), largest first
     zero = zero_slice(profile)
     # Each entry asks for slice j (0-based, largest first) above ``lower``,
-    # which is slice j + 1 or the empty slice; ``under_right`` is the
-    # rightmost column of the space under ``lower`` (None when ``lower`` is
-    # empty).  ``lower`` is a pivot when the space above it starts left of
-    # that column, as :func:`pivot_flag` decides.
-    stack = [(n - 1, zero, shape_of_zero(profile), None, (), 0, (), ())]
+    # which is slice j + 1 or the empty slice, after slices of total weight
+    # ``spent``; ``under_right`` is the rightmost column of the space under
+    # ``lower`` (None when ``lower`` is empty).  ``lower`` is a pivot when
+    # the space above it starts left of that column, as :func:`pivot_flag`
+    # decides.
+    stack = [(n - 1, zero, shape_of_zero(profile), None, 0, (), 0, (), ())]
     while stack:
-        j, lower, lower_shape, under_right, picks, mask, chain, labels = stack.pop()
+        j, lower, lower_shape, under_right, spent, picks, mask, chain, labels = stack.pop()
         table = steps_above.get(lower.lengths)
         if table is None:
             table = steps_above[lower.lengths] = steps(lower, lower_shape)
         bit = 1 << j
         for row in table:
-            pick, sh, tight, s, (left, right), top_pivot = row
+            pick, sh, tight, s, w, (left, right), top_pivot = row
             if under_right is not None and left >= under_right:
+                continue
+            weight = spent + w
+            if weight + j * (w + 1) > order:
                 continue
             m = mask | bit if tight else mask
             if j > 0:
-                stack.append((j - 1, s, sh, right, (pick,) + picks, m,
+                stack.append((j - 1, s, sh, right, weight, (pick,) + picks, m,
                               (s,) + chain, (sh,) + labels))
             elif m:
                 if top_pivot is None:
                     top_pivot = row[-1] = pivot_flag(None, s.right_ends(),
                                                      lower.right_ends())
                 if top_pivot:
-                    found.append(((pick,) + picks, m, (s,) + chain, (sh,) + labels))
-    found.sort()   # (shape indices, mask) is unique, so slices never compare
-    iotas: dict[int, frozenset[int]] = {}
-    out = []
-    for _, mask, chain, labels in found:
-        iota = iotas.get(mask)
-        if iota is None:
-            iota = iotas[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        out.append(Lineup(profile, chain, "minimal-jammed", iota, labels))
-    return out
+                    yield (pick,) + picks, m, weight, (s,) + chain, (sh,) + labels
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
@@ -300,23 +320,28 @@ def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=64)
-def minimal_jammed_correction(n: int, profile: Profile) -> QPoly:
+def minimal_jammed_correction(n: int, profile: Profile, order: int | None = None) -> QPoly:
     """Sum over minimal jammed lineups of q^{|lineup|} times the product of
-    (1 - q^{rank*j}) over the tightened gap indices."""
+    (1 - q^{rank*j}) over the tightened gap indices, truncated at q^order
+    (``None``: full degree).  Every term of a lineup's piece has degree at
+    least the lineup's weight, so only lineups of weight <= order are
+    walked."""
     r = profile.rank
-    weights: dict[frozenset[int], list[int]] = {}
-    for lineup in enumerate_minimal_jammed(n, profile):
-        weights.setdefault(lineup.iota, []).append(lineup.weight)
+    weights: dict[int, list[int]] = {}
+    for _, mask, weight, _, _ in _minimal_jammed(n, profile,
+                                                 math.inf if order is None else order):
+        weights.setdefault(mask, []).append(weight)
     total = QPoly()
-    for iota, ws in weights.items():
+    for mask, ws in weights.items():
         counts = [0] * (max(ws) + 1)
         for w in ws:
             counts[w] += 1
         piece = QPoly(counts)
-        for j in sorted(iota):
-            piece = piece * QPoly((1,) + (0,) * (r * j - 1) + (-1,))
+        for j in range(1, n + 1):
+            if mask >> (j - 1) & 1:
+                piece = piece * QPoly((1,) + (0,) * (r * j - 1) + (-1,))
         total = total + piece
-    return total
+    return total if order is None else QPoly(total.coeffs[:order + 1])
 
 
 def lemma_check(n: int, profile: Profile, order: int) -> Check:
@@ -325,13 +350,14 @@ def lemma_check(n: int, profile: Profile, order: int) -> Check:
 
     Brute force on the left; on the right, minimal loose lineup weights
     plus the sign-corrected minimal jammed weights, all over
-    (q^rank; q^rank)_n.
+    (q^rank; q^rank)_n, each truncated at q^order.  The minimal loose
+    weights come from the tight-packing distances alone, through the
+    pivot-lineup recurrence, and only minimal jammed lineups of weight
+    <= order are walked; no lineup is built.
     """
     lhs = pivot_chain_gf(n, profile, order)
-    numerator = QPoly()
-    for lineup in enumerate_minimal_loose(n, profile):
-        numerator = numerator + QPoly.monomial(lineup.weight)
-    numerator = numerator + minimal_jammed_correction(n, profile)
+    numerator = family(profile.rank, profile.level).pivot_lineup(
+        n, shape_of_zero(profile), order) + minimal_jammed_correction(n, profile, order)
     rhs = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order),
                                       order).mul_inv_poch(n, profile.rank)
     where = f"for {profile}, n={n}, q^{order}"
@@ -349,6 +375,9 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
                   sum_n (pivot_lineup + jammed correction) z^n / (q^r; q^r)_n
 
     compared coefficientwise for z-degree <= n_max, q-degree <= order.
+    Both lineup sums are truncated at q^order: the minimal loose weights
+    come from the pivot-lineup recurrence and only minimal jammed lineups
+    of weight <= order are walked.
     """
     r = profile.rank
     fam = family(r, profile.level)
@@ -356,7 +385,7 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
     rhs_sum = TruncatedSeries.zero(ZZ_z, order)
     for n in range(n_max + 1):
         numerator = fam.pivot_lineup(n, zero_shape, order) + \
-            minimal_jammed_correction(n, profile)
+            minimal_jammed_correction(n, profile, order)
         series = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
         rhs_sum = rhs_sum + z_power_times(n, series.mul_inv_poch(n, r))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
@@ -364,6 +393,7 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
     where = f"for {profile}, n={n_max}, q^{order}"
     return compare("pivot-genfunc", lhs.coeffs, rhs.coeffs,
                    f"pivot generating-function identity {where}: ok",
-                   lambda k, x, y: f"pivot generating-function identity (first "
-                                   f"mismatch at q^{k}: oracle {x.to_str('z')} vs "
-                                   f"lineups {y.to_str('z')}) {where}: MISMATCH")
+                   refinement(lambda k, m, x, y: f"pivot generating-function "
+                                                 f"identity (first mismatch at "
+                                                 f"q^{k} z^{m}: oracle {x} vs "
+                                                 f"lineups {y}) {where}: MISMATCH"))

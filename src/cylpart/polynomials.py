@@ -22,8 +22,8 @@ from functools import lru_cache
 
 from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
-from .series import (Check, TruncatedSeries, compare, subst_z_mul_qpow,
-                     z_power_times)
+from .series import (Check, TruncatedSeries, compare, refinement,
+                     subst_z_mul_qpow)
 from .rings import ZZ, ZZ_z
 
 
@@ -220,11 +220,11 @@ def largest_part_exact_series(profile: Profile, n: int, order: int) -> Truncated
 
 def f_truncated(profile: Profile, order: int) -> TruncatedSeries:
     """The two-variable counting series over Z[z]: z marks the largest part,
-    q the weight; assembled as sum of z^n * largest_part_exact_series(n)."""
-    total = TruncatedSeries.zero(ZZ_z, order)
-    for n in range(order + 1):
-        total = total + z_power_times(n, largest_part_exact_series(profile, n, order))
-    return total
+    q the weight; the z^n row is largest_part_exact_series(n), so the q^k
+    coefficient is column k of those rows."""
+    rows = [largest_part_exact_series(profile, n, order).coeffs
+            for n in range(order + 1)]
+    return TruncatedSeries(ZZ_z, order, tuple(map(QPoly, zip(*rows))))
 
 
 def check_functional_equation(profile: Profile, order: int) -> Check:
@@ -262,5 +262,6 @@ def check_functional_equation(profile: Profile, order: int) -> Check:
         rhs = rhs + term
     return compare("functional-equation", lhs.coeffs, rhs.coeffs,
                    f"functional equation holds for {profile} to q^{order}",
-                   lambda i, x, y: f"functional equation fails for {profile} "
-                                   f"at q^{i}: {x} vs {y}")
+                   refinement(lambda k, m, x, y: f"functional equation fails for "
+                                                 f"{profile} at q^{k} z^{m}: "
+                                                 f"left {x} vs right {y}"))

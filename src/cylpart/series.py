@@ -119,16 +119,6 @@ class TruncatedSeries(_Frozen):
             s = s.mul_inv_one_minus(step * j)
         return s
 
-    def mul_one_plus(self, e: int, factor) -> "TruncatedSeries":
-        """Multiply by (1 + factor * q^e)."""
-        if e < 1:
-            raise NonpositiveExponent(f"exponent {e} must be positive")
-        factor = self.ring.coerce(factor)
-        cs = list(self.coeffs)
-        for i in range(self.order, e - 1, -1):
-            cs[i] = cs[i] + factor * self.coeffs[i - e]
-        return TruncatedSeries(self.ring, self.order, tuple(cs))
-
     def into_ring(self, ring: Ring) -> "TruncatedSeries":
         return TruncatedSeries.from_coeffs(ring, list(self.coeffs), self.order)
 
@@ -185,9 +175,13 @@ def compare(name: str, a, b, passed: str, failed) -> Check:
     return Check(name, False, failed(*bad), bad[0])
 
 
-def inv_poch_finite(n: int, order: int, step: int = 1) -> TruncatedSeries:
-    """1 / ((q^step; q^step)_n) truncated: product of 1/(1 - q^{step*j}), j = 1..n."""
-    return TruncatedSeries.one(ZZ, order).mul_inv_poch(n, step)
+def refinement(failed):
+    """A ``failed`` wording for :func:`compare` on two series over Z[z]:
+    ``failed(k, m, a value, b value)`` words the first bad z power m of the
+    first bad q power k, with both integer values."""
+    def word(k, x, y):
+        return failed(k, *first_mismatch(x.coeffs, y.coeffs))
+    return word
 
 
 def product_inv_factors(factors, order: int) -> TruncatedSeries:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cylpart import CylindricPartition, Profile, enumerate_by_weight
+from cylpart import CylindricPartition, Profile, TruncatedSeries, enumerate_by_weight
 
 
 def all_profiles(max_rank: int, max_level: int) -> list[Profile]:
@@ -14,6 +14,16 @@ def all_profiles(max_rank: int, max_level: int) -> list[Profile]:
                 if sum(parts) == level:
                     out.append(Profile(parts))
     return out
+
+
+def mul_one_plus(series: TruncatedSeries, e: int, factor) -> TruncatedSeries:
+    """``series`` times (1 + factor * q^e), for e >= 1: the factor the
+    product references in the tests are built from."""
+    factor = series.ring.coerce(factor)
+    cs = list(series.coeffs)
+    for i in range(series.order, e - 1, -1):
+        cs[i] = cs[i] + factor * series.coeffs[i - e]
+    return TruncatedSeries(series.ring, series.order, tuple(cs))
 
 
 @pytest.fixture(scope="session")

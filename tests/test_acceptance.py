@@ -29,7 +29,7 @@ from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.polynomials import (largest_part_exact_series,
                                  parts_at_most_series)
 from cylpart.rings import QQ, ZZ
-from cylpart.series import TruncatedSeries, at_z_one, inv_poch_finite
+from cylpart.series import TruncatedSeries, at_z_one
 
 from conftest import all_profiles
 
@@ -281,7 +281,7 @@ def test_criterion_10_rogers_ramanujan():
     total = TruncatedSeries.zero(ZZ, order)
     n = 0
     while n * n <= order:
-        total = total + inv_poch_finite(n, order).shift(n * n)
+        total = total + TruncatedSeries.one(ZZ, order).mul_inv_poch(n).shift(n * n)
         n += 1
     product = product_inv_factors([(1, 5), (4, 5)], order)
     assert total.coeffs == product.coeffs

@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -140,6 +142,49 @@ class TestStructuredOutput:
         code, out = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0 and payload[key]
         assert out.splitlines() == payload[key]
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--profile", "1,1", "--order", "4"],
+        ["count", "--profile", "2,1", "--order", "6"],
+        ["borodin", "--profile", "2,1", "--order", "6"],
+        ["distinct-gf", "--profile", "2,1", "--order", "6"],
+        ["path-counts", "--profile", "1,1,1", "--order", "6"],
+        ["poly", "P", "--profile", "2,1", "--n", "2"],
+        ["lineups", "--profile", "1,1,0", "--kind", "mll", "--n", "2"],
+        ["lineups", "--profile", "1,1,0", "--kind", "mjl", "--n", "2"]])
+    def test_csv_rows_made_only_for_csv(self, capsys, monkeypatch, argv):
+        made = []
+        real_emit = cli._emit
+
+        def spy(args, payload, text_lines, csv_rows=None):
+            def rows():
+                made.append(args.format)
+                return csv_rows()
+            real_emit(args, payload, text_lines, rows)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        for fmt in ("text", "json", "csv"):
+            code, out = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out
+        assert made == ["csv"]
+
+    def test_listing_json_peak_is_its_text_peak(self, monkeypatch):
+        # The JSON is written as it is encoded and each lineup is freed as
+        # its text is made, so the JSON form needs no more memory.
+        argv = ["lineups", "--kind", "mjl", "--n", "3", "--profile", "4,0,0"]
+        peaks = {}
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main(argv) == 0   # fills the caches both runs share
+            for fmt in ("text", "json"):
+                gc.collect()   # both runs start without earlier garbage
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--format", fmt]) == 0
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["json"] <= 1.05 * peaks["text"], peaks
 
     def test_lineups(self, capsys):
         code, payload = run_json(capsys, "lineups", "--profile", "1,1,0",
@@ -415,9 +460,7 @@ class TestMismatchDetails:
          "series 10 vs oracle 11"),
         ("functional-equation", polynomials, "f_truncated",
          lambda f: _bump_bivariate(f, 6, 2),
-         "functional equation fails for c=(2,1) at q^6: "
-         "2*q + 11*q^2 + 11*q^3 + 7*q^4 + 3*q^5 + 2*q^6 vs "
-         "2*q + 10*q^2 + 12*q^3 + 7*q^4 + 3*q^5 + 2*q^6"),
+         "functional equation fails for c=(2,1) at q^6 z^2: left 11 vs right 10"),
         ("pivot-chain-lemma", lineups, "pivot_chain_gf", lambda f: _bump_series(f, 5),
          "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
          "for c=(2,1), n=2, q^8: MISMATCH"),
@@ -433,23 +476,20 @@ class TestMismatchDetails:
         assert {n for n, (ok, _) in details.items() if not ok} == \
             {check} | ALSO_READ_BY.get(name, set())
 
-    def test_qconj_check_names_both_z_polynomials(self, capsys, monkeypatch):
+    def test_qconj_check_names_first_bad_z_power(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "count_bivariate",
                             _bump_bivariate(oracle.count_bivariate, 6, 2))
         code, out = run_cli(capsys, "qconj-check", "--profile", "1,1,1",
                             "--order", "8", "--n", "2")
         assert code == 1
         assert out.strip() == (
-            "pivot generating-function identity (first mismatch at q^6: "
-            "oracle 4*z + 23*z^2 vs lineups 4*z + 22*z^2) "
-            "for c=(1,1,1), n=2, q^8: MISMATCH")
+            "pivot generating-function identity (first mismatch at q^6 z^2: "
+            "oracle 23 vs lineups 22) for c=(1,1,1), n=2, q^8: MISMATCH")
 
     @pytest.mark.parametrize("argv,module,name,bump,expected", [
         (["functional-eq", "--profile", "2,1", "--order", "8"],
          polynomials, "f_truncated", lambda f: _bump_bivariate(f, 6, 2),
-         "functional equation fails for c=(2,1) at q^6: "
-         "2*q + 11*q^2 + 11*q^3 + 7*q^4 + 3*q^5 + 2*q^6 vs "
-         "2*q + 10*q^2 + 12*q^3 + 7*q^4 + 3*q^5 + 2*q^6"),
+         "functional equation fails for c=(2,1) at q^6 z^2: left 11 vs right 10"),
         (["lemma-check", "--profile", "1,1,0", "--n", "2", "--order", "10"],
          lineups, "pivot_chain_gf", lambda f: _bump_series(f, 5),
          "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
@@ -491,3 +531,12 @@ class TestBenchmarkJobs:
             handler = ("cmd_series" if job[0] in series_commands
                        else "cmd_" + job[0].replace("-", "_"))
             assert args.fn is getattr(cli, handler), job
+
+    def test_json_jobs_print_one_indented_document(self, capsys):
+        spec_path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
+        workloads = json.loads(spec_path.read_text())["workloads"]
+        for job in (job for name in ("verify", "gf") for job in workloads[name]["jobs"]):
+            seed = ["--seed", "1"] if job[0] == "verify-all" else []
+            code, out = run_cli(capsys, *job, *seed, "--format", "json", "--jobs", "1")
+            assert code == 0, job
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", job

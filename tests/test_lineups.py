@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from conftest import all_profiles
 from cylpart import (Profile, QPoly, Shape, classify, enumerate_minimal_jammed,
                      enumerate_minimal_loose, family, lemma_check, pivot_chain_gf,
-                     potential_pivot_shapes, qconj_genfunc_check, slice_with)
+                     potential_pivot_shapes, qconj_genfunc_check, shape_of_zero,
+                     slice_with)
 from cylpart import lineups
 from cylpart.lineups import (NotPotentialPivot, _chain_from_gaps,
                              minimal_jammed_correction)
@@ -251,6 +253,29 @@ class TestMinimalJammed:
                     piece = piece * (QPoly.one() - QPoly.monomial(prof.rank * j))
                 total = total + piece
             assert minimal_jammed_correction(n, prof) == total, (prof, n)
+
+
+class TestOrderBoundedSums:
+    """The lineup sums the checks compare, truncated at their order, against
+    the unbounded sums over every lineup."""
+
+    PROFILES = list(dict.fromkeys(all_profiles(3, 3) + all_profiles(4, 2)
+                                  + [Profile.of(1, 1, 1, 1)]))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_bounded_sums_equal_truncated_full_sums(self, n):
+        for prof in self.PROFILES:
+            fam = family(prof.rank, prof.level)
+            full = minimal_jammed_correction(n, prof)
+            loose = Counter(l.weight for l in enumerate_minimal_loose(n, prof))
+            for order in range(17):
+                jammed = minimal_jammed_correction(n, prof, order)
+                assert jammed.degree <= order, (prof, n, order)
+                assert jammed.truncated(order) == full.truncated(order), \
+                    (prof, n, order)
+                counts = fam.pivot_lineup(n, shape_of_zero(prof), order)
+                assert counts.truncated(order) == \
+                    tuple(loose[w] for w in range(order + 1)), (prof, n, order)
 
 
 class TestIdentities:

@@ -14,10 +14,12 @@ from cylpart.polynomials import (PolynomialFamily, _unpack, largest_part_exact_s
                                  parts_at_most_poly, parts_at_most_series,
                                  pivot_corrected_poly, pivot_lineup_poly)
 from cylpart.qpoly import q_binomial
-from cylpart.rings import ZZ_z
+from cylpart.rings import ZZ, ZZ_z
 from cylpart.slices import min_slice_weight
-from cylpart.series import (TruncatedSeries, at_z_one, inv_poch_finite,
-                            inv_zq_pochhammer, subst_z_mul_qpow, z_power_times)
+from cylpart.series import (TruncatedSeries, at_z_one, inv_zq_pochhammer,
+                            subst_z_mul_qpow, z_power_times)
+
+from conftest import all_profiles, mul_one_plus
 
 SHAPE_ORDER_32 = [Shape.of(0, 0), Shape.of(1, 0), Shape.of(1, 1),
                   Shape.of(2, 0), Shape.of(2, 1), Shape.of(2, 2)]
@@ -354,7 +356,7 @@ class TestSeriesOverZz:
         for profile in [Profile.of(2, 1), Profile.of(1, 1, 1)]:
             F = f_truncated(profile, 10)
             for k in (1, 2, 3):
-                back = F.mul_inv_one_minus(k, z).mul_one_plus(k, -z)
+                back = mul_one_plus(F.mul_inv_one_minus(k, z), k, -z)
                 assert back.coeffs == F.coeffs, (profile, k)
 
     def test_inv_zq_pochhammer_equals_sum(self):
@@ -362,8 +364,24 @@ class TestSeriesOverZz:
         # the sum of z^m q^m / (q;q)_m
         total = TruncatedSeries.zero(ZZ_z, order)
         for m in range(order + 1):
-            total = total + z_power_times(m, inv_poch_finite(m, order).shift(m))
+            one = TruncatedSeries.one(ZZ, order)
+            total = total + z_power_times(m, one.mul_inv_poch(m).shift(m))
         assert inv_zq_pochhammer(order).coeffs == total.coeffs
+
+    @staticmethod
+    def f_summed(profile, order):
+        """The two-variable series as the sum of z^n times the
+        largest-part-exactly-n series: the reference for f_truncated."""
+        total = TruncatedSeries.zero(ZZ_z, order)
+        for n in range(order + 1):
+            total = total + z_power_times(n, largest_part_exact_series(profile, n, order))
+        return total
+
+    def test_f_truncated_equals_summed_rows(self):
+        for profile in all_profiles(3, 3) + all_profiles(4, 2):
+            for order in range(11):
+                assert f_truncated(profile, order) == self.f_summed(profile, order), \
+                    (profile, order)
 
     def test_str_names_z(self):
         assert str(inv_zq_pochhammer(2)) == "1 + (z)*q + (z + z^2)*q^2 + O(q^3)"

@@ -6,8 +6,9 @@ from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
                      TruncatedSeries, ZZ, borodin_product, euler_sum,
                      path_counts, product_inv_factors)
 from cylpart.rings import ring_of
-from cylpart.series import (NonpositiveExponent, OrderMismatch, euler_top,
-                            inv_poch_finite)
+from cylpart.series import NonpositiveExponent, OrderMismatch, euler_top
+
+from conftest import mul_one_plus
 
 K3, K5 = QuadraticField(3), QuadraticField(5)
 GOLDEN = (K5.one + K5.sqrt()) * Fraction(1, 2)
@@ -29,7 +30,7 @@ def euler_distinct(beta, order, ring=None):
     beta = ring.coerce(beta)
     prod = TruncatedSeries.one(ring, order)
     for j in range(1, order + 1):
-        prod = prod.mul_one_plus(j, beta)
+        prod = mul_one_plus(prod, j, beta)
     return prod
 
 
@@ -38,7 +39,7 @@ def poch_finite(n, order):
     reference for the inverse products."""
     s = TruncatedSeries.one(ZZ, order)
     for j in range(1, min(n, order) + 1):
-        s = s.mul_one_plus(j, -1)
+        s = mul_one_plus(s, j, -1)
     return s
 
 
@@ -46,7 +47,7 @@ def poch_infinite(base_exp, modulus, order):
     """(q^m; q^t)_infinity truncated: product of (1 - q^{m + j t}), j >= 0."""
     s = TruncatedSeries.one(ZZ, order)
     for e in range(base_exp, order + 1, modulus):
-        s = s.mul_one_plus(e, -1)
+        s = mul_one_plus(s, e, -1)
     return s
 
 
@@ -165,7 +166,7 @@ class TestEulerSum:
         for n, c in enumerate(coeffs):
             if n * (n + 1) // 2 > order:
                 break
-            term = inv_poch_finite(n, order).into_ring(ring)
+            term = TruncatedSeries.one(ZZ, order).mul_inv_poch(n).into_ring(ring)
             total = total + term.shift(n * (n + 1) // 2).scale(c)
         return total
 
@@ -242,10 +243,11 @@ class TestProgressionFilter:
 class TestFinitePochhammer:
     def test_inverse_pair(self):
         n, order = 4, 12
-        assert (inv_poch_finite(n, order) * poch_finite(n, order)).coeffs \
+        inverse = TruncatedSeries.one(ZZ, order).mul_inv_poch(n)
+        assert (inverse * poch_finite(n, order)).coeffs \
             == TruncatedSeries.one(ZZ, order).coeffs
 
     def test_step(self):
-        s = inv_poch_finite(2, 10, step=3)  # 1/((1-q^3)(1-q^6))
+        s = TruncatedSeries.one(ZZ, 10).mul_inv_poch(2, step=3)  # 1/((1-q^3)(1-q^6))
         t = product_inv_factors([(3, 100), (6, 100)], 10)
         assert s.coeffs == t.coeffs
