@@ -37,8 +37,7 @@ _PUBLIC = {
                "recompose", "shrink", "slice_shape", "slice_with", "successors",
                "zero_slice"),
     "bijection": ("LabeledDistinctPartition", "TiledPath", "pivot_decompose",
-                  "pivot_reconstruct", "tile", "validate_beta",
-                  "validate_beta_rank2"),
+                  "pivot_reconstruct", "tile", "validate_beta"),
     "diagram": ("LinearRecurrence", "PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "diagonal_blocks",
                 "distinct_gf", "fit_recurrence", "matrix_power", "path_counts",
@@ -47,7 +46,7 @@ _PUBLIC = {
                     "f_truncated", "largest_part_exact_poly",
                     "parts_at_most_poly", "pivot_corrected_poly",
                     "pivot_lineup_poly"),
-    "lineups": ("Lineup", "classify", "enumerate_minimal_jammed",
+    "lineups": ("Lineup", "enumerate_minimal_jammed",
                 "enumerate_minimal_loose", "lemma_check", "pivot_chain_gf",
                 "potential_pivot_shapes", "qconj_genfunc_check"),
 }

@@ -337,28 +337,3 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
     # them largest first.
     return _new_cylindric(profile, _summed_rows(lengths[::-1], mults[::-1],
                                                 profile.rank))
-
-
-def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:
-    """Closed-form admissibility test for rank-2 profiles (a, b).
-
-    Conditions: every label (s) has 2 <= s <= a+b; w + s and b share parity;
-    different parts keep |w1 - w2| >= |s1 - s2| + 2; and each part obeys
-    w >= s - b, w > b - s.
-    """
-    level = a + b
-    for w, sh in beta.entries:
-        if sh.rank != 2:
-            return False
-        s = sh.parts[0]
-        if not (2 <= s <= level):
-            return False
-        if (w + s) % 2 != b % 2:
-            return False
-        if not (w >= s - b and w > b - s):
-            return False
-    es = beta.entries
-    for (w1, s1), (w2, s2) in zip(es, es[1:]):
-        if abs(w1 - w2) < abs(s1.parts[0] - s2.parts[0]) + 2:
-            return False
-    return True

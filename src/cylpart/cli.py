@@ -36,24 +36,26 @@ from .slices import (ShrinkMode, decompose as slice_decompose, expand, recompose
 SCHEMA = 1
 
 
+def _write(pieces) -> None:
+    """Write the strings ``pieces`` some dozens at a time: one write per
+    piece is one system call per piece when stdout is unbuffered (``-u``)."""
+    pieces = iter(pieces)
+    while chunk := list(itertools.islice(pieces, 64)):
+        sys.stdout.write("".join(chunk))
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None):
     """Write the payload (JSON), the rows ``csv_rows()`` makes (CSV) or the
     text lines.  JSON is written as it is encoded, so the document is never
     held as one string; the CSV rows are made only for ``--format csv``."""
     if args.format == "json":
         payload["schema"] = SCHEMA
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        # Some dozens of encoder chunks per write: one write per chunk is
-        # one system call per chunk when stdout is unbuffered (``-u``).
-        while piece := "".join(itertools.islice(chunks, 64)):
-            sys.stdout.write(piece)
+        _write(json.JSONEncoder(indent=2).iterencode(payload))
         sys.stdout.write("\n")
     elif args.format == "csv":
-        for row in csv_rows():
-            print(",".join(str(x) for x in row))
+        _write(",".join(str(x) for x in row) + "\n" for row in csv_rows())
     else:
-        for line in text_lines:
-            print(line)
+        _write(f"{line}\n" for line in text_lines)
 
 
 def _texts(items: list) -> list[str]:
@@ -69,7 +71,7 @@ def _emit_each(args, payload: dict, text_lines: list[str]):
     JSON read from ``-`` is JSON Lines, one compact document per input line."""
     if args.format == "json" and args.partition == "-":
         payload["schema"] = SCHEMA
-        print(json.dumps(payload))
+        sys.stdout.write(json.dumps(payload) + "\n")
     else:
         _emit(args, payload, text_lines)
 
@@ -313,17 +315,19 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
     rng = random.Random(seed)
     Check, compare, refinement = (cylpart.series.Check, cylpart.series.compare,
                                   cylpart.series.refinement)
-    # The round-trip checks only read this pool, so they share one list.
-    pool = cylpart.oracle.enumerate_by_weight(profile, min(order, 10))
+    # The round trips draw from the oracle's hits, rows only, in search
+    # order; only the partitions drawn are built.
+    found = cylpart.oracle.hits(profile, min(order, 10))
 
     def sample(items, k):
-        return items if len(items) <= k else rng.sample(items, k)
+        drawn = items if len(items) <= k else rng.sample(items, k)
+        return cylpart.oracle._partitions(profile, drawn)
 
     # Drawn here, in a fixed order, so the seed alone picks each check's
     # partitions, whichever check a thread pool starts first.
-    pivot_sample = sample(pool, 400)
-    slice_sample = sample(pool, 400)
-    tight_sample = sample([cp for cp in pool if not cp.is_empty], 300)
+    pivot_sample = sample(found, 400)
+    slice_sample = sample(found, 400)
+    tight_sample = sample([rows for rows in found if any(rows)], 300)
 
     def borodin_vs_oracle():
         a = cylpart.oracle.count_series(profile, order)

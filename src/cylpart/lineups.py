@@ -28,8 +28,7 @@ from typing import Sequence
 # access, so loading this module does not load the oracle.
 import cylpart
 
-from .core import (CylpartError, Profile, Shape, _Frozen, _space_columns,
-                   shape_of_zero)
+from .core import Profile, Shape, _Frozen, _space_columns, shape_of_zero
 from .bijection import chain_pivots, pivot_flag
 from .polynomials import family
 from .qpoly import QPoly
@@ -37,10 +36,6 @@ from .rings import ZZ, ZZ_z
 from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
                      refinement, truncate_z, z_power_times)
 from .slices import Slice, slice_shape, slice_with, zero_slice
-
-
-class NotPotentialPivot(CylpartError):
-    pass
 
 
 def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
@@ -98,52 +93,6 @@ class Lineup(_Frozen):
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
-    """Classify a strictly decreasing chain of potential pivots.
-
-    Gap j compares slice j against slice j+1 (the empty slice past the
-    end).  Pivothood is always re-checked operationally on the chain, never
-    assumed from the gap pattern alone.
-    """
-    chain = list(slices)
-    zero_shape = shape_of_zero(profile)
-    level = profile.level
-    r = profile.rank
-    fam = family(r, level)
-    labels = tuple(slice_shape(s) for s in chain)
-    for s, sh in zip(chain, labels):
-        if not sh.parts or sh.parts[0] < 2:
-            raise NotPotentialPivot(f"{s.weight}^{sh} can never be a pivot")
-    for a, b in zip(chain, chain[1:]):
-        if not (a.contains(b) and a != b):
-            raise NotPotentialPivot(
-                f"{a.lengths} does not strictly contain {b.lengths}")
-    n = len(chain)
-    if n == 0:
-        return Lineup(profile, (), "minimal-loose", frozenset())
-
-    jammed_gaps = set()
-    all_tight_or_step = True
-    for j in range(1, n + 1):
-        lower_weight = chain[j].weight if j < n else 0
-        lower_shape = labels[j] if j < n else zero_shape
-        gap = chain[j - 1].weight - lower_weight
-        dist = fam.dist(lower_shape, labels[j - 1])
-        if gap == dist:
-            jammed_gaps.add(j)
-        elif gap != dist + r:
-            all_tight_or_step = False
-
-    flags = chain_pivots(profile, chain)
-    if not all(flags):
-        return Lineup(profile, tuple(chain), "none", frozenset(), labels)
-    if jammed_gaps:
-        cls = "minimal-jammed" if all_tight_or_step else "jammed"
-        return Lineup(profile, tuple(chain), cls, frozenset(jammed_gaps), labels)
-    cls = "minimal-loose" if all_tight_or_step else "loose"
-    return Lineup(profile, tuple(chain), cls, frozenset(), labels)
 
 
 def _chain_from_gaps(profile: Profile, shapes: Sequence[Shape],

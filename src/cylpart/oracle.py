@@ -1,21 +1,24 @@
 """Brute-force enumeration of cylindric partitions.
 
 This module is the ground truth every identity in the package is checked
-against, so it stays deliberately simple: a depth-first search over rows,
-bounding each part by the cyclic constraints and the remaining weight
-budget.  Those bounds make every hit valid, so no hit is checked again
-here; the tests run :func:`core.check_rows` on the hits instead.  The
-search hands each hit to a visitor as plain row tuples, with its weight,
-largest part and whether all its parts are distinct, all worked out on
-the way down.  All counts read one census per (profile, order, cap),
-tallied in a single pass; only :func:`enumerate_by_weight` turns hits into
-:class:`CylindricPartition` values.
+against, so it stays deliberately simple: a depth-first search that grows
+one row at a time, one part at a time, in place.  Each part is bounded by
+the cyclic constraints on the row above, the wraparound against the first
+row and the remaining weight budget.  Those bounds make every hit valid, so
+no hit is checked again here; the tests run :func:`core.check_rows` on the
+hits instead.  The search hands each hit to a visitor as plain row tuples,
+with its weight, largest part and whether all its parts are distinct, all
+worked out on the way down.  All counts read one census per (profile,
+order, cap), tallied in a single pass; :func:`hits` lists the rows of every
+hit in search order, and only :func:`enumerate_by_weight` and the callers
+that draw from :func:`hits` turn hits into :class:`CylindricPartition`
+values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import CylindricPartition, Partition, Profile, _trusted
 from .qpoly import QPoly
@@ -30,48 +33,28 @@ DEFAULT_WEIGHT_CAP = 30
 _Rows = tuple[tuple[int, ...], ...]
 
 
-def _rows_within(cap_row: tuple[int, ...] | None, lower_row: tuple[int, ...],
-                 shift: int, budget: int):
-    """(row, weight) for every partition with weight <= budget, part j <=
-    cap_row[j - shift - 1] (no cap for j <= shift, 0 beyond the caps), and
-    part j >= lower_row[j-1].
-
-    ``cap_row=None`` means unconstrained from above except by the budget.
-    """
-    out: list[tuple[tuple[int, ...], int]] = []
-    min_len = len(lower_row)
-    # Bounds on part j at index j - 1.  A row has at most ``budget`` parts.
-    if cap_row is None:
-        caps = (budget,) * budget
-    else:
-        caps = ((budget,) * shift + tuple(cap_row) + (0,) * budget)[:budget]
-    lows = tuple(lower_row) + (0,) * budget
-
-    def rec(prefix: list[int], j: int, remaining: int, top: int):
-        if j > min_len:
-            out.append((tuple(prefix), budget - remaining))
-        if remaining <= 0:
-            return
-        hi = min(caps[j - 1], remaining, top)
-        for p in range(hi, max(lows[j - 1], 1) - 1, -1):
-            prefix.append(p)
-            rec(prefix, j + 1, remaining - p, p)
-            prefix.pop()
-
-    rec([], 1, budget, budget)
-    return out
-
-
 def _search(profile: Profile, max_weight: int, cap: int,
             visit: Callable[[list[tuple[int, ...]], int, int, bool], None]) -> None:
     """Call ``visit(rows, weight, largest, distinct)`` once for every
     cylindric partition with the given profile and weight <= max_weight.
 
+    Rows are grown top to bottom, each one part at a time in a list of its
+    own, largest part first.  Part j of row i is at most part j - c_i of
+    the row above (no cap for j <= c_i) and at most the budget left; the
+    last row is also at least ``rows[0][c_0:]`` part by part, so a middle
+    row may spend only the budget less that floor.  A row becomes a tuple
+    once it ends, at any length its lower bound allows; the search then
+    starts the next row, or visits the hit after the last row.  Rows end
+    before they grow, and larger parts come first, so the hits come in a
+    fixed search order.
+
     ``rows`` holds one part tuple per row; it is the search's own list and
     changes once ``visit`` returns, so a visitor that keeps it copies it.
     ``largest`` is the largest part and ``distinct`` says whether all parts
-    across rows differ.  Exhaustive and duplicate-free, in search order.
-    ``cap`` guards runaway searches; the guard fires before the search.
+    across rows differ; the search tracks distinctness as a bit mask of the
+    parts placed, -1 from the first repeat on.  Exhaustive and
+    duplicate-free.  ``cap`` guards runaway searches; the guard fires before
+    the search.
     """
     if max_weight < 0:
         return
@@ -82,40 +65,77 @@ def _search(profile: Profile, max_weight: int, cap: int,
     c = profile.parts
     rows: list[tuple[int, ...]] = []
 
-    def place(budget: int, largest: int, seen: set[int] | None):
-        # ``seen`` holds the parts placed so far while they are all
-        # distinct, and is None from the first repeat on.
+    def begin(budget: int, largest: int, mask: int) -> None:
+        # Start row i = len(rows) with ``budget`` left for it and the rows
+        # below; ``caps`` and ``lows`` bound part j at index j - 1.
         i = len(rows)
         if i == 0:
-            choices = _rows_within(None, (), 0, budget)
-        elif i < r - 1:
-            # The last row dominates rows[0][c[0]:], so it weighs at least
-            # that much; a middle row may spend only what is left over.
-            floor = sum(rows[0][c[0]:])
-            if budget < floor:
-                return
-            choices = _rows_within(rows[i - 1], (), c[i], budget - floor)
+            spend, caps, lows = budget, (budget,) * (budget + 1), ()
         else:
-            # Last row: also bounded below by the wraparound against row 1.
-            choices = _rows_within(rows[i - 1], rows[0][c[0]:], c[i], budget)
-        last = i + 1 == r
-        spent = max_weight - budget
-        for row, weight in choices:
-            # Rows are non-increasing, so the largest part is a first part.
-            top = row[0] if row and row[0] > largest else largest
-            parts = seen
-            if seen is not None:
-                parts = seen.union(row)
-                if len(parts) != len(seen) + len(row):
-                    parts = None
-            rows.append(row)
-            if last:
-                visit(rows, spent + weight, top, parts is not None)
+            lows = rows[0][c[0]:]
+            if i < r - 1:
+                # The last row dominates rows[0][c[0]:], so it weighs at
+                # least that much; this row may spend only what is left.
+                floor = sum(lows)
+                if budget < floor:
+                    return
+                spend, lows = budget - floor, ()
             else:
-                place(budget - weight, top, parts)
-            rows.pop()
+                spend = budget
+            caps = (spend,) * c[i] + rows[i - 1] + (0,)
+        last = i == r - 1
+        n_low = len(lows)
+        spent = max_weight - budget
+        row: list[int] = []
 
-    place(max_weight, 0, set())
+        def grow(j: int, left: int, top: int, mask: int) -> None:
+            # ``row`` holds j - 1 parts, ``left`` of ``spend`` unspent.
+            if j > n_low:
+                done = tuple(row)
+                # Rows are non-increasing, so the largest part is a first part.
+                big = done[0] if done and done[0] > largest else largest
+                rows.append(done)
+                if last:
+                    visit(rows, spent + spend - left, big, mask != -1)
+                else:
+                    begin(budget - spend + left, big, mask)
+                rows.pop()
+            if left <= 0:
+                return
+            hi = caps[j - 1]
+            if left < hi:
+                hi = left
+            if top < hi:
+                hi = top
+            for p in range(hi, (lows[j - 1] if j <= n_low else 1) - 1, -1):
+                row.append(p)
+                bit = 1 << p
+                grow(j + 1, left - p, p, -1 if mask & bit else mask | bit)
+                row.pop()
+
+        grow(1, spend, spend, mask)
+        # ``grow`` holds itself through its closure; dropping the name frees
+        # the row's state at once rather than at the next cyclic collection.
+        del grow
+
+    begin(max_weight, 0, 0)
+
+
+def hits(profile: Profile, max_weight: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[_Rows]:
+    """The rows of every cylindric partition with the given profile and
+    weight <= max_weight, one tuple of part tuples per hit, in search order,
+    in a fresh list.  ``cap`` guards runaway searches."""
+    found: list[_Rows] = []
+    _search(profile, max_weight, cap,
+            lambda rows, weight, largest, distinct: found.append(tuple(rows)))
+    return found
+
+
+def _partitions(profile: Profile, found: Iterable[_Rows]) -> list[CylindricPartition]:
+    """The hits ``found`` of :func:`hits` for ``profile``, in their order, as
+    partitions.  The search's bounds make every hit valid, so none is
+    re-validated; rows from anywhere else must go through ``validate``."""
+    return [_new_cylindric(profile, tuple(map(_new_partition, rows))) for rows in found]
 
 
 def _text_order() -> Callable[[_Rows], tuple[int, str]]:
@@ -134,11 +154,7 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
     canonical text form) in a fresh list.  ``cap`` guards runaway searches.
     The search's bounds make every hit valid, so none is re-validated.
     """
-    found: list[_Rows] = []
-    _search(profile, max_weight, cap,
-            lambda rows, weight, largest, distinct: found.append(tuple(rows)))
-    return [_new_cylindric(profile, tuple(map(_new_partition, rows)))
-            for rows in sorted(found, key=_text_order())]
+    return _partitions(profile, sorted(hits(profile, max_weight, cap), key=_text_order()))
 
 
 @lru_cache(maxsize=64)

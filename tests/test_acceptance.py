@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
                      QuadraticField, Shape, ShrinkMode, adjacency_matrix,
-                     borodin_product, build_graph, char_poly, classify,
+                     borodin_product, build_graph, char_poly,
                      count_distinct_series, count_series, decompose,
                      delta, diagonal_blocks, distinct_gf,
                      enumerate_by_weight, enumerate_minimal_jammed,
@@ -32,6 +32,7 @@ from cylpart.rings import QQ, ZZ
 from cylpart.series import TruncatedSeries, at_z_one
 
 from conftest import all_profiles
+from references import classify
 
 _criteria = []
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from cylpart import (LabeledDistinctPartition, Partition, Profile, Shape,
                      decompose, enumerate_by_weight, pivot_decompose,
                      pivot_reconstruct, slice_shape,
-                     slice_with, tile, validate, validate_beta,
-                     validate_beta_rank2)
+                     slice_with, tile, validate, validate_beta)
 from cylpart.bijection import InadmissibleBeta, chain_pivots
 
 from conftest import all_profiles
+from references import validate_beta_rank2
 
 P111 = Profile.of(1, 1, 1)
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cylpart import (Profile, bijection, cli, diagram, lineups, oracle,
-                     polynomials, series)
+from cylpart import (Partition, Profile, bijection, cli, diagram, lineups,
+                     oracle, polynomials, series, validate)
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
@@ -186,6 +186,25 @@ class TestStructuredOutput:
                     tracemalloc.stop()
         assert peaks["json"] <= 1.05 * peaks["text"], peaks
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_listing_written_in_chunks(self, monkeypatch, fmt):
+        # One write per line is two system calls per line when stdout is
+        # unbuffered; some dozens of lines go out in each write instead.
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["lineups", "--kind", "mjl", "--n", "3", "--profile", "4,0,0",
+                     "--format", fmt]) == 0
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 6946 and all(lines)
+        assert out.writes <= -(-6946 // 64) + 1
+
     def test_lineups(self, capsys):
         code, payload = run_json(capsys, "lineups", "--profile", "1,1,0",
                                  "--kind", "mjl", "--n", "3")
@@ -260,6 +279,28 @@ class TestVerificationCommands:
         forward, backward = samples(names), samples(names[::-1])
         assert [len(forward[n]) for n in names] == [400, 400, 300]
         assert forward == backward
+
+    @pytest.mark.parametrize("parts, order, seed", [
+        ((2, 1), 10, 7), ((1, 1, 1), 9, 3), ((1, 0, 0), 6, 12345), ((3,), 12, 1)])
+    def test_drawn_partitions_are_valid_hits(self, monkeypatch, parts, order, seed):
+        # verify-all builds only what it draws, from the oracle's raw hits:
+        # each drawn partition must equal the validated value of its rows.
+        profile = Profile(parts)
+        drawn = []
+        build = oracle._partitions
+        monkeypatch.setattr(oracle, "_partitions", lambda prof, found: (
+            drawn.append(build(prof, found)), drawn[-1])[1])
+        cli._verify_all_tasks(profile, order, seed)
+        found = oracle.hits(profile, min(order, 10))
+        non_empty = [rows for rows in found if any(rows)]
+        assert [len(d) for d in drawn] == [min(len(found), 400), min(len(found), 400),
+                                           min(len(non_empty), 300)]
+        hits = set(found)
+        for cp in (cp for sample in drawn for cp in sample):
+            rows = tuple(row.parts for row in cp.rows)
+            assert rows in hits
+            assert cp == validate(tuple(map(Partition, rows)), profile), rows
+        assert not any(cp.is_empty for cp in drawn[2])
 
 
 class TestUsageErrors:

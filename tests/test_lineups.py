@@ -7,13 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import all_profiles
-from cylpart import (Profile, QPoly, Shape, classify, enumerate_minimal_jammed,
+from cylpart import (Profile, QPoly, Shape, enumerate_minimal_jammed,
                      enumerate_minimal_loose, family, lemma_check, pivot_chain_gf,
                      potential_pivot_shapes, qconj_genfunc_check, shape_of_zero,
                      slice_with)
 from cylpart import lineups
-from cylpart.lineups import (NotPotentialPivot, _chain_from_gaps,
-                             minimal_jammed_correction)
+from cylpart.lineups import _chain_from_gaps, minimal_jammed_correction
+from references import NotPotentialPivot, classify
 
 P110 = Profile.of(1, 1, 0)
 P400 = Profile.of(4, 0, 0)

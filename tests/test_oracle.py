@@ -349,17 +349,54 @@ class TestSearch:
             assert oracle._census(prof, -1, oracle.DEFAULT_WEIGHT_CAP) == ()
             assert list(_reference_hits(prof, -1, oracle.DEFAULT_WEIGHT_CAP)) == []
 
-    def test_bound_above_cap_raises_before_searching(self, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("searched past the cap")
+    def test_bound_above_cap_raises_before_searching(self):
+        def no_visit(*hit):
+            raise AssertionError("visited a hit past the cap")
 
-        monkeypatch.setattr(oracle, "_rows_within", no_search)
+        # The search's own steps, a row started or a part placed, seen as
+        # calls of its nested functions.
+        entered = []
+
+        def calls(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == oracle.__file__ and \
+                    code.co_name in ("begin", "grow"):
+                entered.append(code.co_name)
+
         prof = Profile.of(1, 1)
-        with pytest.raises(ValueError, match="exceeds the cap 5"):
-            oracle._search(prof, 6, 5, no_search)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            enumerate_by_weight(prof, oracle.DEFAULT_WEIGHT_CAP + 1)
-        with pytest.raises(ValueError, match="exceeds the cap 5"):
-            count_series(prof, 6, cap=5)
+        previous = sys.getprofile()
+        sys.setprofile(calls)
+        try:
+            oracle._search(prof, 1, 5, lambda *hit: None)
+            assert {"begin", "grow"} <= set(entered)   # the probe sees a search
+            entered.clear()
+            with pytest.raises(ValueError, match="exceeds the cap 5"):
+                oracle._search(prof, 6, 5, no_visit)
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                enumerate_by_weight(prof, oracle.DEFAULT_WEIGHT_CAP + 1)
+            with pytest.raises(ValueError, match="exceeds the cap 5"):
+                count_series(prof, 6, cap=5)
+            with pytest.raises(ValueError, match="exceeds the cap 5"):
+                oracle.hits(prof, 6, 5)
+        finally:
+            sys.setprofile(previous)
+        assert entered == []
         with pytest.raises(ValueError):
             list(_reference_hits(prof, 6, 5))
+
+    def test_hits_come_in_the_former_search_order(self):
+        # verify-all's seed indexes this order, so it is pinned hit by hit.
+        cap = oracle.DEFAULT_WEIGHT_CAP
+        for prof in all_profiles(4, 3) + all_profiles(5, 2):
+            for order in (0, 3, 8):
+                assert oracle.hits(prof, order) == \
+                    list(_reference_hits(prof, order, cap)), (prof, order)
+
+    def test_hits_are_the_enumerated_partitions(self):
+        for prof in all_profiles(3, 3):
+            listed = Counter(tuple(row.parts for row in cp.rows)
+                             for cp in enumerate_by_weight(prof, 8))
+            assert Counter(oracle.hits(prof, 8)) == listed, prof
+            first = oracle.hits(prof, 3)
+            first.clear()
+            assert oracle.hits(prof, 3), prof   # a fresh list every call

@@ -141,8 +141,7 @@ EXPORTED = {
                "recompose", "shrink", "slice_shape", "slice_with", "successors",
                "zero_slice"],
     "bijection": ["LabeledDistinctPartition", "TiledPath", "pivot_decompose",
-                  "pivot_reconstruct", "tile", "validate_beta",
-                  "validate_beta_rank2"],
+                  "pivot_reconstruct", "tile", "validate_beta"],
     "diagram": ["LinearRecurrence", "PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "diagonal_blocks",
                 "distinct_gf", "fit_recurrence", "matrix_power", "path_counts",
@@ -150,7 +149,7 @@ EXPORTED = {
     "polynomials": ["PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
                     "pivot_corrected_poly", "pivot_lineup_poly"],
-    "lineups": ["Lineup", "classify", "enumerate_minimal_jammed",
+    "lineups": ["Lineup", "enumerate_minimal_jammed",
                 "enumerate_minimal_loose", "lemma_check", "pivot_chain_gf",
                 "potential_pivot_shapes", "qconj_genfunc_check"],
 }

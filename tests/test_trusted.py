@@ -27,6 +27,7 @@ from cylpart.cli import main
 from cylpart.slices import ChainNotDecreasing, ChainNotStrict
 
 from conftest import all_profiles
+from references import classify
 
 P111 = Profile.of(1, 1, 1)
 SRC = pathlib.Path(cylpart.__file__).parent
@@ -501,7 +502,7 @@ def _every_value_class():
               rings.QuadraticField(5).sqrt(),
               build_graph(2, 2, Profile.of(1, 1)), path_counts(P111, 4),
               fit_recurrence([1, 1, 2, 3, 5, 8, 13, 21, 34, 55]),
-              lineups.classify(P111, []), lineups.lemma_check(1, P111, 4)]
+              classify(P111, []), lineups.lemma_check(1, P111, 4)]
     return {type(value): value for value in values}
 
 
