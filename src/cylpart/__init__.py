@@ -23,7 +23,7 @@ from . import core, slices
 _PUBLIC = {
     "core": ("CylindricPartition", "CylpartError", "Partition", "Profile",
              "RankMismatch", "RowCountMismatch", "Shape", "ViolatedInequality",
-             "all_shapes", "delta", "delta_shapes", "empty_partition",
+             "all_shapes", "delta", "empty_partition",
              "parse_cylindric", "parse_profile", "shape_of_zero",
              "shape_to_profile", "validate"),
     "qpoly": ("QPoly", "q_binomial"),

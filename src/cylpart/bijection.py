@@ -22,14 +22,13 @@ records every weight of its window.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Iterable, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
                    Shape, _Frozen, _int_fields, _space_columns, _trusted,
                    _unwrap)
-from .slices import Slice, _chain_runs, _summed_rows, slice_with
+from .slices import Slice, _chain_runs, _slice_lengths, _summed_rows
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
@@ -61,19 +60,6 @@ class LabeledDistinctPartition(_Frozen):
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def run_lengths(self) -> list[int]:
-        """Lengths of maximal blocks of consecutive weights."""
-        runs = []
-        ws = [w for w, _ in self.entries]
-        i = 0
-        while i < len(ws):
-            j = i
-            while j + 1 < len(ws) and ws[j + 1] == ws[j] - 1:
-                j += 1
-            runs.append(j - i + 1)
-            i = j + 1
-        return runs
 
     def to_text(self) -> str:
         return ",".join(f"{w}^{s}" for w, s in self.entries)
@@ -285,13 +271,15 @@ def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
     pivot.
 
     Raises :class:`InadmissibleBeta` with the first failing diagnosis.
+    The lengths come from :func:`slices.slice_with`'s formula on plain
+    tuples, so no shape or profile is hashed and no cache entry is made.
     """
     chain = []
     for w, sh in beta.entries:
-        s = slice_with(profile, sh, w)
-        if s is None:
+        lengths = _slice_lengths(profile, sh.parts, w)
+        if lengths is None:
             raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
-        chain.append(s.lengths)
+        chain.append(lengths)
     for w, sh in beta.entries:
         if not sh.parts or sh.parts[0] < 2:
             raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
@@ -327,11 +315,13 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
     ``mu`` at the unique tiled slice of that weight.
     """
     chain = _resolve_beta(beta, profile)
-    weights = sorted([w for w, _ in beta.entries] + list(mu.parts))
-    distinct, mults = [], []
-    for w, run in itertools.groupby(weights):
-        distinct.append(w)
-        mults.append(len(list(run)))
+    # How often each weight is used: once per part of beta (its weights are
+    # distinct) and once more per part of mu.
+    counts = dict.fromkeys([w for w, _ in beta.entries], 1)
+    for w in mu.parts:
+        counts[w] = counts.get(w, 0) + 1
+    distinct = sorted(counts)
+    mults = [counts[w] for w in distinct]
     lengths = _tiled_at(profile.offsets(), chain[::-1], distinct)
     # Path slices of distinct positive weights nest strictly; the sum reads
     # them largest first.

@@ -78,7 +78,12 @@ def _emit_each(args, payload: dict, text_lines: list[str]):
 
 def _emit_check(args, payload: dict, check) -> int:
     """Emit a check subcommand's record, after the subcommand's own keys;
-    the exit code is 0 when the check held and 1 when it failed."""
+    the exit code is 0 when the check held and 1 when it failed.  A check
+    that compared only zeros showed nothing: it is a usage error (exit 2),
+    reported on stderr, since the order is below the first term."""
+    if check.ok is None:
+        print(f"error: {check.name}: {check.detail}", file=sys.stderr)
+        return 2
     _emit(args, {**payload, "ok": check.ok, "detail": check.detail,
                  "first_mismatch": check.mismatch},
           [check.detail])
@@ -381,6 +386,9 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                      f"tight packing roundtrip on {len(tight_sample)} partitions")
 
     def bounded_polys():
+        # Passes when no table failed and some table compared a nonzero
+        # coefficient; n/a when every table compared only zeros.
+        passed = None
         for n in range(min(4, order) + 1):
             for label, poly_series, count in (
                     (f"parts<= {n}", cylpart.polynomials.parts_at_most_series,
@@ -393,9 +401,10 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
                                 "bounded-part numerators match the oracle",
                                 lambda k, x, y: f"{label} numerator mismatch at "
                                                 f"q^{k}: polynomial {x} vs oracle {y}")
-                if not check.ok:
+                if check.ok is False:
                     return check
-        return check
+                passed = check if check.ok else passed
+        return passed or check
 
     def two_variable():
         name = "two-variable-series"
@@ -428,6 +437,10 @@ def _verify_all_tasks(profile: Profile, order: int, seed: int):
     ]
 
 
+# How verify-all's text output marks a check by its ``ok``.
+_VERDICTS = {True: "pass", False: "FAIL", None: "n/a"}
+
+
 def cmd_verify_all(args) -> int:
     profile = parse_profile(args.profile)
     tasks = _verify_all_tasks(profile, args.order, args.seed)
@@ -439,12 +452,14 @@ def cmd_verify_all(args) -> int:
     else:
         checks = [task() for task in tasks]
     checks.sort(key=lambda c: c.name)
-    all_ok = all(c.ok for c in checks)
+    # A check that compared only zeros is not applicable: it neither passes
+    # nor fails.
+    all_ok = all(c.ok is not False for c in checks)
     _emit(args, {"command": "verify-all", "profile": list(profile.parts),
                  "order": args.order, "ok": all_ok,
                  "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail,
                              "first_mismatch": c.mismatch} for c in checks]},
-          [f"[{'pass' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in checks])
+          [f"[{_VERDICTS[c.ok]}] {c.name}: {c.detail}" for c in checks])
     return 0 if all_ok else 1
 
 

@@ -64,6 +64,10 @@ class _Frozen:
     the fields, ``repr`` lists them as ``Name(field=value, ...)``, and a
     copy or pickle calls the constructor again.
 
+    A slot whose value is a function of one field, stored so that readers
+    do not recompute it, is listed in ``_derived`` as (slot, field,
+    function); the constructor and :func:`_trusted`'s builder both fill it.
+
     The classes hashed and compared in inner loops (``Partition``,
     ``Profile``, ``Shape``, ``CylindricPartition`` and ``Slice``) spell
     out ``__eq__`` and ``__hash__`` with direct slot reads, which are
@@ -73,6 +77,7 @@ class _Frozen:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _derived: tuple[tuple[str, str, object], ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -102,28 +107,38 @@ class _Frozen:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
+    def _set_derived(self):
+        """Fill the ``_derived`` slots from the fields already set."""
+        for slot, field, function in self._derived:
+            object.__setattr__(self, slot, function(getattr(self, field)))
+
 
 def _trusted(cls):
     """A positional builder for the frozen value class ``cls``: it takes
     the values of ``cls._fields`` in order and returns an instance built
-    without running ``__init__``.
+    without running ``__init__``, its ``_derived`` slot filled too.
 
     Make each builder once, at module level.  Only for values the package
     builds valid by construction, with every field already of its final
-    type (tuples, not lists); public constructors always validate.
+    type (tuples, not lists); public constructors always validate.  A
+    class has one or two fields, and a two-field class at most one
+    derived slot.
     """
     new = object.__new__
-    # Each field's slot descriptor sets the value past the frozen
+    # Each slot's descriptor sets the value past the frozen
     # ``__setattr__``, with no per-instance ``__dict__`` to fill.
-    setters = [vars(cls)[name].__set__ for name in cls._fields]
-    if len(setters) == 1:
+    slots = vars(cls)
+    setters = [slots[name].__set__ for name in cls._fields]
+    derived = [(slots[slot].__set__, cls._fields.index(field), function)
+               for slot, field, function in cls._derived]
+    if len(setters) == 1 and not derived:
         (set_a,) = setters
 
         def build(a):
             obj = new(cls)
             set_a(obj, a)
             return obj
-    else:
+    elif len(setters) == 2 and not derived:
         set_a, set_b = setters
 
         def build(a, b):
@@ -131,6 +146,19 @@ def _trusted(cls):
             set_a(obj, a)
             set_b(obj, b)
             return obj
+    elif len(setters) == 2 and len(derived) == 1:
+        set_a, set_b = setters
+        ((set_c, index, derive),) = derived
+
+        def build(a, b):
+            obj = new(cls)
+            set_a(obj, a)
+            set_b(obj, b)
+            set_c(obj, derive(b if index else a))
+            return obj
+    else:
+        raise TypeError(f"no trusted builder for {cls.__name__}: "
+                        f"{len(setters)} fields, {len(derived)} derived slots")
     return build
 
 
@@ -212,8 +240,12 @@ def _offsets(parts: tuple[int, ...]) -> tuple[int, ...]:
 class Profile(_Frozen):
     """A composition (c_1, ..., c_r) with all c_i >= 0 and positive sum."""
 
-    __slots__ = ("parts", "_offsets")
+    __slots__ = ("parts", "rank", "level", "_offsets")
     _fields = ("parts",)
+    # Computed once here, as every kernel reads them.  ``rank`` is the
+    # number of parts and ``level`` their sum.
+    _derived = (("rank", "parts", len), ("level", "parts", sum),
+                ("_offsets", "parts", _offsets))
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
@@ -224,8 +256,7 @@ class Profile(_Frozen):
         if sum(parts) < 1:
             raise ValueError("profile level must be positive")
         object.__setattr__(self, "parts", parts)
-        # Computed once here, as every slice of the profile reads it.
-        object.__setattr__(self, "_offsets", _offsets(parts))
+        self._set_derived()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -238,14 +269,6 @@ class Profile(_Frozen):
     @classmethod
     def of(cls, *parts: int) -> "Profile":
         return cls(tuple(parts))
-
-    @property
-    def rank(self) -> int:
-        return len(self.parts)
-
-    @property
-    def level(self) -> int:
-        return sum(self.parts)
 
     def offsets(self) -> tuple[int, ...]:
         """Left-end offset of each row: o_i = c_{i+1} + ... + c_r, o_r = 0."""
@@ -382,18 +405,6 @@ def delta(c: Profile, d: Profile) -> int:
     if c.rank != d.rank:
         raise RankMismatch(f"ranks differ: {c.rank} vs {d.rank}")
     return _delta(c.offsets()[:-1], d.offsets()[:-1])
-
-
-def delta_shapes(sigma: Shape, tau: Shape, level: int) -> int:
-    """Shape overload of :func:`delta`: the same formula on the shapes
-    themselves, which must both fit the given level."""
-    if sigma.rank != tau.rank:
-        raise RankMismatch(f"ranks differ: {sigma.rank} vs {tau.rank}")
-    for shape in (sigma, tau):
-        if shape.parts and shape.parts[0] > level:
-            raise LevelTooSmall(
-                f"shape {shape} needs level >= {shape.parts[0]}, got {level}")
-    return _delta(sigma.parts, tau.parts)
 
 
 class CylindricPartition(_Frozen):

@@ -154,11 +154,17 @@ def first_mismatch(a, b) -> tuple[int, object, object] | None:
 class Check(_Frozen):
     """The outcome of one identity check: its name, whether it held, the
     line that reports it, and the index of the first bad coefficient (None
-    when the check held or does not compare coefficients)."""
+    when the check held or does not compare coefficients).
+
+    ``ok`` is True when the check held, False when it failed, and None when
+    it does not apply: both sides were 0 in every coefficient compared, so
+    the check showed nothing.
+    """
 
     __slots__ = _fields = ("name", "ok", "detail", "mismatch")
 
-    def __init__(self, name: str, ok: bool, detail: str, mismatch: int | None = None):
+    def __init__(self, name: str, ok: bool | None, detail: str,
+                 mismatch: int | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "detail", detail)
@@ -168,11 +174,20 @@ class Check(_Frozen):
 def compare(name: str, a, b, passed: str, failed) -> Check:
     """The check that coefficient sequences ``a`` and ``b`` agree:
     ``passed`` reports it when they do, ``failed(index, a value, b value)``
-    words the first entry where they differ."""
+    words the first entry where they differ.
+
+    Two sequences that agree with no nonzero coefficient on either side
+    compared nothing, so the check does not pass: it comes back with ``ok``
+    None, saying that the order is below the first term.
+    """
     bad = first_mismatch(a, b)
-    if bad is None:
-        return Check(name, True, passed)
-    return Check(name, False, failed(*bad), bad[0])
+    if bad is not None:
+        return Check(name, False, failed(*bad), bad[0])
+    if not any(a):   # equal, so b is all zero too
+        top = max(len(a), len(b)) - 1
+        return Check(name, None, f"both sides are 0 up to q^{top}, so nothing "
+                                 f"was compared: the order is below the first term")
+    return Check(name, True, passed)
 
 
 def refinement(failed):

@@ -1,10 +1,13 @@
 """Slices (all-ones cylindric partitions) and their chains.
 
-A slice is stored as its per-row lengths ``(l_1, ..., l_r)``.  Validity is
-linear in the lengths: ``l_{i+1} <= l_i + c_{i+1}`` for i < r and
-``l_1 <= l_r + c_1``.  Every cylindric partition decomposes into a weakly
-decreasing chain of slices (peel the positions holding the current maximum,
-one unit at a time), and componentwise addition recomposes it.
+A slice is stored as its per-row lengths ``(l_1, ..., l_r)``, with its
+weight, their sum, kept beside them.  Validity is linear in the lengths:
+``l_{i+1} <= l_i + c_{i+1}`` for i < r and ``l_1 <= l_r + c_1``.  Every
+cylindric partition decomposes into a weakly decreasing chain of slices
+(peel the positions holding the current maximum, one unit at a time), and
+componentwise addition recomposes it.  The chain has one distinct slice per
+distinct part value, so it is built value by value, not one unit at a
+time.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   RankMismatch, Shape, _Frozen, _conjugate, _delta,
-                   _trusted, shape_of_zero)
+                   RankMismatch, Shape, _Frozen, _conjugate, _delta, _trusted)
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
@@ -41,7 +43,10 @@ class NotMultipleOfRank(CylpartError):
 
 
 class Slice(_Frozen):
-    __slots__ = _fields = ("profile", "lengths")
+    __slots__ = ("profile", "lengths", "weight")
+    _fields = ("profile", "lengths")
+    # The number of boxes, read by every weight sum over a chain.
+    _derived = (("weight", "lengths", sum),)
 
     def __init__(self, profile: Profile, lengths: tuple[int, ...]):
         ln = tuple(lengths)
@@ -58,6 +63,7 @@ class Slice(_Frozen):
             raise ValueError(f"invalid slice {ln} for {profile}")
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lengths", ln)
+        self._set_derived()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -66,10 +72,6 @@ class Slice(_Frozen):
 
     def __hash__(self):
         return hash((self.profile, self.lengths))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.lengths)
 
     @property
     def is_zero(self) -> bool:
@@ -81,12 +83,6 @@ class Slice(_Frozen):
 
     def contains(self, other: "Slice") -> bool:
         return all(a >= b for a, b in zip(self.lengths, other.lengths))
-
-    def bump(self, row: int) -> "Slice":
-        """Add one box at the end of the given 0-based row."""
-        ln = list(self.lengths)
-        ln[row] += 1
-        return Slice(self.profile, tuple(ln))
 
     def __str__(self) -> str:
         return f"{self.profile} [{','.join(str(v) for v in self.lengths)}]"
@@ -117,6 +113,24 @@ def min_slice_weight(profile: Profile, shape: Shape) -> int:
     return _delta(profile.offsets()[:-1], shape.parts)
 
 
+def _slice_lengths(profile: Profile, shape: tuple[int, ...], weight: int
+                   ) -> tuple[int, ...] | None:
+    """Row lengths of the unique slice with the given shape parts and
+    weight, or None when there is none; the formula of :func:`slice_with`,
+    on plain tuples."""
+    r = profile.rank
+    if len(shape) + 1 != r:
+        raise RankMismatch(f"shape rank {len(shape) + 1} vs profile rank {r}")
+    # The zero shape's parts are the row offsets o_1, ..., o_{r-1}.
+    zero = profile.offsets()[:-1]
+    base = _delta(zero, shape)
+    if weight < base or (weight - base) % r or shape and shape[0] > profile.level:
+        return None
+    # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
+    x = (weight - sum(shape) + sum(zero)) // r
+    return tuple([x + s - o for s, o in zip(shape, zero)]) + (x,)
+
+
 @lru_cache(maxsize=65536)
 def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     """The unique slice of the given shape and weight, or None.
@@ -126,18 +140,8 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     ``weight >= min_slice_weight`` and ``weight`` is congruent to it modulo
     the rank.
     """
-    r = profile.rank
-    z = shape_of_zero(profile)
-    base = min_slice_weight(profile, shape)
-    if weight < base or (weight - base) % r != 0:
-        return None
-    if shape.parts and shape.parts[0] > profile.level:
-        return None
-    # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
-    x = (weight - shape.weight + z.weight) // r
-    offs = profile.offsets()
-    lengths = tuple(x + shape.parts[j] - offs[j] for j in range(r - 1)) + (x,)
-    return _new_slice(profile, lengths)
+    lengths = _slice_lengths(profile, shape.parts, weight)
+    return None if lengths is None else _new_slice(profile, lengths)
 
 
 def successors(s: Slice) -> list[Slice]:
@@ -202,11 +206,26 @@ def _chain_runs(rows: Sequence[Partition]) -> list[tuple[tuple[int, ...], int]]:
     largest slice first.
 
     The k-th slice marks the positions holding parts >= k, so its length in
-    row i is part k of row i's conjugate.
+    row i is part k of row i's conjugate.  Slices k and k + 1 differ only
+    when some row has a part equal to k, so there is one run per distinct
+    part value v over all rows, taken in ascending order: its length in row
+    i is the number of parts >= v in row i, and its multiplicity is v less
+    the previous distinct value.  Each row keeps one pointer past its last
+    part >= v, which moves in from the end as v grows.
     """
-    columns = [_conjugate(row.parts) for row in rows]
-    return [(lengths, len(list(run))) for lengths, run in itertools.groupby(
-        itertools.zip_longest(*columns, fillvalue=0))]
+    parts = [row.parts for row in rows]
+    ends = [len(p) for p in parts]
+    runs = []
+    below = 0
+    for v in sorted(set().union(*parts)):
+        for i, p in enumerate(parts):
+            k = ends[i]
+            while k and p[k - 1] < v:
+                k -= 1
+            ends[i] = k
+        runs.append((tuple(ends), v - below))
+        below = v
+    return runs
 
 
 def _summed_rows(lengths: Sequence[tuple[int, ...]], mults: Sequence[int],
@@ -275,24 +294,20 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     The chain is walked run by run, a run being a distinct slice with its
     multiplicity (a plain slice list is read as runs of length 1).  Inside
     a run every f_j is 0, so all its copies tighten to one shared slice;
-    only the run's last copy, at index j, can have f_j > 0.
+    only the run's last copy, at index j, can have f_j > 0.  One pass from
+    the smallest run up finds each gap, the shift and the tight slice
+    together.
     """
     profile, runs = _runs(chain)
     r = profile.rank
-    lengths = [s.lengths for s, _ in runs]
-    if mode is ShrinkMode.EXACT and (not lengths or not any(lengths[-1])):
+    smallest = runs[-1][0].lengths if runs else ()
+    exact = mode is ShrinkMode.EXACT
+    if exact and not any(smallest):
         raise ChainNotStrict("EXACT mode needs a nonzero smallest slice")
-
-    gaps = []   # f_j at the last copy of each run
-    for a, b in zip(lengths, lengths[1:] + [(0,) * r]):
-        gap = min(map(operator.sub, a, b))
-        if gap < 0:
-            raise ChainNotStrict(f"{a} does not contain {b}")
-        gaps.append(gap)
     # A slice has the shape of zero exactly when its rows are equally long,
-    # since row i's right end is o_i + l_i.
-    if mode is ShrinkMode.EXACT and min(lengths[-1]) == max(lengths[-1]):
-        gaps[-1] -= 1
+    # since row i's right end is o_i + l_i; EXACT then takes one less from
+    # the smallest run's gap, keeping a buffer column.
+    buffer = exact and min(smallest) == max(smallest)
     # A uniform shift of every row keeps a slice valid, and l_j^i >=
     # f_j + ... + f_n keeps it non-negative.  Below the lowest non-zero gap
     # the shift is 0 and a run's slice is its own tight slice.
@@ -300,13 +315,24 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     side_parts: list[int] = []
     shift = 0
     j = sum(mult for _, mult in runs)
-    for (s, mult), ln, gap in zip(reversed(runs), reversed(lengths), reversed(gaps)):
+    below = (0,) * r
+    failed = None   # the highest pair seen that does not nest
+    for s, mult in reversed(runs):
+        ln = s.lengths
+        gap = min(map(operator.sub, ln, below)) - buffer
+        buffer = False
+        if gap < 0:
+            failed = ln, below
         shift += gap
         side_parts += [r * j] * gap
         if shift:
             s = _new_slice(s.profile, tuple([v - shift for v in ln]))
         tight += [s] * mult
         j -= mult
+        below = ln
+    if failed is not None:
+        upper, lower = failed
+        raise ChainNotStrict(f"{upper} does not contain {lower}")
     tight.reverse()
     # Parts r*j are added with j decreasing.
     return tight, _new_partition(tuple(side_parts))

@@ -12,6 +12,7 @@ from cylpart.bijection import InadmissibleBeta, chain_pivots
 
 from conftest import all_profiles
 from references import validate_beta_rank2
+from test_acceptance import run_lengths
 
 P111 = Profile.of(1, 1, 1)
 
@@ -71,6 +72,21 @@ class TestWorkedExamples:
                                Partition.of(12, 9, 7, 3, 1),
                                Partition.of(11, 10, 7, 2, 2)), P111)
         assert pivot_decompose(cp) == (mu, beta)
+
+    @pytest.mark.parametrize("mu_parts", [(12,), (12, 12, 3), (10, 10), (12, 10, 3, 3)])
+    def test_mu_part_equal_to_a_beta_weight(self, mu_parts):
+        """A part of mu equal to a weight of beta adds one more copy of
+        that pivot slice: the weight counts once for beta and once per
+        such part of mu."""
+        beta = LabeledDistinctPartition.parse("12^(2,1),10^(2,2)")
+        mu = Partition(mu_parts)
+        cp = pivot_reconstruct(mu, beta, P111)
+        assert cp.weight == mu.weight + beta.weight
+        assert pivot_decompose(cp) == (mu, beta)
+        chain = decompose(cp)
+        copies = {s.weight: mult for s, mult in chain.entries}
+        for w, _ in beta.entries:
+            assert copies[w] == 1 + mu_parts.count(w)
 
     def test_intermediate_slices_between_two_pivots(self):
         chain = [slice_with(P111, Shape.of(2, 1), 15),
@@ -192,7 +208,7 @@ class TestRoundtripsAndRuns:
                 mu, beta = pivot_decompose(cp)
                 assert mu.weight + beta.weight == cp.weight
                 assert pivot_reconstruct(mu, beta, prof) == cp
-                assert all(run <= bound for run in beta.run_lengths())
+                assert all(run <= bound for run in run_lengths(beta))
                 for w, sh in beta.entries:
                     assert sh.parts and sh.parts[0] >= 2
 

@@ -235,6 +235,49 @@ class TestVerificationCommands:
         assert main(["qconj-check", "--profile", "2,1",
                      "--n", "2", "--order", "8"]) == 0
 
+    def test_check_on_zeros_is_a_usage_error(self, capsys):
+        """No chain of 3 pivots fits under q^3, so both sides are 0: the
+        check does not pass, and says why on stderr."""
+        for fmt in ("text", "json"):
+            code = main(["lemma-check", "--profile", "2,1", "--n", "3",
+                         "--order", "3", "--format", fmt])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err == ("error: pivot-chain-lemma: both sides are 0 up to q^3, so "
+                           "nothing was compared: the order is below the first term\n")
+        assert main(["lemma-check", "--profile", "2,1", "--n", "3",
+                     "--order", "12"]) == 0
+
+    def test_verify_all_reports_zero_checks_as_not_applicable(self, capsys):
+        """A level-1 profile has no potential pivot shape, so the
+        pivot-chain lemma compares only zeros at every order."""
+        argv = ["verify-all", "--profile", "1,0,0", "--order", "6"]
+        code, out = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 10
+        assert "[n/a] pivot-chain-lemma: both sides are 0 up to q^6, so nothing " \
+            "was compared: the order is below the first term" in lines
+        assert sum(line.startswith("[pass] ") for line in lines) == 9
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload["ok"] is True
+        verdicts = {c["name"]: c["ok"] for c in payload["checks"]}
+        assert verdicts.pop("pivot-chain-lemma") is None
+        assert set(verdicts.values()) == {True}
+
+    def test_verify_all_fails_when_an_applicable_check_fails(self, capsys, monkeypatch):
+        """An n/a check does not hide a failure next to it."""
+        real = lineups.qconj_genfunc_check
+
+        def broken(*args):
+            check = real(*args)
+            return series.Check(check.name, False, "broken", 0)
+        monkeypatch.setattr(lineups, "qconj_genfunc_check", broken)
+        code, payload = run_json(capsys, "verify-all", "--profile", "1,0,0",
+                                 "--order", "6")
+        assert code == 1 and payload["ok"] is False
+        verdicts = {c["name"]: c["ok"] for c in payload["checks"]}
+        assert verdicts["pivot-chain-lemma"] is None and verdicts["pivot-genfunc"] is False
+
     def test_verify_all(self, capsys):
         code, payload = run_json(capsys, "verify-all", "--profile", "0,2,0",
                                  "--order", "10", "--jobs", "2", "--seed", "7")

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from cylpart import (Partition, Profile, RankMismatch,
                      RowCountMismatch, Shape, ViolatedInequality, all_shapes,
-                     delta, delta_shapes, empty_partition, parse_cylindric,
+                     delta, empty_partition, parse_cylindric,
                      parse_profile, shape_of_zero, shape_to_profile, validate)
-from cylpart.core import LevelTooSmall, _conjugate
+from cylpart.core import LevelTooSmall, _conjugate, _delta
 from cylpart.oracle import enumerate_by_weight
 
 from conftest import all_profiles
@@ -14,6 +14,18 @@ from conftest import all_profiles
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+def delta_shapes(sigma, tau, level):
+    """Shape overload of ``delta``: the same formula on the shapes
+    themselves, which must both fit the given level."""
+    if sigma.rank != tau.rank:
+        raise RankMismatch(f"ranks differ: {sigma.rank} vs {tau.rank}")
+    for shape in (sigma, tau):
+        if shape.parts and shape.parts[0] > level:
+            raise LevelTooSmall(
+                f"shape {shape} needs level >= {shape.parts[0]}, got {level}")
+    return _delta(sigma.parts, tau.parts)
 
 
 def conjugate(p):

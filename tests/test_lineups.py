@@ -290,6 +290,17 @@ class TestIdentities:
         report = lemma_check(n, profile, order)
         assert report.ok, str(report)
 
+    @pytest.mark.parametrize("parts", [(1, 0), (1,), (1, 0, 0)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lemma_on_zeros_does_not_pass(self, parts, n):
+        """A level-1 or rank-1 profile has no potential pivot shape, so no
+        chain of n >= 1 pivots exists: both sides are 0 and the check
+        does not apply."""
+        report = lemma_check(n, Profile(parts), 12)
+        assert not any(pivot_chain_gf(n, Profile(parts), 12).coeffs)
+        assert report.ok is None and report.mismatch is None
+        assert "the order is below the first term" in report.detail
+
     def test_genfunc_identities(self):
         for profile in [Profile.of(1, 1, 1), Profile.of(2, 1), P110]:
             report = qconj_genfunc_check(profile, 10, 3)

@@ -5,8 +5,9 @@ import pytest
 from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
                      TruncatedSeries, ZZ, borodin_product, euler_sum,
                      path_counts, product_inv_factors)
-from cylpart.rings import ring_of
-from cylpart.series import NonpositiveExponent, OrderMismatch, euler_top
+from cylpart.rings import ZZ_z, ring_of
+from cylpart.series import (NonpositiveExponent, OrderMismatch, compare,
+                            euler_top)
 
 from conftest import mul_one_plus
 
@@ -93,6 +94,36 @@ class TestArithmetic:
         assert str(s) == "1 + 2*q^2 + O(q^3)"
         js = s.to_json()
         assert js == {"ring": "Z", "order": 2, "coeffs": ["1", "0", "2"]}
+
+
+class TestCompare:
+    def word(self, k, x, y):
+        return f"q^{k}: {x} vs {y}"
+
+    def test_equal_with_a_nonzero_coefficient_passes(self):
+        check = compare("c", (0, 0, 3), (0, 0, 3, 0), "held", self.word)
+        assert (check.ok, check.detail, check.mismatch) == (True, "held", None)
+
+    def test_first_difference_fails(self):
+        check = compare("c", (0, 1, 2), (0, 1, 5), "held", self.word)
+        assert (check.ok, check.detail, check.mismatch) == (False, "q^2: 2 vs 5", 2)
+
+    def test_zeros_against_zeros_do_not_pass(self):
+        """Nothing nonzero was compared, so the check does not apply."""
+        for a, b in [((0, 0, 0, 0), (0, 0, 0, 0)), ((0,), (0, 0, 0, 0)), ((), ())]:
+            check = compare("c", a, b, "held", self.word)
+            assert check.ok is None and check.mismatch is None
+            assert check.detail.startswith("both sides are 0 up to q^")
+            assert check.detail.endswith("the order is below the first term")
+        assert "q^3" in compare("c", (0,), (0, 0, 0, 0), "held", self.word).detail
+
+    def test_zero_coefficients_over_other_rings(self):
+        zero_poly, poly = ZZ_z.zero, ZZ_z.coerce(2)
+        assert compare("c", (zero_poly,), (zero_poly,), "held", self.word).ok is None
+        assert compare("c", (zero_poly, poly), (zero_poly, poly), "held",
+                       self.word).ok is True
+        assert compare("c", (K5.zero,), (K5.zero,), "held", self.word).ok is None
+        assert compare("c", (K5.sqrt(),), (K5.sqrt(),), "held", self.word).ok is True
 
 
 class TestProducts:

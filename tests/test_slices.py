@@ -5,14 +5,24 @@ from hypothesis import strategies as st
 from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
                      all_shapes, decompose, enumerate_by_weight, expand, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
-                     successors, validate, zero_slice, delta_shapes)
+                     successors, validate, zero_slice)
+from cylpart.core import RankMismatch
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
                             NotMultipleOfRank, PartTooLarge, Slice,
-                            min_slice_weight)
+                            _slice_lengths, min_slice_weight)
 
 from conftest import all_profiles
+from test_core import delta_shapes
 
 P111 = Profile.of(1, 1, 1)
+
+
+def bump(s, row):
+    """``s`` with one box added at the end of the given 0-based row,
+    through the validating constructor."""
+    ln = list(s.lengths)
+    ln[row] += 1
+    return Slice(s.profile, tuple(ln))
 
 
 def bfs_slices_by_weight(profile, max_weight):
@@ -104,7 +114,7 @@ class TestShapesAndSuccessors:
                     expected = []
                     for i in range(prof.rank):
                         try:
-                            expected.append(s.bump(i))
+                            expected.append(bump(s, i))
                         except ValueError:
                             pass
                     got = successors(s)
@@ -174,6 +184,27 @@ class TestShapesAndSuccessors:
                     assert slice_with(prof, shape, w) is None, (prof, shape, w)
                     checked += 1
         assert checked > 1000
+
+    def test_lengths_helper_agrees_with_slice_with(self):
+        """Reconstruction reads slice lengths from the plain-tuple helper
+        instead of the cached ``slice_with``; both give the same slice, or
+        None, for every shape (also past the level) and weight."""
+        found = 0
+        for prof in all_profiles(4, 3):
+            for shape in all_shapes(prof.rank, prof.level + 1):
+                for w in range(31):
+                    s = slice_with(prof, shape, w)
+                    assert _slice_lengths(prof, shape.parts, w) == \
+                        (None if s is None else s.lengths), (prof, shape, w)
+                    found += s is not None
+        assert found > 1000
+        for prof, shape in [(P111, Shape.of(2)), (P111, Shape.of(2, 1, 0)),
+                            (Profile.of(3), Shape.of(1))]:
+            with pytest.raises(RankMismatch) as via_cache:
+                slice_with(prof, shape, 6)
+            with pytest.raises(RankMismatch) as via_helper:
+                _slice_lengths(prof, shape.parts, 6)
+            assert str(via_helper.value) == str(via_cache.value)
         assert slice_with(Profile.of(0, 0, 0, 1), Shape.of(2, 1, 1), 1) is None
 
 

@@ -22,9 +22,10 @@ from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
                      shape_of_zero, shrink, slice_shape, slice_with,
                      successors, tile, validate, validate_beta, zero_slice)
 from cylpart.bijection import InadmissibleBeta, chain_pivots, pivot_flag
-from cylpart.core import FrozenInstanceError, _Frozen, _space_columns
+from cylpart.core import FrozenInstanceError, _Frozen, _space_columns, _trusted
 from cylpart.cli import main
-from cylpart.slices import ChainNotDecreasing, ChainNotStrict
+from cylpart.oracle import hits
+from cylpart.slices import ChainNotDecreasing, ChainNotStrict, _chain_runs
 
 from conftest import all_profiles
 from references import classify
@@ -303,6 +304,35 @@ def beta_candidates(draw):
         tuple((w, draw(st.sampled_from(shapes))) for w in weights))
 
 
+def chain_runs_reference(rows):
+    """The slice chain as (row lengths, multiplicity) runs, from the
+    definition: slice k has, in row i, the number of parts >= k of row i
+    (part k of the row's conjugate), for k = 1 up to the largest part."""
+    top = max((p for row in rows for p in row.parts), default=0)
+    columns = [tuple(sum(1 for p in row.parts if p >= k) for row in rows)
+               for k in range(1, top + 1)]
+    return [(lengths, len(list(run))) for lengths, run in itertools.groupby(columns)]
+
+
+class TestChainRuns:
+    def test_matches_definition_on_every_hit(self):
+        profiles = all_profiles(3, 3) + all_profiles(4, 2)
+        checked = 0
+        for prof in profiles:
+            for rows in hits(prof, 10):
+                rows = [Partition(parts) for parts in rows]
+                assert _chain_runs(rows) == chain_runs_reference(rows), rows
+                checked += 1
+        assert checked > 25000
+
+    @given(workload_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition_on_workload_mix(self, cp):
+        runs = _chain_runs(cp.rows)
+        assert runs == chain_runs_reference(cp.rows)
+        assert sum(sum(lengths) * mult for lengths, mult in runs) == cp.weight
+
+
 class TestPivotReference:
     """The pivot bijection, read on row-length tuples, against the former
     ``Slice``-based implementation."""
@@ -506,7 +536,76 @@ def _every_value_class():
     return {type(value): value for value in values}
 
 
+def _trusted_builders():
+    """(module.name, builder, class) for every module-level ``_trusted``
+    builder of the package."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and getattr(node.value.func, "id", None) == "_trusted":
+                module = importlib.import_module(f"cylpart.{path.stem}")
+                name = node.targets[0].id
+                out.append((f"{path.stem}.{name}", getattr(module, name),
+                            getattr(module, node.value.args[0].id)))
+    return out
+
+
+def _unset_slots(value):
+    """The slots of ``value`` that were never set."""
+    return [name for name in type(value).__slots__ if not hasattr(value, name)]
+
+
+def _derived_hold(value):
+    """Whether the stored derived values equal their definitions."""
+    if isinstance(value, Slice):
+        return value.weight == sum(value.lengths) and _derived_hold(value.profile)
+    if isinstance(value, Profile):
+        return (value.rank, value.level, value.offsets()) == (
+            len(value.parts), sum(value.parts),
+            tuple(sum(value.parts[i + 1:]) for i in range(len(value.parts))))
+    raise TypeError(value)
+
+
 class TestValueClasses:
+    @pytest.mark.parametrize("where,build,cls", _trusted_builders(),
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_trusted_builders_set_every_slot(self, where, build, cls):
+        """Every slot of a value made by a ``_trusted`` builder reads back,
+        derived slots included, and equals the validated value's."""
+        value = _every_value_class()[cls]
+        built = build(*(getattr(value, name) for name in cls._fields))
+        assert _unset_slots(built) == [], where
+        assert built == value
+        for name in cls.__slots__:
+            assert getattr(built, name) == getattr(value, name), (where, name)
+
+    def test_a_builder_that_skips_weight_is_caught(self, monkeypatch):
+        """The slot check above fails for a builder that leaves the
+        derived ``weight`` unset."""
+        monkeypatch.setattr(Slice, "_derived", ())
+        bare = _trusted(Slice)(P111, (1, 1, 0))
+        assert _unset_slots(bare) == ["weight"]
+        with pytest.raises(AttributeError):
+            bare.weight
+
+    def test_derived_values_hold_everywhere(self):
+        """``Slice.weight``, ``Profile.rank`` and ``Profile.level`` equal
+        their definitions however the value was made."""
+        chain = decompose(CP)
+        values = [Slice(P111, (2, 1, 1)), zero_slice(P111), *chain.distinct(),
+                  slice_with(P111, Shape.of(2, 1), 6), P111, Profile.of(0, 3, 1, 2),
+                  Profile((4,)), CP.profile]
+        for s in chain.distinct():
+            values += successors(s)
+        for mode in ShrinkMode:
+            tight, side = shrink(chain, mode)
+            values += tight + expand(tight, side, mode)
+        for value in values:
+            for twin in (value, copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert _unset_slots(twin) == [] and _derived_hold(twin), twin
+
     def test_every_class_is_covered_and_slotted(self):
         values = _every_value_class()
         assert set(values) == set(_Frozen.__subclasses__())
