@@ -21,8 +21,9 @@ from . import core, slices
 
 # The public names, by the module that defines them.
 _PUBLIC = {
-    "core": ("CylindricPartition", "CylpartError", "Partition", "Profile",
-             "RankMismatch", "RowCountMismatch", "Shape", "ViolatedInequality",
+    "core": ("CylindricPartition", "CylpartError", "InvalidInput", "Partition",
+             "Profile", "RankMismatch", "RowCountMismatch", "Shape",
+             "ViolatedInequality",
              "all_shapes", "delta", "empty_partition",
              "parse_cylindric", "parse_profile", "shape_of_zero",
              "shape_to_profile", "validate"),
@@ -47,7 +48,8 @@ _PUBLIC = {
                     "parts_at_most_poly", "pivot_corrected_poly",
                     "pivot_lineup_poly"),
     "lineups": ("Lineup", "enumerate_minimal_jammed",
-                "enumerate_minimal_loose", "lemma_check", "pivot_chain_gf",
+                "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
+                "pivot_chain_gf",
                 "potential_pivot_shapes", "qconj_genfunc_check"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

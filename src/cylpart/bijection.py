@@ -25,9 +25,9 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   Shape, _Frozen, _int_fields, _space_columns, _trusted,
-                   _unwrap)
+from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
+                   Profile, Shape, _Frozen, _int, _int_fields, _space_columns,
+                   _trusted, _unwrap)
 from .slices import Slice, _chain_runs, _slice_lengths, _summed_rows
 
 _new_partition = _trusted(Partition)
@@ -49,9 +49,9 @@ class LabeledDistinctPartition(_Frozen):
         entries = tuple(entries)
         ws = [w for w, _ in entries]
         if any(w < 1 for w in ws):
-            raise ValueError("weights must be positive")
+            raise InvalidInput("weights must be positive")
         if any(a <= b for a, b in zip(ws, ws[1:])):
-            raise ValueError("weights must be strictly decreasing")
+            raise InvalidInput("weights must be strictly decreasing")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -77,7 +77,7 @@ class LabeledDistinctPartition(_Frozen):
         for chunk in text.replace("),", ");").split(";"):
             w_text, _, s_text = chunk.partition("^")
             shape = Shape(_int_fields(_unwrap(s_text.strip())))
-            entries.append((int(w_text), shape))
+            entries.append((_int(w_text), shape))
         return cls(tuple(entries))
 
 

@@ -6,8 +6,10 @@ slots into CI pipelines.  Exit codes:
 * 0 -- success;
 * 1 -- a verification subcommand found a mismatch (naming the first bad
   coefficient with both values);
-* 2 -- usage error: bad arguments, malformed input or an invalid partition;
-* 3 -- internal error: any other exception, reported on one stderr line;
+* 2 -- usage error: bad arguments, malformed input or an invalid partition
+  (argparse's errors and every ``CylpartError``);
+* 3 -- internal error: any other exception, a bare ``ValueError`` included,
+  reported on one stderr line;
 * 141 -- the reader closed stdout early (128 + SIGPIPE, as a shell shows a
   tool killed by SIGPIPE); nothing is written to stderr.
 
@@ -289,10 +291,9 @@ def cmd_functional_eq(args) -> int:
 def cmd_lineups(args) -> int:
     profile = parse_profile(args.profile)
     if args.kind == "mll":
-        found = cylpart.lineups.enumerate_minimal_loose(args.n, profile)
+        lines = _texts(cylpart.lineups.enumerate_minimal_loose(args.n, profile))
     else:
-        found = cylpart.lineups.enumerate_minimal_jammed(args.n, profile)
-    lines = _texts(found)
+        lines = cylpart.lineups.minimal_jammed_lines(args.n, profile)
     _emit(args, {"command": "lineups", "profile": list(profile.parts),
                  "kind": args.kind, "n": args.n, "lineups": lines},
           lines, lambda: ([t] for t in lines))
@@ -617,11 +618,13 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (core.CylpartError, ValueError) as exc:
+    except core.CylpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # Exit code 1 means a mismatch, so a crash must never end with it.
+        # Any other exception, a bare ``ValueError`` included, is a fault of
+        # the program, not of its input.  Exit code 1 means a mismatch, so a
+        # crash must never end with it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -29,6 +29,10 @@ class CylpartError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(CylpartError, ValueError):
+    """A malformed text or a value that breaks its type's rules."""
+
+
 class RowCountMismatch(CylpartError):
     pass
 
@@ -183,9 +187,9 @@ def _conjugate(parts: Sequence[int], counts: Sequence[int] | None = None
 
 def _check_parts(parts: tuple[int, ...]) -> None:
     if parts and min(parts) < 1:
-        raise ValueError(f"partition parts must be positive: {parts}")
+        raise InvalidInput(f"partition parts must be positive: {parts}")
     if any(map(operator.lt, parts, parts[1:])):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        raise InvalidInput(f"partition parts must be weakly decreasing: {parts}")
 
 
 class Partition(_Frozen):
@@ -250,11 +254,11 @@ class Profile(_Frozen):
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
         if len(parts) < 1:
-            raise ValueError("profile needs at least one part")
+            raise InvalidInput("profile needs at least one part")
         if any(p < 0 for p in parts):
-            raise ValueError(f"profile parts must be non-negative: {parts}")
+            raise InvalidInput(f"profile parts must be non-negative: {parts}")
         if sum(parts) < 1:
-            raise ValueError("profile level must be positive")
+            raise InvalidInput("profile level must be positive")
         object.__setattr__(self, "parts", parts)
         self._set_derived()
 
@@ -290,9 +294,9 @@ class Shape(_Frozen):
     def __init__(self, parts: tuple[int, ...] = ()):
         parts = tuple(parts)
         if any(p < 0 for p in parts):
-            raise ValueError(f"shape parts must be non-negative: {parts}")
+            raise InvalidInput(f"shape parts must be non-negative: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"shape parts must be weakly decreasing: {parts}")
+            raise InvalidInput(f"shape parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
     def __eq__(self, other):
@@ -335,7 +339,7 @@ def all_shapes(rank: int, level: int) -> list[Shape]:
     ascending lexicographic order.
     """
     if rank < 1 or level < 1:
-        raise ValueError("rank and level must be positive")
+        raise InvalidInput("rank and level must be positive")
     out = []
     for combo in itertools.combinations_with_replacement(range(level, -1, -1), rank - 1):
         out.append(Shape(combo))
@@ -475,7 +479,7 @@ def check_rows(rows: Sequence[tuple[int, ...]], profile: Profile) -> None:
     """Check rows of plain part tuples against the profile; return None when
     valid.
 
-    Raises :class:`RowCountMismatch`, ``ValueError`` for a row that is not a
+    Raises :class:`RowCountMismatch`, :class:`InvalidInput` for a row that is not a
     partition (as :class:`Partition` does), or :class:`ViolatedInequality`
     naming the first failing inequality as 1-based (row, column).
     """
@@ -508,27 +512,36 @@ def empty_partition(profile: Profile) -> CylindricPartition:
     return CylindricPartition(profile, tuple(Partition() for _ in range(profile.rank)))
 
 
+def _int(text: str) -> int:
+    """``int(text)``, raising :class:`InvalidInput` with ``int``'s message."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
 def _int_fields(text: str) -> tuple[int, ...]:
     """The integers of a comma-separated list; a blank text has none.
 
-    An empty field (``3,,1`` or ``1,2,0,``) raises ``ValueError``.
+    An empty field (``3,,1`` or ``1,2,0,``) or a field that is not an
+    integer raises :class:`InvalidInput`.
     """
     if not text.strip():
         return ()
     fields = text.split(",")
     if not all(field.strip() for field in fields):
-        raise ValueError(f"empty field in {text!r}")
-    return tuple(map(int, fields))
+        raise InvalidInput(f"empty field in {text!r}")
+    return tuple(map(_int, fields))
 
 
 def _unwrap(text: str) -> str:
     """``text`` without one pair of enclosing parentheses, if it has them.
 
-    Any other parenthesis (unbalanced or doubled) raises ``ValueError``.
+    Any other parenthesis (unbalanced or doubled) raises :class:`InvalidInput`.
     """
     body = text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
     if "(" in body or ")" in body:
-        raise ValueError(f"unbalanced or doubled parentheses in {text!r}")
+        raise InvalidInput(f"unbalanced or doubled parentheses in {text!r}")
     return body
 
 
@@ -552,7 +565,7 @@ def parse_cylindric(text: str, profile: Profile | None = None) -> CylindricParti
     else:
         body = text
     if profile is None:
-        raise ValueError("no profile given and none present in the text form")
+        raise InvalidInput("no profile given and none present in the text form")
     row_texts = body.split("|") if body else []
     if body == "":
         row_texts = [""] * profile.rank

@@ -44,9 +44,9 @@ def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
     return list(family(rank, level).pivot_shapes)
 
 
-# Text pieces repeat across the lineups of one listing: one slice sits in
-# many chains and an iota has at most 2^n values.  Bounded, so a long-lived
-# process keeps a fixed number of strings.
+# Text pieces repeat across lineups: one slice sits in many chains and an
+# iota has at most 2^n values.  Bounded, so a long-lived process keeps a
+# fixed number of strings.
 @lru_cache(maxsize=4096)
 def _piece_text(weight: int, shape: Shape) -> str:
     return f"{weight}^{shape}"
@@ -55,6 +55,12 @@ def _piece_text(weight: int, shape: Shape) -> str:
 @lru_cache(maxsize=1024)
 def _iota_text(iota: frozenset[int]) -> str:
     return "{" + ",".join(map(str, sorted(iota))) + "}"
+
+
+def _line(pieces: Sequence[str], iota: str, classification: str) -> str:
+    """One listed lineup: its ``weight^shape`` pieces, smallest slice
+    first, then the text of its iota and its classification."""
+    return f"{','.join(pieces)} iota={iota} class={classification}"
 
 
 class Lineup(_Frozen):
@@ -87,9 +93,9 @@ class Lineup(_Frozen):
         return list(self.labels)
 
     def to_text(self) -> str:
-        body = ",".join([_piece_text(s.weight, sh) for s, sh in
-                         zip(reversed(self.slices), reversed(self.labels))])
-        return f"{body} iota={_iota_text(self.iota)} class={self.classification}"
+        return _line([_piece_text(s.weight, sh) for s, sh in
+                      zip(reversed(self.slices), reversed(self.labels))],
+                     _iota_text(self.iota), self.classification)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -139,22 +145,68 @@ def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
     order), then by the set of tight gaps read as a bit mask (bit j - 1 for
     gap j), ascending.
     """
-    found = list(_minimal_jammed(n, profile, math.inf))
-    found.sort()   # (shape indices, mask) is unique, so slices never compare
+    def lineup(link: tuple, iota: frozenset[int]) -> Lineup:
+        slices, labels = [], []
+        while link is not None:
+            row, link = link
+            slices.append(row[3])
+            labels.append(row[1])
+        return Lineup(profile, tuple(slices), "minimal-jammed", iota, tuple(labels))
+
+    return _listing(n, profile, lineup)
+
+
+def minimal_jammed_lines(n: int, profile: Profile) -> list[str]:
+    """The text forms of :func:`enumerate_minimal_jammed`'s lineups, in its
+    order, made from the walk without building any lineup."""
+    def line(link: tuple, iota: frozenset[int]) -> str:
+        pieces = []
+        while link is not None:
+            row, link = link
+            pieces.append(row[6])
+        pieces.reverse()
+        return _line(pieces, _iota_text(iota), "minimal-jammed")
+
+    return _listing(n, profile, line)
+
+
+def _listing(n: int, profile: Profile, make) -> list:
+    """``make(link, iota)`` for each minimal jammed lineup with n pivots, in
+    the order of :func:`enumerate_minimal_jammed`, from its link in the
+    walk of :func:`_minimal_jammed` and its iota.
+
+    That order is the order of one integer per lineup: its shape indices
+    as the digits of a base-|S| number, largest slice first, then its tight
+    mask.
+    """
+    base = len(family(profile.rank, profile.level).pivot_shapes)
+    links = {}
+    for mask, _, link in _minimal_jammed(n, profile, math.inf):
+        key = 0
+        node = link
+        while node is not None:
+            row, node = node
+            key = key * base + row[0]
+        links[(key << n) | mask] = link
+    found = sorted(links)
+    low = (1 << n) - 1
     iotas: dict[int, frozenset[int]] = {}
-    # Each sort entry is replaced by its lineup, and so freed, in turn.
-    for i, (_, mask, _, chain, labels) in enumerate(found):
+    # Each key is replaced by what ``make`` returns, and its link freed, in
+    # turn.
+    for i, key in enumerate(found):
+        mask = key & low
         iota = iotas.get(mask)
         if iota is None:
             iota = iotas[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        found[i] = Lineup(profile, chain, "minimal-jammed", iota, labels)
+        found[i] = make(links.pop(key), iota)
     return found
 
 
 def _minimal_jammed(n: int, profile: Profile, order):
-    """Yield (shape indices, tight mask, weight, slices, shapes), slices and
-    shapes largest first, for each minimal jammed lineup with n pivots and
-    weight <= order (``math.inf``: every one), in no set order.
+    """Yield (tight mask, weight, link) for each minimal jammed lineup with
+    n pivots and weight <= order (``math.inf``: every one), in no set
+    order.  A link is (step-table row, link below it), from the largest
+    slice down, ending in None.
 
     The chain is walked bottom-up, from gap n onto the empty slice to the
     largest slice; each step picks a shape and a tight or loose gap.  A
@@ -171,18 +223,19 @@ def _minimal_jammed(n: int, profile: Profile, order):
         return
     r = profile.rank
     fam = family(r, profile.level)
-    shapes = list(enumerate(potential_pivot_shapes(r, profile.level)))
+    shapes = [(pick, sh, str(sh)) for pick, sh in enumerate(fam.pivot_shapes)]
     # Lower slice lengths -> every admissible step above it, as [shape
     # index, shape, tight, slice above, its weight, (leftmost, rightmost)
-    # column of the space between them, pivot flag of the slice above as
-    # the largest member].  The flag is None until the row is first placed
-    # on top.
+    # column of the space between them, its ``weight^shape`` text, right
+    # ends of the slice above and of the lower one, pivot flag of the slice
+    # above as the largest member].  The flag is None until the row is
+    # first placed on top.
     steps_above: dict[tuple[int, ...], list[list]] = {}
 
     def steps(lower: Slice, lower_shape: Shape) -> list[list]:
         out = []
         lower_ends = lower.right_ends()
-        for pick, sh in shapes:
+        for pick, sh, text in shapes:
             step = lower.weight + fam.dist(lower_shape, sh)
             for tight, weight in ((True, step), (False, step + r)):
                 if weight > order:
@@ -193,25 +246,26 @@ def _minimal_jammed(n: int, profile: Profile, order):
                 ends = s.right_ends()
                 # Not None: s strictly contains lower.
                 out.append([pick, sh, tight, s, weight,
-                            _space_columns(ends, lower_ends), None])
+                            _space_columns(ends, lower_ends), f"{weight}^{text}",
+                            (ends, lower_ends), None])
         return out
 
     zero = zero_slice(profile)
     # Each entry asks for slice j (0-based, largest first) above ``lower``,
     # which is slice j + 1 or the empty slice, after slices of total weight
-    # ``spent``; ``under_right`` is the rightmost column of the space under
-    # ``lower`` (None when ``lower`` is empty).  ``lower`` is a pivot when
-    # the space above it starts left of that column, as :func:`pivot_flag`
-    # decides.
-    stack = [(n - 1, zero, shape_of_zero(profile), None, 0, (), 0, (), ())]
+    # ``spent``, which ``link`` holds; ``under_right`` is the rightmost
+    # column of the space under ``lower`` (None when ``lower`` is empty).
+    # ``lower`` is a pivot when the space above it starts left of that
+    # column, as :func:`pivot_flag` decides.
+    stack = [(n - 1, zero, shape_of_zero(profile), None, 0, 0, None)]
     while stack:
-        j, lower, lower_shape, under_right, spent, picks, mask, chain, labels = stack.pop()
+        j, lower, lower_shape, under_right, spent, mask, link = stack.pop()
         table = steps_above.get(lower.lengths)
         if table is None:
             table = steps_above[lower.lengths] = steps(lower, lower_shape)
         bit = 1 << j
         for row in table:
-            pick, sh, tight, s, w, (left, right), top_pivot = row
+            _, sh, tight, s, w, (left, right), _, ends, top_pivot = row
             if under_right is not None and left >= under_right:
                 continue
             weight = spent + w
@@ -219,14 +273,12 @@ def _minimal_jammed(n: int, profile: Profile, order):
                 continue
             m = mask | bit if tight else mask
             if j > 0:
-                stack.append((j - 1, s, sh, right, weight, (pick,) + picks, m,
-                              (s,) + chain, (sh,) + labels))
+                stack.append((j - 1, s, sh, right, weight, m, (row, link)))
             elif m:
                 if top_pivot is None:
-                    top_pivot = row[-1] = pivot_flag(None, s.right_ends(),
-                                                     lower.right_ends())
+                    top_pivot = row[-1] = pivot_flag(None, *ends)
                 if top_pivot:
-                    yield (pick,) + picks, m, weight, (s,) + chain, (sh,) + labels
+                    yield m, weight, (row, link)
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
@@ -277,8 +329,8 @@ def minimal_jammed_correction(n: int, profile: Profile, order: int | None = None
     walked."""
     r = profile.rank
     weights: dict[int, list[int]] = {}
-    for _, mask, weight, _, _ in _minimal_jammed(n, profile,
-                                                 math.inf if order is None else order):
+    for mask, weight, _ in _minimal_jammed(n, profile,
+                                           math.inf if order is None else order):
         weights.setdefault(mask, []).append(weight)
     total = QPoly()
     for mask, ws in weights.items():

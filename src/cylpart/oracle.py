@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .core import CylindricPartition, Partition, Profile, _trusted
+from .core import CylindricPartition, InvalidInput, Partition, Profile, _trusted
 from .qpoly import QPoly
 from .series import TruncatedSeries
 from .rings import ZZ, ZZ_z
@@ -59,7 +59,7 @@ def _search(profile: Profile, max_weight: int, cap: int,
     if max_weight < 0:
         return
     if max_weight > cap:
-        raise ValueError(f"weight bound {max_weight} exceeds the cap {cap}; "
+        raise InvalidInput(f"weight bound {max_weight} exceeds the cap {cap}; "
                          f"raise `cap` explicitly if this is intended")
     r = profile.rank
     c = profile.parts

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -9,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from cylpart import (Partition, Profile, bijection, cli, diagram, lineups,
-                     oracle, polynomials, series, validate)
+from cylpart import (Partition, Profile, Shape, all_shapes, bijection, cli, core,
+                     diagram, lineups, oracle, parse_cylindric, polynomials,
+                     series, validate)
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
@@ -488,6 +491,62 @@ class TestUsageErrors:
         assert err == b""
         assert first.endswith(b"class=minimal-jammed\n")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["decompose", "--profile", "2,1", "x"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["reconstruct", "--profile", "2,1", "--beta", "3^x"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["reconstruct", "--profile", "2,1", "--mu", "1.5"],
+         "invalid literal for int() with base 10: '1.5'"),
+        (["count", "--profile", "2,1", "--order", "31"],
+         "weight bound 31 exceeds the cap 30; raise `cap` explicitly if this is "
+         "intended"),
+        (["stg", "--rank", "0", "--level", "2"], "rank and level must be positive"),
+        (["borodin", "--profile", "2,-1"], "profile parts must be non-negative: (2, -1)")])
+    def test_invalid_input_exits_2(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("check", [
+        lambda: Partition((3, 0)), lambda: Partition((1, 2)),
+        lambda: Profile(()), lambda: Profile((2, -1)), lambda: Profile((0, 0)),
+        lambda: Shape((1, 2)), lambda: Shape((-1,)), lambda: all_shapes(0, 2),
+        lambda: core._int_fields("1,x"), lambda: core._int_fields("1,,2"),
+        lambda: core._unwrap("((1))"), lambda: parse_cylindric("3|2"),
+        lambda: bijection.LabeledDistinctPartition(((0, Shape((1,))),)),
+        lambda: bijection.LabeledDistinctPartition(((1, Shape((1,))),
+                                                    (2, Shape((1,))))),
+        lambda: bijection.LabeledDistinctPartition.parse("x^(1)"),
+        lambda: oracle.count_series(Profile((1, 1)), 31)],
+        ids=["partition-zero", "partition-rising", "profile-empty",
+             "profile-negative", "profile-level-0", "shape-rising", "shape-negative",
+             "all-shapes-rank-0", "int-fields-word", "int-fields-empty",
+             "unwrap-doubled", "cylindric-no-profile", "beta-zero-weight",
+             "beta-rising", "beta-parse-word", "oracle-cap"])
+    def test_input_checks_raise_invalid_input(self, check):
+        # A usage error, and still a ValueError for callers that catch one.
+        with pytest.raises(core.InvalidInput) as exc:
+            check()
+        assert isinstance(exc.value, core.CylpartError)
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("module, name", [(cli, "cmd_stg"),
+                                              (diagram, "diagonal_blocks")])
+    def test_bare_value_error_exits_3(self, capsys, monkeypatch, module, name):
+        # A bare ValueError is a broken invariant of the program, as
+        # diagonal_blocks raises on a matrix that is not block diagonal, not
+        # a fault of the input.
+        def broken(*args):
+            raise ValueError("matrix is not block diagonal at (0, 1)")
+
+        monkeypatch.setattr(module, name, broken)
+        assert main(["stg", "--rank", "2", "--level", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: ValueError: matrix is not block "
+                                "diagonal at (0, 1)\n")
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")
@@ -599,28 +658,54 @@ class TestMismatchDetails:
         assert details["distinct-vs-oracle"].endswith("73 into distinct parts")
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def benchmark_jobs() -> list[list[str]]:
+    """The verify and gf command lines of the benchmark, as its CLI runner
+    completes them before the format flags."""
+    workloads = json.loads((PERFBENCH / "spec.json").read_text())["workloads"]
+    return [[*job, *(["--seed", "1"] if job[0] == "verify-all" else [])]
+            for name in ("verify", "gf") for job in workloads[name]["jobs"]]
+
+
+@pytest.fixture(scope="class")
+def job_runs():
+    """Each benchmark job run once in process: (argv, exit code, stdout)."""
+    runs = []
+    for argv in benchmark_jobs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--format", "json", "--jobs", "1"])
+        runs.append((argv, code, out.getvalue()))
+    return runs
+
+
 class TestBenchmarkJobs:
     def test_spec_jobs_parse_and_dispatch(self):
         # The command lines the benchmark runs, completed as its CLI runner
         # completes them, must parse and reach their subcommand's handler.
-        spec_path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
-        workloads = json.loads(spec_path.read_text())["workloads"]
-        jobs = [job for name in ("verify", "gf") for job in workloads[name]["jobs"]]
+        jobs = benchmark_jobs()
         assert jobs
         series_commands = {"count", "borodin", "distinct-gf"}
         parser = cli.build_parser()
         for job in jobs:
-            seed = ["--seed", "1"] if job[0] == "verify-all" else []
-            args = parser.parse_args([*job, *seed, "--format", "json", "--jobs", "1"])
+            args = parser.parse_args([*job, "--format", "json", "--jobs", "1"])
             handler = ("cmd_series" if job[0] in series_commands
                        else "cmd_" + job[0].replace("-", "_"))
             assert args.fn is getattr(cli, handler), job
 
-    def test_json_jobs_print_one_indented_document(self, capsys):
-        spec_path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
-        workloads = json.loads(spec_path.read_text())["workloads"]
-        for job in (job for name in ("verify", "gf") for job in workloads[name]["jobs"]):
-            seed = ["--seed", "1"] if job[0] == "verify-all" else []
-            code, out = run_cli(capsys, *job, *seed, "--format", "json", "--jobs", "1")
+    def test_json_jobs_print_one_indented_document(self, job_runs):
+        for job, code, out in job_runs:
             assert code == 0, job
             assert out == json.dumps(json.loads(out), indent=2) + "\n", job
+
+    def test_jobs_pass_the_benchmark_checker(self, job_runs):
+        # An output the benchmark would count as failed fails here first.
+        spec = importlib.util.spec_from_file_location("perfbench_checker",
+                                                      PERFBENCH / "checker.py")
+        checker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checker)
+        refs = checker.load_refs()
+        for job, code, out in job_runs:
+            assert checker.check_job(job, code, out.encode(), refs) is None, job

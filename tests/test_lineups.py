@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -8,10 +9,11 @@ import pytest
 
 from conftest import all_profiles
 from cylpart import (Profile, QPoly, Shape, enumerate_minimal_jammed,
-                     enumerate_minimal_loose, family, lemma_check, pivot_chain_gf,
-                     potential_pivot_shapes, qconj_genfunc_check, shape_of_zero,
-                     slice_with)
+                     enumerate_minimal_loose, family, lemma_check,
+                     minimal_jammed_lines, pivot_chain_gf, potential_pivot_shapes,
+                     qconj_genfunc_check, shape_of_zero, slice_with)
 from cylpart import lineups
+from cylpart.cli import main
 from cylpart.lineups import _chain_from_gaps, minimal_jammed_correction
 from references import NotPotentialPivot, classify
 
@@ -222,10 +224,10 @@ class TestMinimalJammed:
 
     def test_concurrent_calls_match_serial(self):
         # Each call keeps its step table to itself; the text caches are
-        # shared, so the threads format their lineups too.
+        # shared, so the threads format their lineups and list lines too.
         def listing(prof, n):
             found = enumerate_minimal_jammed(n, prof)
-            return found, [l.to_text() for l in found]
+            return found, [l.to_text() for l in found], minimal_jammed_lines(n, prof)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -253,6 +255,38 @@ class TestMinimalJammed:
                     piece = piece * (QPoly.one() - QPoly.monomial(prof.rank * j))
                 total = total + piece
             assert minimal_jammed_correction(n, prof) == total, (prof, n)
+
+
+def listed(capsys, prof, n, fmt):
+    code = main(["lineups", "--kind", "mjl", "--n", str(n), "--profile",
+                 ",".join(map(str, prof.parts)), "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+class TestJammedLines:
+    """``lineups --kind mjl`` makes its lines straight from the walk."""
+
+    def test_cli_lines_equal_lineup_texts(self, capsys):
+        for prof, n in WALK_CASES + GF_CASES:
+            texts = [l.to_text() for l in enumerate_minimal_jammed(n, prof)]
+            assert minimal_jammed_lines(n, prof) == texts, (prof, n)
+            lines = "".join(f"{t}\n" for t in texts)
+            payload = {"command": "lineups", "profile": list(prof.parts),
+                       "kind": "mjl", "n": n, "lineups": texts, "schema": 1}
+            expected = {"text": lines, "csv": lines,
+                        "json": json.dumps(payload, indent=2) + "\n"}
+            for fmt, out in expected.items():
+                assert listed(capsys, prof, n, fmt) == (0, out), (prof, n, fmt)
+
+    def test_cli_builds_no_lineup(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a lineup was built")
+
+        monkeypatch.setattr(lineups, "Lineup", refuse)
+        code, out = listed(capsys, P400, 3, "text")
+        assert code == 0 and len(out.splitlines()) == 6946
+        with pytest.raises(AssertionError, match="a lineup was built"):
+            enumerate_minimal_jammed(3, P400)
 
 
 class TestOrderBoundedSums:

@@ -8,7 +8,8 @@ from cylpart import (Partition, Profile, borodin_product, count_bivariate,
                      count_distinct_series, count_series, enumerate_by_weight,
                      validate)
 from cylpart import oracle
-from cylpart.core import RowCountMismatch, ViolatedInequality, check_rows
+from cylpart.core import (InvalidInput, RowCountMismatch, ViolatedInequality,
+                          check_rows)
 from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.series import at_z_one
 from cylpart.slices import decompose, recompose
@@ -232,7 +233,7 @@ class TestCheckRows:
                 expected = _outcome(_reference_check, bad, prof)
                 assert _outcome(check_rows, bad, prof) == expected, (prof, bad)
                 kinds.add(expected and expected[0])
-        assert {ValueError, RowCountMismatch} <= kinds
+        assert {InvalidInput, RowCountMismatch} <= kinds
         if prof.rank > 1:
             assert ViolatedInequality in kinds
 

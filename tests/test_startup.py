@@ -125,8 +125,9 @@ def test_own_parser_matches_the_full_parser(command):
 # Every public name the package exported when it imported all its modules
 # eagerly, by defining module.
 EXPORTED = {
-    "core": ["CylindricPartition", "CylpartError", "Partition", "Profile",
-             "RankMismatch", "RowCountMismatch", "Shape", "ViolatedInequality",
+    "core": ["CylindricPartition", "CylpartError", "InvalidInput", "Partition",
+             "Profile", "RankMismatch", "RowCountMismatch", "Shape",
+             "ViolatedInequality",
              "all_shapes", "delta", "empty_partition",
              "parse_cylindric", "parse_profile", "shape_of_zero",
              "shape_to_profile", "validate"],
@@ -150,8 +151,8 @@ EXPORTED = {
                     "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
                     "pivot_corrected_poly", "pivot_lineup_poly"],
     "lineups": ["Lineup", "enumerate_minimal_jammed",
-                "enumerate_minimal_loose", "lemma_check", "pivot_chain_gf",
-                "potential_pivot_shapes", "qconj_genfunc_check"],
+                "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
+                "pivot_chain_gf", "potential_pivot_shapes", "qconj_genfunc_check"],
 }
 
 
