@@ -4,7 +4,8 @@ Core objects: profiles, shapes, slices, and cylindric partitions; on top of
 them, slice decompositions, the pivot bijection onto pairs of an ordinary
 partition and a labeled distinct-parts partition, shape transition graphs
 with exact transfer-matrix path counts, distinct-parts generating
-functions with closed-form verification over quadratic fields, and the
+functions with closed forms from the minimal polynomial of the path
+counts (and eigen forms checked over quadratic fields), and the
 polynomial numerators of bounded counting series.  A brute-force
 enumeration oracle backs every identity check.
 
@@ -39,10 +40,10 @@ _PUBLIC = {
                "zero_slice"),
     "bijection": ("LabeledDistinctPartition", "TiledPath", "pivot_decompose",
                   "pivot_reconstruct", "tile", "validate_beta"),
-    "diagram": ("LinearRecurrence", "PathCountTable", "ShapeTransitionGraph",
-                "adjacency_matrix", "build_graph", "char_poly", "diagonal_blocks",
-                "distinct_gf", "fit_recurrence", "matrix_power", "path_counts",
-                "verify_closed_form"),
+    "diagram": ("PathCountTable", "ShapeTransitionGraph",
+                "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
+                "diagonal_blocks", "distinct_gf", "matrix_power",
+                "minimal_polynomial", "path_counts", "verify_closed_form"),
     "polynomials": ("PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly",
                     "parts_at_most_poly", "pivot_corrected_poly",

@@ -218,36 +218,9 @@ def cmd_path_counts(args) -> int:
     return 0
 
 
-def builtin_closed_form(profile: Profile):
-    """The worked closed forms: residual polynomial plus weighted products."""
-    from fractions import Fraction
-    QQ, QuadraticField = cylpart.rings.QQ, cylpart.rings.QuadraticField
-    key = profile.parts
-    if key == (1, 1, 1):
-        return QQ, [(Fraction(3, 2), 2, 0)], [Fraction(-1, 2)]
-    if key == (2, 0, 0):
-        K = QuadraticField(5)
-        s = K.sqrt()
-        return K, [((1 + s * Fraction(1, 5)) * Fraction(1, 2), (1 + s) * Fraction(1, 2), 0),
-                   ((1 - s * Fraction(1, 5)) * Fraction(1, 2), (1 - s) * Fraction(1, 2), 0)], []
-    if key == (4, 0):
-        K = QuadraticField(3)
-        s = K.sqrt()
-        return K, [((2 + s) * Fraction(1, 6), s, 0),
-                   ((2 - s) * Fraction(1, 6), -s, 0)], [Fraction(1, 3)]
-    return None
-
-
 def cmd_verify_closed_form(args) -> int:
     profile = parse_profile(args.profile)
-    preset = builtin_closed_form(profile)
-    if preset is None:
-        print(f"no built-in closed form for {profile}; "
-              f"known profiles: 1,1,1  2,0,0  4,0", file=sys.stderr)
-        return 2
-    ring, combination, residual = preset
-    check = cylpart.diagram.verify_closed_form(profile, combination, residual,
-                                               args.order, ring=ring)
+    check = cylpart.diagram.check_closed_form(profile, args.order)
     return _emit_check(args, {"command": "verify-closed-form",
                               "profile": list(profile.parts)}, check)
 
@@ -492,7 +465,7 @@ _MODULES = {
     "decompose": ("bijection",), "reconstruct": ("bijection",),
     "slices": (), "shrink": (),
     "stg": ("diagram",), "path-counts": ("diagram",), "distinct-gf": ("diagram",),
-    "verify-closed-form": ("diagram", "rings"),
+    "verify-closed-form": ("diagram",),
     "poly": ("polynomials",), "functional-eq": ("polynomials",),
     "lineups": ("lineups",), "lemma-check": ("lineups",),
     "qconj-check": ("lineups", "oracle"),
@@ -552,7 +525,7 @@ def _subcommands() -> dict[str, tuple]:
                         _options(with_csv, order=12)),
         "distinct-gf": ("distinct-parts generating function", cmd_series,
                         _options(with_csv, order=12)),
-        "verify-closed-form": ("check a built-in closed form",
+        "verify-closed-form": ("check the minimal-polynomial closed form",
                                cmd_verify_closed_form, _options(plain, order=25)),
         "poly": ("polynomial numerators", cmd_poly, [
             (("kind",), {"choices": sorted(_POLY_KINDS)}), *_options(with_csv, n=3)]),

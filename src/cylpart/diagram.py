@@ -7,12 +7,16 @@ chains of length n out of the empty slice is the number of length-n walks
 in that graph from the profile's zero shape, 1^T M^n e_0 for the integer
 adjacency matrix M, and :func:`path_counts` counts them by walking the
 graph.  Grouping the shapes by weight class mod the rank makes M
-block-cyclic and its rank-th power block diagonal; the characteristic
-polynomials of the blocks give the linear recurrences of ``a_n``, which in
-turn feed the generating function for cylindric partitions into distinct
-parts:
+block-cyclic and its rank-th power block diagonal, with one characteristic
+polynomial per block.  The path counts feed the generating function for
+cylindric partitions into distinct parts:
 
     sum over n of a_n * q^(n(n+1)/2) / (q;q)_n.
+
+M is D x D for the D shapes, so a_n satisfies a linear recurrence of order
+at most D, and Berlekamp-Massey on a_0..a_{2D-1} gives its minimal
+polynomial p exactly.  p and a_0..a_{deg p - 1} fix every a_n, which gives
+the closed form :func:`check_closed_form` checks, for every profile.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .qpoly import QPoly, _convolve
 from .rings import QuadElement, Ring, ZZ, ring_of
 from .series import Check, TruncatedSeries, compare, euler_sum, euler_top
 from .slices import min_slice_weight, slice_shape, slice_with, successors
-
-
-class NoRecurrenceFound(Exception):
-    pass
 
 
 class ShapeTransitionGraph(_Frozen):
@@ -188,113 +188,78 @@ def path_counts(profile: Profile, order: int) -> PathCountTable:
     return PathCountTable(profile, order, tuple(totals), tuple(by_shape))
 
 
-class LinearRecurrence(_Frozen):
-    """A_0 b_n + A_1 b_{n-1} + ... + A_v b_{n-v} = 0, with ``coeffs``
-    holding A_0..A_v and A_0 = 1.
+def minimal_polynomial(values: Sequence) -> QPoly:
+    """The monic polynomial p of least degree L with
+    p_0 v_n + p_1 v_{n+1} + ... + p_L v_{n+L} = 0 at every n the values
+    reach, constant term first: Berlekamp-Massey over the rationals
+    (Massey, IEEE Trans. Inform. Theory 15, 1969).
 
-    ``exceptions`` counts the leading windows that break the rule: the
-    relation holds at every n >= order + exceptions.
+    A sequence known to satisfy some recurrence of order at most D is
+    pinned down by its first 2D values, so p is then exact.  Factors of x
+    in p stand for a leading stretch the recurrence does not cover.
     """
-
-    __slots__ = _fields = ("coeffs", "exceptions")
-
-    def __init__(self, coeffs: tuple[Fraction, ...], exceptions: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exceptions", exceptions)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def holds_at(self, seq: Sequence, n: int) -> bool:
-        v = self.order
-        if n < v:
-            return False
-        return sum(self.coeffs[i] * Fraction(seq[n - i]) for i in range(v + 1)) == 0
-
-    def characteristic(self) -> QPoly:
-        """Companion characteristic polynomial, highest power first in x."""
-        return QPoly(tuple(reversed(self.coeffs)))
-
-    def __str__(self) -> str:
-        terms = " + ".join(f"({a})*b[n-{i}]" if i else f"({a})*b[n]"
-                           for i, a in enumerate(self.coeffs))
-        return f"{terms} = 0  ({self.exceptions} exceptional windows)"
-
-
-def fit_recurrence(values: Sequence, modulus: int = 1, residue: int = 0,
-                   max_order: int | None = None) -> LinearRecurrence:
-    """Minimal-order constant-coefficient recurrence for a subsequence.
-
-    Takes values[residue::modulus], solves for rational coefficients by
-    exact elimination on the trailing windows, then scans from the front
-    for the exceptional prefix.  Each candidate order v needs at least
-    3v + 2 terms; raises NoRecurrenceFound past the order cap.
-    """
-    seq = [Fraction(v) for v in values[residue::modulus]]
-    m = len(seq)
-    cap = (m - 2) // 3 if max_order is None else max_order
-    for v in range(cap + 1):
-        if m < 3 * v + 2:
-            break
-        sol = _solve_tail(seq, v)
-        if sol is None:
+    seq = [Fraction(v) for v in values]
+    conn, prev = [Fraction(1)], [Fraction(1)]  # connection polynomials
+    length, gap, prev_disc = 0, 1, Fraction(1)
+    for n, v in enumerate(seq):
+        disc = v + sum(conn[i] * seq[n - i] for i in range(1, length + 1))
+        if not disc:
+            gap += 1
             continue
-        last_bad = v - 1
-        for n in range(v, m):
-            if seq[n] != sum(sol[i - 1] * seq[n - i] for i in range(1, v + 1)):
-                last_bad = n
-        exceptions = last_bad - v + 1
-        # Demand enough validated windows beyond the exceptional prefix.
-        if m - (v + exceptions) >= v + 2:
-            coeffs = (Fraction(1),) + tuple(-c for c in sol)
-            return LinearRecurrence(coeffs, exceptions)
-    raise NoRecurrenceFound(f"no recurrence of order <= {cap} fits {len(seq)} terms")
-
-
-def _solve_tail(seq: list[Fraction], v: int) -> list[Fraction] | None:
-    """Coefficients c with seq[n] = sum c_i seq[n-i] on the trailing windows."""
-    m = len(seq)
-    if v == 0:
-        tail = seq[max(0, m - 2):]
-        return [] if all(x == 0 for x in tail) else None
-    rows = [[seq[n - i] for i in range(1, v + 1)] + [seq[n]]
-            for n in range(m - 1, max(v - 1, m - 2 * v - 2), -1)]
-    return _solve_exact(rows, v)
-
-
-def _solve_exact(rows: list[list[Fraction]], v: int) -> list[Fraction] | None:
-    """Gauss elimination over Fractions; None when inconsistent; free
-    variables default to zero."""
-    mat = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(v):
-        piv = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        lead = mat[row][col]
-        mat[row] = [x / lead for x in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, len(mat)):
-        if mat[i][v] != 0:
-            return None
-    sol = [Fraction(0)] * v
-    for r, c in pivots:
-        sol[c] = mat[r][v]
-    return sol
+        old = list(conn)
+        conn += [Fraction(0)] * (len(prev) + gap - len(conn))
+        scale = disc / prev_disc
+        for i, x in enumerate(prev):
+            conn[i + gap] -= scale * x
+        if 2 * length <= n:
+            length, prev, prev_disc, gap = n + 1 - length, old, disc, 1
+        else:
+            gap += 1
+    conn += [Fraction(0)] * (length + 1 - len(conn))
+    return QPoly(tuple(reversed(conn[:length + 1])))
 
 
 def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     """Generating function for cylindric partitions into distinct parts:
     sum over n of a_n q^{n(n+1)/2} / (q;q)_n, truncated."""
     return euler_sum(path_counts(profile, euler_top(order)).totals, order)
+
+
+def _check_against_distinct_gf(profile: Profile, order: int, coeffs, tail: str,
+                               ring: Ring = ZZ) -> Check:
+    """The ``closed-form`` check of the coefficients of a closed form
+    against :func:`distinct_gf`; ``tail`` ends the report either way."""
+    reference = distinct_gf(profile, order).into_ring(ring)
+    head = f"closed form for {profile} to q^{order}: "
+    return compare("closed-form", coeffs, reference.coeffs, f"{head}ok{tail}",
+                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
+                                   f"vs path counts {y}{tail}")
+
+
+def check_closed_form(profile: Profile, order: int) -> Check:
+    """The ``closed-form`` check of the distinct-parts series built from
+    the minimal polynomial p of the path counts a_n.
+
+    a_n = 1^T M^n e_0 for the D x D adjacency matrix M of the D shapes, so
+    a_n satisfies the recurrence of M's characteristic polynomial, of
+    degree D; :func:`minimal_polynomial` of a_0..a_{2D-1} is therefore the
+    exact minimal polynomial of the whole sequence.  The check rebuilds a_n
+    from p and a_0..a_{deg p - 1} alone and compares its :func:`euler_sum`
+    with :func:`distinct_gf`.
+    """
+    shapes = len(all_shapes(profile.rank, profile.level))
+    totals = path_counts(profile, 2 * shapes - 1).totals
+    p = minimal_polynomial(totals)
+    start = totals[:p.degree]
+    seq = list(start)
+    while len(seq) <= euler_top(order):
+        seq.append(-sum(c * x for c, x in zip(p.coeffs, seq[-p.degree:])))
+    names = "a_0" if p.degree == 1 else f"a_0..a_{p.degree - 1}"
+    tail = (f"; a_n has minimal polynomial {p.to_str('x')} and {names} = "
+            f"{', '.join(map(str, start))} (found from a_0..a_{2 * shapes - 1}; "
+            f"{shapes} shape{'s' * (shapes != 1)})")
+    return _check_against_distinct_gf(profile, order, euler_sum(seq, order).coeffs,
+                                      tail)
 
 
 def _closed_form_series(combination, residual, order: int,
@@ -323,20 +288,19 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
 
     ``combination`` lists (alpha, beta, k) triples, evaluated as
     alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n; ``residual`` is a low-order
-    coefficient list.  Over a quadratic field the final coefficients must
-    also have vanishing irrational part; the report says whether they do.
+    coefficient list.  ``ring`` defaults to the smallest ring that holds
+    every alpha, beta and residual entry.  Over a quadratic field the final
+    coefficients must also have vanishing irrational part; the report says
+    whether they do.
     """
     if ring is None:
-        probe = next(iter(combination), None)
-        ring = ring_of(probe[0]) if probe else ZZ
+        ring = ring_of(*(x for alpha, beta, _ in combination for x in (alpha, beta)),
+                       *residual)
     total = _closed_form_series(combination, residual, order, ring)
-    reference = distinct_gf(profile, order).into_ring(ring)
     irrational_ok = not any(isinstance(x, QuadElement) and x.b != 0
                             for x in total.coeffs)
-    head = f"closed form for {profile} to q^{order}: "
-    tail = f"; irrational parts cancel: {irrational_ok}"
     # Coefficients equal to the rational reference have no irrational
     # part, so a closed form that matches it always reads True here.
-    return compare("closed-form", total.coeffs, reference.coeffs, f"{head}ok{tail}",
-                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
-                                   f"vs path counts {y}{tail}")
+    return _check_against_distinct_gf(profile, order, total.coeffs,
+                                      f"; irrational parts cancel: {irrational_ok}",
+                                      ring)

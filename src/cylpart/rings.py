@@ -226,12 +226,18 @@ QQ = RationalRing()
 ZZ_z = IntegerPolynomialRing()
 
 
-def ring_of(x) -> Ring:
-    """The smallest ring in this module containing ``x``."""
-    if isinstance(x, int):
-        return ZZ
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, QuadElement):
-        return QuadraticField(x.d)
-    raise RingMismatch(f"no ring for {x!r}")
+def ring_of(*values) -> Ring:
+    """The smallest ring in this module containing every one of ``values``;
+    Z when there are none."""
+    ring = ZZ
+    for x in values:
+        if isinstance(x, QuadElement):
+            if not isinstance(ring, QuadraticField):
+                ring = QuadraticField(x.d)
+            elif ring.d != x.d:
+                raise RingMismatch(f"elements of {ring.tag} and Q(sqrt {x.d})")
+        elif isinstance(x, Fraction):
+            ring = QQ if ring is ZZ else ring
+        elif not isinstance(x, int):
+            raise RingMismatch(f"no ring for {x!r}")
+    return ring

@@ -19,6 +19,8 @@ from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
 from cylpart.series import TruncatedSeries
 
+from conftest import all_profiles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -218,13 +220,20 @@ class TestStructuredOutput:
 
 class TestVerificationCommands:
     def test_verify_closed_form(self, capsys):
-        for profile in ["1,1,1", "2,0,0", "4,0"]:
+        profiles = [",".join(map(str, p.parts)) for p in all_profiles(3, 2)]
+        for profile in [*profiles, "1", "3,1", "3,2,1,0"]:
             code, out = run_cli(capsys, "verify-closed-form",
                                 "--profile", profile, "--order", "20")
-            assert code == 0 and "ok" in out
+            assert code == 0 and ": ok; " in out, profile
 
     def test_verify_closed_form_unknown_profile(self, capsys):
-        assert main(["verify-closed-form", "--profile", "3,1"]) == 2
+        # (3,1) has no worked eigen form in the tests; its minimal
+        # polynomial is x^2 - 3.
+        code, out = run_cli(capsys, "verify-closed-form", "--profile", "3,1")
+        assert code == 0
+        assert out == ("closed form for c=(3,1) to q^25: ok; a_n has minimal "
+                       "polynomial -3 + x^2 and a_0..a_1 = 1, 2 (found from "
+                       "a_0..a_9; 5 shapes)\n")
 
     def test_functional_eq(self, capsys):
         code, out = run_cli(capsys, "functional-eq", "--profile", "2,1",
@@ -640,7 +649,8 @@ class TestMismatchDetails:
         (["verify-closed-form", "--profile", "1,1,1", "--order", "20"],
          diagram, "distinct_gf", lambda f: _bump_series(f, 5),
          "closed form for c=(1,1,1) to q^20: MISMATCH at q^5: "
-         "closed form 15 vs path counts 16; irrational parts cancel: True"),
+         "closed form 15 vs path counts 16; a_n has minimal polynomial "
+         "-2*x + x^2 and a_0..a_1 = 1, 3 (found from a_0..a_19; 10 shapes)"),
     ])
     def test_check_subcommand_names_first_bad_coefficient(
             self, capsys, monkeypatch, argv, module, name, bump, expected):

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cylpart import (LinearRecurrence, Profile, QPoly, Shape,
-                     adjacency_matrix, build_graph, char_poly,
+from cylpart import (Profile, QPoly, Shape, adjacency_matrix, all_shapes,
+                     build_graph, char_poly, check_closed_form,
                      count_distinct_series, diagonal_blocks, distinct_gf,
-                     fit_recurrence, matrix_power, path_counts, QuadraticField,
-                     shape_of_zero, verify_closed_form)
-from cylpart.diagram import NoRecurrenceFound, _matmul
+                     matrix_power, minimal_polynomial, path_counts,
+                     QuadraticField, shape_of_zero, verify_closed_form)
+from cylpart.diagram import _matmul
 from cylpart.rings import QQ
 from cylpart.slices import slice_shape, successors, zero_slice
 
@@ -245,16 +245,18 @@ class TestPathCounts:
             assert table.totals[n] == sum(v for _, v in table.by_shape[n])
 
     def test_recurrences_hold_to_order_forty(self):
+        # The minimal polynomial read off a_0..a_{2D-1} holds on every
+        # window up to a_{max(40, 4D)}.
         for profile in all_profiles(3, 4):
-            table = path_counts(profile, 40)
-            for n in range(41):
+            shapes = len(all_shapes(profile.rank, profile.level))
+            top = max(40, 4 * shapes)
+            table = path_counts(profile, top)
+            for n in range(top + 1):
                 assert table.totals[n] == sum(v for _, v in table.by_shape[n])
-            for s in range(profile.rank):
-                rec = fit_recurrence(table.totals, modulus=profile.rank,
-                                     residue=s)
-                seq = table.totals[s::profile.rank]
-                start = rec.order + rec.exceptions
-                assert all(rec.holds_at(seq, n) for n in range(start, len(seq)))
+            p = minimal_polynomial(table.totals[:2 * shapes])
+            for n in range(top + 1 - p.degree):
+                assert sum(c * table.totals[n + i] for i, c in enumerate(p.coeffs)) == 0, \
+                    (profile, n)
 
     def test_graph_walk_matches_slice_dp(self):
         profiles = set(all_profiles(3, 3) + all_profiles(4, 2) + all_profiles(2, 4)
@@ -269,35 +271,61 @@ class TestPathCounts:
         assert table.by_shape[0] == ((shape_of_zero(Profile.of(0, 2, 0)), 1),)
 
 
+def poly_remainder(a: QPoly, b: QPoly) -> QPoly:
+    """a mod b, for a monic b."""
+    rem = list(a.coeffs)
+    while len(rem) >= len(b.coeffs):
+        lead, shift = rem[-1], len(rem) - len(b.coeffs)
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= lead * c
+        rem.pop()
+    return QPoly(rem)
+
+
+def family(rank, level):
+    return [p for p in all_profiles(rank, level) if (p.rank, p.level) == (rank, level)]
+
+
 class TestFitRecurrence:
+    """The recurrence :func:`minimal_polynomial` fits: its monic
+    characteristic polynomial, constant term first."""
+
     def test_doubling(self):
-        rec = fit_recurrence(path_counts(Profile.of(1, 1, 1), 12).totals)
-        assert rec.coeffs == (Fraction(1), Fraction(-2))
-        assert rec.exceptions == 1
+        # a_0 = 1 breaks a_n = 2 a_{n-1}; the factor x stands for it.
+        p = minimal_polynomial(path_counts(Profile.of(1, 1, 1), 12).totals)
+        assert p == QPoly((0, -2, 1))
 
     def test_constant(self):
-        rec = fit_recurrence([7] * 10)
-        assert rec.coeffs == (Fraction(1), Fraction(-1))
-        assert rec.exceptions == 0
+        assert minimal_polynomial([7] * 10) == QPoly((-1, 1))
 
     def test_residue_classes(self):
         totals = path_counts(Profile.of(2, 0, 0), 24).totals
         for s in range(3):
-            rec = fit_recurrence(totals, modulus=3, residue=s)
-            assert rec.coeffs == (Fraction(1), Fraction(-4), Fraction(-1))
-            assert rec.characteristic() == QPoly((-1, -4, 1))
+            assert minimal_polynomial(totals[s::3]) == QPoly((-1, -4, 1))
 
-    def test_no_recurrence(self):
-        import random
-        rng = random.Random(4)
-        with pytest.raises(NoRecurrenceFound):
-            fit_recurrence([rng.randrange(100) for _ in range(30)], max_order=3)
+    @pytest.mark.parametrize("parts, coeffs", [
+        ((2, 0, 0), (-1, -1, 1)), ((4, 0), (0, -3, 0, 1)), ((3, 1), (-3, 0, 1)),
+        ((3, 2, 1, 0), (25, 0, -75, 0, 60, 0, -15, 0, 1))])
+    def test_known_profiles(self, parts, coeffs):
+        profile = Profile(parts)
+        shapes = len(all_shapes(profile.rank, profile.level))
+        assert minimal_polynomial(path_counts(profile, 2 * shapes - 1).totals) == \
+            QPoly(coeffs)
 
-    def test_validates_past_exceptions(self):
-        rec = LinearRecurrence((Fraction(1), Fraction(-2)), 1)
-        seq = (1, 3, 6, 12, 24)
-        assert not rec.holds_at(seq, 1)
-        assert all(rec.holds_at(seq, n) for n in range(2, 5))
+    def test_monic_with_integer_coefficients(self):
+        for profile in all_profiles(3, 4) + family(4, 3):
+            shapes = len(all_shapes(profile.rank, profile.level))
+            p = minimal_polynomial(path_counts(profile, 2 * shapes - 1).totals)
+            assert 1 <= p.degree <= shapes and p.coeffs[-1] == 1, profile
+            assert all(Fraction(c).denominator == 1 for c in p.coeffs), profile
+
+    def test_divides_char_poly(self):
+        for rank, level in [(2, 4), (3, 2), (3, 3)]:
+            _, mat, _ = adjacency_matrix(build_graph(rank, level))
+            chi = char_poly(mat)
+            for profile in family(rank, level):
+                p = minimal_polynomial(path_counts(profile, 2 * len(mat) - 1).totals)
+                assert not poly_remainder(chi, p), profile
 
 
 class TestDistinctSeries:
@@ -362,9 +390,23 @@ class TestClosedForms:
                                     [Fraction(1, 3)], 25, ring=K)
         assert report.ok
 
+    def test_ring_holds_every_value(self):
+        # An integer alpha and a beta in Q(sqrt 5): the form is computed in
+        # Q(sqrt 5), and its irrational part shows at q^1.
+        s = QuadraticField(5).sqrt()
+        report = verify_closed_form(Profile.of(2, 0, 0), [(1, (1 + s) / 2, 0)], [], 10)
+        assert report.ok is False and report.mismatch == 1
+        assert report.detail.endswith("irrational parts cancel: False")
+
     def test_mismatch_reported_with_position(self):
         report = verify_closed_form(Profile.of(1, 1, 1),
                                     [(Fraction(3, 2), 2, 0)], [0], 10, ring=QQ)
         assert not report.ok and report.mismatch == 0
         # The closed form gives 3/2 at q^0, the path counts 1.
         assert "MISMATCH at q^0: closed form 3/2 vs path counts 1;" in report.detail
+
+
+class TestCheckClosedForm:
+    def test_every_small_family(self):
+        for profile in all_profiles(4, 4):
+            assert check_closed_form(profile, 40).ok, profile

@@ -125,3 +125,12 @@ class TestQuadraticField:
         with pytest.raises(RingMismatch):
             ZZ.coerce(Fraction(1, 2))
         assert ZZ.coerce(Fraction(4, 2)) == 2
+
+    def test_ring_of_holds_every_value(self):
+        from cylpart.rings import ring_of
+        s = QuadraticField(5).sqrt()
+        assert ring_of() == ZZ and ring_of(1, 2) == ZZ
+        assert ring_of(1, Fraction(1, 2), 3) == QQ
+        assert ring_of(1, s, Fraction(1, 2)) == QuadraticField(5)
+        with pytest.raises(RingMismatch):
+            ring_of(s, QuadraticField(3).sqrt())

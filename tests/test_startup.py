@@ -143,10 +143,10 @@ EXPORTED = {
                "zero_slice"],
     "bijection": ["LabeledDistinctPartition", "TiledPath", "pivot_decompose",
                   "pivot_reconstruct", "tile", "validate_beta"],
-    "diagram": ["LinearRecurrence", "PathCountTable", "ShapeTransitionGraph",
-                "adjacency_matrix", "build_graph", "char_poly", "diagonal_blocks",
-                "distinct_gf", "fit_recurrence", "matrix_power", "path_counts",
-                "verify_closed_form"],
+    "diagram": ["PathCountTable", "ShapeTransitionGraph",
+                "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
+                "diagonal_blocks", "distinct_gf", "matrix_power",
+                "minimal_polynomial", "path_counts", "verify_closed_form"],
     "polynomials": ["PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
                     "pivot_corrected_poly", "pivot_lineup_poly"],
