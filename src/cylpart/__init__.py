@@ -5,20 +5,20 @@ them, slice decompositions, the pivot bijection onto pairs of an ordinary
 partition and a labeled distinct-parts partition, shape transition graphs
 with exact transfer-matrix path counts, distinct-parts generating
 functions with closed forms from the minimal polynomial of the path
-counts (and eigen forms checked over quadratic fields), and the
-polynomial numerators of bounded counting series.  A brute-force
-enumeration oracle backs every identity check.
+counts, and the polynomial numerators of bounded counting series.  A
+brute-force enumeration oracle backs every identity check, and
+:mod:`cylpart.verify` runs them all for one profile.
 
-``import cylpart`` loads only :mod:`cylpart.core` and
-:mod:`cylpart.slices`.  Every other submodule, and every public name, is
-imported on first access (PEP 562), so ``from cylpart import X`` loads only
-the module that defines ``X`` and the modules it imports.
+``import cylpart`` loads only :mod:`cylpart.core`.  Every other submodule,
+and every public name, is imported on first access (PEP 562), so ``from
+cylpart import X`` loads only the module that defines ``X`` and the modules
+it imports.
 """
 
 import importlib
 
-# Loaded eagerly: every other module builds on them.
-from . import core, slices
+# Loaded eagerly: every other module builds on it.
+from . import core
 
 # The public names, by the module that defines them.
 _PUBLIC = {
@@ -29,8 +29,7 @@ _PUBLIC = {
              "parse_cylindric", "parse_profile", "shape_of_zero",
              "shape_to_profile", "validate"),
     "qpoly": ("QPoly", "q_binomial"),
-    "rings": ("QQ", "QuadElement", "QuadraticField", "Ring", "RingMismatch",
-              "ZZ", "ZZ_z"),
+    "rings": ("Ring", "RingMismatch", "ZZ", "ZZ_z"),
     "series": ("Check", "TruncatedSeries", "at_z_one", "borodin_product",
                "euler_sum", "product_inv_factors"),
     "oracle": ("count_bivariate", "count_distinct_series", "count_series",
@@ -43,7 +42,7 @@ _PUBLIC = {
     "diagram": ("PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
                 "diagonal_blocks", "distinct_gf", "matrix_power",
-                "minimal_polynomial", "path_counts", "verify_closed_form"),
+                "minimal_polynomial", "path_counts"),
     "polynomials": ("PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly",
                     "parts_at_most_poly", "pivot_corrected_poly",
@@ -52,6 +51,7 @@ _PUBLIC = {
                 "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
                 "pivot_chain_gf",
                 "potential_pivot_shapes", "qconj_genfunc_check"),
+    "verify": ("verify_all_tasks",),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -26,14 +26,12 @@ import json
 import os
 import sys
 
-# ``import cylpart`` loads only core and slices; every other module is
-# reached through the package, which imports it on first access.
+# ``import cylpart`` loads only core; every other module is reached
+# through the package, which imports it on first access.
 import cylpart
 
 from . import core
-from .core import Partition, Profile, parse_cylindric, parse_profile
-from .slices import (ShrinkMode, decompose as slice_decompose, expand, recompose,
-                     shrink, slice_shape)
+from .core import Partition, parse_cylindric, parse_profile
 
 SCHEMA = 1
 
@@ -149,23 +147,25 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_slices(args) -> int:
+    slices = cylpart.slices
     for cp in _partitions_from(args):
-        chain = slice_decompose(cp)
-        lines = [f"{s.weight}^{slice_shape(s)} x{mult} [{','.join(map(str, s.lengths))}]"
-                 for s, mult in chain.entries]
+        chain = slices.decompose(cp)
+        lines = [f"{s.weight}^{slices.slice_shape(s)} x{mult} "
+                 f"[{','.join(map(str, s.lengths))}]" for s, mult in chain.entries]
         _emit_each(args, {"command": "slices", "input": cp.to_json(),
                           "chain": [{"lengths": list(s.lengths), "multiplicity": m,
-                                     "shape": list(slice_shape(s).parts)}
+                                     "shape": list(slices.slice_shape(s).parts)}
                                     for s, m in chain.entries]},
                    lines)
     return 0
 
 
 def cmd_shrink(args) -> int:
-    mode = ShrinkMode.EXACT if args.mode == "exact" else ShrinkMode.AT_MOST
+    slices = cylpart.slices
+    mode = slices.ShrinkMode(args.mode)
     for cp in _partitions_from(args):
-        chain = slice_decompose(cp)
-        tight, side = shrink(chain, mode)
+        chain = slices.decompose(cp)
+        tight, side = slices.shrink(chain, mode)
         lines = [f"tight: {'; '.join(str(list(t.lengths)) for t in tight)}",
                  f"side:  {side or '-'}"]
         _emit_each(args, {"command": "shrink", "mode": args.mode,
@@ -287,137 +287,13 @@ def cmd_qconj_check(args) -> int:
                               "n_max": args.n, "order": args.order}, check)
 
 
-def _verify_all_tasks(profile: Profile, order: int, seed: int):
-    """The verify-all checks, as callables that each return their named
-    ``series.Check``."""
-    import random
-    rng = random.Random(seed)
-    Check, compare, refinement = (cylpart.series.Check, cylpart.series.compare,
-                                  cylpart.series.refinement)
-    # The round trips draw from the oracle's hits, rows only, in search
-    # order; only the partitions drawn are built.
-    found = cylpart.oracle.hits(profile, min(order, 10))
-
-    def sample(items, k):
-        drawn = items if len(items) <= k else rng.sample(items, k)
-        return cylpart.oracle._partitions(profile, drawn)
-
-    # Drawn here, in a fixed order, so the seed alone picks each check's
-    # partitions, whichever check a thread pool starts first.
-    pivot_sample = sample(found, 400)
-    slice_sample = sample(found, 400)
-    tight_sample = sample([rows for rows in found if any(rows)], 300)
-
-    def borodin_vs_oracle():
-        a = cylpart.oracle.count_series(profile, order)
-        b = cylpart.series.borodin_product(profile, order)
-        work = f"the oracle enumerated {sum(a.coeffs)} partitions up to q^{order}"
-        return compare("count-vs-product", a.coeffs, b.coeffs,
-                       f"counts match the infinite product; {work}",
-                       lambda k, x, y: f"first mismatch at q^{k}: oracle {x} "
-                                       f"vs product {y}; {work}")
-
-    def distinct_vs_oracle():
-        a = cylpart.oracle.count_distinct_series(profile, order)
-        b = cylpart.diagram.distinct_gf(profile, order)
-        total = sum(cylpart.oracle.count_series(profile, order).coeffs)
-        work = (f"the oracle enumerated {total} partitions up to q^{order}, "
-                f"{sum(a.coeffs)} into distinct parts")
-        return compare("distinct-vs-oracle", a.coeffs, b.coeffs,
-                       f"distinct-part counts match the path-count series; {work}",
-                       lambda k, x, y: f"first mismatch at q^{k}: oracle {x} "
-                                       f"vs path counts {y}; {work}")
-
-    def bijection_roundtrip():
-        name = "bijection-roundtrip"
-        for cp in pivot_sample:
-            mu, beta = cylpart.bijection.pivot_decompose(cp)
-            if cylpart.bijection.pivot_reconstruct(mu, beta, profile) != cp:
-                return Check(name, False, f"roundtrip broke on {cp.to_text()}")
-        return Check(name, True, f"pivot roundtrip on {len(pivot_sample)} partitions")
-
-    def slices_roundtrip():
-        name = "slices-roundtrip"
-        for cp in slice_sample:
-            if recompose(slice_decompose(cp)) != cp:
-                return Check(name, False, f"slice roundtrip broke on {cp.to_text()}")
-        return Check(name, True, f"slice roundtrip on {len(slice_sample)} partitions")
-
-    def tight_packing_roundtrip():
-        name = "tight-packing-roundtrip"
-        for cp in tight_sample:
-            chain = slice_decompose(cp)
-            for mode in ShrinkMode:
-                tight, side = shrink(chain, mode)
-                if chain.weight != sum(t.weight for t in tight) + side.weight:
-                    return Check(name, False,
-                                 f"weight bookkeeping broke on {cp.to_text()}")
-                regrown = expand(tight, side, mode)
-                if [s.lengths for s in regrown] != \
-                        [s.lengths for s in chain.expanded()]:
-                    return Check(name, False, f"tight packing broke on {cp.to_text()}")
-        return Check(name, True,
-                     f"tight packing roundtrip on {len(tight_sample)} partitions")
-
-    def bounded_polys():
-        # Passes when no table failed and some table compared a nonzero
-        # coefficient; n/a when every table compared only zeros.
-        passed = None
-        for n in range(min(4, order) + 1):
-            for label, poly_series, count in (
-                    (f"parts<= {n}", cylpart.polynomials.parts_at_most_series,
-                     cylpart.oracle.count_max_at_most),
-                    (f"largest={n}", cylpart.polynomials.largest_part_exact_series,
-                     cylpart.oracle.count_max_exactly)):
-                check = compare("bounded-polynomials",
-                                poly_series(profile, n, order).coeffs,
-                                count(profile, n, order).coeffs,
-                                "bounded-part numerators match the oracle",
-                                lambda k, x, y: f"{label} numerator mismatch at "
-                                                f"q^{k}: polynomial {x} vs oracle {y}")
-                if check.ok is False:
-                    return check
-                passed = check if check.ok else passed
-        return passed or check
-
-    def two_variable():
-        name = "two-variable-series"
-        passed = "two-variable series matches oracle and product"
-        F = cylpart.polynomials.f_truncated(profile, order)
-        check = compare(name, cylpart.series.at_z_one(F).coeffs,
-                        cylpart.series.borodin_product(profile, order).coeffs, passed,
-                        lambda k, x, y: f"z=1 specialization disagrees with the "
-                                        f"product at q^{k}: series {x} vs product {y}")
-        if not check.ok:
-            return check
-        oracle = cylpart.oracle.count_bivariate(profile, order)
-        return compare(name, F.coeffs, oracle.coeffs, passed,
-                       refinement(lambda k, m, a, b: f"largest-part refinement "
-                                                     f"disagrees with the oracle at "
-                                                     f"q^{k} z^{m}: series {a} vs "
-                                                     f"oracle {b}"))
-
-    return [
-        borodin_vs_oracle,
-        distinct_vs_oracle,
-        bijection_roundtrip,
-        slices_roundtrip,
-        tight_packing_roundtrip,
-        bounded_polys,
-        two_variable,
-        lambda: cylpart.polynomials.check_functional_equation(profile, min(order, 10)),
-        lambda: cylpart.lineups.lemma_check(2, profile, min(order, 12)),
-        lambda: cylpart.lineups.qconj_genfunc_check(profile, min(order, 10), 2),
-    ]
-
-
 # How verify-all's text output marks a check by its ``ok``.
 _VERDICTS = {True: "pass", False: "FAIL", None: "n/a"}
 
 
 def cmd_verify_all(args) -> int:
     profile = parse_profile(args.profile)
-    tasks = _verify_all_tasks(profile, args.order, args.seed)
+    tasks = cylpart.verify.verify_all_tasks(profile, args.order, args.seed)
     if args.jobs > 1:
         # Imported only here: it pulls in ``logging`` at start-up otherwise.
         from concurrent.futures import ThreadPoolExecutor
@@ -456,21 +332,20 @@ _nonnegative_int = _int_at_least(0, "must be non-negative")
 _positive_int = _int_at_least(1, "must be at least 1")
 
 
-# The cylpart modules each subcommand's handler reaches, beyond core and
-# slices, which ``import cylpart`` always loads.  ``main`` imports them
-# before the handler runs, in the main thread, so the ``--jobs`` pool of
-# ``verify-all`` never imports anything.
+# The cylpart modules each subcommand's handler reaches, beyond core, which
+# ``import cylpart`` always loads, and the modules they import.  ``main``
+# imports them before the handler runs, in the main thread, so the
+# ``--jobs`` pool of ``verify-all`` never imports anything.
 _MODULES = {
     "enumerate": ("oracle",), "count": ("oracle",), "borodin": ("series",),
     "decompose": ("bijection",), "reconstruct": ("bijection",),
-    "slices": (), "shrink": (),
+    "slices": ("slices",), "shrink": ("slices",),
     "stg": ("diagram",), "path-counts": ("diagram",), "distinct-gf": ("diagram",),
     "verify-closed-form": ("diagram",),
-    "poly": ("polynomials",), "functional-eq": ("polynomials",),
-    "lineups": ("lineups",), "lemma-check": ("lineups",),
+    "poly": ("polynomials",), "functional-eq": ("polynomials", "series"),
+    "lineups": ("lineups",), "lemma-check": ("lineups", "series"),
     "qconj-check": ("lineups", "oracle"),
-    "verify-all": ("bijection", "diagram", "lineups", "oracle", "polynomials",
-                   "series"),
+    "verify-all": ("verify",),
 }
 
 

@@ -21,13 +21,11 @@ the closed form :func:`check_closed_form` checks, for every profile.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .core import Profile, Shape, _Frozen, all_shapes, shape_of_zero
 from .qpoly import QPoly, _convolve
-from .rings import QuadElement, Ring, ZZ, ring_of
 from .series import Check, TruncatedSeries, compare, euler_sum, euler_top
 from .slices import min_slice_weight, slice_shape, slice_with, successors
 
@@ -198,6 +196,8 @@ def minimal_polynomial(values: Sequence) -> QPoly:
     pinned down by its first 2D values, so p is then exact.  Factors of x
     in p stand for a leading stretch the recurrence does not cover.
     """
+    # Imported here: only this check loads fractions.
+    from fractions import Fraction
     seq = [Fraction(v) for v in values]
     conn, prev = [Fraction(1)], [Fraction(1)]  # connection polynomials
     length, gap, prev_disc = 0, 1, Fraction(1)
@@ -225,17 +225,6 @@ def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     return euler_sum(path_counts(profile, euler_top(order)).totals, order)
 
 
-def _check_against_distinct_gf(profile: Profile, order: int, coeffs, tail: str,
-                               ring: Ring = ZZ) -> Check:
-    """The ``closed-form`` check of the coefficients of a closed form
-    against :func:`distinct_gf`; ``tail`` ends the report either way."""
-    reference = distinct_gf(profile, order).into_ring(ring)
-    head = f"closed form for {profile} to q^{order}: "
-    return compare("closed-form", coeffs, reference.coeffs, f"{head}ok{tail}",
-                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
-                                   f"vs path counts {y}{tail}")
-
-
 def check_closed_form(profile: Profile, order: int) -> Check:
     """The ``closed-form`` check of the distinct-parts series built from
     the minimal polynomial p of the path counts a_n.
@@ -245,62 +234,23 @@ def check_closed_form(profile: Profile, order: int) -> Check:
     degree D; :func:`minimal_polynomial` of a_0..a_{2D-1} is therefore the
     exact minimal polynomial of the whole sequence.  The check rebuilds a_n
     from p and a_0..a_{deg p - 1} alone and compares its :func:`euler_sum`
-    with :func:`distinct_gf`.
+    with :func:`distinct_gf`, whose path counts come from the same walk of
+    the shape graph as a_0..a_{2D-1}.
     """
     shapes = len(all_shapes(profile.rank, profile.level))
-    totals = path_counts(profile, 2 * shapes - 1).totals
-    p = minimal_polynomial(totals)
+    top = euler_top(order)
+    totals = path_counts(profile, max(2 * shapes - 1, top)).totals
+    p = minimal_polynomial(totals[:2 * shapes])
     start = totals[:p.degree]
     seq = list(start)
-    while len(seq) <= euler_top(order):
+    while len(seq) <= top:
         seq.append(-sum(c * x for c, x in zip(p.coeffs, seq[-p.degree:])))
     names = "a_0" if p.degree == 1 else f"a_0..a_{p.degree - 1}"
     tail = (f"; a_n has minimal polynomial {p.to_str('x')} and {names} = "
             f"{', '.join(map(str, start))} (found from a_0..a_{2 * shapes - 1}; "
             f"{shapes} shape{'s' * (shapes != 1)})")
-    return _check_against_distinct_gf(profile, order, euler_sum(seq, order).coeffs,
-                                      tail)
-
-
-def _closed_form_series(combination, residual, order: int,
-                        ring: Ring) -> TruncatedSeries:
-    """residual(q) + sum over (alpha, beta, k) of
-    alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n, as one :func:`euler_sum`
-    of c_n = sum of alpha * n^k * beta^n."""
-    top = euler_top(order)
-    c = [ring.zero] * (top + 1)
-    for alpha, beta, k in combination:
-        if k < 0:
-            raise ValueError("derivative count must be non-negative")
-        alpha, beta = ring.coerce(alpha), ring.coerce(beta)
-        power = ring.one
-        for n in range(top + 1):
-            c[n] = c[n] + alpha * n ** k * power
-            power = power * beta
-    return (TruncatedSeries.from_coeffs(ring, list(residual), order)
-            + euler_sum(c, order, ring))
-
-
-def verify_closed_form(profile: Profile, combination, residual, order: int,
-                       ring: Ring | None = None) -> Check:
-    """The ``closed-form`` check of distinct_gf against residual(q) + sum
-    of alpha * termwise z-derivative series.
-
-    ``combination`` lists (alpha, beta, k) triples, evaluated as
-    alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n; ``residual`` is a low-order
-    coefficient list.  ``ring`` defaults to the smallest ring that holds
-    every alpha, beta and residual entry.  Over a quadratic field the final
-    coefficients must also have vanishing irrational part; the report says
-    whether they do.
-    """
-    if ring is None:
-        ring = ring_of(*(x for alpha, beta, _ in combination for x in (alpha, beta)),
-                       *residual)
-    total = _closed_form_series(combination, residual, order, ring)
-    irrational_ok = not any(isinstance(x, QuadElement) and x.b != 0
-                            for x in total.coeffs)
-    # Coefficients equal to the rational reference have no irrational
-    # part, so a closed form that matches it always reads True here.
-    return _check_against_distinct_gf(profile, order, total.coeffs,
-                                      f"; irrational parts cancel: {irrational_ok}",
-                                      ring)
+    head = f"closed form for {profile} to q^{order}: "
+    return compare("closed-form", euler_sum(seq, order).coeffs,
+                   euler_sum(totals, order).coeffs, f"{head}ok{tail}",
+                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
+                                   f"vs path counts {y}{tail}")

@@ -22,20 +22,22 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # The oracle is reached through the package, which imports it on first
-# access, so loading this module does not load the oracle.
+# access, so loading this module does not load the oracle.  Only the
+# functions that build series import the series and rings modules, so
+# listing lineups loads neither.
 import cylpart
 
 from .core import Profile, Shape, _Frozen, _space_columns, shape_of_zero
 from .bijection import chain_pivots, pivot_flag
-from .polynomials import family
+from .polynomials import _over_poch, family
 from .qpoly import QPoly
-from .rings import ZZ, ZZ_z
-from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
-                     refinement, truncate_z, z_power_times)
 from .slices import Slice, slice_shape, slice_with, zero_slice
+
+if TYPE_CHECKING:
+    from .series import Check, TruncatedSeries
 
 
 def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
@@ -284,6 +286,8 @@ def _minimal_jammed(n: int, profile: Profile, order):
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
     """Brute force: sum q^{total weight} over all strictly decreasing chains
     of n slices, every member a pivot, with total weight <= order."""
+    from .rings import ZZ
+    from .series import TruncatedSeries
     counts = [0] * (order + 1)
     if n == 0:
         counts[0] = 1
@@ -356,11 +360,11 @@ def lemma_check(n: int, profile: Profile, order: int) -> Check:
     pivot-lineup recurrence, and only minimal jammed lineups of weight
     <= order are walked; no lineup is built.
     """
+    from .series import compare
     lhs = pivot_chain_gf(n, profile, order)
     numerator = family(profile.rank, profile.level).pivot_lineup(
         n, shape_of_zero(profile), order) + minimal_jammed_correction(n, profile, order)
-    rhs = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order),
-                                      order).mul_inv_poch(n, profile.rank)
+    rhs = _over_poch(numerator, n, profile.rank, order)
     where = f"for {profile}, n={n}, q^{order}"
     return compare("pivot-chain-lemma", lhs.coeffs, rhs.coeffs,
                    f"pivot-chain count identity {where}: ok",
@@ -380,6 +384,9 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
     come from the pivot-lineup recurrence and only minimal jammed lineups
     of weight <= order are walked.
     """
+    from .rings import ZZ_z
+    from .series import (TruncatedSeries, compare, inv_zq_pochhammer, refinement,
+                         truncate_z, z_power_times)
     r = profile.rank
     fam = family(r, profile.level)
     zero_shape = shape_of_zero(profile)
@@ -387,8 +394,7 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
     for n in range(n_max + 1):
         numerator = fam.pivot_lineup(n, zero_shape, order) + \
             minimal_jammed_correction(n, profile, order)
-        series = TruncatedSeries.from_coeffs(ZZ, numerator.truncated(order), order)
-        rhs_sum = rhs_sum + z_power_times(n, series.mul_inv_poch(n, r))
+        rhs_sum = rhs_sum + z_power_times(n, _over_poch(numerator, n, r, order))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
     lhs = truncate_z(cylpart.oracle.count_bivariate(profile, order), n_max)
     where = f"for {profile}, n={n_max}, q^{order}"

@@ -9,14 +9,16 @@ no hit is checked again here; the tests run :func:`core.check_rows` on the
 hits instead.  The search hands each hit to a visitor as plain row tuples,
 with its weight, largest part and whether all its parts are distinct, all
 worked out on the way down.  All counts read one census per (profile,
-order, cap), tallied in a single pass; :func:`hits` lists the rows of every
-hit in search order, and only :func:`enumerate_by_weight` and the callers
-that draw from :func:`hits` turn hits into :class:`CylindricPartition`
-values.
+cap), tallied in a single pass and kept at the highest order searched, so
+a count of a lower order filters it by weight.  :func:`hits` lists the
+rows of every hit in search order, and only :func:`enumerate_by_weight`
+and the callers that draw from :func:`hits` turn hits into
+:class:`CylindricPartition` values.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -157,10 +159,43 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
     return _partitions(profile, sorted(hits(profile, max_weight, cap), key=_text_order()))
 
 
-@lru_cache(maxsize=64)
-def _census(profile: Profile, order: int, cap: int) -> tuple[tuple[int, int, bool, int], ...]:
+_Census = tuple[tuple[int, int, bool, int], ...]
+
+# (profile, cap) -> (order, census) for the highest order searched, oldest
+# use first; at most _CENSUS_SLOTS entries.  Every stored census is
+# complete, and the lock makes each lookup or store one step.
+_CENSUS_SLOTS = 64
+_censuses: dict[tuple[Profile, int], tuple[int, _Census]] = {}
+_censuses_lock = threading.Lock()
+
+
+def _census(profile: Profile, order: int, cap: int) -> _Census:
     """(weight, largest part, all parts distinct, count) for every class of
-    cylindric partitions with weight <= order, from one pass of the search."""
+    cylindric partitions with weight <= order, sorted.
+
+    A census of a higher order for the same profile and cap, kept from an
+    earlier call, is filtered by weight; otherwise one pass of the search
+    tallies it, and it is kept for later calls.
+    """
+    key = profile, cap
+    with _censuses_lock:
+        kept = _censuses.pop(key, None)
+        if kept is not None:
+            _censuses[key] = kept
+    if kept is not None and kept[0] >= order:
+        top, census = kept
+        return census if top == order else tuple(c for c in census if c[0] <= order)
+    census = _search_census(profile, order, cap)
+    with _censuses_lock:
+        kept = _censuses.pop(key, None)
+        _censuses[key] = kept if kept is not None and kept[0] > order else (order, census)
+        if len(_censuses) > _CENSUS_SLOTS:
+            del _censuses[next(iter(_censuses))]
+    return census
+
+
+def _search_census(profile: Profile, order: int, cap: int) -> _Census:
+    """The census of :func:`_census`, from one pass of the search."""
     # tally[weight][largest][distinct]; no part exceeds the weight, and the
     # search refuses an order above the cap before it visits anything.
     size = min(order, cap) + 1

@@ -12,19 +12,22 @@ q^{n*0} by q^{n*r}; the pivot-chain variant restricts d to shapes with
 first part >= 2 and adds n*r to every exponent.  All tables are memoized
 per (rank, level) family since the recurrences couple all shapes, and per
 truncation order: series callers build them only up to the q-power they
-compare, the ``*_poly`` functions at full degree.
+compare, the ``*_poly`` functions at full degree.  Only the functions that
+build series import :mod:`cylpart.series` and :mod:`cylpart.rings`, so the
+polynomial tables load neither.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
 from .qpoly import QPoly, geometric_sum, q_binomial
-from .series import (Check, TruncatedSeries, compare, refinement,
-                     subst_z_mul_qpow)
-from .rings import ZZ, ZZ_z
+
+if TYPE_CHECKING:
+    from .series import Check, TruncatedSeries
 
 
 def _slot_bytes(count: int, top: int) -> int:
@@ -205,23 +208,30 @@ def pivot_corrected_poly(profile: Profile, n: int) -> QPoly:
     return fam.pivot_corrected(n, c)
 
 
+def _over_poch(numerator: QPoly, n: int, rank: int, order: int) -> TruncatedSeries:
+    """``numerator`` over (q^rank; q^rank)_n, truncated at q^order."""
+    from .rings import ZZ
+    from .series import TruncatedSeries
+    return TruncatedSeries.from_coeffs(ZZ, numerator.coeffs, order).mul_inv_poch(n, rank)
+
+
 def parts_at_most_series(profile: Profile, n: int, order: int) -> TruncatedSeries:
     """parts_at_most numerator over (q^r; q^r)_n, truncated."""
     fam, c = _family_of(profile)
-    num = TruncatedSeries.from_coeffs(ZZ, fam.parts_at_most(n, c, order).coeffs, order)
-    return num.mul_inv_poch(n, profile.rank)
+    return _over_poch(fam.parts_at_most(n, c, order), n, profile.rank, order)
 
 
 def largest_part_exact_series(profile: Profile, n: int, order: int) -> TruncatedSeries:
     fam, c = _family_of(profile)
-    num = TruncatedSeries.from_coeffs(ZZ, fam.largest_part_exact(n, c, order).coeffs, order)
-    return num.mul_inv_poch(n, profile.rank)
+    return _over_poch(fam.largest_part_exact(n, c, order), n, profile.rank, order)
 
 
 def f_truncated(profile: Profile, order: int) -> TruncatedSeries:
     """The two-variable counting series over Z[z]: z marks the largest part,
     q the weight; the z^n row is largest_part_exact_series(n), so the q^k
     coefficient is column k of those rows."""
+    from .rings import ZZ_z
+    from .series import TruncatedSeries
     rows = [largest_part_exact_series(profile, n, order).coeffs
             for n in range(order + 1)]
     return TruncatedSeries(ZZ_z, order, tuple(map(QPoly, zip(*rows))))
@@ -239,6 +249,7 @@ def check_functional_equation(profile: Profile, order: int) -> Check:
     plain z F_c(z, q), already accounted for on the left after moving it
     over).  Returns the ``functional-equation`` check.
     """
+    from .series import compare, refinement, subst_z_mul_qpow
     r = profile.rank
     level = profile.level
     fam = family(r, level)

@@ -1,14 +1,21 @@
-"""Exact dense univariate polynomials over int / Fraction coefficients."""
+"""Exact dense univariate polynomials with integer or rational
+coefficients, or those of any exact ring."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
 
 class IndexOutOfRange(Exception):
     pass
+
+
+def _rational(x) -> bool:
+    """Whether ``x`` is a rational number, such as an int or a Fraction:
+    told by its ``denominator``, so that this module does not import
+    fractions."""
+    return hasattr(x, "denominator")
 
 
 def _convolve(a: Sequence, b: Sequence, size: int, zero) -> list:
@@ -30,8 +37,9 @@ class QPoly:
     """A polynomial stored as a dense coefficient tuple, constant term first.
 
     Coefficients are exact (int, Fraction, or any exact ring element with
-    +, -, *).  Trailing zeros are never stored, so the zero polynomial has
-    an empty coefficient tuple and degree -1.
+    +, -, *); an int or Fraction operand acts as a constant polynomial.
+    Trailing zeros are never stored, so the zero polynomial has an empty
+    coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -64,7 +72,7 @@ class QPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             return self == QPoly((other,))
         return NotImplemented
 
@@ -75,7 +83,7 @@ class QPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QPoly) and _rational(other):
             other = QPoly((other,))
         return QPoly(tuple(a + b for a, b in
                            zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
@@ -92,10 +100,10 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, QPoly):
-            return NotImplemented
+            if not _rational(other):
+                return NotImplemented
+            return QPoly(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return QPoly()
         return QPoly(_convolve(self.coeffs, other.coeffs,

@@ -1,14 +1,21 @@
 """Independent references the tests check the library against: the lineup
-classes by their definition, and the rank-2 closed form of beta
-admissibility.  The library computes neither; it builds lineups of a known
-class directly and checks beta by walking the pivot chain."""
+classes by their definition, the rank-2 closed form of beta
+admissibility, and eigen forms of the distinct-parts series checked over
+Q and real quadratic fields.  The library computes none of them; it builds
+lineups of a known class directly, checks beta by walking the pivot chain,
+and certifies every closed form over Z from the minimal polynomial of the
+path counts."""
 
+from fractions import Fraction
 from typing import Sequence
 
 from cylpart.bijection import LabeledDistinctPartition, chain_pivots
-from cylpart.core import CylpartError, Profile, shape_of_zero
+from cylpart.core import CylpartError, Profile, _Frozen, shape_of_zero
+from cylpart.diagram import distinct_gf
 from cylpart.lineups import Lineup
 from cylpart.polynomials import family
+from cylpart.rings import Ring, RingMismatch, ZZ
+from cylpart.series import Check, TruncatedSeries, compare, euler_sum, euler_top
 from cylpart.slices import Slice, slice_shape
 
 
@@ -85,3 +92,208 @@ def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:
         if abs(w1 - w2) < abs(s1.parts[0] - s2.parts[0]) + 2:
             return False
     return True
+
+
+# -- exact fields: Q and Q(sqrt d) ----------------------------------------
+
+def _is_squarefree(d: int) -> bool:
+    if d in (0, 1):
+        return False
+    d = abs(d)
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+class QuadElement(_Frozen):
+    """``a + b*sqrt(d)`` with exact rational a, b and squarefree d."""
+
+    __slots__ = _fields = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "d", d)
+
+    def _lift(self, other) -> "QuadElement":
+        if isinstance(other, QuadElement):
+            if other.d != self.d:
+                raise RingMismatch(f"sqrt({other.d}) element in Q(sqrt {self.d})")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadElement(Fraction(other), Fraction(0), self.d)
+        return NotImplemented  # type: ignore[return-value]
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadElement(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadElement(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadElement(self.a * o.a + self.d * self.b * o.b,
+                           self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        norm = o.a * o.a - self.d * o.b * o.b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero quadratic element")
+        return self * QuadElement(o.a / norm, -o.b / norm, self.d)
+
+    def conjugate(self) -> "QuadElement":
+        return QuadElement(self.a, -self.b, self.d)
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, QuadElement):
+            return self.d == other.d and self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt({self.d})"
+        return f"{self.a} + {self.b}*sqrt({self.d})"
+
+
+class RationalRing(Ring):
+    tag = "Q"
+
+    def coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise RingMismatch(f"{x!r} is not rational")
+
+    def element_to_json(self, x):
+        return [str(x.numerator), str(x.denominator)]
+
+
+class QuadraticField(Ring):
+    """Q(sqrt d) for a fixed squarefree integer d."""
+
+    def __init__(self, d: int):
+        if not _is_squarefree(d):
+            raise ValueError(f"{d} is not squarefree")
+        self.d = d
+        self.tag = f"Q(sqrt {d})"
+
+    def coerce(self, x):
+        if isinstance(x, QuadElement):
+            if x.d != self.d:
+                raise RingMismatch(f"element of Q(sqrt {x.d}) in {self.tag}")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QuadElement(Fraction(x), Fraction(0), self.d)
+        raise RingMismatch(f"{x!r} is not in {self.tag}")
+
+    def sqrt(self) -> QuadElement:
+        return QuadElement(Fraction(0), Fraction(1), self.d)
+
+    def element_to_json(self, x):
+        x = self.coerce(x)
+        return [str(x.a.numerator), str(x.a.denominator),
+                str(x.b.numerator), str(x.b.denominator)]
+
+
+QQ = RationalRing()
+
+
+def ring_of(*values) -> Ring:
+    """The smallest of Z, Q and Q(sqrt d) containing every one of ``values``;
+    Z when there are none."""
+    ring = ZZ
+    for x in values:
+        if isinstance(x, QuadElement):
+            if not isinstance(ring, QuadraticField):
+                ring = QuadraticField(x.d)
+            elif ring.d != x.d:
+                raise RingMismatch(f"elements of {ring.tag} and Q(sqrt {x.d})")
+        elif isinstance(x, Fraction):
+            ring = QQ if ring is ZZ else ring
+        elif not isinstance(x, int):
+            raise RingMismatch(f"no ring for {x!r}")
+    return ring
+
+
+# -- eigen forms of the distinct-parts series -----------------------------
+
+def _closed_form_series(combination, residual, order: int,
+                        ring: Ring) -> TruncatedSeries:
+    """residual(q) + sum over (alpha, beta, k) of
+    alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n, as one :func:`euler_sum`
+    of c_n = sum of alpha * n^k * beta^n."""
+    top = euler_top(order)
+    c = [ring.zero] * (top + 1)
+    for alpha, beta, k in combination:
+        if k < 0:
+            raise ValueError("derivative count must be non-negative")
+        alpha, beta = ring.coerce(alpha), ring.coerce(beta)
+        power = ring.one
+        for n in range(top + 1):
+            c[n] = c[n] + alpha * n ** k * power
+            power = power * beta
+    return (TruncatedSeries.from_coeffs(ring, list(residual), order)
+            + euler_sum(c, order, ring))
+
+
+def verify_closed_form(profile: Profile, combination, residual, order: int,
+                       ring: Ring | None = None) -> Check:
+    """The ``closed-form`` check of distinct_gf against residual(q) + sum
+    of alpha * termwise z-derivative series.
+
+    ``combination`` lists (alpha, beta, k) triples, evaluated as
+    alpha * sum n^k beta^n q^{n(n+1)/2}/(q;q)_n; ``residual`` is a low-order
+    coefficient list.  ``ring`` defaults to the smallest ring that holds
+    every alpha, beta and residual entry.  Over a quadratic field the final
+    coefficients must also have vanishing irrational part; the report says
+    whether they do.
+    """
+    if ring is None:
+        ring = ring_of(*(x for alpha, beta, _ in combination for x in (alpha, beta)),
+                       *residual)
+    total = _closed_form_series(combination, residual, order, ring)
+    irrational_ok = not any(isinstance(x, QuadElement) and x.b != 0
+                            for x in total.coeffs)
+    # Coefficients equal to the rational reference have no irrational
+    # part, so a closed form that matches it always reads True here.
+    tail = f"; irrational parts cancel: {irrational_ok}"
+    reference = distinct_gf(profile, order).into_ring(ring)
+    head = f"closed form for {profile} to q^{order}: "
+    return compare("closed-form", total.coeffs, reference.coeffs, f"{head}ok{tail}",
+                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
+                                   f"vs path counts {y}{tail}")

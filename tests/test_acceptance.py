@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
-                     QuadraticField, Shape, ShrinkMode, adjacency_matrix,
+                     Shape, ShrinkMode, adjacency_matrix,
                      borodin_product, build_graph, char_poly,
                      count_distinct_series, count_series, decompose,
                      delta, diagonal_blocks, distinct_gf,
@@ -22,17 +22,16 @@ from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
                      path_counts, pivot_corrected_poly, pivot_decompose,
                      pivot_lineup_poly, pivot_reconstruct,
                      product_inv_factors, qconj_genfunc_check,
-                     shrink, slice_shape, slice_with, validate,
-                     verify_closed_form)
+                     shrink, slice_shape, slice_with, validate)
 from cylpart.lineups import minimal_jammed_correction
 from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.polynomials import (largest_part_exact_series,
                                  parts_at_most_series)
-from cylpart.rings import QQ, ZZ
+from cylpart.rings import ZZ
 from cylpart.series import TruncatedSeries, at_z_one
 
 from conftest import all_profiles
-from references import classify
+from references import QQ, QuadraticField, classify, verify_closed_form
 
 _criteria = []
 

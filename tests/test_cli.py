@@ -13,7 +13,7 @@ import pytest
 
 from cylpart import (Partition, Profile, Shape, all_shapes, bijection, cli, core,
                      diagram, lineups, oracle, parse_cylindric, polynomials,
-                     series, validate)
+                     series, slices, validate, verify)
 from cylpart.cli import main
 from cylpart.qpoly import QPoly
 from cylpart.rings import ZZ
@@ -309,20 +309,34 @@ class TestVerificationCommands:
         two = run_cli(capsys, *argv, "--jobs", "2")
         assert one[0] == 0 and one == two
 
+    def test_verify_all_searches_twice(self, capsys, monkeypatch):
+        """One search draws the round trips' hits to q^10 and one takes the
+        census to q^18; pivot-genfunc's census to q^10 is filtered from
+        the kept one."""
+        searched = []
+        search = oracle._search
+        monkeypatch.setattr(oracle, "_censuses", {})
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, visit: (
+            searched.append(weight), search(profile, weight, cap, visit))[1])
+        code, payload = run_json(capsys, "verify-all", "--profile", "2,1",
+                                 "--order", "18", "--seed", "1")
+        assert code == 0 and payload["ok"]
+        assert searched == [10, 18]
+
     def test_round_trip_samples_do_not_depend_on_check_order(self, monkeypatch):
         # Record the partitions each round-trip check decomposes, running the
         # checks in two orders; the seed alone must fix every check's sample.
         seen = []
-        pivot, slices = bijection.pivot_decompose, cli.slice_decompose
+        pivot, slice_decompose = bijection.pivot_decompose, slices.decompose
         monkeypatch.setattr(bijection, "pivot_decompose",
                             lambda cp: (seen.append(cp), pivot(cp))[1])
-        monkeypatch.setattr(cli, "slice_decompose",
-                            lambda cp: (seen.append(cp), slices(cp))[1])
+        monkeypatch.setattr(slices, "decompose",
+                            lambda cp: (seen.append(cp), slice_decompose(cp))[1])
         names = ["bijection-roundtrip", "slices-roundtrip", "tight-packing-roundtrip"]
 
         def samples(order):
             tasks = {task.__name__.replace("_", "-"): task
-                     for task in cli._verify_all_tasks(Profile.of(2, 1), 10, 7)}
+                     for task in verify.verify_all_tasks(Profile.of(2, 1), 10, 7)}
             out = {}
             for name in order:
                 seen.clear()
@@ -345,7 +359,7 @@ class TestVerificationCommands:
         build = oracle._partitions
         monkeypatch.setattr(oracle, "_partitions", lambda prof, found: (
             drawn.append(build(prof, found)), drawn[-1])[1])
-        cli._verify_all_tasks(profile, order, seed)
+        verify.verify_all_tasks(profile, order, seed)
         found = oracle.hits(profile, min(order, 10))
         non_empty = [rows for rows in found if any(rows)]
         assert [len(d) for d in drawn] == [min(len(found), 400), min(len(found), 400),
@@ -584,6 +598,15 @@ def _bump_bivariate(fn, k, m):
     return bumped
 
 
+def _bump_totals(fn, k):
+    def bumped(profile, order):
+        table = fn(profile, order)
+        totals = list(table.totals)
+        totals[k] += 1
+        return diagram.PathCountTable(profile, order, tuple(totals), table.by_shape)
+    return bumped
+
+
 # verify-all checks that read a function besides the check named for it:
 # the pivot generating-function check compares with the oracle's
 # bivariate counts too, and the two-variable check builds the same
@@ -646,11 +669,13 @@ class TestMismatchDetails:
          lineups, "pivot_chain_gf", lambda f: _bump_series(f, 5),
          "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
          "for c=(1,1,0), n=2, q^10: MISMATCH"),
-        (["verify-closed-form", "--profile", "1,1,1", "--order", "20"],
-         diagram, "distinct_gf", lambda f: _bump_series(f, 5),
-         "closed form for c=(1,1,1) to q^20: MISMATCH at q^5: "
-         "closed form 15 vs path counts 16; a_n has minimal polynomial "
-         "-2*x + x^2 and a_0..a_1 = 1, 3 (found from a_0..a_19; 10 shapes)"),
+        # The minimal polynomial is read from a_0..a_5, so a bad a_6 shows
+        # only where the closed form meets the path counts past them.
+        (["verify-closed-form", "--profile", "1,1", "--order", "28"],
+         diagram, "path_counts", lambda f: _bump_totals(f, 6),
+         "closed form for c=(1,1) to q^28: MISMATCH at q^21: "
+         "closed form 326 vs path counts 327; a_n has minimal polynomial "
+         "-2 + x^2 and a_0..a_1 = 1, 2 (found from a_0..a_5; 3 shapes)"),
     ])
     def test_check_subcommand_names_first_bad_coefficient(
             self, capsys, monkeypatch, argv, module, name, bump, expected):

@@ -8,12 +8,13 @@ from cylpart import (Profile, QPoly, Shape, adjacency_matrix, all_shapes,
                      build_graph, char_poly, check_closed_form,
                      count_distinct_series, diagonal_blocks, distinct_gf,
                      matrix_power, minimal_polynomial, path_counts,
-                     QuadraticField, shape_of_zero, verify_closed_form)
+                     shape_of_zero)
+from cylpart import diagram
 from cylpart.diagram import _matmul
-from cylpart.rings import QQ
 from cylpart.slices import slice_shape, successors, zero_slice
 
 from conftest import all_profiles
+from references import QQ, QuadraticField, verify_closed_form
 
 
 def laplace_char_poly(mat):
@@ -410,3 +411,16 @@ class TestCheckClosedForm:
     def test_every_small_family(self):
         for profile in all_profiles(4, 4):
             assert check_closed_form(profile, 40).ok, profile
+
+    @pytest.mark.parametrize("parts, order", [((3, 2, 1, 0), 40), ((1, 1), 0),
+                                              ((2, 1), 3), ((1, 1, 1), 400)])
+    def test_walks_the_shape_graph_once(self, monkeypatch, parts, order):
+        """One walk gives both a_0..a_{2D-1}, which fix the minimal
+        polynomial, and the path counts of the reference series, to
+        whichever of the two reaches further."""
+        built = []
+        build = diagram.build_graph
+        monkeypatch.setattr(diagram, "build_graph",
+                            lambda *args: (built.append(args), build(*args))[1])
+        assert check_closed_form(Profile(parts), order).ok
+        assert len(built) == 1

@@ -157,13 +157,13 @@ class TestStreamingOracle:
                     count_bivariate(prof, order).coeffs,
                     count_max_exactly(prof, 3, order).coeffs)
 
-        oracle._census.cache_clear()
+        oracle._censuses.clear()
         serial = calls()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                oracle._census.cache_clear()
+                oracle._censuses.clear()
                 barrier = threading.Barrier(4)
                 results = [None] * 4
 
@@ -180,6 +180,48 @@ class TestStreamingOracle:
                 assert results == [serial] * 4
         finally:
             sys.setswitchinterval(switch)
+
+
+class TestKeptCensus:
+    """One search per (profile, cap): a census of a lower order is filtered
+    from the kept census of a higher one."""
+
+    def test_filtered_census_equals_a_fresh_search(self, monkeypatch):
+        cap = oracle.DEFAULT_WEIGHT_CAP
+        monkeypatch.setattr(oracle, "_censuses", {})
+        fresh = {(prof, order): oracle._search_census(prof, order, cap)
+                 for prof in all_profiles(3, 3) for order in range(13)}
+        for prof in all_profiles(3, 3):
+            oracle._census(prof, 12, cap)
+
+        def no_search(*args):
+            raise AssertionError(f"searched again for {args[:3]}")
+        monkeypatch.setattr(oracle, "_search", no_search)
+        for (prof, order), census in fresh.items():
+            assert oracle._census(prof, order, cap) == census, (prof, order)
+
+    def test_a_higher_order_searches_and_is_kept(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_censuses", {})
+        searched = []
+        search = oracle._search
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, visit: (
+            searched.append(weight), search(profile, weight, cap, visit))[1])
+        prof = Profile.of(2, 1)
+        for order in (6, 4, 9, 6, 9, 2):
+            assert count_series(prof, order).coeffs == borodin_product(prof, order).coeffs
+        assert searched == [6, 9]
+
+    def test_cap_guard_holds_beside_a_kept_census(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_censuses", {})
+        prof = Profile.of(1, 1)
+        count_series(prof, 12, cap=12)
+        count_series(prof, 20)
+        with pytest.raises(InvalidInput, match="exceeds the cap 12"):
+            count_series(prof, 13, cap=12)
+        with pytest.raises(InvalidInput, match="exceeds the cap 15"):
+            count_series(prof, 16, cap=15)
+        assert count_series(prof, 12, cap=12).coeffs == \
+            borodin_product(prof, 12).coeffs
 
 
 def _reference_check(rows, profile):

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from cylpart import (Profile, QQ, QuadraticField, RingMismatch,
-                     TruncatedSeries, ZZ, borodin_product, euler_sum,
-                     path_counts, product_inv_factors)
-from cylpart.rings import ZZ_z, ring_of
+from cylpart import (Profile, RingMismatch, TruncatedSeries, ZZ,
+                     borodin_product, euler_sum, path_counts,
+                     product_inv_factors)
+from cylpart.rings import ZZ_z
 from cylpart.series import (NonpositiveExponent, OrderMismatch, compare,
                             euler_top)
 
 from conftest import mul_one_plus
+from references import QQ, QuadraticField, ring_of
 
 K3, K5 = QuadraticField(3), QuadraticField(5)
 GOLDEN = (K5.one + K5.sqrt()) * Fraction(1, 2)

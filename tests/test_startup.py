@@ -3,6 +3,7 @@ interpreters, and the public names the lazy package namespace resolves."""
 
 import argparse
 import contextlib
+import functools
 import importlib
 import io
 import os
@@ -43,25 +44,6 @@ def loaded_modules(code: str) -> set[str]:
     return {m for m in all_loaded_modules(code) if m.split(".")[0] == "cylpart"}
 
 
-def test_import_loads_core_and_slices_only():
-    assert loaded_modules("import cylpart") == \
-        {"cylpart", "cylpart.core", "cylpart.slices"}
-
-
-@pytest.mark.parametrize("argv", [
-    ["borodin", "--profile", "2,1", "--order", "6"],
-    ["poly", "P", "--profile", "2,1", "--n", "2"],
-    ["path-counts", "--profile", "1,1,1", "--order", "6"],
-    ["lineups", "--kind", "mjl", "--profile", "2,1", "--n", "2"],
-    ["qconj-check", "--profile", "1,1", "--order", "4", "--n", "1"]])
-def test_subcommand_loads_its_table_closure(argv):
-    closure = loaded_modules(
-        "\n".join(f"import cylpart.{name}" for name in cli._MODULES[argv[0]]))
-    assert loaded_modules(RUN_COMMAND.format(argv=argv)) == closure | {"cylpart.cli"}
-    # Only the subcommands that run the oracle load it.
-    assert ("cylpart.oracle" in closure) == ("oracle" in cli._MODULES[argv[0]])
-
-
 # One small run of each subcommand.
 RUNS = {
     "enumerate": ["--profile", "1,1", "--order", "2"],
@@ -84,6 +66,44 @@ RUNS = {
 }
 
 
+def test_import_loads_core_only():
+    assert loaded_modules("import cylpart") == {"cylpart", "cylpart.core"}
+
+
+# The subcommands that run the oracle.
+ORACLE_COMMANDS = {"enumerate", "count", "qconj-check", "verify-all"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["borodin", "--profile", "2,1", "--order", "6"],
+    ["poly", "P", "--profile", "2,1", "--n", "2"],
+    ["path-counts", "--profile", "1,1,1", "--order", "6"],
+    ["lineups", "--kind", "mjl", "--profile", "2,1", "--n", "2"],
+    ["qconj-check", "--profile", "1,1", "--order", "4", "--n", "1"],
+    ["count", "--profile", "2,1", "--order", "6"],
+    ["functional-eq", "--profile", "1,1", "--order", "4"],
+    ["verify-closed-form", "--profile", "1,1,1", "--order", "6"],
+    ["stg", "--rank", "2", "--level", "2"],
+    ["slices", "--profile", "1,1,1", "3,1|2|2"],
+    ["verify-all", "--profile", "1,1", "--order", "3"],
+    *([command, *RUNS[command]] for command in
+      ("enumerate", "decompose", "reconstruct", "shrink", "distinct-gf", "lemma-check"))])
+def test_subcommand_loads_its_table_closure(argv):
+    closure = loaded_modules(
+        "\n".join(f"import cylpart.{name}" for name in cli._MODULES[argv[0]]))
+    assert loaded_modules(RUN_COMMAND.format(argv=argv)) == closure | {"cylpart.cli"}
+    # Only the subcommands that run the oracle load it.
+    assert ("cylpart.oracle" in closure) == (argv[0] in ORACLE_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "Qtilde", "--profile", "1,1,0", "--n", "2"],
+    ["lineups", "--kind", "mjl", "--profile", "4,0,0", "--n", "2"]])
+def test_tables_and_listings_load_no_series(argv):
+    loaded = loaded_modules(RUN_COMMAND.format(argv=argv))
+    assert not loaded & {"cylpart.series", "cylpart.rings"}
+
+
 def test_table_keys_are_the_subcommands():
     [subparsers] = [action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
@@ -91,11 +111,24 @@ def test_table_keys_are_the_subcommands():
     assert set(RUNS) == set(cli._MODULES)
 
 
+@functools.cache
+def loaded_by_run(command: str) -> frozenset[str]:
+    """Every module loaded once the small run of ``command`` has run in a
+    fresh interpreter."""
+    return frozenset(all_loaded_modules(RUN_COMMAND.format(argv=[command, *RUNS[command]])))
+
+
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_subcommand_runs_without_dataclasses_or_inspect(command):
-    loaded = all_loaded_modules(RUN_COMMAND.format(argv=[command, *RUNS[command]]))
+    loaded = loaded_by_run(command)
     assert "cylpart.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_only_verify_closed_form_loads_fractions(command):
+    """Only the minimal polynomial needs exact rationals."""
+    assert ("fractions" in loaded_by_run(command)) == (command == "verify-closed-form")
 
 
 def _parse_outcome(parser, argv):
@@ -132,8 +165,7 @@ EXPORTED = {
              "parse_cylindric", "parse_profile", "shape_of_zero",
              "shape_to_profile", "validate"],
     "qpoly": ["QPoly", "q_binomial"],
-    "rings": ["QQ", "QuadElement", "QuadraticField", "Ring", "RingMismatch", "ZZ",
-              "ZZ_z"],
+    "rings": ["Ring", "RingMismatch", "ZZ", "ZZ_z"],
     "series": ["Check", "TruncatedSeries", "at_z_one", "borodin_product",
                "euler_sum", "product_inv_factors"],
     "oracle": ["count_bivariate", "count_distinct_series", "count_series",
@@ -146,13 +178,14 @@ EXPORTED = {
     "diagram": ["PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
                 "diagonal_blocks", "distinct_gf", "matrix_power",
-                "minimal_polynomial", "path_counts", "verify_closed_form"],
+                "minimal_polynomial", "path_counts"],
     "polynomials": ["PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
                     "pivot_corrected_poly", "pivot_lineup_poly"],
     "lineups": ["Lineup", "enumerate_minimal_jammed",
                 "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
                 "pivot_chain_gf", "potential_pivot_shapes", "qconj_genfunc_check"],
+    "verify": ["verify_all_tasks"],
 }
 
 

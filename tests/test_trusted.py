@@ -28,7 +28,7 @@ from cylpart.oracle import hits
 from cylpart.slices import ChainNotDecreasing, ChainNotStrict, _chain_runs
 
 from conftest import all_profiles
-from references import classify
+from references import QuadraticField, classify
 
 P111 = Profile.of(1, 1, 1)
 SRC = pathlib.Path(cylpart.__file__).parent
@@ -521,7 +521,9 @@ class TestSlottedValues:
 
 
 def _every_value_class():
-    """One value of each class built on ``core._Frozen``, keyed by class."""
+    """One value of each class built on ``core._Frozen``, keyed by class:
+    the library's, and the quadratic-field elements of the tests'
+    references."""
     from cylpart import lineups, rings, series
     from cylpart.diagram import build_graph, path_counts
     chain = decompose(CP)
@@ -529,7 +531,7 @@ def _every_value_class():
     values = [mu, shape_of_zero(P111), CP, P111, chain.distinct()[0], chain, beta,
               tile(P111, chain.distinct(), 12),
               series.TruncatedSeries.one(rings.ZZ, 4),
-              rings.QuadraticField(5).sqrt(),
+              QuadraticField(5).sqrt(),
               build_graph(2, 2, Profile.of(1, 1)), path_counts(P111, 4),
               classify(P111, []), lineups.lemma_check(1, P111, 4)]
     return {type(value): value for value in values}
@@ -749,3 +751,25 @@ class TestModuleBoundaries:
             names += [node.module for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and not node.level]
             assert not [n for n in names if n.split(".")[0] == "dataclasses"], path.name
+
+    def test_no_fractions_at_load(self):
+        """No module imports ``fractions`` when it loads, so only the job
+        that needs exact rationals pays for importing it (and ``decimal``
+        and ``numbers``, which it pulls in); a function may import it in
+        its own body."""
+        def load_time_imports(source):
+            names, stack = [], list(ast.parse(source).body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Import):
+                    names += [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names.append(node.module)
+                elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    stack.extend(ast.iter_child_nodes(node))
+            return names
+
+        assert load_time_imports("if True:\n    import fractions") == ["fractions"]
+        assert load_time_imports("def f():\n    from fractions import Fraction") == []
+        for path in sorted(SRC.glob("*.py")):
+            assert "fractions" not in load_time_imports(path.read_text()), path.name
