@@ -333,17 +333,17 @@ _positive_int = _int_at_least(1, "must be at least 1")
 
 
 # The cylpart modules each subcommand's handler reaches, beyond core, which
-# ``import cylpart`` always loads, and the modules they import.  ``main``
-# imports them before the handler runs, in the main thread, so the
-# ``--jobs`` pool of ``verify-all`` never imports anything.
+# ``import cylpart`` always loads, and those they import, in a function body
+# too.  ``main`` imports them before the handler runs, in the main thread,
+# so the ``--jobs`` pool of ``verify-all`` never imports anything.
 _MODULES = {
     "enumerate": ("oracle",), "count": ("oracle",), "borodin": ("series",),
     "decompose": ("bijection",), "reconstruct": ("bijection",),
     "slices": ("slices",), "shrink": ("slices",),
-    "stg": ("diagram",), "path-counts": ("diagram",), "distinct-gf": ("diagram",),
-    "verify-closed-form": ("diagram",),
+    "stg": ("diagram",), "path-counts": ("diagram",),
+    "distinct-gf": ("diagram", "series"), "verify-closed-form": ("diagram", "series"),
     "poly": ("polynomials",), "functional-eq": ("polynomials", "series"),
-    "lineups": ("lineups",), "lemma-check": ("lineups", "series"),
+    "lineups": ("lineups",), "lemma-check": ("lineups", "series", "bijection"),
     "qconj-check": ("lineups", "oracle"),
     "verify-all": ("verify",),
 }

@@ -1,33 +1,49 @@
 """Shape transition graphs, path counts, and distinct-parts series.
 
 Chains of slices that grow one box at a time project onto a finite directed
-graph on shapes: which rows of a slice may grow depends only on its shape,
-and a slice is fixed by its shape and weight.  So the number ``a_n`` of
+graph on shapes, since which rows of a slice may grow depends only on its
+shape.  Row i grows while l_i < l_{i-1} + c_i (cyclically), which on the
+shape s = (s_1, ..., s_{r-1}) reads as the *grow rule*: row 1 grows while
+s_1 < level, row i (1 < i < r) while s_i < s_{i-1}, and row r while
+s_{r-1} > 0, lowering every part by 1; at rank 1 the single shape loops.
+The profile only marks the start, its zero shape.  So the number ``a_n`` of
 chains of length n out of the empty slice is the number of length-n walks
-in that graph from the profile's zero shape, 1^T M^n e_0 for the integer
-adjacency matrix M, and :func:`path_counts` counts them by walking the
-graph.  Grouping the shapes by weight class mod the rank makes M
-block-cyclic and its rank-th power block diagonal, with one characteristic
-polynomial per block.  The path counts feed the generating function for
-cylindric partitions into distinct parts:
+from there, 1^T M^n e_0 for the integer adjacency matrix M, which
+:func:`path_counts` counts.  Grouping the shapes by weight class mod the
+rank makes M block-cyclic and its rank-th power block diagonal, with one
+characteristic polynomial per block.  The path counts feed the generating
+function for cylindric partitions into distinct parts:
 
     sum over n of a_n * q^(n(n+1)/2) / (q;q)_n.
 
-M is D x D for the D shapes, so a_n satisfies a linear recurrence of order
-at most D, and Berlekamp-Massey on a_0..a_{2D-1} gives its minimal
-polynomial p exactly.  p and a_0..a_{deg p - 1} fix every a_n, which gives
-the closed form :func:`check_closed_form` checks, for every profile.
+M is D x D for the D shapes, so Berlekamp-Massey on a_0..a_{2D-1} gives
+the minimal polynomial p of a_n, and p with a_0..a_{deg p - 1} fixes every
+a_n: the closed form :func:`check_closed_form` checks.  Only functions that
+build series import :mod:`cylpart.series`.
 """
 
 from __future__ import annotations
 
+import math
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import Profile, Shape, _Frozen, all_shapes, shape_of_zero
+from .core import InvalidInput, Profile, Shape, _Frozen, all_shapes, shape_of_zero
 from .qpoly import QPoly, _convolve
-from .series import Check, TruncatedSeries, compare, euler_sum, euler_top
-from .slices import min_slice_weight, slice_shape, slice_with, successors
+
+if TYPE_CHECKING:
+    from .series import Check, TruncatedSeries
+
+
+def _grown(s: tuple[int, ...], level: int) -> list[tuple[int, ...]]:
+    """The shape parts one box after the parts ``s``, by the grow rule."""
+    if not s:
+        return [s]
+    out = [s[:i] + (v + 1,) + s[i + 1:]
+           for i, v in enumerate(s) if v < (s[i - 1] if i else level)]
+    if s[-1]:
+        out.append(tuple([v - 1 for v in s]))
+    return out
 
 
 class ShapeTransitionGraph(_Frozen):
@@ -45,7 +61,10 @@ class ShapeTransitionGraph(_Frozen):
         object.__setattr__(self, "marked", marked)
 
     def out_neighbors(self, s: Shape) -> list[Shape]:
-        return sorted((t for f, t in self.edges if f == s), key=lambda x: x.parts)
+        """The shapes one box after ``s``, sorted; none outside the family."""
+        if s.rank != self.rank or s.parts and s.parts[0] > self.level:
+            return []
+        return [Shape(t) for t in sorted(_grown(s.parts, self.level))]
 
     def to_adjacency_text(self) -> str:
         lines = []
@@ -59,16 +78,19 @@ class ShapeTransitionGraph(_Frozen):
 def build_graph(rank: int, level: int, profile: Profile | None = None
                 ) -> ShapeTransitionGraph:
     """Directed graph on all shapes of the family, one edge per outer-corner
-    addition.  Which rows of a slice may grow depends only on its shape, so
-    the minimal slice of each shape stands for all of them."""
+    addition by the grow rule: row 1 grows while s_1 < level, row i
+    (1 < i < r) while s_i < s_{i-1}, row r while s_{r-1} > 0, lowering
+    every part by 1, and at rank 1 the single shape loops.  A profile only
+    marks its zero shape; one of another rank or level is ``InvalidInput``.
+    """
     nodes = tuple(all_shapes(rank, level))
-    rep_profile = profile if profile is not None else Profile((level,) + (0,) * (rank - 1))
-    edges = set()
-    for sh in nodes:
-        rep = slice_with(rep_profile, sh, min_slice_weight(rep_profile, sh))
-        edges.update((sh, slice_shape(nxt)) for nxt in successors(rep))
+    if profile is not None and (profile.rank, profile.level) != (rank, level):
+        raise InvalidInput(f"profile {profile} has rank {profile.rank} and level "
+                           f"{profile.level}, not rank {rank} and level {level}")
+    by_parts = {s.parts: s for s in nodes}
+    edges = frozenset((s, by_parts[t]) for s in nodes for t in _grown(s.parts, level))
     marked = shape_of_zero(profile) if profile is not None else None
-    return ShapeTransitionGraph(rank, level, nodes, frozenset(edges), marked)
+    return ShapeTransitionGraph(rank, level, nodes, edges, marked)
 
 
 def weight_class_order(graph: ShapeTransitionGraph) -> tuple[list[Shape], list[int]]:
@@ -87,8 +109,7 @@ def adjacency_matrix(graph: ShapeTransitionGraph
     runs from node j to node i, so the matrix acts on count vectors."""
     order, sizes = weight_class_order(graph)
     idx = {s: i for i, s in enumerate(order)}
-    n = len(order)
-    mat = [[0] * n for _ in range(n)]
+    mat = [[0] * len(order) for _ in order]
     for f, t in graph.edges:
         mat[idx[t]][idx[f]] = 1
     return order, mat, sizes
@@ -115,9 +136,7 @@ def diagonal_blocks(mat: Sequence[Sequence[int]], sizes: Sequence[int]
                     ) -> list[list[list[int]]]:
     """Cut a block-diagonal matrix along the class sizes; raises if any
     off-block entry is nonzero."""
-    blocks = []
-    start = 0
-    n = len(mat)
+    blocks, start, n = [], 0, len(mat)
     for size in sizes:
         stop = start + size
         for i in range(start, stop):
@@ -167,76 +186,81 @@ class PathCountTable(_Frozen):
 
 def path_counts(profile: Profile, order: int) -> PathCountTable:
     """Walks of length 0..order in the profile's shape transition graph,
-    out of its zero shape; layer n maps each shape to its walk count."""
+    out of its zero shape; layer n pairs each shape it reaches with its
+    walk count, in the graph's node order."""
     graph = build_graph(profile.rank, profile.level, profile)
-    adj: dict[Shape, list[Shape]] = {s: [] for s in graph.nodes}
-    for f, t in graph.edges:
-        adj[f].append(t)
-    layer = {shape_of_zero(profile): 1}
+    nodes = graph.nodes
+    index = {s.parts: i for i, s in enumerate(nodes)}
+    targets = [[index[t] for t in _grown(s.parts, graph.level)] for s in nodes]
+    layer = [int(s == graph.marked) for s in nodes]
     totals, by_shape = [], []
     for n in range(order + 1):
         if n:
-            nxt: dict[Shape, int] = {}
-            for s, cnt in layer.items():
-                for t in adj[s]:
-                    nxt[t] = nxt.get(t, 0) + cnt
+            nxt = [0] * len(nodes)
+            for c, into in zip(layer, targets):
+                for j in into if c else ():
+                    nxt[j] += c
             layer = nxt
-        totals.append(sum(layer.values()))
-        by_shape.append(tuple(sorted(layer.items(), key=lambda kv: kv[0].parts)))
+        totals.append(sum(layer))
+        by_shape.append(tuple([(s, c) for s, c in zip(nodes, layer) if c]))
     return PathCountTable(profile, order, tuple(totals), tuple(by_shape))
 
 
 def minimal_polynomial(values: Sequence) -> QPoly:
     """The monic polynomial p of least degree L with
     p_0 v_n + p_1 v_{n+1} + ... + p_L v_{n+L} = 0 at every n the values
-    reach, constant term first: Berlekamp-Massey over the rationals
-    (Massey, IEEE Trans. Inform. Theory 15, 1969).
+    reach, constant term first: Berlekamp-Massey (Massey, IEEE Trans.
+    Inform. Theory 15, 1969), exact once given 2D values of a recurrence of
+    order at most D.  Factors of x in p stand for a leading stretch the
+    recurrence does not cover.
 
-    A sequence known to satisfy some recurrence of order at most D is
-    pinned down by its first 2D values, so p is then exact.  Factors of x
-    in p stand for a leading stretch the recurrence does not cover.
+    It runs over the integers: rational values and the starting discrepancy
+    1 are scaled by the lcm of the denominators, and each update
+    cross-multiplies by the previous discrepancy and drops the content; p
+    is the result over its constant term.  Integer values with a recurrence
+    have an integer p (Fatou's lemma); only others can give ``Fraction``.
     """
-    # Imported here: only this check loads fractions.
-    from fractions import Fraction
-    seq = [Fraction(v) for v in values]
-    conn, prev = [Fraction(1)], [Fraction(1)]  # connection polynomials
-    length, gap, prev_disc = 0, 1, Fraction(1)
-    for n, v in enumerate(seq):
-        disc = v + sum(conn[i] * seq[n - i] for i in range(1, length + 1))
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    seq = [n * (scale // d) for n, d in ratios]
+    conn, prev = [1], [1]  # connection polynomials
+    length, gap, prev_disc = 0, 1, scale
+    for n in range(len(seq)):
+        disc = sum(conn[i] * seq[n - i] for i in range(length + 1))
         if not disc:
             gap += 1
             continue
-        old = list(conn)
-        conn += [Fraction(0)] * (len(prev) + gap - len(conn))
-        scale = disc / prev_disc
+        old = conn
+        conn = [prev_disc * c for c in conn] + [0] * (len(prev) + gap - len(conn))
         for i, x in enumerate(prev):
-            conn[i + gap] -= scale * x
+            conn[i + gap] -= disc * x
+        content = math.gcd(*conn)
+        conn = [c // content for c in conn]
         if 2 * length <= n:
             length, prev, prev_disc, gap = n + 1 - length, old, disc, 1
         else:
             gap += 1
-    conn += [Fraction(0)] * (length + 1 - len(conn))
-    return QPoly(tuple(reversed(conn[:length + 1])))
+    conn = (conn + [0] * length)[:length + 1]
+    lead = conn[0]
+    if any(c % lead for c in conn):
+        from fractions import Fraction
+        return QPoly([Fraction(c, lead) for c in reversed(conn)])
+    return QPoly([c // lead for c in reversed(conn)])
 
 
 def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
     """Generating function for cylindric partitions into distinct parts:
     sum over n of a_n q^{n(n+1)/2} / (q;q)_n, truncated."""
+    from .series import euler_sum, euler_top
     return euler_sum(path_counts(profile, euler_top(order)).totals, order)
 
 
 def check_closed_form(profile: Profile, order: int) -> Check:
-    """The ``closed-form`` check of the distinct-parts series built from
-    the minimal polynomial p of the path counts a_n.
-
-    a_n = 1^T M^n e_0 for the D x D adjacency matrix M of the D shapes, so
-    a_n satisfies the recurrence of M's characteristic polynomial, of
-    degree D; :func:`minimal_polynomial` of a_0..a_{2D-1} is therefore the
-    exact minimal polynomial of the whole sequence.  The check rebuilds a_n
-    from p and a_0..a_{deg p - 1} alone and compares its :func:`euler_sum`
-    with :func:`distinct_gf`, whose path counts come from the same walk of
-    the shape graph as a_0..a_{2D-1}.
-    """
+    """The ``closed-form`` check: a_n rebuilt from its minimal polynomial
+    p, read off a_0..a_{2D-1} for the D shapes, and a_0..a_{deg p - 1}
+    alone gives the :func:`distinct_gf` series, whose path counts come from
+    the same walk of the shape graph."""
+    from .series import compare, euler_sum, euler_top
     shapes = len(all_shapes(profile.rank, profile.level))
     top = euler_top(order)
     totals = path_counts(profile, max(2 * shapes - 1, top)).totals

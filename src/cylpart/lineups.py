@@ -26,12 +26,12 @@ from typing import TYPE_CHECKING, Sequence
 
 # The oracle is reached through the package, which imports it on first
 # access, so loading this module does not load the oracle.  Only the
-# functions that build series import the series and rings modules, so
-# listing lineups loads neither.
+# functions that build series import the series and rings modules, and
+# only the brute-force chain count imports the bijection, so listing
+# lineups loads none of them.
 import cylpart
 
 from .core import Profile, Shape, _Frozen, _space_columns, shape_of_zero
-from .bijection import chain_pivots, pivot_flag
 from .polynomials import _over_poch, family
 from .qpoly import QPoly
 from .slices import Slice, slice_shape, slice_with, zero_slice
@@ -204,6 +204,14 @@ def _listing(n: int, profile: Profile, make) -> list:
     return found
 
 
+def _top_pivot(row: list) -> bool:
+    """Pivot flag of a step row's slice above as the largest member of a
+    chain (:func:`cylpart.bijection.pivot_flag` with no slice above): the
+    strip after it starts one past its smallest right end, which must lie
+    left of the last column of the space below it."""
+    return min(row[7]) + 1 < row[5][1]
+
+
 def _minimal_jammed(n: int, profile: Profile, order):
     """Yield (tight mask, weight, link) for each minimal jammed lineup with
     n pivots and weight <= order (``math.inf``: every one), in no set
@@ -229,9 +237,8 @@ def _minimal_jammed(n: int, profile: Profile, order):
     # Lower slice lengths -> every admissible step above it, as [shape
     # index, shape, tight, slice above, its weight, (leftmost, rightmost)
     # column of the space between them, its ``weight^shape`` text, right
-    # ends of the slice above and of the lower one, pivot flag of the slice
-    # above as the largest member].  The flag is None until the row is
-    # first placed on top.
+    # ends of the slice above, pivot flag of the slice above as the largest
+    # member].  The flag is None until the row is first placed on top.
     steps_above: dict[tuple[int, ...], list[list]] = {}
 
     def steps(lower: Slice, lower_shape: Shape) -> list[list]:
@@ -249,7 +256,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
                 # Not None: s strictly contains lower.
                 out.append([pick, sh, tight, s, weight,
                             _space_columns(ends, lower_ends), f"{weight}^{text}",
-                            (ends, lower_ends), None])
+                            ends, None])
         return out
 
     zero = zero_slice(profile)
@@ -258,7 +265,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
     # ``spent``, which ``link`` holds; ``under_right`` is the rightmost
     # column of the space under ``lower`` (None when ``lower`` is empty).
     # ``lower`` is a pivot when the space above it starts left of that
-    # column, as :func:`pivot_flag` decides.
+    # column, as :func:`cylpart.bijection.pivot_flag` decides.
     stack = [(n - 1, zero, shape_of_zero(profile), None, 0, 0, None)]
     while stack:
         j, lower, lower_shape, under_right, spent, mask, link = stack.pop()
@@ -267,7 +274,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
             table = steps_above[lower.lengths] = steps(lower, lower_shape)
         bit = 1 << j
         for row in table:
-            _, sh, tight, s, w, (left, right), _, ends, top_pivot = row
+            _, sh, tight, s, w, (left, right), _, _, top_pivot = row
             if under_right is not None and left >= under_right:
                 continue
             weight = spent + w
@@ -278,7 +285,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
                 stack.append((j - 1, s, sh, right, weight, m, (row, link)))
             elif m:
                 if top_pivot is None:
-                    top_pivot = row[-1] = pivot_flag(None, *ends)
+                    top_pivot = row[-1] = _top_pivot(row)
                 if top_pivot:
                     yield m, weight, (row, link)
 
@@ -286,6 +293,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
     """Brute force: sum q^{total weight} over all strictly decreasing chains
     of n slices, every member a pivot, with total weight <= order."""
+    from .bijection import chain_pivots
     from .rings import ZZ
     from .series import TruncatedSeries
     counts = [0] * (order + 1)

@@ -1,22 +1,63 @@
 """Independent references the tests check the library against: the lineup
 classes by their definition, the rank-2 closed form of beta
-admissibility, and eigen forms of the distinct-parts series checked over
-Q and real quadratic fields.  The library computes none of them; it builds
-lineups of a known class directly, checks beta by walking the pivot chain,
-and certifies every closed form over Z from the minimal polynomial of the
-path counts."""
+admissibility, the shape graph from slice successors, Berlekamp-Massey
+over the rationals, and eigen forms of the distinct-parts series checked
+over Q and real quadratic fields.  The library computes none of them; it
+builds lineups of a known class directly, checks beta by walking the
+pivot chain, builds the shape graph from the grow rule on shapes, and
+certifies every closed form over Z from the minimal polynomial of the
+path counts, found over the integers."""
 
 from fractions import Fraction
 from typing import Sequence
 
 from cylpart.bijection import LabeledDistinctPartition, chain_pivots
-from cylpart.core import CylpartError, Profile, _Frozen, shape_of_zero
+from cylpart.core import CylpartError, Profile, _Frozen, all_shapes, shape_of_zero
 from cylpart.diagram import distinct_gf
 from cylpart.lineups import Lineup
 from cylpart.polynomials import family
+from cylpart.qpoly import QPoly
 from cylpart.rings import Ring, RingMismatch, ZZ
 from cylpart.series import Check, TruncatedSeries, compare, euler_sum, euler_top
-from cylpart.slices import Slice, slice_shape
+from cylpart.slices import Slice, min_slice_weight, slice_shape, slice_with, successors
+
+
+def slice_graph(rank: int, level: int, profile: Profile | None = None):
+    """(nodes, edges, marked) of the shape transition graph, built from
+    slices: the successors of the minimal slice of each shape, over the
+    profile or the family's first profile (level, 0, ..., 0)."""
+    nodes = tuple(all_shapes(rank, level))
+    rep_profile = profile if profile is not None else Profile((level,) + (0,) * (rank - 1))
+    edges = set()
+    for sh in nodes:
+        rep = slice_with(rep_profile, sh, min_slice_weight(rep_profile, sh))
+        edges.update((sh, slice_shape(nxt)) for nxt in successors(rep))
+    marked = shape_of_zero(profile) if profile is not None else None
+    return nodes, frozenset(edges), marked
+
+
+def minimal_polynomial_over_q(values) -> QPoly:
+    """Berlekamp-Massey over the rationals, dividing by each discrepancy:
+    the monic minimal polynomial of the values, constant term first."""
+    seq = [Fraction(v) for v in values]
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, gap, prev_disc = 0, 1, Fraction(1)
+    for n, v in enumerate(seq):
+        disc = v + sum(conn[i] * seq[n - i] for i in range(1, length + 1))
+        if not disc:
+            gap += 1
+            continue
+        old = list(conn)
+        conn += [Fraction(0)] * (len(prev) + gap - len(conn))
+        scale = disc / prev_disc
+        for i, x in enumerate(prev):
+            conn[i + gap] -= scale * x
+        if 2 * length <= n:
+            length, prev, prev_disc, gap = n + 1 - length, old, disc, 1
+        else:
+            gap += 1
+    conn += [Fraction(0)] * (length + 1 - len(conn))
+    return QPoly(tuple(reversed(conn[:length + 1])))
 
 
 class NotPotentialPivot(CylpartError):

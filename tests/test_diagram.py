@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cylpart import (Profile, QPoly, Shape, adjacency_matrix, all_shapes,
+from cylpart import (InvalidInput, Profile, QPoly, Shape, adjacency_matrix, all_shapes,
                      build_graph, char_poly, check_closed_form,
                      count_distinct_series, diagonal_blocks, distinct_gf,
                      matrix_power, minimal_polynomial, path_counts,
@@ -14,7 +14,8 @@ from cylpart.diagram import _matmul
 from cylpart.slices import slice_shape, successors, zero_slice
 
 from conftest import all_profiles
-from references import QQ, QuadraticField, verify_closed_form
+from references import (QQ, QuadraticField, minimal_polynomial_over_q, slice_graph,
+                        verify_closed_form)
 
 
 def laplace_char_poly(mat):
@@ -95,6 +96,38 @@ class TestGraph:
     def test_adjacency_text(self):
         text = build_graph(2, 2, Profile.of(1, 1)).to_adjacency_text()
         assert "(1) *" in text
+
+    def test_grow_rule_matches_slice_successors(self):
+        """The graph from shape arithmetic equals the graph of the
+        successors of one slice per shape, marked or not."""
+        profiles = all_profiles(4, 4) + all_profiles(5, 2)
+        for profile in profiles + [None]:
+            families = [(profile.rank, profile.level)] if profile else \
+                sorted({(p.rank, p.level) for p in profiles})
+            for rank, level in families:
+                g = build_graph(rank, level, profile)
+                assert (g.nodes, g.edges, g.marked) == \
+                    slice_graph(rank, level, profile), (rank, level, profile)
+                for s in g.nodes:
+                    assert g.out_neighbors(s) == sorted(
+                        (t for f, t in g.edges if f == s), key=lambda x: x.parts)
+
+    def test_edges_do_not_depend_on_profile(self):
+        for profile in all_profiles(4, 4) + all_profiles(5, 2):
+            rank, level = profile.rank, profile.level
+            assert build_graph(rank, level, profile).edges == \
+                build_graph(rank, level).edges, profile
+
+    @pytest.mark.parametrize("rank, level", [(3, 2), (2, 3), (2, 1)])
+    def test_profile_of_another_family_rejected(self, rank, level):
+        with pytest.raises(InvalidInput, match=f"c=\\(1,1\\) has rank 2 and level 2, "
+                                               f"not rank {rank} and level {level}"):
+            build_graph(rank, level, Profile.of(1, 1))
+
+    def test_out_neighbors_of_a_shape_outside_the_family(self):
+        g = build_graph(3, 2)
+        assert g.out_neighbors(Shape.of(3, 1)) == []
+        assert g.out_neighbors(Shape.of(1)) == []
 
 
 class TestMatrices:
@@ -318,7 +351,42 @@ class TestFitRecurrence:
             shapes = len(all_shapes(profile.rank, profile.level))
             p = minimal_polynomial(path_counts(profile, 2 * shapes - 1).totals)
             assert 1 <= p.degree <= shapes and p.coeffs[-1] == 1, profile
-            assert all(Fraction(c).denominator == 1 for c in p.coeffs), profile
+            assert all(type(c) is int for c in p.coeffs), profile
+
+    def test_matches_berlekamp_massey_over_q_on_path_counts(self):
+        for profile in all_profiles(4, 4):
+            shapes = len(all_shapes(profile.rank, profile.level))
+            totals = path_counts(profile, 2 * shapes - 1).totals
+            assert minimal_polynomial(totals) == minimal_polynomial_over_q(totals), profile
+
+    def test_matches_berlekamp_massey_over_q(self):
+        """Integers, rationals and floats, short and degenerate sequences
+        included, where the polynomial of least degree is not unique and
+        scaling the values must not change which one is found."""
+        rng = random.Random(11)
+        seqs = [[], [0], [0, 0, 0], [1], [2, 1], [0, 1], [1, 0, 0, 0], [5, -3, 0, 7],
+                [Fraction(-5, 3)], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+                [Fraction(2, 3), 1, Fraction(-5, 7), 0, 3], [0.5, 0.25, 0.125]]
+        for _ in range(300):
+            n = rng.randrange(14)
+            seqs.append([rng.randint(-9, 9) for _ in range(n)])
+            seqs.append([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
+            coeffs = [rng.randint(-3, 3) for _ in range(rng.randrange(1, 4))]
+            values = [rng.randint(-3, 3) for _ in coeffs]
+            while len(values) < n:
+                values.append(sum(c * v for c, v in zip(coeffs, values[-len(coeffs):])))
+            seqs.append(values)
+        for seq in seqs:
+            p = minimal_polynomial(seq)
+            assert p == minimal_polynomial_over_q(seq), seq
+            integral = all(Fraction(c).denominator == 1 for c in p.coeffs)
+            assert all(type(c) is (int if integral else Fraction) for c in p.coeffs), seq
+
+    def test_rational_result(self):
+        # 2, 1 satisfies 2 v_{n+1} = v_n, and no recurrence over Z.
+        p = minimal_polynomial([2, 1])
+        assert p == QPoly((Fraction(-1, 2), 1))
+        assert all(type(c) is Fraction for c in p.coeffs)
 
     def test_divides_char_poly(self):
         for rank, level in [(2, 4), (3, 2), (3, 3)]:

@@ -200,20 +200,21 @@ class TestMinimalJammed:
         # visited about once; flagging every row of a step table when it
         # was listed made 4,717 calls here.
         seen = []
-        flag = lineups.pivot_flag
+        flag = lineups._top_pivot
 
-        def counting(above, ends, below):
-            seen.append((above, ends, below))
-            return flag(above, ends, below)
+        def counting(row):
+            # Every step row stays in its call's table while the walk runs.
+            seen.append(id(row))
+            return flag(row)
 
-        monkeypatch.setattr(lineups, "pivot_flag", counting)
+        monkeypatch.setattr(lineups, "_top_pivot", counting)
         total = 0
         for parts in [(2, 1), (3, 1), (1, 1, 1), (1, 1, 0), (2, 1, 1), (1, 1, 1, 1)]:
             prof = Profile.of(*parts)
             for n in (1, 2):
                 seen.clear()
                 found = enumerate_minimal_jammed(n, prof)
-                # A (lower slice, row) pair fixes both right-end tuples.
+                # A step row is listed once per (lower slice, step) pair.
                 assert len(set(seen)) == len(seen), (prof, n)
                 total += len(seen)
                 expected = brute_force_minimal_jammed(n, prof)

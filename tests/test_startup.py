@@ -127,8 +127,26 @@ def test_subcommand_runs_without_dataclasses_or_inspect(command):
 
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_only_verify_closed_form_loads_fractions(command):
-    """Only the minimal polynomial needs exact rationals."""
-    assert ("fractions" in loaded_by_run(command)) == (command == "verify-closed-form")
+    """No subcommand loads fractions: verify-closed-form, the only one that
+    did, finds the minimal polynomial of its path counts over the
+    integers."""
+    assert "fractions" not in loaded_by_run(command)
+
+
+@pytest.mark.parametrize("command", ["stg", "path-counts"])
+def test_graph_jobs_load_neither_slices_nor_series(command):
+    """The shape graph comes from shape arithmetic, and the path counts
+    build no series."""
+    assert not loaded_by_run(command) & {"cylpart.slices", "cylpart.series"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lineups", "--kind", "mjl", "--profile", "2,1", "--n", "2"],
+    ["qconj-check", *RUNS["qconj-check"]]])
+def test_jammed_walk_loads_no_bijection(argv):
+    """The minimal jammed walk decides its pivots from its own step rows;
+    only the brute-force chain count of lemma-check needs the bijection."""
+    assert "cylpart.bijection" not in loaded_modules(RUN_COMMAND.format(argv=argv))
 
 
 def _parse_outcome(parser, argv):

@@ -679,6 +679,28 @@ def _imports_and_trusted_uses(module: str) -> tuple[set[str], int]:
     return imported, uses
 
 
+def _load_time_imports(source: str) -> list[str]:
+    """The modules the source imports when it loads, a package module as
+    ``cylpart.<name>``: imports inside a function body or under ``if
+    TYPE_CHECKING`` do not count."""
+    names, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names += [f"cylpart.{node.module}"] if node.module else \
+                [f"cylpart.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module)
+        elif isinstance(node, ast.If) and isinstance(node.test, ast.Name) and \
+                node.test.id == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 class TestModuleBoundaries:
     def test_oracle_stays_independent(self):
         imported, _ = _imports_and_trusted_uses("oracle")
@@ -757,19 +779,24 @@ class TestModuleBoundaries:
         that needs exact rationals pays for importing it (and ``decimal``
         and ``numbers``, which it pulls in); a function may import it in
         its own body."""
-        def load_time_imports(source):
-            names, stack = [], list(ast.parse(source).body)
-            while stack:
-                node = stack.pop()
-                if isinstance(node, ast.Import):
-                    names += [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and not node.level:
-                    names.append(node.module)
-                elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    stack.extend(ast.iter_child_nodes(node))
-            return names
-
-        assert load_time_imports("if True:\n    import fractions") == ["fractions"]
-        assert load_time_imports("def f():\n    from fractions import Fraction") == []
+        assert _load_time_imports("if True:\n    import fractions") == ["fractions"]
+        assert _load_time_imports("def f():\n    from fractions import Fraction") == []
         for path in sorted(SRC.glob("*.py")):
-            assert "fractions" not in load_time_imports(path.read_text()), path.name
+            assert "fractions" not in _load_time_imports(path.read_text()), path.name
+
+    def test_graph_and_lineups_import_few_modules_at_load(self):
+        """The package modules ``diagram`` and ``lineups`` import when they
+        load.  ``series``, ``rings`` and ``bijection`` are imported only in
+        the functions that need them, so building the shape graph or
+        listing lineups loads none of them."""
+        assert sorted(_load_time_imports("from . import core\nfrom .qpoly import QPoly")) == \
+            ["cylpart.core", "cylpart.qpoly"]
+        assert _load_time_imports("if TYPE_CHECKING:\n    from .series import Check") == []
+
+        def package_imports(module):
+            return {name for name in _load_time_imports((SRC / f"{module}.py").read_text())
+                    if name.split(".")[0] == "cylpart"}
+
+        assert package_imports("diagram") == {"cylpart.core", "cylpart.qpoly"}
+        assert package_imports("lineups") == {"cylpart", "cylpart.core", "cylpart.polynomials",
+                                              "cylpart.qpoly", "cylpart.slices"}
