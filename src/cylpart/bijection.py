@@ -13,11 +13,11 @@ form the plain partition ``mu``.  The map is a bijection: ``beta`` pins the
 unique infinite path through the slice poset, and ``mu`` says how often
 each node on it is used.
 
-Both directions work on plain row-length and right-end tuples and build
-value objects only for what they return.  Reconstruction tiles the path
-only as far as the largest weight of ``beta`` and ``mu`` and records the
-path's slice only at those weights; :func:`tile` runs the same routine and
-records every weight of its window.
+Each direction walks its chain once, on plain row-length and right-end
+tuples, measuring each space once, and builds value objects only for what
+it returns.  Reconstruction then tiles the path only as far as the largest
+weight of ``beta`` and ``mu`` and records its slice only at those weights;
+:func:`tile` runs the same routine and records every weight of its window.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import operator
 from typing import Iterable, Sequence
 
 from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
-                   Profile, Shape, _Frozen, _int, _int_fields, _space_columns,
-                   _trusted, _unwrap)
-from .slices import Slice, _chain_runs, _slice_lengths, _summed_rows
+                   Profile, RankMismatch, Shape, _delta, _Frozen, _int,
+                   _int_fields, _space_columns, _trusted, _unwrap)
+from .slices import Slice, _chain_runs, _summed_rows
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
@@ -84,36 +84,12 @@ class LabeledDistinctPartition(_Frozen):
 _new_labeled = _trusted(LabeledDistinctPartition)
 
 
-def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
-               below: tuple[int, ...]) -> bool:
-    """Pivot flag of one chain slice, from the right ends of the slice
-    above it (None for the largest slice), of itself and of the slice below
-    it (the empty slice under the smallest).
-
-    The space after the largest slice is the infinite strip to its right,
-    whose leftmost column is one past its smallest right end.
-    """
-    before = _space_columns(ends, below)
-    if before is None:
-        raise InadmissibleBeta(f"chain stalls at right ends {ends}")
-    if above is None:
-        first_after = min(ends) + 1
-    else:
-        after = _space_columns(above, ends)
-        if after is None:
-            raise InadmissibleBeta(f"chain stalls above right ends {ends}")
-        first_after = after[0]
-    return first_after < before[1]
-
-
-def _pivot_flags(ends: Sequence[tuple[int, ...]]) -> list[bool]:
-    """Pivot flags of a chain from the right ends of its slices, largest
-    first, followed by those of the empty slice under it (the row
-    offsets).
-
-    The flags are those of :func:`pivot_flag`; each space is measured once,
-    as the space below one slice and above the next.
-    """
+def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
+    """Pivot flags for a strictly decreasing chain, largest slice first;
+    each space is measured once, as the space below one slice and above
+    the next."""
+    # The empty slice's right ends are the row offsets.
+    ends = [s.right_ends() for s in chain] + [profile.offsets()]
     flags = []
     first_after = min(ends[0]) + 1
     for upper, lower in zip(ends, ends[1:]):
@@ -123,12 +99,6 @@ def _pivot_flags(ends: Sequence[tuple[int, ...]]) -> list[bool]:
         flags.append(first_after < space[1])
         first_after = space[0]
     return flags
-
-
-def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
-    """Pivot flags for a strictly decreasing chain, largest slice first."""
-    # The empty slice's right ends are the row offsets.
-    return _pivot_flags([s.right_ends() for s in chain] + [profile.offsets()])
 
 
 class TiledPath(_Frozen):
@@ -242,24 +212,36 @@ def pivot_decompose(cp: CylindricPartition
     ``beta`` takes one copy of every pivot slice as (weight, shape);
     ``mu`` keeps the weights of everything else.  Weights add up:
     |cp| = |mu| + |beta|.  The chain's weights strictly decrease, so both
-    come out sorted and are built without re-validation.  The chain is
-    read as row lengths; only the shapes of the pivots are built.
+    come out sorted and are built without re-validation.  Each run of the
+    chain meets the run below it and gets the flag :func:`chain_pivots`
+    gives it; only the shapes of the pivots are built.
     """
     runs = _chain_runs(cp.rows)
     offsets = cp.profile.offsets()
-    ends = [tuple(map(operator.add, offsets, lengths)) for lengths, _ in runs]
-    ends.append(offsets)
     beta_entries = []
     mu_parts: list[int] = []
-    for (lengths, mult), e, flag in zip(runs, ends, _pivot_flags(ends)):
+    # The space after the largest slice starts one past its smallest right
+    # end.  Runs nest strictly, so the space below each is not empty.
+    first_after = min(map(operator.add, offsets, runs[0][0])) + 1 if runs else 0
+    for (lengths, mult), (lower, _) in zip(runs, [*runs[1:], ((0,) * len(offsets), 0)]):
+        lo = hi = None
+        for o, a, b in zip(offsets, lengths, lower):
+            if a > b:   # the row's boxes in the space, as absolute columns
+                a += o
+                b += o
+                if lo is None or b < lo:
+                    lo = b
+                if hi is None or a > hi:
+                    hi = a
         weight = sum(lengths)
-        if flag:
+        if first_after < hi:
             # The shape (e_1 - e_r, ..., e_{r-1} - e_r) of the slice.
+            ends = tuple(map(operator.add, offsets, lengths))
             beta_entries.append((weight, _new_shape(
-                tuple([v - e[-1] for v in e[:-1]]))))
-            mu_parts += [weight] * (mult - 1)
-        else:
-            mu_parts += [weight] * mult
+                tuple([v - ends[-1] for v in ends[:-1]]))))
+            mult -= 1
+        mu_parts += [weight] * mult
+        first_after = lo + 1
     return (_new_partition(tuple(mu_parts)),
             _new_labeled(tuple(beta_entries)))
 
@@ -270,28 +252,54 @@ def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
     checking that they exist, nest strictly and each come out flagged as a
     pivot.
 
-    Raises :class:`InadmissibleBeta` with the first failing diagnosis.
-    The lengths come from :func:`slices.slice_with`'s formula on plain
-    tuples, so no shape or profile is hashed and no cache entry is made.
+    Raises :class:`InadmissibleBeta` at the first failing entry of the
+    first failing diagnosis of: no slice, can never be a pivot, do not
+    nest, not a pivot.  One walk finds the lengths by
+    :func:`slices.slice_with`'s formula on plain tuples, hashing no shape
+    or profile, and meets each slice with the one above it.
     """
-    chain = []
-    for w, sh in beta.entries:
-        lengths = _slice_lengths(profile, sh.parts, w)
-        if lengths is None:
-            raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
-        chain.append(lengths)
-    for w, sh in beta.entries:
-        if not sh.parts or sh.parts[0] < 2:
-            raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
-    for a, b in zip(chain, chain[1:]):
-        if a == b or any(map(operator.lt, a, b)):
-            raise InadmissibleBeta(f"slices {a} and {b} do not nest")
+    r, level = profile.rank, profile.level
     offsets = profile.offsets()
-    ends = [tuple(map(operator.add, offsets, lengths)) for lengths in chain]
-    ends.append(offsets)
-    for (w, sh), flag in zip(beta.entries, _pivot_flags(ends)):
-        if not flag:
-            raise InadmissibleBeta(f"{w}^{sh} is not a pivot in this lineup")
+    zero = offsets[:-1]   # the zero shape's parts
+    zero_sum = sum(zero)
+    chain = []
+    never = loose = flat = None   # the first failure of each later diagnosis
+    # The right ends of the slice above and where the space after it starts.
+    upper = first_after = None
+    for k, (w, sh) in enumerate(beta.entries):
+        parts = sh.parts
+        if len(parts) + 1 != r:
+            raise RankMismatch(f"shape rank {len(parts) + 1} vs profile rank {r}")
+        base = _delta(zero, parts)
+        if w < base or (w - base) % r or parts and parts[0] > level:
+            raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
+        # l_r = x and l_j = x + shape_j - o_j: the right ends are x + shape_j
+        # and x, the smallest.
+        x = (w - sum(parts) + zero_sum) // r
+        ends = (*[x + s for s in parts], x)
+        lengths = tuple(map(operator.sub, ends, offsets))
+        if never is None and (not parts or parts[0] < 2):
+            never = f"shape {sh} of part {w} can never be a pivot"
+        if upper is None:
+            first_after = x + 1
+        elif loose is None:
+            if upper == ends or any(map(operator.lt, upper, ends)):
+                loose = f"slices {chain[-1]} and {lengths} do not nest"
+            else:
+                first, last = _space_columns(upper, ends)
+                if flat is None and first_after >= last:
+                    flat = k - 1
+                first_after = first
+        upper = ends
+        chain.append(lengths)
+    # The empty slice lies below the smallest one, of weight at least 1.
+    if flat is None and chain and first_after >= _space_columns(upper, offsets)[1]:
+        flat = len(chain) - 1
+    if never or loose:
+        raise InadmissibleBeta(never or loose)
+    if flat is not None:
+        raise InadmissibleBeta("{}^{} is not a pivot in this lineup".format(
+            *beta.entries[flat]))
     return chain
 
 
@@ -315,15 +323,17 @@ def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,
     ``mu`` at the unique tiled slice of that weight.
     """
     chain = _resolve_beta(beta, profile)
-    # How often each weight is used: once per part of beta (its weights are
-    # distinct) and once more per part of mu.
-    counts = dict.fromkeys([w for w, _ in beta.entries], 1)
-    for w in mu.parts:
-        counts[w] = counts.get(w, 0) + 1
-    distinct = sorted(counts)
-    mults = [counts[w] for w in distinct]
-    lengths = _tiled_at(profile.offsets(), chain[::-1], distinct)
+    # The distinct weights, largest first, used once per part of beta or
+    # mu; the sort merges the two descending runs.
+    distinct: list[int] = []
+    mults: list[int] = []
+    for w in sorted([*mu.parts, *(w for w, _ in beta.entries)], reverse=True):
+        if distinct and distinct[-1] == w:
+            mults[-1] += 1
+        else:
+            distinct.append(w)
+            mults.append(1)
+    lengths = _tiled_at(profile.offsets(), chain[::-1], reversed(distinct))
     # Path slices of distinct positive weights nest strictly; the sum reads
     # them largest first.
-    return _new_cylindric(profile, _summed_rows(lengths[::-1], mults[::-1],
-                                                profile.rank))
+    return _new_cylindric(profile, _summed_rows(lengths[::-1], mults, profile.rank))

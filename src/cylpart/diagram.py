@@ -47,18 +47,22 @@ def _grown(s: tuple[int, ...], level: int) -> list[tuple[int, ...]]:
 
 
 class ShapeTransitionGraph(_Frozen):
-    """Shapes as nodes; each edge is a (source, target) pair whose weight
-    goes up by 1."""
+    """The shapes of one (rank, level) family as nodes, with an edge from
+    each to every shape in its :meth:`out_neighbors`, one box on by the
+    grow rule; ``marked`` is a profile's zero shape, or None."""
 
-    __slots__ = _fields = ("rank", "level", "nodes", "edges", "marked")
+    __slots__ = ("rank", "level", "marked", "nodes")
+    _fields = ("rank", "level", "marked")
 
-    def __init__(self, rank: int, level: int, nodes: tuple[Shape, ...],
-                 edges: frozenset[tuple[Shape, Shape]], marked: Shape | None = None):
+    def __init__(self, rank: int, level: int, marked: Shape | None = None):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "nodes", tuple(all_shapes(rank, level)))
+
+    @property
+    def edges(self) -> frozenset[tuple[Shape, Shape]]:
+        return frozenset((s, t) for s in self.nodes for t in self.out_neighbors(s))
 
     def out_neighbors(self, s: Shape) -> list[Shape]:
         """The shapes one box after ``s``, sorted; none outside the family."""
@@ -83,14 +87,11 @@ def build_graph(rank: int, level: int, profile: Profile | None = None
     every part by 1, and at rank 1 the single shape loops.  A profile only
     marks its zero shape; one of another rank or level is ``InvalidInput``.
     """
-    nodes = tuple(all_shapes(rank, level))
     if profile is not None and (profile.rank, profile.level) != (rank, level):
         raise InvalidInput(f"profile {profile} has rank {profile.rank} and level "
                            f"{profile.level}, not rank {rank} and level {level}")
-    by_parts = {s.parts: s for s in nodes}
-    edges = frozenset((s, by_parts[t]) for s in nodes for t in _grown(s.parts, level))
     marked = shape_of_zero(profile) if profile is not None else None
-    return ShapeTransitionGraph(rank, level, nodes, edges, marked)
+    return ShapeTransitionGraph(rank, level, marked)
 
 
 def weight_class_order(graph: ShapeTransitionGraph) -> tuple[list[Shape], list[int]]:

@@ -206,9 +206,9 @@ def _listing(n: int, profile: Profile, make) -> list:
 
 def _top_pivot(row: list) -> bool:
     """Pivot flag of a step row's slice above as the largest member of a
-    chain (:func:`cylpart.bijection.pivot_flag` with no slice above): the
-    strip after it starts one past its smallest right end, which must lie
-    left of the last column of the space below it."""
+    chain, as :func:`cylpart.bijection.chain_pivots` flags it: the strip
+    after it starts one past its smallest right end, which must lie left of
+    the last column of the space below it."""
     return min(row[7]) + 1 < row[5][1]
 
 
@@ -265,7 +265,7 @@ def _minimal_jammed(n: int, profile: Profile, order):
     # ``spent``, which ``link`` holds; ``under_right`` is the rightmost
     # column of the space under ``lower`` (None when ``lower`` is empty).
     # ``lower`` is a pivot when the space above it starts left of that
-    # column, as :func:`cylpart.bijection.pivot_flag` decides.
+    # column, as :func:`cylpart.bijection.chain_pivots` decides.
     stack = [(n - 1, zero, shape_of_zero(profile), None, 0, 0, None)]
     while stack:
         j, lower, lower_shape, under_right, spent, mask, link = stack.pop()

@@ -102,17 +102,6 @@ def slice_shape(s: Slice) -> Shape:
     return _new_shape(tuple(v - e[-1] for v in e[:-1]))
 
 
-def min_slice_weight(profile: Profile, shape: Shape) -> int:
-    """Smallest weight of a slice with the given shape, 0 for the zero shape.
-
-    This is the tight-packing distance ``delta`` from the profile's zero
-    shape to ``shape``, computed by the one formula in :mod:`cylpart.core`.
-    """
-    if shape.rank != profile.rank:
-        raise RankMismatch(f"shape rank {shape.rank} vs profile rank {profile.rank}")
-    return _delta(profile.offsets()[:-1], shape.parts)
-
-
 def _slice_lengths(profile: Profile, shape: tuple[int, ...], weight: int
                    ) -> tuple[int, ...] | None:
     """Row lengths of the unique slice with the given shape parts and
@@ -136,9 +125,9 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     """The unique slice of the given shape and weight, or None.
 
     A slice exists exactly when the shape fits the level (the first part
-    of a slice's shape is e_1 - e_r <= c_1 + ... + c_r),
-    ``weight >= min_slice_weight`` and ``weight`` is congruent to it modulo
-    the rank.
+    of a slice's shape is e_1 - e_r <= c_1 + ... + c_r) and ``weight`` is
+    at least the distance delta from the zero shape, and congruent to it
+    modulo the rank.
     """
     lengths = _slice_lengths(profile, shape.parts, weight)
     return None if lengths is None else _new_slice(profile, lengths)
@@ -210,21 +199,17 @@ def _chain_runs(rows: Sequence[Partition]) -> list[tuple[tuple[int, ...], int]]:
     when some row has a part equal to k, so there is one run per distinct
     part value v over all rows, taken in ascending order: its length in row
     i is the number of parts >= v in row i, and its multiplicity is v less
-    the previous distinct value.  Each row keeps one pointer past its last
-    part >= v, which moves in from the end as v grows.
+    the previous distinct value.  One sweep of all parts in ascending order
+    takes each row's count down by one per part passed.
     """
-    parts = [row.parts for row in rows]
-    ends = [len(p) for p in parts]
+    ends = [len(row.parts) for row in rows]
     runs = []
     below = 0
-    for v in sorted(set().union(*parts)):
-        for i, p in enumerate(parts):
-            k = ends[i]
-            while k and p[k - 1] < v:
-                k -= 1
-            ends[i] = k
-        runs.append((tuple(ends), v - below))
-        below = v
+    for v, i in sorted([(v, i) for i, row in enumerate(rows) for v in row.parts]):
+        if v != below:
+            runs.append((tuple(ends), v - below))
+            below = v
+        ends[i] -= 1
     return runs
 
 
@@ -265,18 +250,6 @@ class ShrinkMode(enum.Enum):
     EXACT = "exact"
 
 
-def _runs(chain: SliceChain | Sequence[Slice]
-          ) -> tuple[Profile, Sequence[tuple[Slice, int]]]:
-    """The chain as runs (slice, multiplicity); a plain slice list is read
-    as runs of length 1."""
-    if isinstance(chain, SliceChain):
-        return chain.profile, chain.entries
-    slices = list(chain)
-    if not slices:
-        raise ChainNotStrict("an explicit slice list must be non-empty")
-    return slices[0].profile, [(s, 1) for s in slices]
-
-
 def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
            ) -> tuple[list[Slice], Partition]:
     """Tighten a slice chain, returning (tight slices, side partition).
@@ -298,35 +271,41 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     the smallest run up finds each gap, the shift and the tight slice
     together.
     """
-    profile, runs = _runs(chain)
+    if isinstance(chain, SliceChain):
+        profile, runs = chain.profile, chain.entries
+    else:
+        runs = [(s, 1) for s in chain]
+        if not runs:
+            raise ChainNotStrict("an explicit slice list must be non-empty")
+        profile = runs[0][0].profile
     r = profile.rank
     smallest = runs[-1][0].lengths if runs else ()
     exact = mode is ShrinkMode.EXACT
     if exact and not any(smallest):
         raise ChainNotStrict("EXACT mode needs a nonzero smallest slice")
     # A slice has the shape of zero exactly when its rows are equally long,
-    # since row i's right end is o_i + l_i; EXACT then takes one less from
-    # the smallest run's gap, keeping a buffer column.
-    buffer = exact and min(smallest) == max(smallest)
+    # since row i's right end is o_i + l_i; EXACT then measures the smallest
+    # run's gap against one box per row, keeping a buffer column.
+    below = (int(exact and min(smallest) == max(smallest)),) * r
     # A uniform shift of every row keeps a slice valid, and l_j^i >=
     # f_j + ... + f_n keeps it non-negative.  Below the lowest non-zero gap
     # the shift is 0 and a run's slice is its own tight slice.
     tight: list[Slice] = []
     side_parts: list[int] = []
     shift = 0
-    j = sum(mult for _, mult in runs)
-    below = (0,) * r
+    j = sum(map(operator.itemgetter(1), runs))
     failed = None   # the highest pair seen that does not nest
+    sub = operator.sub
     for s, mult in reversed(runs):
         ln = s.lengths
-        gap = min(map(operator.sub, ln, below)) - buffer
-        buffer = False
-        if gap < 0:
-            failed = ln, below
-        shift += gap
-        side_parts += [r * j] * gap
+        gap = min(map(sub, ln, below))
+        if gap:
+            if gap < 0:
+                failed = ln, below
+            shift += gap
+            side_parts += [r * j] * gap
         if shift:
-            s = _new_slice(s.profile, tuple([v - shift for v in ln]))
+            s = _new_slice(profile, tuple([v - shift for v in ln]))
         tight += [s] * mult
         j -= mult
         below = ln
@@ -342,24 +321,25 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
            ) -> list[Slice]:
     """Inverse of :func:`shrink`: re-grow the chain from the side partition.
 
-    Side parts must be multiples of the rank, at most rank * n; slice j
-    grows by the number of side parts of size at least rank*j in every row.
-    Walking j from n down, a new slice is built only when the input slice
-    (by identity) or that growth changes, so the copies of a run that
-    :func:`shrink` tightened to one shared slice grow to one shared slice,
-    unless a side part of size rank*j splits the run at j.  A slice that
-    does not grow is returned as it is.
+    Side parts, checked in order, must be multiples of the rank, at most
+    rank * n; slice j grows by the number of side parts of size at least
+    rank*j in every row.  Walking j down from the largest side part, a new
+    slice is built only when the input slice (by identity) or that growth
+    changes, so the copies of a run that :func:`shrink` tightened to one
+    shared slice grow to one shared slice, unless a side part of size
+    rank*j splits the run at j.  Slices that do not grow are returned.
     """
     slices = list(tight)
+    parts = side.parts
+    if not parts:
+        return slices
     if not slices:
-        if len(side) == 0:
-            return []
         raise PartTooLarge("side partition given but the tight chain is empty")
     profile = slices[0].profile
     r = profile.rank
     n = len(slices)
     mult = [0] * (n + 1)
-    for p in side.parts:
+    for p in parts:
         if p % r != 0:
             raise NotMultipleOfRank(f"side part {p} is not a multiple of {r}")
         j = p // r
@@ -367,16 +347,20 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
             raise PartTooLarge(f"side part {p} exceeds rank*length = {r * n}")
         mult[j] += 1
     del mode  # growth is identical in both modes; mode kept for symmetry
+    # Slice j grows by mult[j] more than slice j + 1, and not at all past
+    # the largest side part.
+    top = parts[0] // r
     out: list[Slice] = []
     shift = 0
-    last = grown = None
-    for j in range(n, 0, -1):
+    last = None
+    for j in range(top, 0, -1):
         s = slices[j - 1]
-        if mult[j] or s is not last:
-            shift += mult[j]
-            grown = _new_slice(s.profile, tuple([v + shift for v in s.lengths])
-                               ) if shift else s
+        more = mult[j]
+        if more or s is not last:
+            shift += more
+            grown = _new_slice(profile, tuple([v + shift for v in s.lengths]))
             last = s
         out.append(grown)
     out.reverse()
+    out += slices[top:]
     return out

@@ -79,14 +79,14 @@ def verify_all_tasks(profile: Profile, order: int, seed: int) -> list[Callable[[
         name = "tight-packing-roundtrip"
         for cp in tight_sample:
             chain = slices.decompose(cp)
+            expanded = [s.lengths for s in chain.expanded()]
             for mode in slices.ShrinkMode:
                 tight, side = slices.shrink(chain, mode)
                 if chain.weight != sum(t.weight for t in tight) + side.weight:
                     return Check(name, False,
                                  f"weight bookkeeping broke on {cp.to_text()}")
                 regrown = slices.expand(tight, side, mode)
-                if [s.lengths for s in regrown] != \
-                        [s.lengths for s in chain.expanded()]:
+                if [s.lengths for s in regrown] != expanded:
                     return Check(name, False, f"tight packing broke on {cp.to_text()}")
         return Check(name, True,
                      f"tight packing roundtrip on {len(tight_sample)} partitions")

@@ -1,25 +1,61 @@
 """Independent references the tests check the library against: the lineup
 classes by their definition, the rank-2 closed form of beta
-admissibility, the shape graph from slice successors, Berlekamp-Massey
-over the rationals, and eigen forms of the distinct-parts series checked
-over Q and real quadratic fields.  The library computes none of them; it
-builds lineups of a known class directly, checks beta by walking the
-pivot chain, builds the shape graph from the grow rule on shapes, and
-certifies every closed form over Z from the minimal polynomial of the
-path counts, found over the integers."""
+admissibility, the pivot flag of one slice from the spaces on either side
+of it, the smallest weight of a slice of a given shape, the shape graph
+from slice successors, Berlekamp-Massey over the rationals, and eigen
+forms of the distinct-parts series checked over Q and real quadratic
+fields.  The library computes none of them; it builds lineups of a known
+class directly, checks beta and flags pivots in one walk down the chain,
+finds slices from their shape and weight, builds the shape graph from the
+grow rule on shapes, and certifies every closed form over Z from the
+minimal polynomial of the path counts, found over the integers."""
 
 from fractions import Fraction
 from typing import Sequence
 
-from cylpart.bijection import LabeledDistinctPartition, chain_pivots
-from cylpart.core import CylpartError, Profile, _Frozen, all_shapes, shape_of_zero
+from cylpart.bijection import InadmissibleBeta, LabeledDistinctPartition, chain_pivots
+from cylpart.core import (CylpartError, Profile, RankMismatch, Shape, _delta, _Frozen,
+                         _space_columns, all_shapes, shape_of_zero)
 from cylpart.diagram import distinct_gf
 from cylpart.lineups import Lineup
 from cylpart.polynomials import family
 from cylpart.qpoly import QPoly
 from cylpart.rings import Ring, RingMismatch, ZZ
 from cylpart.series import Check, TruncatedSeries, compare, euler_sum, euler_top
-from cylpart.slices import Slice, min_slice_weight, slice_shape, slice_with, successors
+from cylpart.slices import Slice, slice_shape, slice_with, successors
+
+
+def min_slice_weight(profile: Profile, shape: Shape) -> int:
+    """Smallest weight of a slice with the given shape, 0 for the zero shape.
+
+    This is the tight-packing distance ``delta`` from the profile's zero
+    shape to ``shape``, computed by the one formula in :mod:`cylpart.core`.
+    """
+    if shape.rank != profile.rank:
+        raise RankMismatch(f"shape rank {shape.rank} vs profile rank {profile.rank}")
+    return _delta(profile.offsets()[:-1], shape.parts)
+
+
+def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
+               below: tuple[int, ...]) -> bool:
+    """Pivot flag of one chain slice, from the right ends of the slice
+    above it (None for the largest slice), of itself and of the slice below
+    it (the empty slice under the smallest).
+
+    The space after the largest slice is the infinite strip to its right,
+    whose leftmost column is one past its smallest right end.
+    """
+    before = _space_columns(ends, below)
+    if before is None:
+        raise InadmissibleBeta(f"chain stalls at right ends {ends}")
+    if above is None:
+        first_after = min(ends) + 1
+    else:
+        after = _space_columns(above, ends)
+        if after is None:
+            raise InadmissibleBeta(f"chain stalls above right ends {ends}")
+        first_after = after[0]
+    return first_after < before[1]
 
 
 def slice_graph(rank: int, level: int, profile: Profile | None = None):

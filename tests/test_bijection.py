@@ -181,6 +181,13 @@ class TestValidateBeta:
         ("3^(0,0)", "shape (0,0) of part 3 can never be a pivot"),
         ("2^(2,0),1^(2,2)", "slices (1, 0, 1) and (0, 1, 0) do not nest"),
         ("2^(2,0),1^(3,1)", "2^(2,0) is not a pivot in this lineup"),
+        # Two kinds fail, or one kind twice: the earlier kind wins, at its
+        # first failing entry.
+        ("8^(1,1),1^(0,0)", "no slice of shape (0,0) and weight 1"),
+        ("8^(1,1),1^(1,0)", "shape (1,1) of part 8 can never be a pivot"),
+        ("8^(1,1),7^(3,1)", "shape (1,1) of part 8 can never be a pivot"),
+        ("9^(2,1),8^(2,0),7^(2,2)", "slices (3, 2, 3) and (2, 3, 2) do not nest"),
+        ("9^(2,1),8^(2,0),7^(3,1)", "9^(2,1) is not a pivot in this lineup"),
     ])
     def test_each_diagnosis(self, text, message):
         beta = LabeledDistinctPartition.parse(text)

@@ -10,7 +10,8 @@ from cylpart import (InvalidInput, Profile, QPoly, Shape, adjacency_matrix, all_
                      matrix_power, minimal_polynomial, path_counts,
                      shape_of_zero)
 from cylpart import diagram
-from cylpart.diagram import _matmul
+from cylpart.core import FrozenInstanceError
+from cylpart.diagram import ShapeTransitionGraph, _matmul
 from cylpart.slices import slice_shape, successors, zero_slice
 
 from conftest import all_profiles
@@ -117,6 +118,23 @@ class TestGraph:
             rank, level = profile.rank, profile.level
             assert build_graph(rank, level, profile).edges == \
                 build_graph(rank, level).edges, profile
+
+    def test_edges_come_from_the_grow_rule(self):
+        """A graph takes its family and mark only; its nodes and edges
+        follow from the family, so no graph holds edges its neighbours
+        disagree with."""
+        nodes = build_graph(2, 2).nodes
+        with pytest.raises(TypeError):
+            ShapeTransitionGraph(2, 2, nodes, frozenset())
+        for rank, level in [(1, 2), (2, 3), (3, 2), (4, 3)]:
+            g = ShapeTransitionGraph(rank, level)
+            assert g == build_graph(rank, level)
+            assert g.edges == {(s, t) for s in g.nodes for t in g.out_neighbors(s)}
+            with pytest.raises(FrozenInstanceError):
+                g.edges = frozenset()
+        marked = ShapeTransitionGraph(3, 3, Shape.of(2, 1))
+        assert marked == build_graph(3, 3, Profile.of(1, 1, 1))
+        assert marked.edges == build_graph(3, 3).edges
 
     @pytest.mark.parametrize("rank, level", [(3, 2), (2, 3), (2, 1)])
     def test_profile_of_another_family_rejected(self, rank, level):

@@ -15,11 +15,11 @@ from cylpart.polynomials import (PolynomialFamily, _unpack, largest_part_exact_s
                                  pivot_corrected_poly, pivot_lineup_poly)
 from cylpart.qpoly import q_binomial
 from cylpart.rings import ZZ, ZZ_z
-from cylpart.slices import min_slice_weight
 from cylpart.series import (TruncatedSeries, at_z_one, inv_zq_pochhammer,
                             subst_z_mul_qpow, z_power_times)
 
 from conftest import all_profiles, mul_one_plus
+from references import min_slice_weight
 
 SHAPE_ORDER_32 = [Shape.of(0, 0), Shape.of(1, 0), Shape.of(1, 1),
                   Shape.of(2, 0), Shape.of(2, 1), Shape.of(2, 2)]

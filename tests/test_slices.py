@@ -9,9 +9,10 @@ from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
 from cylpart.core import RankMismatch
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
                             NotMultipleOfRank, PartTooLarge, Slice,
-                            _slice_lengths, min_slice_weight)
+                            _slice_lengths)
 
 from conftest import all_profiles
+from references import min_slice_weight
 from test_core import delta_shapes
 
 P111 = Profile.of(1, 1, 1)

@@ -21,14 +21,15 @@ from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
                      pivot_decompose, pivot_reconstruct, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
                      successors, tile, validate, validate_beta, zero_slice)
-from cylpart.bijection import InadmissibleBeta, chain_pivots, pivot_flag
+from cylpart.bijection import InadmissibleBeta, chain_pivots
 from cylpart.core import FrozenInstanceError, _Frozen, _space_columns, _trusted
 from cylpart.cli import main
 from cylpart.oracle import hits
-from cylpart.slices import ChainNotDecreasing, ChainNotStrict, _chain_runs
+from cylpart.slices import (ChainNotDecreasing, ChainNotStrict, NotMultipleOfRank,
+                            PartTooLarge, _chain_runs)
 
 from conftest import all_profiles
-from references import QuadraticField, classify
+from references import QuadraticField, classify, pivot_flag
 
 P111 = Profile.of(1, 1, 1)
 SRC = pathlib.Path(cylpart.__file__).parent
@@ -98,6 +99,22 @@ def expand_reference(tight, side):
     return [tuple(w) for w in work]
 
 
+def expand_error_reference(tight, side):
+    """The error :func:`expand` raises, as (class, message), or None: an
+    empty tight chain takes no side part, and each side part, in order,
+    must be a multiple of the rank and then at most rank * n."""
+    if not tight:
+        return (PartTooLarge, "side partition given but the tight chain is "
+                              "empty") if side.parts else None
+    r, n = tight[0].profile.rank, len(tight)
+    for p in side.parts:
+        if p % r:
+            return NotMultipleOfRank, f"side part {p} is not a multiple of {r}"
+        if p > r * n:
+            return PartTooLarge, f"side part {p} exceeds rank*length = {r * n}"
+    return None
+
+
 @st.composite
 def chains(draw):
     """A weakly decreasing list of nonzero slices, largest first, grown one
@@ -152,6 +169,23 @@ class TestLinearShrinkExpand:
             r * j for j in data.draw(st.lists(st.integers(1, n), max_size=6)))
         assert [s.lengths for s in expand(tight, other, mode)] == \
             expand_reference(tight, other)
+
+    @given(slice_chains(), st.sampled_from(list(ShrinkMode)), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_error_as_checking_side_parts_in_order(self, chain, mode, empty, data):
+        """Side parts off the rank's multiples or past rank * n, in any
+        order of the two, raise what a check of each part in turn raises."""
+        tight = [] if empty else shrink(chain, mode)[0]
+        r, n = chain.profile.rank, chain.length
+        side = partition_of_multiset(r * j + extra for j, extra in data.draw(st.lists(
+            st.tuples(st.integers(1, n + 3), st.sampled_from([0, 0, 1, 2])), max_size=5)))
+        want = expand_error_reference(tight, side)
+        got = outcome(expand, tight, side, mode)
+        if want is not None:
+            assert got == want
+        else:
+            assert [s.lengths for s in got] == \
+                (expand_reference(tight, side) if tight else [])
 
     def test_side_part_inside_a_run(self):
         big, small = Slice(P111, (3, 2, 2)), Slice(P111, (1, 1, 1))
@@ -386,6 +420,26 @@ class TestPivotReference:
         window = data.draw(st.integers(-1, 30))
         assert outcome(lambda: tile(prof, listed, window).slices) == \
             outcome(tile_reference, prof, listed, window)
+
+    def test_mu_and_beta_cases_random_draws_miss(self, small_enumerations):
+        """Parts of mu equal to beta's weights, repeated, above the largest
+        weight, or none at all, and an empty beta: each reconstructs as the
+        reference does, and decomposes back to the same pair."""
+        empty = LabeledDistinctPartition(())
+        checked = 0
+        for prof, partitions in small_enumerations.items():
+            betas = {pivot_decompose(cp)[1] for cp in partitions[::7]} | {empty}
+            for beta in betas:
+                weights = [w for w, _ in beta.entries]
+                top = max(weights, default=0)
+                for parts in ([], weights, weights * 3, [1, 1, 1, 2, 2],
+                              [top + 2, top + 1, top + 1], [top + 4, *weights, 1]):
+                    mu = partition_of_multiset(parts)
+                    got = pivot_reconstruct(mu, beta, prof)
+                    assert got == pivot_reconstruct_reference(mu, beta, prof)
+                    assert pivot_decompose(got) == (mu, beta)
+                    checked += 1
+        assert checked > 500
 
     @given(beta_candidates(), st.lists(st.integers(1, 40), max_size=4))
     @settings(max_examples=300, deadline=None)
