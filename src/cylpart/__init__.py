@@ -37,8 +37,8 @@ _PUBLIC = {
     "slices": ("Slice", "SliceChain", "ShrinkMode", "decompose", "expand",
                "recompose", "shrink", "slice_shape", "slice_with", "successors",
                "zero_slice"),
-    "bijection": ("LabeledDistinctPartition", "TiledPath", "pivot_decompose",
-                  "pivot_reconstruct", "tile", "validate_beta"),
+    "bijection": ("LabeledDistinctPartition", "pivot_decompose",
+                  "pivot_reconstruct", "validate_beta"),
     "diagram": ("PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
                 "diagonal_blocks", "distinct_gf", "matrix_power",

@@ -16,8 +16,7 @@ each node on it is used.
 Each direction walks its chain once, on plain row-length and right-end
 tuples, measuring each space once, and builds value objects only for what
 it returns.  Reconstruction then tiles the path only as far as the largest
-weight of ``beta`` and ``mu`` and records its slice only at those weights;
-:func:`tile` runs the same routine and records every weight of its window.
+weight of ``beta`` and ``mu`` and records its slice only at those weights.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .slices import Slice, _chain_runs, _summed_rows
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
-_new_slice = _trusted(Slice)
 _new_cylindric = _trusted(CylindricPartition)
 
 
@@ -101,29 +99,6 @@ def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
     return flags
 
 
-class TiledPath(_Frozen):
-    """The tiled path: the row lengths of its slice of every weight
-    0..window, indexed by weight."""
-
-    __slots__ = _fields = ("profile", "slices")
-
-    def __init__(self, profile: Profile, slices: tuple[tuple[int, ...], ...]):
-        checked = tuple(Slice(profile, ln).lengths for ln in slices)
-        for w, ln in enumerate(checked):
-            if sum(ln) != w:
-                raise ValueError(f"entry {w} of a tiled path has weight {sum(ln)}")
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "slices", checked)
-
-    def slice_at(self, weight: int) -> Slice:
-        # Every entry is a valid slice: checked on construction, or tiled by
-        # :func:`tile` one valid box at a time.
-        return _new_slice(self.profile, self.slices[weight])
-
-
-_new_tiled_path = _trusted(TiledPath)
-
-
 def _tiled_at(offsets: tuple[int, ...], chain: Sequence[tuple[int, ...]],
               weights: Iterable[int]) -> list[tuple[int, ...]]:
     """Row lengths of the tiled path's slice at each of the ascending
@@ -178,31 +153,6 @@ def _tiled_at(offsets: tuple[int, ...], chain: Sequence[tuple[int, ...]],
                         break
         col += 1
     return out
-
-
-def tile(profile: Profile, chain: Sequence[Slice], window: int) -> TiledPath:
-    """Fill the spaces of a strictly decreasing chain box by box.
-
-    Boxes go into each space column by column, left to right, top to bottom
-    within a column; past the largest chain slice the infinite strip is
-    tiled the same way up to the window.  The result records the unique
-    intermediate slice of every weight 0..window.  The slice of weight w
-    depends only on the first w boxes, so a smaller window gives a prefix
-    of the same path.  The chain is not checked; :func:`pivot_reconstruct`
-    resolves and checks it from beta first, and reads the path only at the
-    weights of beta and mu, so it tiles through the same routine but records
-    only those slices.
-    """
-    slices = sorted(chain, key=lambda s: s.weight)  # smallest first
-    if slices and slices[-1].weight > window:
-        raise InadmissibleBeta(
-            f"window {window} below the largest chain weight {slices[-1].weight}")
-    lengths = [s.lengths for s in slices]
-    # The path always holds the empty slice at weight 0, and every box of
-    # the chain's spaces: slices that do not nest fill past the largest one.
-    filled = sum(map(max, zip(*lengths)))
-    path = _tiled_at(profile.offsets(), lengths, range(max(window, filled) + 1))
-    return _new_tiled_path(profile, tuple(path))
 
 
 def pivot_decompose(cp: CylindricPartition

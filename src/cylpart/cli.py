@@ -20,7 +20,6 @@ strings.
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import os
@@ -293,6 +292,8 @@ _VERDICTS = {True: "pass", False: "FAIL", None: "n/a"}
 
 def cmd_verify_all(args) -> int:
     profile = parse_profile(args.profile)
+    # Loading ``verify`` imports every module its checks reach, in this
+    # thread, so the ``--jobs`` pool never imports anything.
     tasks = cylpart.verify.verify_all_tasks(profile, args.order, args.seed)
     if args.jobs > 1:
         # Imported only here: it pulls in ``logging`` at start-up otherwise.
@@ -330,23 +331,6 @@ def _int_at_least(low: int, rule: str):
 
 _nonnegative_int = _int_at_least(0, "must be non-negative")
 _positive_int = _int_at_least(1, "must be at least 1")
-
-
-# The cylpart modules each subcommand's handler reaches, beyond core, which
-# ``import cylpart`` always loads, and those they import, in a function body
-# too.  ``main`` imports them before the handler runs, in the main thread,
-# so the ``--jobs`` pool of ``verify-all`` never imports anything.
-_MODULES = {
-    "enumerate": ("oracle",), "count": ("oracle",), "borodin": ("series",),
-    "decompose": ("bijection",), "reconstruct": ("bijection",),
-    "slices": ("slices",), "shrink": ("slices",),
-    "stg": ("diagram",), "path-counts": ("diagram",),
-    "distinct-gf": ("diagram", "series"), "verify-closed-form": ("diagram", "series"),
-    "poly": ("polynomials",), "functional-eq": ("polynomials", "series"),
-    "lineups": ("lineups",), "lemma-check": ("lineups", "series", "bijection"),
-    "qconj-check": ("lineups", "oracle"),
-    "verify-all": ("verify",),
-}
 
 
 def _options(formats: list[str], profile_required: bool = True,
@@ -448,11 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     # Anything else (no command, an unknown one, a top-level flag) gets
     # every subcommand, so ``cylpart -h`` and the invalid-choice error list
     # them all.
-    args = build_parser(argv[:1] if argv and argv[0] in _MODULES else None
+    args = build_parser(argv[:1] if argv and argv[0] in _subcommands() else None
                         ).parse_args(argv)
     try:
-        for name in _MODULES[args.command]:
-            importlib.import_module(f"cylpart.{name}")
         code = args.fn(args)
         # Flushed here, so a reader gone before the output fits in the
         # buffer is seen below, not at interpreter exit.

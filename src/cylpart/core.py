@@ -442,10 +442,6 @@ class CylindricPartition(_Frozen):
     def max_part(self) -> int:
         return max((row.part(1) for row in self.rows), default=0)
 
-    @property
-    def is_empty(self) -> bool:
-        return all(len(row) == 0 for row in self.rows)
-
     def __add__(self, other: "CylindricPartition") -> "CylindricPartition":
         if self.profile != other.profile:
             raise RankMismatch("cannot add cylindric partitions with different profiles")

@@ -6,14 +6,15 @@ one row at a time, one part at a time, in place.  Each part is bounded by
 the cyclic constraints on the row above, the wraparound against the first
 row and the remaining weight budget.  Those bounds make every hit valid, so
 no hit is checked again here; the tests run :func:`core.check_rows` on the
-hits instead.  The search hands each hit to a visitor as plain row tuples,
-with its weight, largest part and whether all its parts are distinct, all
-worked out on the way down.  All counts read one census per (profile,
-cap), tallied in a single pass and kept at the highest order searched, so
-a count of a lower order filters it by weight.  :func:`hits` lists the
-rows of every hit in search order, and only :func:`enumerate_by_weight`
-and the callers that draw from :func:`hits` turn hits into
-:class:`CylindricPartition` values.
+hits instead.  One pass of the search tallies every hit by its weight,
+largest part and whether all its parts are distinct, all worked out on the
+way down, and keeps the rows of the hits up to a second weight bound.  All
+counts read one census per (profile, cap), kept at the highest order
+searched, so a count of a lower order cuts it at its weight; ``verify-all``
+makes that census and draws its round trips from the same pass, so each of
+its jobs searches once.  :func:`hits` lists the rows of every hit in search
+order, and only :func:`enumerate_by_weight` and the callers that draw from
+those rows turn hits into :class:`CylindricPartition` values.
 """
 
 from __future__ import annotations
@@ -34,11 +35,17 @@ DEFAULT_WEIGHT_CAP = 30
 
 _Rows = tuple[tuple[int, ...], ...]
 
+# census[weight][largest][distinct]: the number of hits of that weight and
+# largest part (at most the weight) whose parts are all distinct (1) or
+# not (0).
+_Census = list[list[list[int]]]
+
 
 def _search(profile: Profile, max_weight: int, cap: int,
-            visit: Callable[[list[tuple[int, ...]], int, int, bool], None]) -> None:
-    """Call ``visit(rows, weight, largest, distinct)`` once for every
-    cylindric partition with the given profile and weight <= max_weight.
+            keep: int) -> tuple[_Census, list[_Rows]]:
+    """One pass over every cylindric partition with the given profile and
+    weight <= max_weight: the census of them all, and the rows of those of
+    weight <= ``keep``, one tuple of part tuples per hit, in search order.
 
     Rows are grown top to bottom, each one part at a time in a list of its
     own, largest part first.  Part j of row i is at most part j - c_i of
@@ -46,25 +53,27 @@ def _search(profile: Profile, max_weight: int, cap: int,
     last row is also at least ``rows[0][c_0:]`` part by part, so a middle
     row may spend only the budget less that floor.  A row becomes a tuple
     once it ends, at any length its lower bound allows; the search then
-    starts the next row, or visits the hit after the last row.  Rows end
+    starts the next row, or counts the hit after the last row.  Rows end
     before they grow, and larger parts come first, so the hits come in a
-    fixed search order.
+    fixed search order; a higher ``max_weight`` only adds branches, so the
+    hits two bounds both reach come in the same order.
 
-    ``rows`` holds one part tuple per row; it is the search's own list and
-    changes once ``visit`` returns, so a visitor that keeps it copies it.
-    ``largest`` is the largest part and ``distinct`` says whether all parts
-    across rows differ; the search tracks distinctness as a bit mask of the
-    parts placed, -1 from the first repeat on.  Exhaustive and
-    duplicate-free.  ``cap`` guards runaway searches; the guard fires before
-    the search.
+    The census has one entry per weight 0..max_weight; a hit's largest part
+    and whether all its parts across rows differ are worked out on the way
+    down, distinctness as a bit mask of the parts placed, -1 from the first
+    repeat on.  Exhaustive and duplicate-free.  ``cap`` guards runaway
+    searches; the guard fires before the search.
     """
     if max_weight < 0:
-        return
+        return [], []
     if max_weight > cap:
         raise InvalidInput(f"weight bound {max_weight} exceeds the cap {cap}; "
                          f"raise `cap` explicitly if this is intended")
     r = profile.rank
     c = profile.parts
+    # No part exceeds the weight, so the census of a lower bound is a prefix.
+    census = [[[0, 0] for _ in range(w + 1)] for w in range(max_weight + 1)]
+    found: list[_Rows] = []
     rows: list[tuple[int, ...]] = []
 
     def begin(budget: int, largest: int, mask: int) -> None:
@@ -98,7 +107,10 @@ def _search(profile: Profile, max_weight: int, cap: int,
                 big = done[0] if done and done[0] > largest else largest
                 rows.append(done)
                 if last:
-                    visit(rows, spent + spend - left, big, mask != -1)
+                    weight = spent + spend - left
+                    census[weight][big][mask != -1] += 1
+                    if weight <= keep:
+                        found.append(tuple(rows))
                 else:
                     begin(budget - spend + left, big, mask)
                 rows.pop()
@@ -121,16 +133,14 @@ def _search(profile: Profile, max_weight: int, cap: int,
         del grow
 
     begin(max_weight, 0, 0)
+    return census, found
 
 
 def hits(profile: Profile, max_weight: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[_Rows]:
     """The rows of every cylindric partition with the given profile and
     weight <= max_weight, one tuple of part tuples per hit, in search order,
     in a fresh list.  ``cap`` guards runaway searches."""
-    found: list[_Rows] = []
-    _search(profile, max_weight, cap,
-            lambda rows, weight, largest, distinct: found.append(tuple(rows)))
-    return found
+    return _search(profile, max_weight, cap, max_weight)[1]
 
 
 def _partitions(profile: Profile, found: Iterable[_Rows]) -> list[CylindricPartition]:
@@ -159,23 +169,22 @@ def enumerate_by_weight(profile: Profile, max_weight: int,
     return _partitions(profile, sorted(hits(profile, max_weight, cap), key=_text_order()))
 
 
-_Census = tuple[tuple[int, int, bool, int], ...]
-
 # (profile, cap) -> (order, census) for the highest order searched, oldest
 # use first; at most _CENSUS_SLOTS entries.  Every stored census is
-# complete, and the lock makes each lookup or store one step.
+# complete and never changed, and the lock makes each lookup or store one
+# step.
 _CENSUS_SLOTS = 64
 _censuses: dict[tuple[Profile, int], tuple[int, _Census]] = {}
 _censuses_lock = threading.Lock()
 
 
 def _census(profile: Profile, order: int, cap: int) -> _Census:
-    """(weight, largest part, all parts distinct, count) for every class of
-    cylindric partitions with weight <= order, sorted.
+    """The census of :func:`_search` of the cylindric partitions with
+    weight <= order; the caller must not change it.
 
     A census of a higher order for the same profile and cap, kept from an
-    earlier call, is filtered by weight; otherwise one pass of the search
-    tallies it, and it is kept for later calls.
+    earlier call, is cut at weight ``order``; otherwise one pass of the
+    search makes it, and it is kept for later calls.
     """
     key = profile, cap
     with _censuses_lock:
@@ -183,43 +192,31 @@ def _census(profile: Profile, order: int, cap: int) -> _Census:
         if kept is not None:
             _censuses[key] = kept
     if kept is not None and kept[0] >= order:
-        top, census = kept
-        return census if top == order else tuple(c for c in census if c[0] <= order)
-    census = _search_census(profile, order, cap)
+        return kept[1][:max(order + 1, 0)]
+    census = _search(profile, order, cap, -1)[0]
+    _store(profile, order, cap, census)
+    return census
+
+
+def _store(profile: Profile, order: int, cap: int, census: _Census) -> None:
+    """Keep ``census``, made by a search to ``order``, for later counts,
+    unless one of a higher order is kept already."""
+    key = profile, cap
     with _censuses_lock:
         kept = _censuses.pop(key, None)
         _censuses[key] = kept if kept is not None and kept[0] > order else (order, census)
         if len(_censuses) > _CENSUS_SLOTS:
             del _censuses[next(iter(_censuses))]
-    return census
-
-
-def _search_census(profile: Profile, order: int, cap: int) -> _Census:
-    """The census of :func:`_census`, from one pass of the search."""
-    # tally[weight][largest][distinct]; no part exceeds the weight, and the
-    # search refuses an order above the cap before it visits anything.
-    size = min(order, cap) + 1
-    tally = [[[0, 0] for _ in range(size)] for _ in range(size)]
-
-    def visit(rows, weight, largest, distinct):
-        tally[weight][largest][distinct] += 1
-
-    _search(profile, order, cap, visit)
-    return tuple((weight, top, distinct, n)
-                 for weight, by_top in enumerate(tally)
-                 for top, pair in enumerate(by_top)
-                 for distinct, n in zip((False, True), pair) if n)
 
 
 def _count(profile: Profile, order: int, cap: int,
-           keep: Callable[[int, bool], bool]) -> TruncatedSeries:
-    """Census counts by weight, over the classes ``keep(largest, distinct)``
-    accepts."""
-    counts = [0] * (order + 1)
-    for weight, top, distinct, n in _census(profile, order, cap):
-        if keep(top, distinct):
-            counts[weight] += n
-    return TruncatedSeries.from_coeffs(ZZ, counts, order)
+           accept: Callable[[int, int], bool]) -> TruncatedSeries:
+    """Census counts by weight, over the classes ``accept(largest,
+    distinct)`` accepts."""
+    return TruncatedSeries.from_coeffs(ZZ, [
+        sum(n for top, pair in enumerate(by_top)
+            for distinct, n in enumerate(pair) if n and accept(top, distinct))
+        for by_top in _census(profile, order, cap)], order)
 
 
 def count_series(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
@@ -230,12 +227,8 @@ def count_series(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) ->
 def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
     """Counts refined by largest part, a series over Z[z]: the q^n
     coefficient collects z^{max}."""
-    buckets: list[dict[int, int]] = [dict() for _ in range(order + 1)]
-    for weight, top, _, n in _census(profile, order, cap):
-        buckets[weight][top] = buckets[weight].get(top, 0) + n
     return TruncatedSeries(ZZ_z, order, tuple(
-        QPoly(tuple(d.get(m, 0) for m in range(max(d, default=-1) + 1)))
-        for d in buckets))
+        QPoly(list(map(sum, by_top))) for by_top in _census(profile, order, cap)))
 
 
 def count_distinct_series(profile: Profile, order: int,

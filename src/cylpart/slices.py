@@ -18,8 +18,9 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .core import (CylindricPartition, CylpartError, Partition, Profile,
-                   RankMismatch, Shape, _Frozen, _conjugate, _delta, _trusted)
+from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
+                   Profile, RankMismatch, Shape, _Frozen, _conjugate, _delta,
+                   _trusted)
 
 _new_partition = _trusted(Partition)
 _new_shape = _trusted(Shape)
@@ -155,6 +156,8 @@ class SliceChain(_Frozen):
         entries = tuple(entries)
         prev = None
         for s, mult in entries:
+            if s.profile != profile:
+                raise InvalidInput(f"a slice on {s.profile} in a chain on {profile}")
             if mult < 1:
                 raise ChainNotDecreasing("multiplicities must be >= 1")
             if s.is_zero:
@@ -250,7 +253,7 @@ class ShrinkMode(enum.Enum):
     EXACT = "exact"
 
 
-def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
+def shrink(chain: SliceChain, mode: ShrinkMode
            ) -> tuple[list[Slice], Partition]:
     """Tighten a slice chain, returning (tight slices, side partition).
 
@@ -265,19 +268,12 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     |input| = |tight| + |side|.
 
     The chain is walked run by run, a run being a distinct slice with its
-    multiplicity (a plain slice list is read as runs of length 1).  Inside
-    a run every f_j is 0, so all its copies tighten to one shared slice;
-    only the run's last copy, at index j, can have f_j > 0.  One pass from
-    the smallest run up finds each gap, the shift and the tight slice
-    together.
+    multiplicity.  Inside a run every f_j is 0, so all its copies tighten
+    to one shared slice; only the run's last copy, at index j, can have
+    f_j > 0.  One pass from the smallest run up finds each gap, the shift
+    and the tight slice together.
     """
-    if isinstance(chain, SliceChain):
-        profile, runs = chain.profile, chain.entries
-    else:
-        runs = [(s, 1) for s in chain]
-        if not runs:
-            raise ChainNotStrict("an explicit slice list must be non-empty")
-        profile = runs[0][0].profile
+    profile, runs = chain.profile, chain.entries
     r = profile.rank
     smallest = runs[-1][0].lengths if runs else ()
     exact = mode is ShrinkMode.EXACT
@@ -294,14 +290,11 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
     side_parts: list[int] = []
     shift = 0
     j = sum(map(operator.itemgetter(1), runs))
-    failed = None   # the highest pair seen that does not nest
     sub = operator.sub
     for s, mult in reversed(runs):
         ln = s.lengths
         gap = min(map(sub, ln, below))
         if gap:
-            if gap < 0:
-                failed = ln, below
             shift += gap
             side_parts += [r * j] * gap
         if shift:
@@ -309,9 +302,6 @@ def shrink(chain: SliceChain | Sequence[Slice], mode: ShrinkMode
         tight += [s] * mult
         j -= mult
         below = ln
-    if failed is not None:
-        upper, lower = failed
-        raise ChainNotStrict(f"{upper} does not contain {lower}")
     tight.reverse()
     # Parts r*j are added with j decreasing.
     return tight, _new_partition(tuple(side_parts))

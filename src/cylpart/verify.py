@@ -4,7 +4,8 @@ The checks compare the oracle's counts with the infinite product, the
 path-count series, the bounded-part numerators and the two-variable
 series; run the pivot, slice and tight-packing round trips on partitions
 drawn from the oracle's hits; and add the functional equation and the two
-lineup identities.  Only ``verify-all`` imports this module.
+lineup identities.  One oracle search serves both the counts and the
+draws.  Only ``verify-all`` imports this module.
 
 Every call goes through the attribute of the module that defines it, so
 wrappers installed on those modules later (the benchmark's tracer) see it.
@@ -26,9 +27,12 @@ def verify_all_tasks(profile: Profile, order: int, seed: int) -> list[Callable[[
     ``seed`` draws the round trips' partitions."""
     rng = random.Random(seed)
     compare, refinement = series.compare, series.refinement
-    # The round trips draw from the oracle's hits, rows only, in search
-    # order; only the partitions drawn are built.
-    found = oracle.hits(profile, min(order, 10))
+    # One search to ``order`` makes the census every count below reads and
+    # keeps the rows of the hits to q^10, in search order, for the round
+    # trips to draw from; only the partitions drawn are built.
+    cap = oracle.DEFAULT_WEIGHT_CAP
+    census, found = oracle._search(profile, order, cap, min(order, 10))
+    oracle._store(profile, order, cap, census)
 
     def sample(items, k):
         drawn = items if len(items) <= k else rng.sample(items, k)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylpart import (LabeledDistinctPartition, Partition, Profile, Shape,
+from cylpart import (LabeledDistinctPartition, Partition, Profile, Shape, Slice,
                      decompose, enumerate_by_weight, pivot_decompose,
                      pivot_reconstruct, slice_shape,
-                     slice_with, tile, validate, validate_beta)
-from cylpart.bijection import InadmissibleBeta, chain_pivots
+                     slice_with, validate, validate_beta)
+from cylpart.bijection import InadmissibleBeta, _tiled_at, chain_pivots
 
 from conftest import all_profiles
 from references import validate_beta_rank2
@@ -17,14 +17,21 @@ from test_acceptance import run_lengths
 P111 = Profile.of(1, 1, 1)
 
 
+def tiled(profile, chain, window):
+    """Row lengths of the tiled path of a strictly decreasing ``chain`` at
+    every weight 0..window."""
+    return _tiled_at(profile.offsets(), [s.lengths for s in reversed(chain)],
+                     range(window + 1))
+
+
 def box_order_pivots(profile, chain_slices, window):
     """Definition-faithful pivot detection from the box placement order:
     a chain slice of weight w is a pivot when the box placed at step w+1
     sits strictly left of the box placed at step w."""
-    path = tile(profile, chain_slices, window)
+    path = tiled(profile, chain_slices, window)
     offsets = profile.offsets()
     cols = []
-    for prev, cur in zip(path.slices, path.slices[1:]):
+    for prev, cur in zip(path, path[1:]):
         row = next(i for i in range(profile.rank) if cur[i] != prev[i])
         cols.append(offsets[row] + cur[row])
     out = []
@@ -93,8 +100,7 @@ class TestWorkedExamples:
                  slice_with(P111, Shape.of(3, 2), 11),
                  slice_with(P111, Shape.of(3, 1), 10),
                  slice_with(P111, Shape.of(2, 2), 1)]
-        path = tile(P111, chain, 20)
-        assert [path.slice_at(w).lengths for w in range(1, 11)] == [
+        assert tiled(P111, chain, 20)[1:11] == [
             (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2),
             (1, 2, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (4, 3, 3)]
 
@@ -113,24 +119,26 @@ class TestTiling:
         cp = validate((Partition.of(5, 4), Partition.of(8, 2),
                        Partition.of(7, 5, 1)), P111)
         chain = decompose(cp).distinct()
-        path = tile(P111, chain, 12)
-        flagged = [path.slice_at(s.weight)
+        path = tiled(P111, chain, 12)
+        flagged = [Slice(P111, path[s.weight])
                    for s, flag in zip(chain, chain_pivots(P111, chain)) if flag]
         assert [(s.weight, slice_shape(s).parts) for s in flagged] == \
             [(5, (2, 0)), (1, (2, 2))]
 
     def test_one_slice_per_weight(self, small_profiles):
         for prof in small_profiles[::4]:
-            path = tile(prof, [], 12)
-            assert len(path.slices) == 13
-            tiled = [path.slice_at(w) for w in range(13)]
-            assert [s.weight for s in tiled] == list(range(13))
-            for a, b in zip(tiled, tiled[1:]):
+            path = [Slice(prof, lengths) for lengths in tiled(prof, [], 12)]
+            assert [s.weight for s in path] == list(range(13))
+            for a, b in zip(path, path[1:]):
                 assert b.contains(a)
 
     def test_window_too_small(self):
-        with pytest.raises(InadmissibleBeta):
-            tile(P111, [slice_with(P111, Shape.of(2, 1), 15)], 10)
+        # A window below the largest chain weight tiles only that far, so
+        # every slice of the path lies inside the chain's.
+        top = slice_with(P111, Shape.of(2, 1), 15)
+        path = [Slice(P111, lengths) for lengths in tiled(P111, [top], 10)]
+        assert [s.weight for s in path] == list(range(11))
+        assert all(top.contains(s) for s in path)
 
     def test_shorter_window_tiles_a_prefix(self, small_profiles):
         # pivot_reconstruct tiles only to the largest weight it reads
@@ -139,15 +147,15 @@ class TestTiling:
                       for cp in enumerate_by_weight(prof, 8)}
             for chain in chains:
                 top = chain[0].weight if chain else 0
-                full = tile(prof, chain, top + prof.rank * prof.level + 1).slices
-                for w in range(top, len(full)):
-                    assert tile(prof, chain, w).slices == full[:w + 1]
+                full = tiled(prof, chain, top + prof.rank * prof.level + 1)
+                for w in range(len(full)):
+                    assert tiled(prof, chain, w) == full[:w + 1]
 
     def test_box_order_agrees_with_column_rule(self):
         # dual route: space-comparison flags vs actual placement order
         for prof in [P111, Profile.of(2, 1), Profile.of(0, 2, 0), Profile.of(1, 2, 0)]:
             for cp in enumerate_by_weight(prof, 8):
-                if cp.is_empty:
+                if cp.max_part == 0:
                     continue
                 chain = decompose(cp).distinct()
                 window = chain[0].weight + prof.rank * prof.level + 1

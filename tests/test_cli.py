@@ -309,19 +309,23 @@ class TestVerificationCommands:
         two = run_cli(capsys, *argv, "--jobs", "2")
         assert one[0] == 0 and one == two
 
-    def test_verify_all_searches_twice(self, capsys, monkeypatch):
-        """One search draws the round trips' hits to q^10 and one takes the
-        census to q^18; pivot-genfunc's census to q^10 is filtered from
-        the kept one."""
+    def test_benchmark_oracle_jobs_search_once(self, capsys, monkeypatch):
+        """Each benchmark job that runs the oracle searches once, to its
+        order: verify-all's counts and its round trips' draws come from one
+        pass, and a count of a lower order is cut from its census."""
+        jobs = [argv for argv in benchmark_jobs()
+                if argv[0] in ("verify-all", "count", "qconj-check")]
+        assert [argv[0] for argv in jobs] == ["verify-all"] * 6 + ["count", "qconj-check"]
         searched = []
         search = oracle._search
-        monkeypatch.setattr(oracle, "_censuses", {})
-        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, visit: (
-            searched.append(weight), search(profile, weight, cap, visit))[1])
-        code, payload = run_json(capsys, "verify-all", "--profile", "2,1",
-                                 "--order", "18", "--seed", "1")
-        assert code == 0 and payload["ok"]
-        assert searched == [10, 18]
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, keep: (
+            searched.append(weight), search(profile, weight, cap, keep))[1])
+        for argv in jobs:
+            searched.clear()
+            monkeypatch.setattr(oracle, "_censuses", {})
+            code, payload = run_json(capsys, *argv)
+            assert code == 0 and payload.get("ok", True), argv
+            assert searched == [int(argv[argv.index("--order") + 1])], argv
 
     def test_round_trip_samples_do_not_depend_on_check_order(self, monkeypatch):
         # Record the partitions each round-trip check decomposes, running the
@@ -369,7 +373,7 @@ class TestVerificationCommands:
             rows = tuple(row.parts for row in cp.rows)
             assert rows in hits
             assert cp == validate(tuple(map(Partition, rows)), profile), rows
-        assert not any(cp.is_empty for cp in drawn[2])
+        assert all(cp.max_part for cp in drawn[2])
 
 
 class TestUsageErrors:

@@ -66,7 +66,7 @@ class TestValidate:
     def test_empty_is_valid_for_any_profile(self):
         for prof in all_profiles(3, 3):
             cp = empty_partition(prof)
-            assert cp.weight == 0 and cp.max_part == 0 and cp.is_empty
+            assert cp.weight == 0 and cp.max_part == 0
 
     def test_short_rows_leave_inequalities_vacuous(self):
         # Both shifted comparisons run off the ends of these rows.

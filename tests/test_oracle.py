@@ -27,7 +27,7 @@ class TestEnumeration:
     def test_weight_zero(self):
         for prof in [Profile.of(2, 1), Profile.of(1, 2, 0)]:
             found = enumerate_by_weight(prof, 0)
-            assert len(found) == 1 and found[0].is_empty
+            assert len(found) == 1 and found[0].max_part == 0
 
     def test_duplicate_free_and_sorted(self):
         found = enumerate_by_weight(Profile.of(1, 1, 1), 8)
@@ -189,7 +189,7 @@ class TestKeptCensus:
     def test_filtered_census_equals_a_fresh_search(self, monkeypatch):
         cap = oracle.DEFAULT_WEIGHT_CAP
         monkeypatch.setattr(oracle, "_censuses", {})
-        fresh = {(prof, order): oracle._search_census(prof, order, cap)
+        fresh = {(prof, order): oracle._search(prof, order, cap, -1)[0]
                  for prof in all_profiles(3, 3) for order in range(13)}
         for prof in all_profiles(3, 3):
             oracle._census(prof, 12, cap)
@@ -204,8 +204,8 @@ class TestKeptCensus:
         monkeypatch.setattr(oracle, "_censuses", {})
         searched = []
         search = oracle._search
-        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, visit: (
-            searched.append(weight), search(profile, weight, cap, visit))[1])
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, keep: (
+            searched.append(weight), search(profile, weight, cap, keep))[1])
         prof = Profile.of(2, 1)
         for order in (6, 4, 9, 6, 9, 2):
             assert count_series(prof, order).coeffs == borodin_product(prof, order).coeffs
@@ -338,13 +338,19 @@ def _reference_hits(profile, max_weight, cap):
     yield from place([], max_weight)
 
 
+def _recount(found, order):
+    """The census of the hits ``found`` to weight ``order``, from a recount
+    of each hit's parts: [weight][largest part][all parts distinct]."""
+    census = [[[0, 0] for _ in range(weight + 1)] for weight in range(order + 1)]
+    for rows in found:
+        parts = [p for row in rows for p in row]
+        census[sum(parts)][max(parts, default=0)][len(set(parts)) == len(parts)] += 1
+    return census
+
+
 def _reference_census(profile, order, cap):
     """The former census: a recount of every hit's parts."""
-    tally = Counter()
-    for rows in _reference_hits(profile, order, cap):
-        parts = [p for row in rows for p in row]
-        tally[sum(parts), max(parts, default=0), len(set(parts)) == len(parts)] += 1
-    return tuple(key + (n,) for key, n in sorted(tally.items()))
+    return _recount(_reference_hits(profile, order, cap), order)
 
 
 def _reference_texts(profile, max_weight):
@@ -360,18 +366,25 @@ class TestSearch:
     def test_every_hit_is_valid_and_carries_its_own_tallies(self):
         weight = 10
         for prof in all_profiles(3, 3) + all_profiles(4, 2):
-            hits = []
-
-            def visit(rows, total, largest, distinct):
+            census, hits = oracle._search(prof, weight, oracle.DEFAULT_WEIGHT_CAP,
+                                          weight)
+            for rows in hits:
                 assert check_rows(rows, prof) is None
-                parts = [p for row in rows for p in row]
-                assert (total, largest, distinct) == (
-                    sum(parts), max(parts, default=0),
-                    len(set(parts)) == len(parts)), (prof, rows)
-                hits.append(tuple(rows))
-
-            oracle._search(prof, weight, oracle.DEFAULT_WEIGHT_CAP, visit)
             assert hits and len(set(hits)) == len(hits), prof
+            assert census == _recount(hits, weight), prof
+
+    @pytest.mark.parametrize("order", range(11))
+    def test_one_pass_keeps_the_light_hits_and_counts_them_all(self, order):
+        """The rows kept up to ``keep`` are the former search's hits of that
+        weight, in its order, and the census is a recount of all of them."""
+        cap = oracle.DEFAULT_WEIGHT_CAP
+        for prof in all_profiles(3, 3):
+            reference = list(_reference_hits(prof, order, cap))
+            for keep in (-1, 0, order // 2, order):
+                census, kept = oracle._search(prof, order, cap, keep)
+                assert kept == [rows for rows in reference
+                                if sum(map(sum, rows)) <= keep], (prof, keep)
+                assert census == _recount(reference, order), (prof, keep)
 
     def test_matches_the_former_search(self):
         cap = oracle.DEFAULT_WEIGHT_CAP
@@ -384,18 +397,12 @@ class TestSearch:
 
     def test_negative_bound_gives_no_hits(self):
         for prof in [Profile.of(2, 1), Profile.of(1, 1, 1), Profile.of(3)]:
-            hits = []
-            oracle._search(prof, -1, oracle.DEFAULT_WEIGHT_CAP,
-                           lambda *hit: hits.append(hit))
-            assert hits == []
+            assert oracle._search(prof, -1, oracle.DEFAULT_WEIGHT_CAP, 5) == ([], [])
             assert enumerate_by_weight(prof, -1) == []
-            assert oracle._census(prof, -1, oracle.DEFAULT_WEIGHT_CAP) == ()
+            assert oracle._census(prof, -1, oracle.DEFAULT_WEIGHT_CAP) == []
             assert list(_reference_hits(prof, -1, oracle.DEFAULT_WEIGHT_CAP)) == []
 
     def test_bound_above_cap_raises_before_searching(self):
-        def no_visit(*hit):
-            raise AssertionError("visited a hit past the cap")
-
         # The search's own steps, a row started or a part placed, seen as
         # calls of its nested functions.
         entered = []
@@ -410,11 +417,11 @@ class TestSearch:
         previous = sys.getprofile()
         sys.setprofile(calls)
         try:
-            oracle._search(prof, 1, 5, lambda *hit: None)
+            oracle._search(prof, 1, 5, 1)
             assert {"begin", "grow"} <= set(entered)   # the probe sees a search
             entered.clear()
             with pytest.raises(ValueError, match="exceeds the cap 5"):
-                oracle._search(prof, 6, 5, no_visit)
+                oracle._search(prof, 6, 5, 6)
             with pytest.raises(ValueError, match="exceeds the cap"):
                 enumerate_by_weight(prof, oracle.DEFAULT_WEIGHT_CAP + 1)
             with pytest.raises(ValueError, match="exceeds the cap 5"):

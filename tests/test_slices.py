@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,7 +242,8 @@ class TestShrinkExpand:
     def test_fixed_point(self):
         tight, side = shrink(decompose(self.CP), ShrinkMode.AT_MOST)
         nonzero = [t for t in tight if not t.is_zero]
-        tight2, side2 = shrink(nonzero, ShrinkMode.AT_MOST)
+        runs = tuple((t, len(list(copies))) for t, copies in itertools.groupby(nonzero))
+        tight2, side2 = shrink(SliceChain(P111, runs), ShrinkMode.AT_MOST)
         assert len(side2) == 0
         assert [t.lengths for t in tight2] == [t.lengths for t in nonzero]
 
@@ -264,8 +267,8 @@ class TestShrinkExpand:
             expand(tight, Partition.of(12), ShrinkMode.EXACT)
 
     def test_exact_needs_nonzero_smallest(self):
-        with pytest.raises(ChainNotStrict):
-            shrink([zero_slice(P111)], ShrinkMode.EXACT)
+        with pytest.raises(ChainNotStrict, match="EXACT mode needs a nonzero smallest slice"):
+            shrink(SliceChain(P111, ()), ShrinkMode.EXACT)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -273,7 +276,7 @@ class TestShrinkExpand:
         prof = data.draw(st.sampled_from(all_profiles(3, 3)))
         pool = enumerate_by_weight(prof, 10)
         cp = data.draw(st.sampled_from(pool))
-        if cp.is_empty:
+        if cp.max_part == 0:
             return
         chain = decompose(cp)
         mode = data.draw(st.sampled_from(list(ShrinkMode)))

@@ -14,19 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylpart
-from cylpart import (CylindricPartition, LabeledDistinctPartition, Partition,
-                     Profile, RowCountMismatch, Shape, ShrinkMode, Slice,
-                     SliceChain, TiledPath, ViolatedInequality, all_shapes,
+from cylpart import (CylindricPartition, InvalidInput, LabeledDistinctPartition,
+                     Partition, Profile, RowCountMismatch, Shape, ShrinkMode, Slice,
+                     SliceChain, ViolatedInequality, all_shapes,
                      decompose, expand, parse_cylindric,
                      pivot_decompose, pivot_reconstruct, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
-                     successors, tile, validate, validate_beta, zero_slice)
-from cylpart.bijection import InadmissibleBeta, chain_pivots
+                     successors, validate, validate_beta, zero_slice)
+from cylpart.bijection import InadmissibleBeta, _tiled_at, chain_pivots
 from cylpart.core import FrozenInstanceError, _Frozen, _space_columns, _trusted
 from cylpart.cli import main
 from cylpart.oracle import hits
-from cylpart.slices import (ChainNotDecreasing, ChainNotStrict, NotMultipleOfRank,
-                            PartTooLarge, _chain_runs)
+from cylpart.slices import ChainNotDecreasing, NotMultipleOfRank, PartTooLarge, _chain_runs
 
 from conftest import all_profiles
 from references import QuadraticField, classify, pivot_flag
@@ -51,15 +50,16 @@ class TestTrustedValuesAreValid:
                 mu, beta = pivot_decompose(cp)
                 assert mu == Partition(mu.parts)
                 assert beta == LabeledDistinctPartition(beta.entries)
-                if cp.is_empty:
+                if cp.max_part == 0:
                     continue
                 for mode in ShrinkMode:
                     tight, side = shrink(chain, mode)
                     assert side == Partition(side.parts)
                     built.update(tight, expand(tight, side, mode))
                 window = chain.distinct()[0].weight + prof.rank
-                path = tile(prof, chain.distinct(), window)
-                built.update(path.slice_at(w) for w in range(window + 1))
+                # The constructor checks every slice the path tiles.
+                built.update(Slice(prof, lengths)
+                             for lengths in tiled(prof, chain.distinct(), window))
             for s in built:
                 assert s == Slice(s.profile, s.lengths)
                 shape = slice_shape(s)
@@ -154,8 +154,8 @@ class TestLinearShrinkExpand:
     def test_matches_quadratic_reference(self, chain, mode, data):
         slices = list(chain.expanded())
         tight, side = shrink(chain, mode)
-        # A plain slice list is read as runs of length 1.
-        assert (tight, side) == shrink(slices, mode)
+        # The chain decompose builds without checks tightens the same.
+        assert (tight, side) == shrink(decompose(recompose(chain)), mode)
         ref_tight, ref_side = shrink_reference(slices, mode)
         assert [t.lengths for t in tight] == ref_tight
         assert side == ref_side
@@ -201,8 +201,9 @@ class TestLinearShrinkExpand:
 
     def test_first_failing_pair_from_the_top_is_named(self):
         a, b, c = (Slice(P111, ln) for ln in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
-        with pytest.raises(ChainNotStrict, match=r"\(1, 1, 0\) does not"):
-            shrink([a, b, c], ShrinkMode.AT_MOST)
+        with pytest.raises(ChainNotDecreasing,
+                           match=r"\(1, 1, 0\) does not strictly contain \(1, 0, 1\)"):
+            SliceChain(P111, ((a, 1), (b, 1), (c, 1)))
 
 
 def chain_pivots_reference(profile, chain):
@@ -211,6 +212,13 @@ def chain_pivots_reference(profile, chain):
     ends = [s.right_ends() for s in chain] + [profile.offsets()]
     return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
             for j in range(len(ends) - 1)]
+
+
+def tiled(profile, chain, window):
+    """Row lengths of the tiled path of ``chain``, in any order, at every
+    weight 0..window, through the library's ``_tiled_at``."""
+    lengths = [s.lengths for s in sorted(chain, key=lambda s: s.weight)]
+    return tuple(_tiled_at(profile.offsets(), lengths, range(window + 1)))
 
 
 def tile_reference(profile, chain, window):
@@ -382,18 +390,12 @@ class TestPivotReference:
         chain = decompose(cp).distinct()
         assert chain_pivots(prof, chain) == chain_pivots_reference(prof, chain)
         widest = max([*mu.parts, *(w for w, _ in beta.entries), 0]) + prof.rank
-        for tiled in (chain, resolve_beta_reference(beta, prof)):
-            # The reference records one box at a time and stops at the
-            # window, so its path at a smaller window is a prefix of this
-            # one; below the largest chain weight it raises.
-            path = tile_reference(prof, tiled, widest)
-            low = max([s.weight for s in tiled], default=0)
-            for window in range(-1, widest + 1):
-                got = outcome(lambda: tile(prof, tiled, window).slices)
-                if window < low:
-                    assert got == outcome(tile_reference, prof, tiled, window)
-                else:
-                    assert got == path[:max(window, 0) + 1], window
+        for slices in (chain, resolve_beta_reference(beta, prof)):
+            # The reference records one box at a time, so the path at any
+            # window, below the largest chain weight too, is a prefix of it.
+            path = tile_reference(prof, slices, widest)
+            for window in range(widest + 1):
+                assert tiled(prof, slices, window) == path[:window + 1], window
 
     def test_matches_reference_over_enumeration(self, small_enumerations):
         """Every partition of weight <= 12 on the small profiles gives the
@@ -407,8 +409,8 @@ class TestPivotReference:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_tile_of_any_slice_list(self, data):
-        """``tile`` does not check its chain; slices that do not nest tile
-        as they did before."""
+        """Tiling does not check its chain; slices that do not nest tile
+        as the reference tiles them."""
         prof = random_profile(data.draw, data.draw(st.integers(2, 4)),
                               data.draw(st.integers(1, 4)))
         listed = []
@@ -417,9 +419,10 @@ class TestPivotReference:
             for _ in range(steps):
                 current = data.draw(st.sampled_from(successors(current)))
             listed.append(current)
-        window = data.draw(st.integers(-1, 30))
-        assert outcome(lambda: tile(prof, listed, window).slices) == \
-            outcome(tile_reference, prof, listed, window)
+        window = data.draw(st.integers(0, 30))
+        top = max([s.weight for s in listed], default=0)
+        assert tiled(prof, listed, window) == \
+            tile_reference(prof, listed, max(window, top))[:window + 1]
 
     def test_mu_and_beta_cases_random_draws_miss(self, small_enumerations):
         """Parts of mu equal to beta's weights, repeated, above the largest
@@ -490,15 +493,16 @@ class TestPublicConstructorsValidate:
         small, large = Slice(P111, (1, 1, 1)), Slice(P111, (2, 2, 2))
         with pytest.raises(ChainNotDecreasing):
             SliceChain(P111, ((small, 1), (large, 1)))
+        # A slice of another profile names both profiles.
+        with pytest.raises(InvalidInput, match=r"c=\(2,1,0\) in a chain on c=\(1,1,1\)"):
+            SliceChain(P111, ((Slice(Profile.of(2, 1, 0), (1, 1, 1)), 1),))
 
     def test_tiled_path(self):
-        with pytest.raises(ValueError):
-            TiledPath(P111, ((5, 0, 0),))
-        with pytest.raises(ValueError):   # valid slice, wrong weight
-            TiledPath(P111, ((0, 0, 0), (1, 1, 0)))
+        # The constructor accepts every slice of the tiled path, one of
+        # each weight.
         chain = decompose(parse_cylindric("3,1|2|2", P111)).distinct()
-        path = tile(P111, chain, 12)
-        assert path == TiledPath(P111, path.slices)
+        assert [Slice(P111, lengths).weight for lengths in tiled(P111, chain, 12)] \
+            == list(range(13))
 
     def test_cli_decompose_of_invalid_partition(self, capsys):
         assert main(["decompose", "--profile", "1,1,1", "1,2|1|1"]) == 2
@@ -514,7 +518,6 @@ def _library_and_constructor_built():
     value that constructor rejects, the error it raises)."""
     chain = decompose(CP)
     mu, beta = pivot_decompose(CP)
-    path = tile(P111, chain.distinct(), 20)
     lengths = chain.distinct()[0].lengths
     return {
         "Partition": (mu, Partition(mu.parts), {"parts": (1, 2)}, ValueError),
@@ -527,8 +530,6 @@ def _library_and_constructor_built():
                   {"lengths": (3, 0, 0)}, ValueError),
         "SliceChain": (chain, SliceChain(P111, chain.entries),
                        {"entries": chain.entries[::-1]}, ChainNotDecreasing),
-        "TiledPath": (path, TiledPath(P111, path.slices),
-                      {"slices": ((5, 0, 0),)}, ValueError),
         "LabeledDistinctPartition": (
             beta, LabeledDistinctPartition(beta.entries),
             {"entries": beta.entries[::-1]}, ValueError),
@@ -583,7 +584,6 @@ def _every_value_class():
     chain = decompose(CP)
     mu, beta = pivot_decompose(CP)
     values = [mu, shape_of_zero(P111), CP, P111, chain.distinct()[0], chain, beta,
-              tile(P111, chain.distinct(), 12),
               series.TruncatedSeries.one(rings.ZZ, 4),
               QuadraticField(5).sqrt(),
               build_graph(2, 2, Profile.of(1, 1)), path_counts(P111, 4),
@@ -664,7 +664,7 @@ class TestValueClasses:
     def test_every_class_is_covered_and_slotted(self):
         values = _every_value_class()
         assert set(values) == set(_Frozen.__subclasses__())
-        assert len(values) == 14
+        assert len(values) == 13
         for cls, value in values.items():
             assert "__slots__" in vars(cls) and not hasattr(value, "__dict__"), cls
             assert set(cls._fields) <= set(cls.__slots__), cls
@@ -791,7 +791,8 @@ class TestModuleBoundaries:
                 cls = getattr(importlib.import_module(f"cylpart.{module}"),
                               node.args[0].id)
                 assert isinstance(cls, type) and "__slots__" in vars(cls), where
-        assert len(builders) >= 7
+        assert builders == {"_new_chain", "_new_cylindric", "_new_labeled",
+                            "_new_partition", "_new_shape", "_new_slice"}
         for module, tree in trees.items():
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
