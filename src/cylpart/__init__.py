@@ -35,7 +35,7 @@ _PUBLIC = {
     "oracle": ("count_bivariate", "count_distinct_series", "count_series",
                "enumerate_by_weight"),
     "slices": ("Slice", "SliceChain", "ShrinkMode", "decompose", "expand",
-               "recompose", "shrink", "slice_shape", "slice_with", "successors",
+               "recompose", "shrink", "slice_shape", "slice_with",
                "zero_slice"),
     "bijection": ("LabeledDistinctPartition", "pivot_decompose",
                   "pivot_reconstruct", "validate_beta"),

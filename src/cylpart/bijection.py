@@ -26,12 +26,9 @@ from typing import Iterable, Sequence
 
 from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
                    Profile, RankMismatch, Shape, _delta, _Frozen, _int,
-                   _int_fields, _space_columns, _trusted, _unwrap)
+                   _int_fields, _new_cylindric, _new_partition, _new_shape,
+                   _space_columns, _trusted, _unwrap)
 from .slices import Slice, _chain_runs, _summed_rows
-
-_new_partition = _trusted(Partition)
-_new_shape = _trusted(Shape)
-_new_cylindric = _trusted(CylindricPartition)
 
 
 class InadmissibleBeta(CylpartError):
@@ -101,14 +98,21 @@ def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
 
 def _tiled_at(offsets: tuple[int, ...], chain: Sequence[tuple[int, ...]],
               weights: Iterable[int]) -> list[tuple[int, ...]]:
-    """Row lengths of the tiled path's slice at each of the ascending
-    ``weights``, tiling only as far as the largest of them.
+    """Row lengths of the tiled path's slice at each of the strictly
+    ascending, non-negative ``weights``, tiling only as far as the largest
+    of them; any other order raises ``ValueError``.
 
     ``chain`` gives the chain's row lengths, smallest slice first.  A space
     that holds none of the weights is stepped over whole, since filling it
     leaves every row as long as the larger of the two slices.
     """
     r = len(offsets)
+    weights = list(weights)
+    # The path passes every weight once, so it would never meet a weight
+    # not above the one before it, or a negative first one.
+    for low, high in zip([-1, *weights], weights):
+        if high <= low:
+            raise ValueError(f"tiled weight {high} is not above {low}")
     wanted = iter(weights)
     want = next(wanted, None)
     out = []

@@ -122,7 +122,8 @@ def _trusted(cls):
     the values of ``cls._fields`` in order and returns an instance built
     without running ``__init__``, its ``_derived`` slot filled too.
 
-    Make each builder once, at module level.  Only for values the package
+    Make each builder once, at module level, in the module that defines
+    ``cls``; other modules import it from there.  Only for values the package
     builds valid by construction, with every field already of its final
     type (tuples, not lists); public constructors always validate.  A
     class has one or two fields, and a two-field class at most one
@@ -452,9 +453,8 @@ class CylindricPartition(_Frozen):
         # Adding two sets of cylindric inequalities gives the sum's.
         return _new_cylindric(self.profile, tuple(rows))
 
-    def to_text(self, with_profile: bool = True) -> str:
-        body = "|".join(map(str, self.rows))
-        return f"{self.profile} {body}" if with_profile else body
+    def to_text(self) -> str:
+        return f"{self.profile} {'|'.join(map(str, self.rows))}"
 
     def to_json(self) -> dict:
         return {

@@ -9,12 +9,13 @@ no hit is checked again here; the tests run :func:`core.check_rows` on the
 hits instead.  One pass of the search tallies every hit by its weight,
 largest part and whether all its parts are distinct, all worked out on the
 way down, and keeps the rows of the hits up to a second weight bound.  All
-counts read one census per (profile, cap), kept at the highest order
-searched, so a count of a lower order cuts it at its weight; ``verify-all``
+counts read one census per profile, kept at the highest order searched,
+so a count of a lower order cuts it at its weight; ``verify-all``
 makes that census and draws its round trips from the same pass, so each of
 its jobs searches once.  :func:`hits` lists the rows of every hit in search
 order, and only :func:`enumerate_by_weight` and the callers that draw from
-those rows turn hits into :class:`CylindricPartition` values.
+those rows turn hits into :class:`CylindricPartition` values.  No search
+goes past :data:`WEIGHT_LIMIT`.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ import threading
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .core import CylindricPartition, InvalidInput, Partition, Profile, _trusted
+from .core import CylindricPartition, InvalidInput, Profile, _new_cylindric, _new_partition
 from .qpoly import QPoly
 from .series import TruncatedSeries
 from .rings import ZZ, ZZ_z
 
-_new_partition = _trusted(Partition)
-_new_cylindric = _trusted(CylindricPartition)
-
-DEFAULT_WEIGHT_CAP = 30
+# The highest weight bound any search takes; a higher one raises before
+# the search starts.
+WEIGHT_LIMIT = 30
 
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -41,7 +41,7 @@ _Rows = tuple[tuple[int, ...], ...]
 _Census = list[list[list[int]]]
 
 
-def _search(profile: Profile, max_weight: int, cap: int,
+def _search(profile: Profile, max_weight: int,
             keep: int) -> tuple[_Census, list[_Rows]]:
     """One pass over every cylindric partition with the given profile and
     weight <= max_weight: the census of them all, and the rows of those of
@@ -61,14 +61,14 @@ def _search(profile: Profile, max_weight: int, cap: int,
     The census has one entry per weight 0..max_weight; a hit's largest part
     and whether all its parts across rows differ are worked out on the way
     down, distinctness as a bit mask of the parts placed, -1 from the first
-    repeat on.  Exhaustive and duplicate-free.  ``cap`` guards runaway
-    searches; the guard fires before the search.
+    repeat on.  Exhaustive and duplicate-free.  A ``max_weight`` above
+    :data:`WEIGHT_LIMIT` raises :class:`InvalidInput` before the search.
     """
     if max_weight < 0:
         return [], []
-    if max_weight > cap:
-        raise InvalidInput(f"weight bound {max_weight} exceeds the cap {cap}; "
-                         f"raise `cap` explicitly if this is intended")
+    if max_weight > WEIGHT_LIMIT:
+        raise InvalidInput(f"weight bound {max_weight} exceeds the oracle's "
+                           f"limit of {WEIGHT_LIMIT}")
     r = profile.rank
     c = profile.parts
     # No part exceeds the weight, so the census of a lower bound is a prefix.
@@ -136,11 +136,11 @@ def _search(profile: Profile, max_weight: int, cap: int,
     return census, found
 
 
-def hits(profile: Profile, max_weight: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[_Rows]:
+def hits(profile: Profile, max_weight: int) -> list[_Rows]:
     """The rows of every cylindric partition with the given profile and
     weight <= max_weight, one tuple of part tuples per hit, in search order,
-    in a fresh list.  ``cap`` guards runaway searches."""
-    return _search(profile, max_weight, cap, max_weight)[1]
+    in a fresh list."""
+    return _search(profile, max_weight, max_weight)[1]
 
 
 def _partitions(profile: Profile, found: Iterable[_Rows]) -> list[CylindricPartition]:
@@ -158,92 +158,71 @@ def _text_order() -> Callable[[_Rows], tuple[int, str]]:
     return lambda rows: (sum(map(sum, rows)), "|".join(map(row_text, rows)))
 
 
-def enumerate_by_weight(profile: Profile, max_weight: int,
-                        cap: int = DEFAULT_WEIGHT_CAP) -> list[CylindricPartition]:
+def enumerate_by_weight(profile: Profile, max_weight: int) -> list[CylindricPartition]:
     """Every cylindric partition with the given profile and weight <= max_weight.
 
     Exhaustive and duplicate-free; results come back sorted by (weight,
-    canonical text form) in a fresh list.  ``cap`` guards runaway searches.
-    The search's bounds make every hit valid, so none is re-validated.
+    canonical text form) in a fresh list.  The search's bounds make every
+    hit valid, so none is re-validated.
     """
-    return _partitions(profile, sorted(hits(profile, max_weight, cap), key=_text_order()))
+    return _partitions(profile, sorted(hits(profile, max_weight), key=_text_order()))
 
 
-# (profile, cap) -> (order, census) for the highest order searched, oldest
+# profile -> (order, census) for the highest order searched, oldest
 # use first; at most _CENSUS_SLOTS entries.  Every stored census is
 # complete and never changed, and the lock makes each lookup or store one
 # step.
 _CENSUS_SLOTS = 64
-_censuses: dict[tuple[Profile, int], tuple[int, _Census]] = {}
+_censuses: dict[Profile, tuple[int, _Census]] = {}
 _censuses_lock = threading.Lock()
 
 
-def _census(profile: Profile, order: int, cap: int) -> _Census:
+def _census(profile: Profile, order: int) -> _Census:
     """The census of :func:`_search` of the cylindric partitions with
     weight <= order; the caller must not change it.
 
-    A census of a higher order for the same profile and cap, kept from an
-    earlier call, is cut at weight ``order``; otherwise one pass of the
-    search makes it, and it is kept for later calls.
+    A census of a higher order for the same profile, kept from an earlier
+    call, is cut at weight ``order``; otherwise one pass of the search
+    makes it, and it is kept for later calls.
     """
-    key = profile, cap
     with _censuses_lock:
-        kept = _censuses.pop(key, None)
+        kept = _censuses.pop(profile, None)
         if kept is not None:
-            _censuses[key] = kept
+            _censuses[profile] = kept
     if kept is not None and kept[0] >= order:
         return kept[1][:max(order + 1, 0)]
-    census = _search(profile, order, cap, -1)[0]
-    _store(profile, order, cap, census)
+    census = _search(profile, order, -1)[0]
+    _store(profile, order, census)
     return census
 
 
-def _store(profile: Profile, order: int, cap: int, census: _Census) -> None:
+def _store(profile: Profile, order: int, census: _Census) -> None:
     """Keep ``census``, made by a search to ``order``, for later counts,
     unless one of a higher order is kept already."""
-    key = profile, cap
     with _censuses_lock:
-        kept = _censuses.pop(key, None)
-        _censuses[key] = kept if kept is not None and kept[0] > order else (order, census)
+        kept = _censuses.pop(profile, None)
+        _censuses[profile] = kept if kept is not None and kept[0] > order else (order, census)
         if len(_censuses) > _CENSUS_SLOTS:
             del _censuses[next(iter(_censuses))]
 
 
-def _count(profile: Profile, order: int, cap: int,
-           accept: Callable[[int, int], bool]) -> TruncatedSeries:
-    """Census counts by weight, over the classes ``accept(largest,
-    distinct)`` accepts."""
-    return TruncatedSeries.from_coeffs(ZZ, [
-        sum(n for top, pair in enumerate(by_top)
-            for distinct, n in enumerate(pair) if n and accept(top, distinct))
-        for by_top in _census(profile, order, cap)], order)
-
-
-def count_series(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
+def count_series(profile: Profile, order: int) -> TruncatedSeries:
     """Number of cylindric partitions by weight, as a truncated series."""
-    return _count(profile, order, cap, lambda top, distinct: True)
+    return TruncatedSeries.from_coeffs(ZZ, [
+        sum(map(sum, by_top)) for by_top in _census(profile, order)], order)
 
 
-def count_bivariate(profile: Profile, order: int, cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
+def count_bivariate(profile: Profile, order: int) -> TruncatedSeries:
     """Counts refined by largest part, a series over Z[z]: the q^n
-    coefficient collects z^{max}."""
+    coefficient collects z^{max}.  Its z^m column counts the partitions
+    with largest part m, and the sum of its columns up to z^m those with
+    largest part at most m."""
     return TruncatedSeries(ZZ_z, order, tuple(
-        QPoly(list(map(sum, by_top))) for by_top in _census(profile, order, cap)))
+        QPoly(list(map(sum, by_top))) for by_top in _census(profile, order)))
 
 
-def count_distinct_series(profile: Profile, order: int,
-                          cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
+def count_distinct_series(profile: Profile, order: int) -> TruncatedSeries:
     """Counts of cylindric partitions with all parts distinct across rows."""
-    return _count(profile, order, cap, lambda top, distinct: distinct)
-
-
-def count_max_at_most(profile: Profile, bound: int, order: int,
-                      cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
-    """Counts of cylindric partitions with largest part <= bound."""
-    return _count(profile, order, cap, lambda top, distinct: top <= bound)
-
-
-def count_max_exactly(profile: Profile, bound: int, order: int,
-                      cap: int = DEFAULT_WEIGHT_CAP) -> TruncatedSeries:
-    """Counts of cylindric partitions with largest part exactly ``bound``."""
-    return _count(profile, order, cap, lambda top, distinct: top == bound)
+    return TruncatedSeries.from_coeffs(ZZ, [
+        sum(distinct for _, distinct in by_top) for by_top in _census(profile, order)],
+        order)

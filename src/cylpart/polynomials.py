@@ -23,7 +23,8 @@ import threading
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .core import Profile, Shape, _delta, all_shapes, shape_of_zero, shape_to_profile
+from .core import (InvalidInput, Profile, Shape, _delta, all_shapes, shape_of_zero,
+                   shape_to_profile)
 from .qpoly import QPoly, geometric_sum, q_binomial
 
 if TYPE_CHECKING:
@@ -117,7 +118,7 @@ class PolynomialFamily:
         """Numerator of the count of cylindric partitions with parts <= n,
         truncated at q^order (``None``: full degree)."""
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise InvalidInput("n must be non-negative")
         width, layers = self._layers(self._parts_at_most, self._delta, n, n, order)
         return _unpack(layers[n][self._index[c]], width)
 
@@ -126,7 +127,7 @@ class PolynomialFamily:
         full extra column, q^{n*rank}, instead of q^0.  Truncated at q^order
         (``None``: full degree)."""
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise InvalidInput("n must be non-negative")
         if n == 0:
             return QPoly.one()
         i = self._index[c]
@@ -143,7 +144,7 @@ class PolynomialFamily:
         outside that set is handled by one extra application of the step.
         """
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise InvalidInput("n must be non-negative")
         if n == 0:
             return QPoly.one()
         i = self._pivot_index.get(c)
@@ -164,7 +165,7 @@ class PolynomialFamily:
         (-1)^m q^{m(m+1)/2}, times the largest-part-exactly-k numerator.
         """
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise InvalidInput("n must be non-negative")
         total = QPoly()
         r = self.rank
         for k in range(n + 1):

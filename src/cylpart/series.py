@@ -119,9 +119,6 @@ class TruncatedSeries(_Frozen):
             s = s.mul_inv_one_minus(step * j)
         return s
 
-    def into_ring(self, ring: Ring) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(ring, list(self.coeffs), self.order)
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -20,11 +20,7 @@ from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
                    Profile, RankMismatch, Shape, _Frozen, _conjugate, _delta,
-                   _trusted)
-
-_new_partition = _trusted(Partition)
-_new_shape = _trusted(Shape)
-_new_cylindric = _trusted(CylindricPartition)
+                   _new_cylindric, _new_partition, _new_shape, _trusted)
 
 
 class ChainNotDecreasing(CylpartError):
@@ -54,14 +50,14 @@ class Slice(_Frozen):
         c = profile.parts
         r = profile.rank
         if len(ln) != r:
-            raise ValueError(f"slice needs {r} lengths, got {len(ln)}")
+            raise InvalidInput(f"slice needs {r} lengths, got {len(ln)}")
         if any(v < 0 for v in ln):
-            raise ValueError(f"negative slice length: {ln}")
+            raise InvalidInput(f"negative slice length: {ln}")
         for i in range(r - 1):
             if ln[i + 1] > ln[i] + c[i + 1]:
-                raise ValueError(f"invalid slice {ln} for {profile}")
+                raise InvalidInput(f"invalid slice {ln} for {profile}")
         if r >= 1 and ln[0] > ln[-1] + c[0]:
-            raise ValueError(f"invalid slice {ln} for {profile}")
+            raise InvalidInput(f"invalid slice {ln} for {profile}")
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lengths", ln)
         self._set_derived()
@@ -132,18 +128,6 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     """
     lengths = _slice_lengths(profile, shape.parts, weight)
     return None if lengths is None else _new_slice(profile, lengths)
-
-
-def successors(s: Slice) -> list[Slice]:
-    """All slices obtained from ``s`` by adding one box to some row.
-
-    A box on row i can break only l_i <= l_{i-1} + c_i (cyclically, row 1
-    compares with row r), so exactly the rows with l_i < l_{i-1} + c_i grow,
-    and the grown slices are valid by construction.
-    """
-    ln, c = s.lengths, s.profile.parts
-    return [_new_slice(s.profile, ln[:i] + (ln[i] + 1,) + ln[i + 1:])
-            for i in range(len(ln)) if ln[i] < ln[i - 1] + c[i]]
 
 
 class SliceChain(_Frozen):
@@ -317,7 +301,9 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
     slice is built only when the input slice (by identity) or that growth
     changes, so the copies of a run that :func:`shrink` tightened to one
     shared slice grow to one shared slice, unless a side part of size
-    rank*j splits the run at j.  Slices that do not grow are returned.
+    rank*j splits the run at j.  Slices that do not grow are returned; a
+    slice that grows must be on the first slice's profile, or
+    :class:`InvalidInput` names both profiles.
     """
     slices = list(tight)
     parts = side.parts
@@ -347,6 +333,8 @@ def expand(tight: Sequence[Slice], side: Partition, mode: ShrinkMode
         s = slices[j - 1]
         more = mult[j]
         if more or s is not last:
+            if s.profile is not profile and s.profile != profile:
+                raise InvalidInput(f"a slice on {s.profile} in a tight chain on {profile}")
             shift += more
             grown = _new_slice(profile, tuple([v + shift for v in s.lengths]))
             last = s

@@ -30,9 +30,8 @@ def verify_all_tasks(profile: Profile, order: int, seed: int) -> list[Callable[[
     # One search to ``order`` makes the census every count below reads and
     # keeps the rows of the hits to q^10, in search order, for the round
     # trips to draw from; only the partitions drawn are built.
-    cap = oracle.DEFAULT_WEIGHT_CAP
-    census, found = oracle._search(profile, order, cap, min(order, 10))
-    oracle._store(profile, order, cap, census)
+    census, found = oracle._search(profile, order, min(order, 10))
+    oracle._store(profile, order, census)
 
     def sample(items, k):
         drawn = items if len(items) <= k else rng.sample(items, k)
@@ -97,17 +96,20 @@ def verify_all_tasks(profile: Profile, order: int, seed: int) -> list[Callable[[
 
     def bounded_polys():
         # Passes when no table failed and some table compared a nonzero
-        # coefficient; n/a when every table compared only zeros.
+        # coefficient; n/a when every table compared only zeros.  The counts
+        # with largest part n are the z^n column of the two-variable count,
+        # and those with every part <= n the sum of its columns up to z^n.
+        counted = oracle.count_bivariate(profile, order).coeffs
+        at_most = [0] * (order + 1)
         passed = None
         for n in range(min(4, order) + 1):
+            exactly = [zpoly.coefficient(n) for zpoly in counted]
+            at_most = [a + b for a, b in zip(at_most, exactly)]
             for label, poly_series, count in (
-                    (f"parts<= {n}", polynomials.parts_at_most_series,
-                     oracle.count_max_at_most),
-                    (f"largest={n}", polynomials.largest_part_exact_series,
-                     oracle.count_max_exactly)):
+                    (f"parts<= {n}", polynomials.parts_at_most_series, at_most),
+                    (f"largest={n}", polynomials.largest_part_exact_series, exactly)):
                 check = compare("bounded-polynomials",
-                                poly_series(profile, n, order).coeffs,
-                                count(profile, n, order).coeffs,
+                                poly_series(profile, n, order).coeffs, count,
                                 "bounded-part numerators match the oracle",
                                 lambda k, x, y: f"{label} numerator mismatch at "
                                                 f"q^{k}: polynomial {x} vs oracle {y}")

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from cylpart import CylindricPartition, Profile, TruncatedSeries, enumerate_by_weight
+from cylpart import (CylindricPartition, Profile, TruncatedSeries, count_bivariate,
+                     enumerate_by_weight)
 
 
 def all_profiles(max_rank: int, max_level: int) -> list[Profile]:
@@ -24,6 +25,15 @@ def mul_one_plus(series: TruncatedSeries, e: int, factor) -> TruncatedSeries:
     for i in range(series.order, e - 1, -1):
         cs[i] = cs[i] + factor * series.coeffs[i - e]
     return TruncatedSeries(series.ring, series.order, tuple(cs))
+
+
+def largest_part_counts(profile: Profile, n: int, order: int) -> tuple[tuple, tuple]:
+    """The counts by weight to q^order of the cylindric partitions with
+    every part <= n and of those with largest part exactly n: the sum of
+    the z^0..z^n columns of ``count_bivariate`` and its z^n column."""
+    two = count_bivariate(profile, order).coeffs
+    return (tuple(sum(zpoly.coeffs[:n + 1]) for zpoly in two),
+            tuple(zpoly.coefficient(n) for zpoly in two))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,12 @@
 """Independent references the tests check the library against: the lineup
 classes by their definition, the rank-2 closed form of beta
 admissibility, the pivot flag of one slice from the spaces on either side
-of it, the smallest weight of a slice of a given shape, the shape graph
-from slice successors, Berlekamp-Massey over the rationals, and eigen
-forms of the distinct-parts series checked over Q and real quadratic
-fields.  The library computes none of them; it builds lineups of a known
-class directly, checks beta and flags pivots in one walk down the chain,
+of it, the smallest weight of a slice of a given shape, the one-box
+successors of a slice and the shape graph built from them,
+Berlekamp-Massey over the rationals, and eigen forms of the
+distinct-parts series checked over Q and real quadratic fields.  The
+library computes none of them; it builds lineups of a known class
+directly, checks beta and flags pivots in one walk down the chain,
 finds slices from their shape and weight, builds the shape graph from the
 grow rule on shapes, and certifies every closed form over Z from the
 minimal polynomial of the path counts, found over the integers."""
@@ -22,7 +23,7 @@ from cylpart.polynomials import family
 from cylpart.qpoly import QPoly
 from cylpart.rings import Ring, RingMismatch, ZZ
 from cylpart.series import Check, TruncatedSeries, compare, euler_sum, euler_top
-from cylpart.slices import Slice, slice_shape, slice_with, successors
+from cylpart.slices import Slice, slice_shape, slice_with
 
 
 def min_slice_weight(profile: Profile, shape: Shape) -> int:
@@ -56,6 +57,18 @@ def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
             raise InadmissibleBeta(f"chain stalls above right ends {ends}")
         first_after = after[0]
     return first_after < before[1]
+
+
+def successors(s: Slice) -> list[Slice]:
+    """All slices obtained from ``s`` by adding one box to some row.
+
+    A box on row i can break only l_i <= l_{i-1} + c_i (cyclically, row 1
+    compares with row r), so exactly the rows with l_i < l_{i-1} + c_i grow;
+    each grown slice goes through the validating constructor all the same.
+    """
+    ln, c = s.lengths, s.profile.parts
+    return [Slice(s.profile, ln[:i] + (ln[i] + 1,) + ln[i + 1:])
+            for i in range(len(ln)) if ln[i] < ln[i - 1] + c[i]]
 
 
 def slice_graph(rank: int, level: int, profile: Profile | None = None):
@@ -329,6 +342,11 @@ def ring_of(*values) -> Ring:
 
 # -- eigen forms of the distinct-parts series -----------------------------
 
+def into_ring(series: TruncatedSeries, ring: Ring) -> TruncatedSeries:
+    """``series`` with each coefficient coerced into ``ring``."""
+    return TruncatedSeries.from_coeffs(ring, list(series.coeffs), series.order)
+
+
 def _closed_form_series(combination, residual, order: int,
                         ring: Ring) -> TruncatedSeries:
     """residual(q) + sum over (alpha, beta, k) of
@@ -369,7 +387,7 @@ def verify_closed_form(profile: Profile, combination, residual, order: int,
     # Coefficients equal to the rational reference have no irrational
     # part, so a closed form that matches it always reads True here.
     tail = f"; irrational parts cancel: {irrational_ok}"
-    reference = distinct_gf(profile, order).into_ring(ring)
+    reference = into_ring(distinct_gf(profile, order), ring)
     head = f"closed form for {profile} to q^{order}: "
     return compare("closed-form", total.coeffs, reference.coeffs, f"{head}ok{tail}",
                    lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "

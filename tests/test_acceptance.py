@@ -24,13 +24,12 @@ from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
                      product_inv_factors, qconj_genfunc_check,
                      shrink, slice_shape, slice_with, validate)
 from cylpart.lineups import minimal_jammed_correction
-from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.polynomials import (largest_part_exact_series,
                                  parts_at_most_series)
 from cylpart.rings import ZZ
 from cylpart.series import TruncatedSeries, at_z_one
 
-from conftest import all_profiles
+from conftest import all_profiles, largest_part_counts
 from references import QQ, QuadraticField, classify, verify_closed_form
 
 _criteria = []
@@ -221,10 +220,9 @@ def test_criterion_06_polynomials():
 
     for profile in all_profiles(3, 3):
         for n in range(5):
-            assert parts_at_most_series(profile, n, 12).coeffs == \
-                count_max_at_most(profile, n, 12).coeffs, (profile, n)
-            assert largest_part_exact_series(profile, n, 12).coeffs == \
-                count_max_exactly(profile, n, 12).coeffs, (profile, n)
+            at_most, exactly = largest_part_counts(profile, n, 12)
+            assert parts_at_most_series(profile, n, 12).coeffs == at_most, (profile, n)
+            assert largest_part_exact_series(profile, n, 12).coeffs == exactly, (profile, n)
         F = f_truncated(profile, 12)
         assert at_z_one(F).coeffs == borodin_product(profile, 12).coeffs
 

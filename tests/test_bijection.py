@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpart import (LabeledDistinctPartition, Partition, Profile, Shape, Slice,
-                     decompose, enumerate_by_weight, pivot_decompose,
-                     pivot_reconstruct, slice_shape,
+                     decompose, enumerate_by_weight, parse_cylindric,
+                     pivot_decompose, pivot_reconstruct, slice_shape,
                      slice_with, validate, validate_beta)
 from cylpart.bijection import InadmissibleBeta, _tiled_at, chain_pivots
 
@@ -22,6 +22,17 @@ def tiled(profile, chain, window):
     every weight 0..window."""
     return _tiled_at(profile.offsets(), [s.lengths for s in reversed(chain)],
                      range(window + 1))
+
+
+def test_tiled_at_rejects_weights_out_of_order():
+    # The path passes every weight once, so a weight not above the one
+    # before it would never be met: the walk raises instead of running on.
+    chain = [s.lengths for s in reversed(decompose(
+        parse_cylindric("5,4|8,2|7,5,1", P111)).distinct())]
+    for weights in ([5, 3], [4, 4], [-1], [0, 6, 2]):
+        with pytest.raises(ValueError, match="is not above"):
+            _tiled_at(P111.offsets(), chain, weights)
+    assert len(_tiled_at(P111.offsets(), chain, [0, 3, 40])) == 3
 
 
 def box_order_pivots(profile, chain_slices, window):

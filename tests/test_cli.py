@@ -318,8 +318,8 @@ class TestVerificationCommands:
         assert [argv[0] for argv in jobs] == ["verify-all"] * 6 + ["count", "qconj-check"]
         searched = []
         search = oracle._search
-        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, keep: (
-            searched.append(weight), search(profile, weight, cap, keep))[1])
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, keep: (
+            searched.append(weight), search(profile, weight, keep))[1])
         for argv in jobs:
             searched.clear()
             monkeypatch.setattr(oracle, "_censuses", {})
@@ -526,8 +526,7 @@ class TestUsageErrors:
         (["reconstruct", "--profile", "2,1", "--mu", "1.5"],
          "invalid literal for int() with base 10: '1.5'"),
         (["count", "--profile", "2,1", "--order", "31"],
-         "weight bound 31 exceeds the cap 30; raise `cap` explicitly if this is "
-         "intended"),
+         "weight bound 31 exceeds the oracle's limit of 30"),
         (["stg", "--rank", "0", "--level", "2"], "rank and level must be positive"),
         (["borodin", "--profile", "2,-1"], "profile parts must be non-negative: (2, -1)")])
     def test_invalid_input_exits_2(self, capsys, argv, err):
@@ -545,12 +544,23 @@ class TestUsageErrors:
         lambda: bijection.LabeledDistinctPartition(((1, Shape((1,))),
                                                     (2, Shape((1,))))),
         lambda: bijection.LabeledDistinctPartition.parse("x^(1)"),
-        lambda: oracle.count_series(Profile((1, 1)), 31)],
+        lambda: oracle.count_series(Profile((1, 1)), 31),
+        lambda: slices.Slice(Profile((1, 1)), (1,)),
+        lambda: slices.Slice(Profile((1, 1)), (-1, 0)),
+        lambda: slices.Slice(Profile((1, 0)), (0, 1)),
+        lambda: slices.Slice(Profile((0, 1)), (2, 0)),
+        lambda: polynomials.family(2, 2).parts_at_most(-1, Shape((1,))),
+        lambda: polynomials.family(2, 2).largest_part_exact(-1, Shape((1,))),
+        lambda: polynomials.family(2, 2).pivot_lineup(-1, Shape((1,))),
+        lambda: polynomials.family(2, 2).pivot_corrected(-1, Shape((1,)))],
         ids=["partition-zero", "partition-rising", "profile-empty",
              "profile-negative", "profile-level-0", "shape-rising", "shape-negative",
              "all-shapes-rank-0", "int-fields-word", "int-fields-empty",
              "unwrap-doubled", "cylindric-no-profile", "beta-zero-weight",
-             "beta-rising", "beta-parse-word", "oracle-cap"])
+             "beta-rising", "beta-parse-word", "oracle-cap", "slice-length-count",
+             "slice-negative", "slice-row-too-long", "slice-wraparound",
+             "poly-parts-at-most-n", "poly-largest-part-n", "poly-pivot-lineup-n",
+             "poly-pivot-corrected-n"])
     def test_input_checks_raise_invalid_input(self, check):
         # A usage error, and still a ValueError for callers that catch one.
         with pytest.raises(core.InvalidInput) as exc:
@@ -613,9 +623,10 @@ def _bump_totals(fn, k):
 
 # verify-all checks that read a function besides the check named for it:
 # the pivot generating-function check compares with the oracle's
-# bivariate counts too, and the two-variable check builds the same
+# bivariate counts too, the bounded-polynomials check reads its counts
+# from their z columns, and the two-variable check builds the same
 # two-variable series as the functional equation.
-ALSO_READ_BY = {"count_bivariate": {"pivot-genfunc"},
+ALSO_READ_BY = {"count_bivariate": {"pivot-genfunc", "bounded-polynomials"},
                 "f_truncated": {"two-variable-series"}}
 
 

@@ -12,11 +12,11 @@ from cylpart import (InvalidInput, Profile, QPoly, Shape, adjacency_matrix, all_
 from cylpart import diagram
 from cylpart.core import FrozenInstanceError
 from cylpart.diagram import ShapeTransitionGraph, _matmul
-from cylpart.slices import slice_shape, successors, zero_slice
+from cylpart.slices import slice_shape, zero_slice
 
 from conftest import all_profiles
 from references import (QQ, QuadraticField, minimal_polynomial_over_q, slice_graph,
-                        verify_closed_form)
+                        successors, verify_closed_form)
 
 
 def laplace_char_poly(mat):

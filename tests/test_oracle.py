@@ -1,6 +1,7 @@
 import sys
 import threading
 from collections import Counter
+from operator import add
 
 import pytest
 
@@ -10,11 +11,10 @@ from cylpart import (Partition, Profile, borodin_product, count_bivariate,
 from cylpart import oracle
 from cylpart.core import (InvalidInput, RowCountMismatch, ViolatedInequality,
                           check_rows)
-from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.series import at_z_one
 from cylpart.slices import decompose, recompose
 
-from conftest import all_profiles
+from conftest import all_profiles, largest_part_counts
 
 
 def has_distinct_parts(cp):
@@ -42,11 +42,13 @@ class TestEnumeration:
         assert cp.weight == 104
         assert cp.to_text() not in {x.to_text() for x in enumerate_by_weight(prof, 20)}
 
-    def test_cap_guard(self):
+    def test_cap_guard(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_by_weight(Profile.of(1, 1), 40)
-        # At the cap itself the census runs in full and matches the product.
-        census = count_series(Profile.of(1, 1), 35, cap=35)
+        # At the limit itself the census runs in full and matches the product.
+        monkeypatch.setattr(oracle, "WEIGHT_LIMIT", 35)
+        monkeypatch.setattr(oracle, "_censuses", {})
+        census = count_series(Profile.of(1, 1), 35)
         assert census.coeffs == borodin_product(Profile.of(1, 1), 35).coeffs
         assert sum(census.coeffs) == 487_560
 
@@ -86,11 +88,11 @@ class TestCounting:
         prof = Profile.of(2, 1)
         order = 10
         total = count_series(prof, order)
-        stacked = count_max_at_most(prof, 0, order)
+        stacked = largest_part_counts(prof, 0, order)[0]
         for n in range(1, order + 1):
-            stacked = stacked + count_max_exactly(prof, n, order)
-        assert stacked.coeffs == total.coeffs
-        assert count_max_at_most(prof, order, order).coeffs == total.coeffs
+            stacked = tuple(map(add, stacked, largest_part_counts(prof, n, order)[1]))
+        assert stacked == total.coeffs
+        assert largest_part_counts(prof, order, order)[0] == total.coeffs
 
 
 class TestDistinct:
@@ -129,10 +131,9 @@ class TestStreamingOracle:
             assert count_distinct_series(prof, order).coeffs == \
                 walk(has_distinct_parts), prof
             for bound in range(order + 2):
-                assert count_max_at_most(prof, bound, order).coeffs == \
-                    walk(lambda cp: cp.max_part <= bound), (prof, bound)
-                assert count_max_exactly(prof, bound, order).coeffs == \
-                    walk(lambda cp: cp.max_part == bound), (prof, bound)
+                at_most, exactly = largest_part_counts(prof, bound, order)
+                assert at_most == walk(lambda cp: cp.max_part <= bound), (prof, bound)
+                assert exactly == walk(lambda cp: cp.max_part == bound), (prof, bound)
             two = count_bivariate(prof, order)
             for n, zpoly in enumerate(two.coeffs):
                 tops = [cp.max_part for cp in found if cp.weight == n]
@@ -155,7 +156,7 @@ class TestStreamingOracle:
         def calls():
             return (count_series(prof, order).coeffs,
                     count_bivariate(prof, order).coeffs,
-                    count_max_exactly(prof, 3, order).coeffs)
+                    count_distinct_series(prof, order).coeffs)
 
         oracle._censuses.clear()
         serial = calls()
@@ -183,29 +184,28 @@ class TestStreamingOracle:
 
 
 class TestKeptCensus:
-    """One search per (profile, cap): a census of a lower order is filtered
-    from the kept census of a higher one."""
+    """One search per profile: a census of a lower order is filtered from
+    the kept census of a higher one."""
 
     def test_filtered_census_equals_a_fresh_search(self, monkeypatch):
-        cap = oracle.DEFAULT_WEIGHT_CAP
         monkeypatch.setattr(oracle, "_censuses", {})
-        fresh = {(prof, order): oracle._search(prof, order, cap, -1)[0]
+        fresh = {(prof, order): oracle._search(prof, order, -1)[0]
                  for prof in all_profiles(3, 3) for order in range(13)}
         for prof in all_profiles(3, 3):
-            oracle._census(prof, 12, cap)
+            oracle._census(prof, 12)
 
         def no_search(*args):
-            raise AssertionError(f"searched again for {args[:3]}")
+            raise AssertionError(f"searched again for {args[:2]}")
         monkeypatch.setattr(oracle, "_search", no_search)
         for (prof, order), census in fresh.items():
-            assert oracle._census(prof, order, cap) == census, (prof, order)
+            assert oracle._census(prof, order) == census, (prof, order)
 
     def test_a_higher_order_searches_and_is_kept(self, monkeypatch):
         monkeypatch.setattr(oracle, "_censuses", {})
         searched = []
         search = oracle._search
-        monkeypatch.setattr(oracle, "_search", lambda profile, weight, cap, keep: (
-            searched.append(weight), search(profile, weight, cap, keep))[1])
+        monkeypatch.setattr(oracle, "_search", lambda profile, weight, keep: (
+            searched.append(weight), search(profile, weight, keep))[1])
         prof = Profile.of(2, 1)
         for order in (6, 4, 9, 6, 9, 2):
             assert count_series(prof, order).coeffs == borodin_product(prof, order).coeffs
@@ -213,15 +213,15 @@ class TestKeptCensus:
 
     def test_cap_guard_holds_beside_a_kept_census(self, monkeypatch):
         monkeypatch.setattr(oracle, "_censuses", {})
+        monkeypatch.setattr(oracle, "WEIGHT_LIMIT", 12)
         prof = Profile.of(1, 1)
-        count_series(prof, 12, cap=12)
-        count_series(prof, 20)
-        with pytest.raises(InvalidInput, match="exceeds the cap 12"):
-            count_series(prof, 13, cap=12)
-        with pytest.raises(InvalidInput, match="exceeds the cap 15"):
-            count_series(prof, 16, cap=15)
-        assert count_series(prof, 12, cap=12).coeffs == \
-            borodin_product(prof, 12).coeffs
+        count_series(prof, 12)
+        with pytest.raises(InvalidInput, match="exceeds the oracle's limit of 12$"):
+            count_series(prof, 13)
+        monkeypatch.setattr(oracle, "WEIGHT_LIMIT", 15)
+        with pytest.raises(InvalidInput, match="exceeds the oracle's limit of 15$"):
+            count_series(prof, 16)
+        assert count_series(prof, 12).coeffs == borodin_product(prof, 12).coeffs
 
 
 def _reference_check(rows, profile):
@@ -308,12 +308,12 @@ def _reference_rows_within(cap_row, lower_row, shift, budget):
     return out
 
 
-def _reference_hits(profile, max_weight, cap):
+def _reference_hits(profile, max_weight):
     """The former search: rows of every hit, each checked by ``check_rows``."""
     if max_weight < 0:
         return
-    if max_weight > cap:
-        raise ValueError(f"weight bound {max_weight} exceeds the cap {cap}")
+    if max_weight > oracle.WEIGHT_LIMIT:
+        raise ValueError(f"weight bound {max_weight} exceeds the limit {oracle.WEIGHT_LIMIT}")
     r = profile.rank
     c = profile.parts
 
@@ -348,9 +348,9 @@ def _recount(found, order):
     return census
 
 
-def _reference_census(profile, order, cap):
+def _reference_census(profile, order):
     """The former census: a recount of every hit's parts."""
-    return _recount(_reference_hits(profile, order, cap), order)
+    return _recount(_reference_hits(profile, order), order)
 
 
 def _reference_texts(profile, max_weight):
@@ -358,7 +358,7 @@ def _reference_texts(profile, max_weight):
     def key(rows):
         return sum(map(sum, rows)), "|".join(",".join(map(str, row)) for row in rows)
 
-    hits = sorted(_reference_hits(profile, max_weight, oracle.DEFAULT_WEIGHT_CAP), key=key)
+    hits = sorted(_reference_hits(profile, max_weight), key=key)
     return [validate(tuple(map(Partition, rows)), profile).to_text() for rows in hits]
 
 
@@ -366,8 +366,7 @@ class TestSearch:
     def test_every_hit_is_valid_and_carries_its_own_tallies(self):
         weight = 10
         for prof in all_profiles(3, 3) + all_profiles(4, 2):
-            census, hits = oracle._search(prof, weight, oracle.DEFAULT_WEIGHT_CAP,
-                                          weight)
+            census, hits = oracle._search(prof, weight, weight)
             for rows in hits:
                 assert check_rows(rows, prof) is None
             assert hits and len(set(hits)) == len(hits), prof
@@ -377,32 +376,30 @@ class TestSearch:
     def test_one_pass_keeps_the_light_hits_and_counts_them_all(self, order):
         """The rows kept up to ``keep`` are the former search's hits of that
         weight, in its order, and the census is a recount of all of them."""
-        cap = oracle.DEFAULT_WEIGHT_CAP
         for prof in all_profiles(3, 3):
-            reference = list(_reference_hits(prof, order, cap))
+            reference = list(_reference_hits(prof, order))
             for keep in (-1, 0, order // 2, order):
-                census, kept = oracle._search(prof, order, cap, keep)
+                census, kept = oracle._search(prof, order, keep)
                 assert kept == [rows for rows in reference
                                 if sum(map(sum, rows)) <= keep], (prof, keep)
                 assert census == _recount(reference, order), (prof, keep)
 
     def test_matches_the_former_search(self):
-        cap = oracle.DEFAULT_WEIGHT_CAP
         for prof in all_profiles(4, 3) + all_profiles(5, 2):
             for order in (0, 3, 8):
-                assert oracle._census(prof, order, cap) == \
-                    _reference_census(prof, order, cap), (prof, order)
+                assert oracle._census(prof, order) == \
+                    _reference_census(prof, order), (prof, order)
                 assert [cp.to_text() for cp in enumerate_by_weight(prof, order)] == \
                     _reference_texts(prof, order), (prof, order)
 
     def test_negative_bound_gives_no_hits(self):
         for prof in [Profile.of(2, 1), Profile.of(1, 1, 1), Profile.of(3)]:
-            assert oracle._search(prof, -1, oracle.DEFAULT_WEIGHT_CAP, 5) == ([], [])
+            assert oracle._search(prof, -1, 5) == ([], [])
             assert enumerate_by_weight(prof, -1) == []
-            assert oracle._census(prof, -1, oracle.DEFAULT_WEIGHT_CAP) == []
-            assert list(_reference_hits(prof, -1, oracle.DEFAULT_WEIGHT_CAP)) == []
+            assert oracle._census(prof, -1) == []
+            assert list(_reference_hits(prof, -1)) == []
 
-    def test_bound_above_cap_raises_before_searching(self):
+    def test_bound_above_cap_raises_before_searching(self, monkeypatch):
         # The search's own steps, a row started or a part placed, seen as
         # calls of its nested functions.
         entered = []
@@ -414,33 +411,34 @@ class TestSearch:
                 entered.append(code.co_name)
 
         prof = Profile.of(1, 1)
+        monkeypatch.setattr(oracle, "_censuses", {})
         previous = sys.getprofile()
         sys.setprofile(calls)
         try:
-            oracle._search(prof, 1, 5, 1)
+            with pytest.raises(ValueError, match="exceeds the oracle's limit of 30$"):
+                enumerate_by_weight(prof, oracle.WEIGHT_LIMIT + 1)
+            monkeypatch.setattr(oracle, "WEIGHT_LIMIT", 5)
+            oracle._search(prof, 1, 1)
             assert {"begin", "grow"} <= set(entered)   # the probe sees a search
             entered.clear()
-            with pytest.raises(ValueError, match="exceeds the cap 5"):
-                oracle._search(prof, 6, 5, 6)
-            with pytest.raises(ValueError, match="exceeds the cap"):
-                enumerate_by_weight(prof, oracle.DEFAULT_WEIGHT_CAP + 1)
-            with pytest.raises(ValueError, match="exceeds the cap 5"):
-                count_series(prof, 6, cap=5)
-            with pytest.raises(ValueError, match="exceeds the cap 5"):
-                oracle.hits(prof, 6, 5)
+            with pytest.raises(ValueError, match="exceeds the oracle's limit of 5$"):
+                oracle._search(prof, 6, 6)
+            with pytest.raises(ValueError, match="exceeds the oracle's limit of 5$"):
+                count_series(prof, 6)
+            with pytest.raises(ValueError, match="exceeds the oracle's limit of 5$"):
+                oracle.hits(prof, 6)
         finally:
             sys.setprofile(previous)
         assert entered == []
         with pytest.raises(ValueError):
-            list(_reference_hits(prof, 6, 5))
+            list(_reference_hits(prof, 6))
 
     def test_hits_come_in_the_former_search_order(self):
         # verify-all's seed indexes this order, so it is pinned hit by hit.
-        cap = oracle.DEFAULT_WEIGHT_CAP
         for prof in all_profiles(4, 3) + all_profiles(5, 2):
             for order in (0, 3, 8):
                 assert oracle.hits(prof, order) == \
-                    list(_reference_hits(prof, order, cap)), (prof, order)
+                    list(_reference_hits(prof, order)), (prof, order)
 
     def test_hits_are_the_enumerated_partitions(self):
         for prof in all_profiles(3, 3):

@@ -8,7 +8,6 @@ import pytest
 from cylpart import (Profile, QPoly, Shape, borodin_product, count_bivariate,
                      delta, family, f_truncated, check_functional_equation,
                      shape_of_zero, shape_to_profile)
-from cylpart.oracle import count_max_at_most, count_max_exactly
 from cylpart.cli import main
 from cylpart.polynomials import (PolynomialFamily, _unpack, largest_part_exact_series,
                                  parts_at_most_poly, parts_at_most_series,
@@ -18,7 +17,7 @@ from cylpart.rings import ZZ, ZZ_z
 from cylpart.series import (TruncatedSeries, at_z_one, inv_zq_pochhammer,
                             subst_z_mul_qpow, z_power_times)
 
-from conftest import all_profiles, mul_one_plus
+from conftest import all_profiles, largest_part_counts, mul_one_plus
 from references import min_slice_weight
 
 SHAPE_ORDER_32 = [Shape.of(0, 0), Shape.of(1, 0), Shape.of(1, 1),
@@ -295,10 +294,9 @@ class TestAgainstEnumeration:
         Profile.of(0, 2, 0), Profile.of(1, 2, 0)])
     def test_bounded_series(self, profile):
         for n in range(5):
-            assert parts_at_most_series(profile, n, 12).coeffs == \
-                count_max_at_most(profile, n, 12).coeffs
-            assert largest_part_exact_series(profile, n, 12).coeffs == \
-                count_max_exactly(profile, n, 12).coeffs
+            at_most, exactly = largest_part_counts(profile, n, 12)
+            assert parts_at_most_series(profile, n, 12).coeffs == at_most
+            assert largest_part_exact_series(profile, n, 12).coeffs == exactly
 
     def test_two_variable_series(self):
         for profile in [Profile.of(1, 1, 1), Profile.of(2, 1)]:

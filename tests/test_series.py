@@ -10,7 +10,7 @@ from cylpart.series import (NonpositiveExponent, OrderMismatch, compare,
                             euler_top)
 
 from conftest import mul_one_plus
-from references import QQ, QuadraticField, ring_of
+from references import QQ, QuadraticField, into_ring, ring_of
 
 K3, K5 = QuadraticField(3), QuadraticField(5)
 GOLDEN = (K5.one + K5.sqrt()) * Fraction(1, 2)
@@ -198,7 +198,7 @@ class TestEulerSum:
         for n, c in enumerate(coeffs):
             if n * (n + 1) // 2 > order:
                 break
-            term = TruncatedSeries.one(ZZ, order).mul_inv_poch(n).into_ring(ring)
+            term = into_ring(TruncatedSeries.one(ZZ, order).mul_inv_poch(n), ring)
             total = total + term.shift(n * (n + 1) // 2).scale(c)
         return total
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
                      all_shapes, decompose, enumerate_by_weight, expand, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
-                     successors, validate, zero_slice)
-from cylpart.core import RankMismatch
+                     validate, zero_slice)
+from cylpart.core import InvalidInput, RankMismatch
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
                             NotMultipleOfRank, PartTooLarge, Slice,
                             _slice_lengths)
 
 from conftest import all_profiles
-from references import min_slice_weight
+from references import min_slice_weight, successors
 from test_core import delta_shapes
 
 P111 = Profile.of(1, 1, 1)
@@ -265,6 +265,18 @@ class TestShrinkExpand:
             expand(tight, Partition.of(4), ShrinkMode.EXACT)
         with pytest.raises(PartTooLarge):
             expand(tight, Partition.of(12), ShrinkMode.EXACT)
+
+    def test_expand_rejects_a_slice_of_another_profile(self):
+        mixed = [Slice(P111, (4, 4, 4)), Slice(Profile.of(2, 1, 0), (2, 1, 0))]
+        with pytest.raises(InvalidInput, match=r"a slice on c=\(2,1,0\) in a tight "
+                                               r"chain on c=\(1,1,1\)"):
+            expand(mixed, Partition.of(6), ShrinkMode.AT_MOST)
+        # A slice past the largest side part is returned as it is, unchecked;
+        # an equal profile built apart passes.
+        assert expand(mixed, Partition.of(3), ShrinkMode.AT_MOST)[1] is mixed[1]
+        twin = [mixed[0], Slice(Profile((1, 1, 1)), (1, 1, 1))]
+        assert [s.lengths for s in expand(twin, Partition.of(6), ShrinkMode.AT_MOST)] \
+            == [(5, 5, 5), (2, 2, 2)]
 
     def test_exact_needs_nonzero_smallest(self):
         with pytest.raises(ChainNotStrict, match="EXACT mode needs a nonzero smallest slice"):

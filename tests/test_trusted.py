@@ -20,7 +20,7 @@ from cylpart import (CylindricPartition, InvalidInput, LabeledDistinctPartition,
                      decompose, expand, parse_cylindric,
                      pivot_decompose, pivot_reconstruct, recompose,
                      shape_of_zero, shrink, slice_shape, slice_with,
-                     successors, validate, validate_beta, zero_slice)
+                     validate, validate_beta, zero_slice)
 from cylpart.bijection import InadmissibleBeta, _tiled_at, chain_pivots
 from cylpart.core import FrozenInstanceError, _Frozen, _space_columns, _trusted
 from cylpart.cli import main
@@ -28,7 +28,7 @@ from cylpart.oracle import hits
 from cylpart.slices import ChainNotDecreasing, NotMultipleOfRank, PartTooLarge, _chain_runs
 
 from conftest import all_profiles
-from references import QuadraticField, classify, pivot_flag
+from references import QuadraticField, classify, pivot_flag, successors
 
 P111 = Profile.of(1, 1, 1)
 SRC = pathlib.Path(cylpart.__file__).parent
@@ -592,18 +592,22 @@ def _every_value_class():
 
 
 def _trusted_builders():
-    """(module.name, builder, class) for every module-level ``_trusted``
-    builder of the package."""
-    out = []
+    """(module.name, builder, class) for every ``_trusted`` builder each
+    module of the package builds with: those it makes at module level and
+    those it imports from the module that makes them."""
+    made, uses = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
                     and getattr(node.value.func, "id", None) == "_trusted":
                 module = importlib.import_module(f"cylpart.{path.stem}")
-                name = node.targets[0].id
-                out.append((f"{path.stem}.{name}", getattr(module, name),
-                            getattr(module, node.value.args[0].id)))
-    return out
+                made[node.targets[0].id] = getattr(module, node.value.args[0].id)
+                uses.append((path.stem, node.targets[0].id))
+            elif isinstance(node, ast.ImportFrom):
+                uses += [(path.stem, alias.name) for alias in node.names
+                         if alias.name.startswith("_new_")]
+    return [(f"{stem}.{name}", getattr(importlib.import_module(f"cylpart.{stem}"), name),
+             made[name]) for stem, name in uses]
 
 
 def _unset_slots(value):
@@ -712,12 +716,13 @@ class TestValueClasses:
 def _imports_and_trusted_uses(module: str) -> tuple[set[str], int]:
     """Package modules ``module`` imports from (``cylpart`` for the package
     itself), and how often it imports or names ``_trusted`` outside its
-    definition."""
+    definition or imports a trusted builder (a ``_new_*`` name)."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
     names, uses = [], 0
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            uses += sum(alias.name == "_trusted" for alias in node.names)
+            uses += sum(alias.name == "_trusted" or alias.name.startswith("_new_")
+                        for alias in node.names)
         if isinstance(node, ast.ImportFrom) and node.level:
             names.extend([f"cylpart.{node.module}"] if node.module else
                          [f"cylpart.{alias.name}" for alias in node.names])
@@ -770,8 +775,9 @@ class TestModuleBoundaries:
     def test_builders_made_once_at_import(self):
         """Every ``_trusted`` call is a module-level assignment of one
         private builder from one slotted class, so no value pays for making
-        its builder; no module imports another module's builder."""
-        builders = set()
+        its builder; each builder is made once, in the module that defines
+        its class, and any other module imports it from there."""
+        builders = {}
         trees = {path.stem: ast.parse(path.read_text())
                  for path in sorted(SRC.glob("*.py"))}
         for module, tree in trees.items():
@@ -785,18 +791,24 @@ class TestModuleBoundaries:
                 assert id(node) in assigned, f"{where}: _trusted called below module level"
                 (target,) = assigned[id(node)]
                 assert isinstance(target, ast.Name) and target.id.startswith("_"), where
-                builders.add(target.id)
+                assert target.id not in builders, f"{where}: {target.id} made twice"
+                builders[target.id] = module
                 assert len(node.args) == 1 and not node.keywords, where
                 assert isinstance(node.args[0], ast.Name), where
                 cls = getattr(importlib.import_module(f"cylpart.{module}"),
                               node.args[0].id)
                 assert isinstance(cls, type) and "__slots__" in vars(cls), where
-        assert builders == {"_new_chain", "_new_cylindric", "_new_labeled",
-                            "_new_partition", "_new_shape", "_new_slice"}
+                assert cls.__module__ == f"cylpart.{module}", where
+        assert builders == {"_new_chain": "slices", "_new_cylindric": "core",
+                            "_new_labeled": "bijection", "_new_partition": "core",
+                            "_new_shape": "core", "_new_slice": "slices"}
         for module, tree in trees.items():
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
-                    assert not {alias.name for alias in node.names} & builders, module
+                    for alias in node.names:
+                        if alias.name in builders:
+                            assert node.level == 1 and \
+                                node.module == builders[alias.name], (module, alias.name)
 
     def test_no_runtime_self_checks_in_library(self):
         """Library code states its invariants in tests, not as asserts."""
