@@ -38,7 +38,7 @@ _PUBLIC = {
                "recompose", "shrink", "slice_shape", "slice_with",
                "zero_slice"),
     "bijection": ("LabeledDistinctPartition", "pivot_decompose",
-                  "pivot_reconstruct", "validate_beta"),
+                  "pivot_reconstruct"),
     "diagram": ("PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
                 "diagonal_blocks", "distinct_gf", "matrix_power",
@@ -47,10 +47,8 @@ _PUBLIC = {
                     "f_truncated", "largest_part_exact_poly",
                     "parts_at_most_poly", "pivot_corrected_poly",
                     "pivot_lineup_poly"),
-    "lineups": ("Lineup", "enumerate_minimal_jammed",
-                "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
-                "pivot_chain_gf",
-                "potential_pivot_shapes", "qconj_genfunc_check"),
+    "lineups": ("lemma_check", "minimal_jammed_lines", "minimal_loose_lines",
+                "pivot_chain_gf", "qconj_genfunc_check"),
     "verify": ("verify_all_tasks",),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -28,7 +28,7 @@ from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
                    Profile, RankMismatch, Shape, _delta, _Frozen, _int,
                    _int_fields, _new_cylindric, _new_partition, _new_shape,
                    _space_columns, _trusted, _unwrap)
-from .slices import Slice, _chain_runs, _summed_rows
+from .slices import _chain_runs, _summed_rows
 
 
 class InadmissibleBeta(CylpartError):
@@ -77,23 +77,6 @@ class LabeledDistinctPartition(_Frozen):
 
 
 _new_labeled = _trusted(LabeledDistinctPartition)
-
-
-def chain_pivots(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
-    """Pivot flags for a strictly decreasing chain, largest slice first;
-    each space is measured once, as the space below one slice and above
-    the next."""
-    # The empty slice's right ends are the row offsets.
-    ends = [s.right_ends() for s in chain] + [profile.offsets()]
-    flags = []
-    first_after = min(ends[0]) + 1
-    for upper, lower in zip(ends, ends[1:]):
-        space = _space_columns(upper, lower)
-        if space is None:
-            raise InadmissibleBeta(f"chain stalls at right ends {upper}")
-        flags.append(first_after < space[1])
-        first_after = space[0]
-    return flags
 
 
 def _tiled_at(offsets: tuple[int, ...], chain: Sequence[tuple[int, ...]],
@@ -167,8 +150,8 @@ def pivot_decompose(cp: CylindricPartition
     ``mu`` keeps the weights of everything else.  Weights add up:
     |cp| = |mu| + |beta|.  The chain's weights strictly decrease, so both
     come out sorted and are built without re-validation.  Each run of the
-    chain meets the run below it and gets the flag :func:`chain_pivots`
-    gives it; only the shapes of the pivots are built.
+    chain meets the run below it, once, for its pivot flag; only the
+    shapes of the pivots are built.
     """
     runs = _chain_runs(cp.rows)
     offsets = cp.profile.offsets()
@@ -255,17 +238,6 @@ def _resolve_beta(beta: LabeledDistinctPartition, profile: Profile
         raise InadmissibleBeta("{}^{} is not a pivot in this lineup".format(
             *beta.entries[flat]))
     return chain
-
-
-def validate_beta(beta: LabeledDistinctPartition, profile: Profile
-                  ) -> tuple[bool, str]:
-    """Operational admissibility: the slices named by beta, stacked as a
-    chain, must each come out flagged as a pivot.  Returns (ok, diagnosis)."""
-    try:
-        _resolve_beta(beta, profile)
-    except InadmissibleBeta as e:
-        return False, str(e)
-    return True, "admissible"
 
 
 def pivot_reconstruct(mu: Partition, beta: LabeledDistinctPartition,

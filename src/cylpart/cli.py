@@ -263,7 +263,7 @@ def cmd_functional_eq(args) -> int:
 def cmd_lineups(args) -> int:
     profile = parse_profile(args.profile)
     if args.kind == "mll":
-        lines = _texts(cylpart.lineups.enumerate_minimal_loose(args.n, profile))
+        lines = cylpart.lineups.minimal_loose_lines(args.n, profile)
     else:
         lines = cylpart.lineups.minimal_jammed_lines(args.n, profile)
     _emit(args, {"command": "lineups", "profile": list(profile.parts),

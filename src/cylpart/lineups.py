@@ -15,6 +15,11 @@ shapes.  A gap equal to delta is *jammed*; a gap of delta + rank or more is
 
 ``iota`` collects the 1-based gap indices sitting at exact delta, counted
 from the largest slice down; index n is the gap onto the empty slice.
+
+The listings write each lineup's text line and build no lineup object:
+minimal loose lines from the tight-packing distances alone, minimal
+jammed lines from a pruned walk.  The pivot-chain count is a second
+pruned walk, which decides pivots by its own code.
 """
 
 from __future__ import annotations
@@ -26,37 +31,24 @@ from typing import TYPE_CHECKING, Sequence
 
 # The oracle is reached through the package, which imports it on first
 # access, so loading this module does not load the oracle.  Only the
-# functions that build series import the series and rings modules, and
-# only the brute-force chain count imports the bijection, so listing
-# lineups loads none of them.
+# functions that build series import the series and rings modules, so
+# listing lineups loads none of them.
 import cylpart
 
-from .core import Profile, Shape, _Frozen, _space_columns, shape_of_zero
+from .core import Profile, Shape, _space_columns, shape_of_zero
 from .polynomials import _over_poch, family
 from .qpoly import QPoly
-from .slices import Slice, slice_shape, slice_with, zero_slice
+from .slices import Slice, slice_with, zero_slice
 
 if TYPE_CHECKING:
     from .series import Check, TruncatedSeries
 
 
-def potential_pivot_shapes(rank: int, level: int) -> list[Shape]:
-    """All shapes with first part >= 2; there are
-    binomial(level + rank - 1, rank - 1) - rank of them."""
-    return list(family(rank, level).pivot_shapes)
-
-
-# Text pieces repeat across lineups: one slice sits in many chains and an
-# iota has at most 2^n values.  Bounded, so a long-lived process keeps a
-# fixed number of strings.
-@lru_cache(maxsize=4096)
-def _piece_text(weight: int, shape: Shape) -> str:
-    return f"{weight}^{shape}"
-
-
 @lru_cache(maxsize=1024)
-def _iota_text(iota: frozenset[int]) -> str:
-    return "{" + ",".join(map(str, sorted(iota))) + "}"
+def _iota_text(mask: int) -> str:
+    """The text of the iota whose gaps j are the bits j - 1 of ``mask``."""
+    return "{" + ",".join(str(j + 1) for j in range(mask.bit_length())
+                          if mask >> j & 1) + "}"
 
 
 def _line(pieces: Sequence[str], iota: str, classification: str) -> str:
@@ -65,121 +57,45 @@ def _line(pieces: Sequence[str], iota: str, classification: str) -> str:
     return f"{','.join(pieces)} iota={iota} class={classification}"
 
 
-class Lineup(_Frozen):
-    """A chain of potential pivots, ``slices`` largest first, with its
-    ``classification`` (loose, minimal-loose, jammed, minimal-jammed or
-    none) and ``iota``.  ``labels`` holds the shapes of the slices, largest
-    first; they are derived from the slices unless the builder of the
-    chain, which chose them, passes them in.  They are not part of the
-    value: equality, hashing and ``repr`` skip them."""
+def minimal_loose_lines(n: int, profile: Profile) -> list[str]:
+    """The text lines of the minimal loose lineups with n pivots, one per
+    choice of n potential pivot shapes s_1, ..., s_n (largest slice first,
+    in ``itertools.product`` order).
 
-    __slots__ = ("profile", "slices", "classification", "iota", "labels")
-    _fields = ("profile", "slices", "classification", "iota")
-
-    def __init__(self, profile: Profile, slices: tuple[Slice, ...],
-                 classification: str, iota: frozenset[int],
-                 labels: tuple[Shape, ...] | None = None):
-        if labels is None:
-            labels = tuple(slice_shape(s) for s in slices)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "iota", iota)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def weight(self) -> int:
-        return sum(s.weight for s in self.slices)
-
-    def shapes(self) -> list[Shape]:
-        return list(self.labels)
-
-    def to_text(self) -> str:
-        return _line([_piece_text(s.weight, sh) for s, sh in
-                      zip(reversed(self.slices), reversed(self.labels))],
-                     _iota_text(self.iota), self.classification)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-def _chain_from_gaps(profile: Profile, shapes: Sequence[Shape],
-                     tight: Sequence[bool]) -> list[Slice] | None:
-    """Build the chain whose gap j is delta (tight) or delta + rank; shapes
-    are listed largest slice first.  None when some member fails to exist
-    as a slice or the chain stalls."""
-    r = profile.rank
-    level = profile.level
-    fam = family(r, level)
-    zero_shape = shape_of_zero(profile)
-    n = len(shapes)
-    weights = [0] * (n + 1)
-    for j in range(n, 0, -1):
-        lower_shape = shapes[j] if j < n else zero_shape
-        gap = fam.dist(lower_shape, shapes[j - 1]) + (0 if tight[j - 1] else r)
-        weights[j - 1] = weights[j] + gap
-    out = []
-    prev = None
-    for sh, w in zip(shapes, weights[:n]):
-        s = slice_with(profile, sh, w)
-        if s is None or s.is_zero:
-            return None
-        if prev is not None and not (prev.contains(s) and prev != s):
-            return None
-        out.append(s)
-        prev = s
-    return out
-
-
-def enumerate_minimal_loose(n: int, profile: Profile) -> list[Lineup]:
-    """One minimal loose lineup per choice of n potential pivot shapes."""
-    shapes = potential_pivot_shapes(profile.rank, profile.level)
-    return [Lineup(profile, tuple(_chain_from_gaps(profile, combo, [False] * n)),
-                   "minimal-loose", frozenset(), combo)
-            for combo in itertools.product(shapes, repeat=n)]
-
-
-def enumerate_minimal_jammed(n: int, profile: Profile) -> list[Lineup]:
-    """All minimal jammed lineups with n pivots: chains whose every gap is
-    delta or delta + rank, some gap delta, every member a pivot.
-
-    Listed by shape choice (largest slice first, in ``itertools.product``
-    order), then by the set of tight gaps read as a bit mask (bit j - 1 for
-    gap j), ascending.
+    Every gap is delta + rank, so the weights follow from the shapes:
+    w_n = delta(zero, s_n) + r and w_j = w_{j+1} + delta(s_{j+1}, s_j) + r.
     """
-    def lineup(link: tuple, iota: frozenset[int]) -> Lineup:
-        slices, labels = [], []
-        while link is not None:
-            row, link = link
-            slices.append(row[3])
-            labels.append(row[1])
-        return Lineup(profile, tuple(slices), "minimal-jammed", iota, tuple(labels))
-
-    return _listing(n, profile, lineup)
+    r = profile.rank
+    fam = family(r, profile.level)
+    shapes = fam.pivot_shapes
+    texts = [str(sh) for sh in shapes]
+    zero = shape_of_zero(profile)
+    # Gap onto the empty slice, and gap[lower][upper] between two shapes.
+    first = [fam.dist(zero, sh) + r for sh in shapes]
+    gap = [[fam.dist(lower, sh) + r for sh in shapes] for lower in shapes]
+    lines = []
+    for combo in itertools.product(range(len(shapes)), repeat=n):
+        pieces = []
+        weight = lower = None
+        for i in reversed(combo):
+            weight = first[i] if lower is None else weight + gap[lower][i]
+            pieces.append(f"{weight}^{texts[i]}")
+            lower = i
+        lines.append(_line(pieces, _iota_text(0), "minimal-loose"))
+    return lines
 
 
 def minimal_jammed_lines(n: int, profile: Profile) -> list[str]:
-    """The text forms of :func:`enumerate_minimal_jammed`'s lineups, in its
-    order, made from the walk without building any lineup."""
-    def line(link: tuple, iota: frozenset[int]) -> str:
-        pieces = []
-        while link is not None:
-            row, link = link
-            pieces.append(row[6])
-        pieces.reverse()
-        return _line(pieces, _iota_text(iota), "minimal-jammed")
+    """The text lines of the minimal jammed lineups with n pivots: chains
+    whose every gap is delta or delta + rank, some gap delta, every member
+    a pivot.
 
-    return _listing(n, profile, line)
-
-
-def _listing(n: int, profile: Profile, make) -> list:
-    """``make(link, iota)`` for each minimal jammed lineup with n pivots, in
-    the order of :func:`enumerate_minimal_jammed`, from its link in the
-    walk of :func:`_minimal_jammed` and its iota.
-
-    That order is the order of one integer per lineup: its shape indices
-    as the digits of a base-|S| number, largest slice first, then its tight
-    mask.
+    Listed by shape choice (largest slice first, in ``itertools.product``
+    order), then by the set of tight gaps read as a bit mask (bit j - 1 for
+    gap j), ascending.  That is the order of one integer per lineup: its
+    shape indices as the digits of a base-|S| number, largest slice first,
+    then its tight mask.  Each line is made from the lineup's link in the
+    walk of :func:`_minimal_jammed`.
     """
     base = len(family(profile.rank, profile.level).pivot_shapes)
     links = {}
@@ -192,23 +108,22 @@ def _listing(n: int, profile: Profile, make) -> list:
         links[(key << n) | mask] = link
     found = sorted(links)
     low = (1 << n) - 1
-    iotas: dict[int, frozenset[int]] = {}
-    # Each key is replaced by what ``make`` returns, and its link freed, in
-    # turn.
+    # Each key is replaced by its line, and its link freed, in turn.
     for i, key in enumerate(found):
-        mask = key & low
-        iota = iotas.get(mask)
-        if iota is None:
-            iota = iotas[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        found[i] = make(links.pop(key), iota)
+        pieces = []
+        node = links.pop(key)
+        while node is not None:
+            row, node = node
+            pieces.append(row[6])
+        pieces.reverse()
+        found[i] = _line(pieces, _iota_text(key & low), "minimal-jammed")
     return found
 
 
 def _top_pivot(row: list) -> bool:
     """Pivot flag of a step row's slice above as the largest member of a
-    chain, as :func:`cylpart.bijection.chain_pivots` flags it: the strip
-    after it starts one past its smallest right end, which must lie left of
-    the last column of the space below it."""
+    chain: the strip after it starts one past its smallest right end, which
+    must lie left of the last column of the space below it."""
     return min(row[7]) + 1 < row[5][1]
 
 
@@ -265,7 +180,8 @@ def _minimal_jammed(n: int, profile: Profile, order):
     # ``spent``, which ``link`` holds; ``under_right`` is the rightmost
     # column of the space under ``lower`` (None when ``lower`` is empty).
     # ``lower`` is a pivot when the space above it starts left of that
-    # column, as :func:`cylpart.bijection.chain_pivots` decides.
+    # column: the first box tiled after it sits left of the last box tiled
+    # before it.
     stack = [(n - 1, zero, shape_of_zero(profile), None, 0, 0, None)]
     while stack:
         j, lower, lower_shape, under_right, spent, mask, link = stack.pop()
@@ -291,44 +207,55 @@ def _minimal_jammed(n: int, profile: Profile, order):
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
-    """Brute force: sum q^{total weight} over all strictly decreasing chains
-    of n slices, every member a pivot, with total weight <= order."""
-    from .bijection import chain_pivots
+    """Sum of q^{total weight} over all strictly decreasing chains of n
+    slices, every member a pivot, with total weight <= order.
+
+    The chains are walked bottom-up from the empty slice, n steps deep.  A
+    slice of shape d strictly containing one of shape c is heavier by
+    delta(c, d) + k * rank, k >= 0 (k >= 1 when d = c), and only
+    potential pivot shapes can be pivots, so each step picks such a shape
+    and k.  A slice's pivot flag is final once the slice above it is
+    placed, so a prefix is cut at its first non-pivot; it is also cut when
+    the chain must pass the order, as each slice still to place above a
+    slice of weight w weighs more than w.  Slices are read as right ends,
+    from their shape and weight, and no ``Slice`` is built.
+    """
     from .rings import ZZ
     from .series import TruncatedSeries
     counts = [0] * (order + 1)
     if n == 0:
         counts[0] = 1
         return TruncatedSeries.from_coeffs(ZZ, counts, order)
-    shapes = potential_pivot_shapes(profile.rank, profile.level)
-    slices_by_weight: list[list[Slice]] = [[] for _ in range(order + 1)]
-    for w in range(1, order + 1):
-        for sh in shapes:
-            s = slice_with(profile, sh, w)
-            if s is not None:
-                slices_by_weight[w].append(s)
-
-    def extend(chain: list[Slice], budget: int):
-        # chain holds the smaller slices already chosen, smallest last;
-        # the next slice must strictly contain chain[0].
-        if len(chain) == n:
-            total = sum(s.weight for s in chain)
-            if all(chain_pivots(profile, chain)):
-                counts[total] += 1
-            return
-        low = chain[0].weight + 1 if chain else 1
-        for w in range(low, budget + 1):
-            for s in slices_by_weight[w]:
-                if chain and not (s.contains(chain[0]) and s != chain[0]):
-                    continue
-                remaining = budget - w
-                # the rest of the chain needs strictly increasing weights
-                needed = sum(range(w + 1, w + 1 + n - len(chain) - 1))
-                if remaining < needed:
-                    continue
-                extend([s] + chain, remaining)
-
-    extend([], order)
+    r = profile.rank
+    fam = family(r, profile.level)
+    offsets = profile.offsets()
+    zero_sum = sum(offsets[:-1])   # the zero shape's parts are offsets[:-1]
+    # Each entry asks for slice j (0-based, largest first) above the lower
+    # slice, of shape ``lower``, right ends ``lower_ends`` and weight
+    # ``lower_w``, after slices of total weight ``spent``; ``under_right`` is
+    # the rightmost column of the space under the lower slice (None for the
+    # empty slice).  The lower slice is a pivot when the space above it
+    # starts left of that column.
+    stack = [(n - 1, shape_of_zero(profile), offsets, 0, None, 0)]
+    while stack:
+        j, lower, lower_ends, lower_w, under_right, spent = stack.pop()
+        for sh in fam.pivot_shapes:
+            w = lower_w + fam.dist(lower, sh) + (r if sh == lower else 0)
+            parts = sh.parts
+            while spent + w + j * (w + 1) <= order:
+                # The right ends x + d_1, ..., x + d_{r-1}, x of the slice
+                # of shape d and weight w.
+                x = (w - sum(parts) + zero_sum) // r
+                ends = (*[x + p for p in parts], x)
+                left, right = _space_columns(ends, lower_ends)
+                if under_right is None or left < under_right:
+                    if j:
+                        stack.append((j - 1, sh, ends, w, right, spent + w))
+                    elif x + 1 < right:
+                        # The largest slice: the strip after it starts one
+                        # past its smallest right end, x.
+                        counts[spent + w] += 1
+                w += r
     return TruncatedSeries.from_coeffs(ZZ, counts, order)
 
 
@@ -357,22 +284,29 @@ def minimal_jammed_correction(n: int, profile: Profile, order: int | None = None
     return total if order is None else QPoly(total.coeffs[:order + 1])
 
 
+def _lineup_series(n: int, profile: Profile, order: int) -> TruncatedSeries:
+    """The n-th lineup-side series, truncated at q^order: minimal loose
+    lineup weights plus the sign-corrected minimal jammed weights, over
+    (q^rank; q^rank)_n.  The minimal loose weights come from the
+    tight-packing distances alone, through the pivot-lineup recurrence, and
+    only minimal jammed lineups of weight <= order are walked."""
+    numerator = family(profile.rank, profile.level).pivot_lineup(
+        n, shape_of_zero(profile), order) + minimal_jammed_correction(n, profile, order)
+    return _over_poch(numerator, n, profile.rank, order)
+
+
 def lemma_check(n: int, profile: Profile, order: int) -> Check:
     """Chains of n pivots, counted two ways: the ``pivot-chain-lemma``
     check.
 
-    Brute force on the left; on the right, minimal loose lineup weights
-    plus the sign-corrected minimal jammed weights, all over
-    (q^rank; q^rank)_n, each truncated at q^order.  The minimal loose
-    weights come from the tight-packing distances alone, through the
-    pivot-lineup recurrence, and only minimal jammed lineups of weight
-    <= order are walked; no lineup is built.
+    On the left, the pruned walk over every chain of n pivots
+    (:func:`pivot_chain_gf`); on the right, the lineup-side series of
+    :func:`_lineup_series`, each truncated at q^order.  No lineup is
+    built.
     """
     from .series import compare
     lhs = pivot_chain_gf(n, profile, order)
-    numerator = family(profile.rank, profile.level).pivot_lineup(
-        n, shape_of_zero(profile), order) + minimal_jammed_correction(n, profile, order)
-    rhs = _over_poch(numerator, n, profile.rank, order)
+    rhs = _lineup_series(n, profile, order)
     where = f"for {profile}, n={n}, q^{order}"
     return compare("pivot-chain-lemma", lhs.coeffs, rhs.coeffs,
                    f"pivot-chain count identity {where}: ok",
@@ -387,22 +321,15 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
         F(z, q) = 1/(zq; q)_inf *
                   sum_n (pivot_lineup + jammed correction) z^n / (q^r; q^r)_n
 
-    compared coefficientwise for z-degree <= n_max, q-degree <= order.
-    Both lineup sums are truncated at q^order: the minimal loose weights
-    come from the pivot-lineup recurrence and only minimal jammed lineups
-    of weight <= order are walked.
+    compared coefficientwise for z-degree <= n_max, q-degree <= order, the
+    z^n term being :func:`_lineup_series`.
     """
     from .rings import ZZ_z
     from .series import (TruncatedSeries, compare, inv_zq_pochhammer, refinement,
                          truncate_z, z_power_times)
-    r = profile.rank
-    fam = family(r, profile.level)
-    zero_shape = shape_of_zero(profile)
     rhs_sum = TruncatedSeries.zero(ZZ_z, order)
     for n in range(n_max + 1):
-        numerator = fam.pivot_lineup(n, zero_shape, order) + \
-            minimal_jammed_correction(n, profile, order)
-        rhs_sum = rhs_sum + z_power_times(n, _over_poch(numerator, n, r, order))
+        rhs_sum = rhs_sum + z_power_times(n, _lineup_series(n, profile, order))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
     lhs = truncate_z(cylpart.oracle.count_bivariate(profile, order), n_max)
     where = f"for {profile}, n={n_max}, q^{order}"

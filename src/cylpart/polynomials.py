@@ -78,7 +78,6 @@ class PolynomialFamily:
         self._index = {s: i for i, s in enumerate(self.shapes)}
         self._delta = [[_delta(a.parts, b.parts) for b in self.shapes]
                        for a in self.shapes]
-        self._pivot_index = {s: i for i, s in enumerate(self.pivot_shapes)}
         # Exponent rows of the pivot recurrence, one per shape of the family.
         self._pivot_exps = [[row[self._index[d]] + rank for d in self.pivot_shapes]
                             for row in self._delta]
@@ -140,18 +139,14 @@ class PolynomialFamily:
         """Weight numerator of minimal loose pivot lineups below shape c,
         truncated at q^order (``None``: full degree).
 
-        The recurrence runs over potential pivot shapes only; a base shape
-        outside that set is handled by one extra application of the step.
+        The recurrence runs over potential pivot shapes only; layer n for
+        any base shape c is one step from layer n - 1, with c's row of
+        exponents.
         """
         if n < 0:
             raise InvalidInput("n must be non-negative")
         if n == 0:
             return QPoly.one()
-        i = self._pivot_index.get(c)
-        if i is not None:
-            width, layers = self._layers(self._pivot_lineup, self._pivot_rows,
-                                         n, n, order)
-            return _unpack(layers[n][i], width)
         width, layers = self._layers(self._pivot_lineup, self._pivot_rows,
                                      n - 1, n, order)
         return _unpack(_fold(layers[n - 1], self._pivot_exps[self._index[c]],

@@ -1,24 +1,26 @@
 """Independent references the tests check the library against: the lineup
-classes by their definition, the rank-2 closed form of beta
-admissibility, the pivot flag of one slice from the spaces on either side
-of it, the smallest weight of a slice of a given shape, the one-box
-successors of a slice and the shape graph built from them,
+classes by their definition, a chain builder that takes tight or loose
+gaps, the pivot-chain count by brute force over every chain, the pivot
+flags of a chain one slice at a time, beta admissibility and its
+diagnosis from ``Slice`` values, the rank-2 closed form of beta
+admissibility, the smallest weight of a slice of a given shape, the
+one-box successors of a slice and the shape graph built from them,
 Berlekamp-Massey over the rationals, and eigen forms of the
 distinct-parts series checked over Q and real quadratic fields.  The
-library computes none of them; it builds lineups of a known class
-directly, checks beta and flags pivots in one walk down the chain,
-finds slices from their shape and weight, builds the shape graph from the
-grow rule on shapes, and certifies every closed form over Z from the
-minimal polynomial of the path counts, found over the integers."""
+library computes none of them; it writes lineup lines from tight-packing
+distances or a pruned walk, counts pivot chains by a pruned walk, checks
+beta and flags pivots in one walk down the chain, finds slices from their
+shape and weight, builds the shape graph from the grow rule on shapes,
+and certifies every closed form over Z from the minimal polynomial of the
+path counts, found over the integers."""
 
 from fractions import Fraction
 from typing import Sequence
 
-from cylpart.bijection import InadmissibleBeta, LabeledDistinctPartition, chain_pivots
+from cylpart.bijection import InadmissibleBeta, LabeledDistinctPartition
 from cylpart.core import (CylpartError, Profile, RankMismatch, Shape, _delta, _Frozen,
                          _space_columns, all_shapes, shape_of_zero)
 from cylpart.diagram import distinct_gf
-from cylpart.lineups import Lineup
 from cylpart.polynomials import family
 from cylpart.qpoly import QPoly
 from cylpart.rings import Ring, RingMismatch, ZZ
@@ -57,6 +59,48 @@ def pivot_flag(above: tuple[int, ...] | None, ends: tuple[int, ...],
             raise InadmissibleBeta(f"chain stalls above right ends {ends}")
         first_after = after[0]
     return first_after < before[1]
+
+
+def chain_pivots_reference(profile: Profile, chain: Sequence[Slice]) -> list[bool]:
+    """Pivot flags of a strictly decreasing chain, largest slice first, one
+    slice at a time through :func:`pivot_flag`, which measures every space
+    twice: below one slice and above the next."""
+    ends = [s.right_ends() for s in chain] + [profile.offsets()]
+    return [pivot_flag(ends[j - 1] if j else None, ends[j], ends[j + 1])
+            for j in range(len(ends) - 1)]
+
+
+def resolve_beta_reference(beta: LabeledDistinctPartition,
+                           profile: Profile) -> list[Slice]:
+    """The slices named by beta, checked in the order and with the
+    messages of ``pivot_reconstruct``'s :class:`InadmissibleBeta`: no slice,
+    can never be a pivot, do not nest, not a pivot."""
+    slices = []
+    for w, sh in beta.entries:
+        s = slice_with(profile, sh, w)
+        if s is None:
+            raise InadmissibleBeta(f"no slice of shape {sh} and weight {w}")
+        slices.append(s)
+    for w, sh in beta.entries:
+        if not sh.parts or sh.parts[0] < 2:
+            raise InadmissibleBeta(f"shape {sh} of part {w} can never be a pivot")
+    for a, b in zip(slices, slices[1:]):
+        if not (a.contains(b) and a != b):
+            raise InadmissibleBeta(f"slices {a.lengths} and {b.lengths} do not nest")
+    for (w, sh), flag in zip(beta.entries, chain_pivots_reference(profile, slices)):
+        if not flag:
+            raise InadmissibleBeta(f"{w}^{sh} is not a pivot in this lineup")
+    return slices
+
+
+def validate_beta_reference(beta: LabeledDistinctPartition,
+                            profile: Profile) -> tuple[bool, str]:
+    """(ok, diagnosis) of :func:`resolve_beta_reference`."""
+    try:
+        resolve_beta_reference(beta, profile)
+    except InadmissibleBeta as exc:
+        return False, str(exc)
+    return True, "admissible"
 
 
 def successors(s: Slice) -> list[Slice]:
@@ -113,6 +157,35 @@ class NotPotentialPivot(CylpartError):
     pass
 
 
+class Lineup(_Frozen):
+    """A chain of potential pivots, ``slices`` largest first, with its
+    ``classification`` (loose, minimal-loose, jammed, minimal-jammed or
+    none) and ``iota``."""
+
+    __slots__ = _fields = ("profile", "slices", "classification", "iota")
+
+    def __init__(self, profile: Profile, slices: tuple[Slice, ...],
+                 classification: str, iota: frozenset[int]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "iota", iota)
+
+    @property
+    def weight(self) -> int:
+        return sum(s.weight for s in self.slices)
+
+    def shapes(self) -> list[Shape]:
+        return [slice_shape(s) for s in self.slices]
+
+    def to_text(self) -> str:
+        """The line the library lists for this lineup: ``weight^shape``
+        pieces, smallest slice first, then iota and classification."""
+        pieces = ",".join(f"{s.weight}^{slice_shape(s)}" for s in reversed(self.slices))
+        iota = "{" + ",".join(map(str, sorted(self.iota))) + "}"
+        return f"{pieces} iota={iota} class={self.classification}"
+
+
 def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
     """Classify a strictly decreasing chain of potential pivots.
 
@@ -120,7 +193,7 @@ def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
     end).  Pivothood is always re-checked operationally on the chain, never
     assumed from the gap pattern alone.
     """
-    chain = list(slices)
+    chain = tuple(slices)
     zero_shape = shape_of_zero(profile)
     level = profile.level
     r = profile.rank
@@ -149,14 +222,79 @@ def classify(profile: Profile, slices: Sequence[Slice]) -> Lineup:
         elif gap != dist + r:
             all_tight_or_step = False
 
-    flags = chain_pivots(profile, chain)
-    if not all(flags):
-        return Lineup(profile, tuple(chain), "none", frozenset(), labels)
+    if not all(chain_pivots_reference(profile, chain)):
+        return Lineup(profile, chain, "none", frozenset())
     if jammed_gaps:
         cls = "minimal-jammed" if all_tight_or_step else "jammed"
-        return Lineup(profile, tuple(chain), cls, frozenset(jammed_gaps), labels)
+        return Lineup(profile, chain, cls, frozenset(jammed_gaps))
     cls = "minimal-loose" if all_tight_or_step else "loose"
-    return Lineup(profile, tuple(chain), cls, frozenset(), labels)
+    return Lineup(profile, chain, cls, frozenset())
+
+
+def chain_from_gaps(profile: Profile, shapes: Sequence[Shape],
+                    tight: Sequence[bool]) -> list[Slice] | None:
+    """The chain of the given shapes, largest slice first, whose gap j is
+    delta (tight) or delta + rank, built as ``Slice`` values; None when
+    some member does not exist as a slice or the chain stalls."""
+    r = profile.rank
+    fam = family(r, profile.level)
+    zero_shape = shape_of_zero(profile)
+    n = len(shapes)
+    weights = [0] * (n + 1)
+    for j in range(n, 0, -1):
+        lower_shape = shapes[j] if j < n else zero_shape
+        gap = fam.dist(lower_shape, shapes[j - 1]) + (0 if tight[j - 1] else r)
+        weights[j - 1] = weights[j] + gap
+    out = []
+    prev = None
+    for sh, w in zip(shapes, weights[:n]):
+        s = slice_with(profile, sh, w)
+        if s is None or s.is_zero:
+            return None
+        if prev is not None and not (prev.contains(s) and prev != s):
+            return None
+        out.append(s)
+        prev = s
+    return out
+
+
+def pivot_chain_gf_reference(n: int, profile: Profile, order: int) -> TruncatedSeries:
+    """Brute force: sum q^{total weight} over all strictly decreasing chains
+    of n slices, every member a pivot, with total weight <= order; every
+    chain of n potential pivots is built and flagged whole."""
+    counts = [0] * (order + 1)
+    if n == 0:
+        counts[0] = 1
+        return TruncatedSeries.from_coeffs(ZZ, counts, order)
+    shapes = family(profile.rank, profile.level).pivot_shapes
+    slices_by_weight: list[list[Slice]] = [[] for _ in range(order + 1)]
+    for w in range(1, order + 1):
+        for sh in shapes:
+            s = slice_with(profile, sh, w)
+            if s is not None:
+                slices_by_weight[w].append(s)
+
+    def extend(chain: list[Slice], budget: int):
+        # chain holds the smaller slices already chosen, smallest last;
+        # the next slice must strictly contain chain[0].
+        if len(chain) == n:
+            if all(chain_pivots_reference(profile, chain)):
+                counts[sum(s.weight for s in chain)] += 1
+            return
+        low = chain[0].weight + 1 if chain else 1
+        for w in range(low, budget + 1):
+            for s in slices_by_weight[w]:
+                if chain and not (s.contains(chain[0]) and s != chain[0]):
+                    continue
+                remaining = budget - w
+                # the rest of the chain needs strictly increasing weights
+                needed = sum(range(w + 1, w + 1 + n - len(chain) - 1))
+                if remaining < needed:
+                    continue
+                extend([s] + chain, remaining)
+
+    extend([], order)
+    return TruncatedSeries.from_coeffs(ZZ, counts, order)
 
 
 def validate_beta_rank2(beta: LabeledDistinctPartition, a: int, b: int) -> bool:

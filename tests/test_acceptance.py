@@ -16,9 +16,9 @@ from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
                      borodin_product, build_graph, char_poly,
                      count_distinct_series, count_series, decompose,
                      delta, diagonal_blocks, distinct_gf,
-                     enumerate_by_weight, enumerate_minimal_jammed,
-                     enumerate_minimal_loose, family, f_truncated,
+                     enumerate_by_weight, family, f_truncated,
                      check_functional_equation, lemma_check, matrix_power,
+                     minimal_jammed_lines, minimal_loose_lines,
                      path_counts, pivot_corrected_poly, pivot_decompose,
                      pivot_lineup_poly, pivot_reconstruct,
                      product_inv_factors, qconj_genfunc_check,
@@ -238,7 +238,7 @@ def test_criterion_07_functional_equation():
 def test_criterion_08_lineups():
     profile = Profile.of(1, 1, 0)   # rank 3, level 2 family
     for n in range(5):
-        assert len(enumerate_minimal_loose(n, profile)) == 3 ** n
+        assert len(minimal_loose_lines(n, profile)) == 3 ** n
 
     mj = classify(profile, [slice_with(profile, Shape.of(2, 2), 9),
                             slice_with(profile, Shape.of(2, 1), 5),
@@ -254,11 +254,11 @@ def test_criterion_08_lineups():
     assert bad.classification == "none"
 
     p020 = Profile.of(0, 2, 0)
-    assert not any(l.slices[-1].weight == 1
-                   for l in enumerate_minimal_jammed(1, p020))
+    # A line lists its smallest slice first.
+    assert not any(t.startswith("1^") for t in minimal_jammed_lines(1, p020))
 
     p400 = Profile.of(4, 0, 0)
-    texts = [l.to_text() for l in enumerate_minimal_jammed(3, p400)]
+    texts = minimal_jammed_lines(3, p400)
     assert any(t.startswith("5^(4,1),9^(4,2),10^(4,3)") and "iota={1,3}" in t
                for t in texts)
     assert any(t.startswith("5^(4,1),6^(4,2),10^(4,3)") and "iota={2,3}" in t
@@ -268,7 +268,7 @@ def test_criterion_08_lineups():
         prof = Profile(parts)
         b = math.comb(prof.level + prof.rank - 1, prof.rank - 1)
         for n in range(1, 4):
-            assert len(enumerate_minimal_jammed(n, prof)) <= \
+            assert len(minimal_jammed_lines(n, prof)) <= \
                 (2 ** n - 1) * (b - prof.rank) ** n
 
 

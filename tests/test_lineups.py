@@ -8,17 +8,18 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import all_profiles
-from cylpart import (Profile, QPoly, Shape, enumerate_minimal_jammed,
-                     enumerate_minimal_loose, family, lemma_check,
-                     minimal_jammed_lines, pivot_chain_gf, potential_pivot_shapes,
+from cylpart import (Profile, QPoly, Shape, family, lemma_check,
+                     minimal_jammed_lines, minimal_loose_lines, pivot_chain_gf,
                      qconj_genfunc_check, shape_of_zero, slice_with)
 from cylpart import lineups
 from cylpart.cli import main
-from cylpart.lineups import _chain_from_gaps, minimal_jammed_correction
-from references import NotPotentialPivot, classify
+from cylpart.lineups import minimal_jammed_correction
+from references import (NotPotentialPivot, chain_from_gaps, classify,
+                        pivot_chain_gf_reference)
 
 P110 = Profile.of(1, 1, 0)
 P400 = Profile.of(4, 0, 0)
+P211 = Profile.of(2, 1, 1)
 
 
 def chain(profile, entries):
@@ -29,24 +30,28 @@ def chain(profile, entries):
     return slices
 
 
+def read_line(line):
+    """(weight, iota, shape texts smallest slice first) of a listed line."""
+    pieces, iota, _ = line.split(" ")
+    pairs = [piece.split("^") for piece in pieces.replace("),", ") ").split()]
+    iota = iota[len("iota={"):-1]
+    return (sum(int(w) for w, _ in pairs),
+            frozenset(int(j) for j in iota.split(",") if j),
+            tuple(sh for _, sh in pairs))
+
+
 class TestPotentialPivots:
     def test_small_family(self):
-        assert [s.parts for s in potential_pivot_shapes(3, 2)] == \
+        assert [s.parts for s in family(3, 2).pivot_shapes] == \
             [(2, 0), (2, 1), (2, 2)]
 
     def test_none_at_level_one(self):
-        assert potential_pivot_shapes(2, 1) == []
-
-    def test_a_copy_of_the_family_list(self):
-        got = potential_pivot_shapes(3, 2)
-        assert got == family(3, 2).pivot_shapes
-        got.clear()
-        assert len(family(3, 2).pivot_shapes) == 3
+        assert family(2, 1).pivot_shapes == []
 
     def test_count_formula(self):
         for r in range(1, 5):
             for level in range(1, 6):
-                got = potential_pivot_shapes(r, level)
+                got = family(r, level).pivot_shapes
                 assert len(got) == math.comb(level + r - 1, r - 1) - r
 
 
@@ -91,51 +96,54 @@ class TestClassify:
             "1^(2,0),5^(2,1),9^(2,2) iota={3} class=minimal-jammed"
 
 
+def reference_minimal_loose(n, profile):
+    """Every shape choice, its chain built with loose gaps and classified
+    from scratch: the reference for the lines the library writes from the
+    distances alone, in the order it must list them."""
+    shapes = family(profile.rank, profile.level).pivot_shapes
+    out = []
+    for combo in itertools.product(shapes, repeat=n):
+        chain = chain_from_gaps(profile, combo, [False] * n)
+        assert chain is not None, (profile, combo)
+        out.append(classify(profile, chain))
+    return out
+
+
 class TestMinimalLoose:
     def test_counts(self):
         for prof in [P110, Profile.of(0, 2, 0), Profile.of(2, 1)]:
             b = math.comb(prof.level + prof.rank - 1, prof.rank - 1)
             for n in range(5):
-                found = enumerate_minimal_loose(n, prof)
+                found = minimal_loose_lines(n, prof)
                 assert len(found) == (b - prof.rank) ** n
-                assert len({tuple(s.weight for s in l.slices) +
-                            tuple(sh.parts for sh in l.shapes())
-                            for l in found}) == len(found)
+                assert len(set(found)) == len(found)
 
     def test_level2_example_present(self):
-        texts = [l.to_text() for l in enumerate_minimal_loose(3, P110)]
+        texts = minimal_loose_lines(3, P110)
         assert any(t.startswith("4^(2,0),8^(2,1),12^(2,2)") for t in texts)
 
     def test_unique_per_shape_sequence(self):
-        found = enumerate_minimal_loose(2, P110)
-        assert len({tuple(sh.parts for sh in l.shapes()) for l in found}) == len(found)
+        found = minimal_loose_lines(2, P110)
+        assert len({read_line(t)[2] for t in found}) == len(found)
 
     def test_weight_sum_equals_recurrence_polynomial(self):
         # dual route: the layered polynomial recurrence against the literal
-        # weight sum over enumerated lineups
-        from cylpart import QPoly, pivot_lineup_poly
+        # weight sum over the listed lineups
+        from cylpart import pivot_lineup_poly
         for prof in [P110, Profile.of(0, 2, 0), Profile.of(2, 1),
                      Profile.of(1, 1, 1), Profile.of(4, 0)]:
             for n in range(4):
                 total = QPoly()
-                for lineup in enumerate_minimal_loose(n, prof):
-                    total = total + QPoly.monomial(lineup.weight)
+                for line in minimal_loose_lines(n, prof):
+                    total = total + QPoly.monomial(read_line(line)[0])
                 assert total == pivot_lineup_poly(prof, n), (prof, n)
 
     def test_loose_gaps_always_build_minimal_loose_chains(self):
         for prof in all_profiles(3, 3):
-            shapes = potential_pivot_shapes(prof.rank, prof.level)
             for n in range(4):
-                expected = []
-                for combo in itertools.product(shapes, repeat=n):
-                    chain = _chain_from_gaps(prof, combo, [False] * n)
-                    assert chain is not None, (prof, combo)
-                    lineup = classify(prof, chain)
-                    assert lineup.classification == "minimal-loose", str(lineup)
-                    expected.append(lineup)
-                found = enumerate_minimal_loose(n, prof)
-                assert found == expected, (prof, n)
-                assert [l.to_text() for l in found] == \
+                expected = reference_minimal_loose(n, prof)
+                assert all(l.classification == "minimal-loose" for l in expected)
+                assert minimal_loose_lines(n, prof) == \
                     [l.to_text() for l in expected], (prof, n)
 
 
@@ -143,12 +151,12 @@ def brute_force_minimal_jammed(n, profile):
     """Every shape choice times every non-empty set of tight gaps, each
     chain built and classified from scratch: the reference for the pruned
     walk, in the order it must list its results."""
-    shapes = potential_pivot_shapes(profile.rank, profile.level)
+    shapes = family(profile.rank, profile.level).pivot_shapes
     out = []
     for combo in itertools.product(shapes, repeat=n):
         for mask in range(1, 1 << n):
             tight = [(mask >> j) & 1 == 1 for j in range(n)]
-            chain = _chain_from_gaps(profile, combo, tight)
+            chain = chain_from_gaps(profile, combo, tight)
             if chain is None:
                 continue
             lineup = classify(profile, chain)
@@ -167,11 +175,11 @@ GF_CASES = [(P400, 3), (Profile.of(2, 1, 1), 3)]
 class TestMinimalJammed:
     def test_weight_one_singleton_absent(self):
         p020 = Profile.of(0, 2, 0)
-        found = enumerate_minimal_jammed(1, p020)
-        assert not any(l.slices[-1].weight == 1 for l in found)
+        # A line lists its smallest slice first.
+        assert not any(t.startswith("1^") for t in minimal_jammed_lines(1, p020))
 
     def test_examples_present(self):
-        texts = [l.to_text() for l in enumerate_minimal_jammed(3, P400)]
+        texts = minimal_jammed_lines(3, P400)
         assert any(t.startswith("5^(4,1),9^(4,2),10^(4,3)") and "iota={1,3}" in t
                    for t in texts)
         assert any(t.startswith("5^(4,1),6^(4,2),10^(4,3)") and "iota={2,3}" in t
@@ -181,18 +189,16 @@ class TestMinimalJammed:
         for prof in [P110, Profile.of(0, 2, 0), Profile.of(2, 1), Profile.of(1, 1, 1)]:
             b = math.comb(prof.level + prof.rank - 1, prof.rank - 1)
             for n in range(1, 4):
-                found = enumerate_minimal_jammed(n, prof)
+                found = minimal_jammed_lines(n, prof)
                 assert len(found) <= (2 ** n - 1) * (b - prof.rank) ** n
-                for lineup in found:
-                    assert lineup.classification == "minimal-jammed"
-                    assert lineup.iota
+                for line in found:
+                    assert line.endswith(" class=minimal-jammed")
+                    assert read_line(line)[1]
 
     def test_walk_equals_brute_force(self):
         for prof, n in WALK_CASES + GF_CASES:
             expected = brute_force_minimal_jammed(n, prof)
-            found = enumerate_minimal_jammed(n, prof)
-            assert found == expected, (prof, n)
-            assert [l.to_text() for l in found] == \
+            assert minimal_jammed_lines(n, prof) == \
                 [l.to_text() for l in expected], (prof, n)
 
     def test_top_flag_once_per_lower_slice_and_row(self, monkeypatch):
@@ -213,22 +219,19 @@ class TestMinimalJammed:
             prof = Profile.of(*parts)
             for n in (1, 2):
                 seen.clear()
-                found = enumerate_minimal_jammed(n, prof)
+                found = minimal_jammed_lines(n, prof)
                 # A step row is listed once per (lower slice, step) pair.
                 assert len(set(seen)) == len(seen), (prof, n)
                 total += len(seen)
                 expected = brute_force_minimal_jammed(n, prof)
-                assert found == expected, (prof, n)
-                assert [l.to_text() for l in found] == \
-                    [l.to_text() for l in expected], (prof, n)
+                assert found == [l.to_text() for l in expected], (prof, n)
         assert total == 3026
 
     def test_concurrent_calls_match_serial(self):
-        # Each call keeps its step table to itself; the text caches are
-        # shared, so the threads format their lineups and list lines too.
+        # Each call keeps its step table to itself; the iota text cache is
+        # shared, so the threads list lines of both kinds.
         def listing(prof, n):
-            found = enumerate_minimal_jammed(n, prof)
-            return found, [l.to_text() for l in found], minimal_jammed_lines(n, prof)
+            return minimal_jammed_lines(n, prof), minimal_loose_lines(n, prof)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -243,51 +246,68 @@ class TestMinimalJammed:
             sys.setswitchinterval(interval)
 
     def test_text_caches_are_bounded(self):
-        for cache in (lineups._piece_text, lineups._iota_text):
-            maxsize = cache.cache_info().maxsize
-            assert maxsize is not None and maxsize > 0
+        maxsize = lineups._iota_text.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
     def test_correction_equals_per_lineup_sum(self):
         for prof, n in WALK_CASES:
             total = QPoly()
-            for lineup in enumerate_minimal_jammed(n, prof):
-                piece = QPoly.monomial(lineup.weight)
-                for j in lineup.iota:
+            for line in minimal_jammed_lines(n, prof):
+                weight, iota, _ = read_line(line)
+                piece = QPoly.monomial(weight)
+                for j in iota:
                     piece = piece * (QPoly.one() - QPoly.monomial(prof.rank * j))
                 total = total + piece
             assert minimal_jammed_correction(n, prof) == total, (prof, n)
 
 
-def listed(capsys, prof, n, fmt):
-    code = main(["lineups", "--kind", "mjl", "--n", str(n), "--profile",
+def listed(capsys, prof, n, fmt, kind="mjl"):
+    code = main(["lineups", "--kind", kind, "--n", str(n), "--profile",
                  ",".join(map(str, prof.parts)), "--format", fmt])
     return code, capsys.readouterr().out
+
+
+def assert_cli_lines(capsys, prof, n, kind, texts):
+    """``lineups --kind <kind>`` writes exactly ``texts`` in each format."""
+    lines = "".join(f"{t}\n" for t in texts)
+    payload = {"command": "lineups", "profile": list(prof.parts),
+               "kind": kind, "n": n, "lineups": texts, "schema": 1}
+    expected = {"text": lines, "csv": lines,
+                "json": json.dumps(payload, indent=2) + "\n"}
+    for fmt, out in expected.items():
+        assert listed(capsys, prof, n, fmt, kind) == (0, out), (prof, n, fmt)
 
 
 class TestJammedLines:
     """``lineups --kind mjl`` makes its lines straight from the walk."""
 
     def test_cli_lines_equal_lineup_texts(self, capsys):
+        # The lines equal the reference texts: test_walk_equals_brute_force.
         for prof, n in WALK_CASES + GF_CASES:
-            texts = [l.to_text() for l in enumerate_minimal_jammed(n, prof)]
-            assert minimal_jammed_lines(n, prof) == texts, (prof, n)
-            lines = "".join(f"{t}\n" for t in texts)
-            payload = {"command": "lineups", "profile": list(prof.parts),
-                       "kind": "mjl", "n": n, "lineups": texts, "schema": 1}
-            expected = {"text": lines, "csv": lines,
-                        "json": json.dumps(payload, indent=2) + "\n"}
-            for fmt, out in expected.items():
-                assert listed(capsys, prof, n, fmt) == (0, out), (prof, n, fmt)
+            assert_cli_lines(capsys, prof, n, "mjl", minimal_jammed_lines(n, prof))
 
     def test_cli_builds_no_lineup(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a lineup was built")
-
-        monkeypatch.setattr(lineups, "Lineup", refuse)
+        # The library has no lineup class, and the minimal loose lines
+        # come from the distances alone, without a slice.
+        assert not hasattr(lineups, "Lineup")
         code, out = listed(capsys, P400, 3, "text")
         assert code == 0 and len(out.splitlines()) == 6946
-        with pytest.raises(AssertionError, match="a lineup was built"):
-            enumerate_minimal_jammed(3, P400)
+
+        def refuse(*args):
+            raise AssertionError("a slice was built")
+
+        monkeypatch.setattr(lineups, "slice_with", refuse)
+        code, out = listed(capsys, P400, 3, "text", "mll")
+        assert code == 0 and len(out.splitlines()) == 12 ** 3
+
+
+class TestLooseLines:
+    """``lineups --kind mll`` writes the minimal loose lines."""
+
+    def test_cli_lines_equal_lineup_texts(self, capsys):
+        for prof, n in WALK_CASES + [(P211, 3)]:
+            texts = [l.to_text() for l in reference_minimal_loose(n, prof)]
+            assert_cli_lines(capsys, prof, n, "mll", texts)
 
 
 class TestOrderBoundedSums:
@@ -302,7 +322,7 @@ class TestOrderBoundedSums:
         for prof in self.PROFILES:
             fam = family(prof.rank, prof.level)
             full = minimal_jammed_correction(n, prof)
-            loose = Counter(l.weight for l in enumerate_minimal_loose(n, prof))
+            loose = Counter(read_line(t)[0] for t in minimal_loose_lines(n, prof))
             for order in range(17):
                 jammed = minimal_jammed_correction(n, prof, order)
                 assert jammed.degree <= order, (prof, n, order)
@@ -317,6 +337,15 @@ class TestIdentities:
     def test_chain_gf_base_case(self):
         s = pivot_chain_gf(0, P110, 8)
         assert s.coeffs == (1, 0, 0, 0, 0, 0, 0, 0, 0)
+
+    def test_chain_walk_equals_brute_force(self):
+        profiles = list(dict.fromkeys(all_profiles(3, 3) + all_profiles(4, 2)))
+        for prof in profiles:
+            for n in range(5):
+                assert pivot_chain_gf(n, prof, 12) == \
+                    pivot_chain_gf_reference(n, prof, 12), (prof, n)
+        p111 = Profile.of(1, 1, 1)
+        assert pivot_chain_gf(3, p111, 16) == pivot_chain_gf_reference(3, p111, 16)
 
     @pytest.mark.parametrize("profile,n,order", [
         (Profile.of(1, 1, 1), 1, 12), (P110, 2, 14), (Profile.of(2, 1), 2, 14),

@@ -76,7 +76,7 @@ CLOSURES = {
     "stg": ("diagram",), "path-counts": ("diagram",),
     "distinct-gf": ("diagram", "series"), "verify-closed-form": ("diagram", "series"),
     "poly": ("polynomials",), "functional-eq": ("polynomials", "series"),
-    "lineups": ("lineups",), "lemma-check": ("lineups", "series", "bijection"),
+    "lineups": ("lineups",), "lemma-check": ("lineups", "series"),
     "qconj-check": ("lineups", "oracle"),
     "verify-all": ("verify",),
 }
@@ -208,7 +208,7 @@ EXPORTED = {
                "recompose", "shrink", "slice_shape", "slice_with",
                "zero_slice"],
     "bijection": ["LabeledDistinctPartition", "pivot_decompose",
-                  "pivot_reconstruct", "validate_beta"],
+                  "pivot_reconstruct"],
     "diagram": ["PathCountTable", "ShapeTransitionGraph",
                 "adjacency_matrix", "build_graph", "char_poly", "check_closed_form",
                 "diagonal_blocks", "distinct_gf", "matrix_power",
@@ -216,9 +216,8 @@ EXPORTED = {
     "polynomials": ["PolynomialFamily", "check_functional_equation", "family",
                     "f_truncated", "largest_part_exact_poly", "parts_at_most_poly",
                     "pivot_corrected_poly", "pivot_lineup_poly"],
-    "lineups": ["Lineup", "enumerate_minimal_jammed",
-                "enumerate_minimal_loose", "lemma_check", "minimal_jammed_lines",
-                "pivot_chain_gf", "potential_pivot_shapes", "qconj_genfunc_check"],
+    "lineups": ["lemma_check", "minimal_jammed_lines", "minimal_loose_lines",
+                "pivot_chain_gf", "qconj_genfunc_check"],
     "verify": ["verify_all_tasks"],
 }
 
