@@ -19,7 +19,8 @@ from the largest slice down; index n is the gap onto the empty slice.
 The listings write each lineup's text line and build no lineup object:
 minimal loose lines from the tight-packing distances alone, minimal
 jammed lines from a pruned walk.  The pivot-chain count is a second
-pruned walk, which decides pivots by its own code.
+pruned walk, which decides pivots by its own code.  Both walks read each
+slice as its right ends, from its shape and weight, and build no slice.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from typing import TYPE_CHECKING, Sequence
 # listing lineups loads none of them.
 import cylpart
 
-from .core import Profile, Shape, _space_columns, shape_of_zero
+from .core import Profile, _space_columns, shape_of_zero
 from .polynomials import _over_poch, family
 from .qpoly import QPoly
-from .slices import Slice, slice_with, zero_slice
 
 if TYPE_CHECKING:
     from .series import Check, TruncatedSeries
@@ -95,43 +95,28 @@ def minimal_jammed_lines(n: int, profile: Profile) -> list[str]:
     gap j), ascending.  That is the order of one integer per lineup: its
     shape indices as the digits of a base-|S| number, largest slice first,
     then its tight mask.  Each line is made from the lineup's link in the
-    walk of :func:`_minimal_jammed`.
+    walk of :func:`_minimal_jammed`, as soon as the walk finds it.
     """
-    base = len(family(profile.rank, profile.level).pivot_shapes)
-    links = {}
+    texts = [str(sh) for sh in family(profile.rank, profile.level).pivot_shapes]
+    base = len(texts)
+    lines = {}
     for mask, _, link in _minimal_jammed(n, profile, math.inf):
         key = 0
-        node = link
-        while node is not None:
-            row, node = node
-            key = key * base + row[0]
-        links[(key << n) | mask] = link
-    found = sorted(links)
-    low = (1 << n) - 1
-    # Each key is replaced by its line, and its link freed, in turn.
-    for i, key in enumerate(found):
         pieces = []
-        node = links.pop(key)
-        while node is not None:
-            row, node = node
-            pieces.append(row[6])
+        while link is not None:
+            pick, w, link = link
+            key = key * base + pick
+            pieces.append(f"{w}^{texts[pick]}")
         pieces.reverse()
-        found[i] = _line(pieces, _iota_text(key & low), "minimal-jammed")
-    return found
-
-
-def _top_pivot(row: list) -> bool:
-    """Pivot flag of a step row's slice above as the largest member of a
-    chain: the strip after it starts one past its smallest right end, which
-    must lie left of the last column of the space below it."""
-    return min(row[7]) + 1 < row[5][1]
+        lines[(key << n) | mask] = _line(pieces, _iota_text(mask), "minimal-jammed")
+    return [lines[key] for key in sorted(lines)]
 
 
 def _minimal_jammed(n: int, profile: Profile, order):
     """Yield (tight mask, weight, link) for each minimal jammed lineup with
     n pivots and weight <= order (``math.inf``: every one), in no set
-    order.  A link is (step-table row, link below it), from the largest
-    slice down, ending in None.
+    order.  A link is (shape index, weight, link below) for each slice,
+    from the largest down, ending in None.
 
     The chain is walked bottom-up, from gap n onto the empty slice to the
     largest slice; each step picks a shape and a tight or loose gap.  A
@@ -148,62 +133,57 @@ def _minimal_jammed(n: int, profile: Profile, order):
         return
     r = profile.rank
     fam = family(r, profile.level)
-    shapes = [(pick, sh, str(sh)) for pick, sh in enumerate(fam.pivot_shapes)]
-    # Lower slice lengths -> every admissible step above it, as [shape
-    # index, shape, tight, slice above, its weight, (leftmost, rightmost)
-    # column of the space between them, its ``weight^shape`` text, right
-    # ends of the slice above, pivot flag of the slice above as the largest
-    # member].  The flag is None until the row is first placed on top.
-    steps_above: dict[tuple[int, ...], list[list]] = {}
-
-    def steps(lower: Slice, lower_shape: Shape) -> list[list]:
-        out = []
-        lower_ends = lower.right_ends()
-        for pick, sh, text in shapes:
-            step = lower.weight + fam.dist(lower_shape, sh)
-            for tight, weight in ((True, step), (False, step + r)):
-                if weight > order:
-                    break
-                s = slice_with(profile, sh, weight)
-                if s is None or s == lower or not s.contains(lower):
-                    continue
-                ends = s.right_ends()
-                # Not None: s strictly contains lower.
-                out.append([pick, sh, tight, s, weight,
-                            _space_columns(ends, lower_ends), f"{weight}^{text}",
-                            ends, None])
-        return out
-
-    zero = zero_slice(profile)
-    # Each entry asks for slice j (0-based, largest first) above ``lower``,
-    # which is slice j + 1 or the empty slice, after slices of total weight
-    # ``spent``, which ``link`` holds; ``under_right`` is the rightmost
-    # column of the space under ``lower`` (None when ``lower`` is empty).
-    # ``lower`` is a pivot when the space above it starts left of that
-    # column: the first box tiled after it sits left of the last box tiled
-    # before it.
-    stack = [(n - 1, zero, shape_of_zero(profile), None, 0, 0, None)]
+    shapes = fam.pivot_shapes
+    offsets = profile.offsets()
+    zero_sum = sum(offsets[:-1])   # the zero shape's parts are offsets[:-1]
+    # Lower slice's right ends -> every step above it, as (shape index,
+    # shape, tight, weight, right ends of the slice above, leftmost and
+    # rightmost column of the space between them, pivot flag of the slice
+    # above as the largest member).
+    steps_above: dict[tuple[int, ...], list[tuple]] = {}
+    # Each entry asks for slice j (0-based, largest first) above the lower
+    # slice, of shape ``lower``, right ends ``lower_ends`` and weight
+    # ``lower_w``, after slices of total weight ``spent``, which ``link``
+    # holds; ``under_right`` is the rightmost column of the space under the
+    # lower slice (None for the empty slice).  The lower slice is a pivot
+    # when the space above it starts left of that column: the first box
+    # tiled after it sits left of the last box tiled before it.
+    stack = [(n - 1, shape_of_zero(profile), offsets, 0, None, 0, 0, None)]
     while stack:
-        j, lower, lower_shape, under_right, spent, mask, link = stack.pop()
-        table = steps_above.get(lower.lengths)
+        j, lower, lower_ends, lower_w, under_right, spent, mask, link = stack.pop()
+        table = steps_above.get(lower_ends)
         if table is None:
-            table = steps_above[lower.lengths] = steps(lower, lower_shape)
+            table = steps_above[lower_ends] = []
+            for pick, sh in enumerate(shapes):
+                step = lower_w + fam.dist(lower, sh)
+                # The tight gap delta, then the loose gap delta + rank; a
+                # slice of shape sh that much heavier contains the lower one.
+                for tight, w in ((True, step), (False, step + r)):
+                    if w > order:
+                        break
+                    if tight and sh == lower:
+                        continue   # the lower slice itself
+                    # The right ends x + d_1, ..., x + d_{r-1}, x of the
+                    # slice of shape d and weight w.
+                    x = (w - sum(sh.parts) + zero_sum) // r
+                    ends = (*[x + p for p in sh.parts], x)
+                    left, right = _space_columns(ends, lower_ends)
+                    # The strip after the largest slice starts one past its
+                    # smallest right end, x.
+                    table.append((pick, sh, tight, w, ends, left, right,
+                                  x + 1 < right))
         bit = 1 << j
-        for row in table:
-            _, sh, tight, s, w, (left, right), _, _, top_pivot = row
+        for pick, sh, tight, w, ends, left, right, top_pivot in table:
             if under_right is not None and left >= under_right:
                 continue
             weight = spent + w
             if weight + j * (w + 1) > order:
                 continue
             m = mask | bit if tight else mask
-            if j > 0:
-                stack.append((j - 1, s, sh, right, weight, m, (row, link)))
-            elif m:
-                if top_pivot is None:
-                    top_pivot = row[-1] = _top_pivot(row)
-                if top_pivot:
-                    yield m, weight, (row, link)
+            if j:
+                stack.append((j - 1, sh, ends, w, right, weight, m, (pick, w, link)))
+            elif m and top_pivot:
+                yield m, weight, (pick, w, link)
 
 
 def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
@@ -217,8 +197,7 @@ def pivot_chain_gf(n: int, profile: Profile, order: int) -> TruncatedSeries:
     and k.  A slice's pivot flag is final once the slice above it is
     placed, so a prefix is cut at its first non-pivot; it is also cut when
     the chain must pass the order, as each slice still to place above a
-    slice of weight w weighs more than w.  Slices are read as right ends,
-    from their shape and weight, and no ``Slice`` is built.
+    slice of weight w weighs more than w.
     """
     from .rings import ZZ
     from .series import TruncatedSeries
@@ -302,12 +281,16 @@ def lemma_check(n: int, profile: Profile, order: int) -> Check:
     On the left, the pruned walk over every chain of n pivots
     (:func:`pivot_chain_gf`); on the right, the lineup-side series of
     :func:`_lineup_series`, each truncated at q^order.  No lineup is
-    built.
+    built.  At n = 0 both sides are 1, from the empty chain alone, so the
+    check does not apply.
     """
-    from .series import compare
+    from .series import Check, compare
+    where = f"for {profile}, n={n}, q^{order}"
+    if n == 0:
+        return Check("pivot-chain-lemma", None, f"only the empty chain was "
+                                                f"compared {where}: both sides are 1")
     lhs = pivot_chain_gf(n, profile, order)
     rhs = _lineup_series(n, profile, order)
-    where = f"for {profile}, n={n}, q^{order}"
     return compare("pivot-chain-lemma", lhs.coeffs, rhs.coeffs,
                    f"pivot-chain count identity {where}: ok",
                    lambda k, x, y: f"pivot-chain count identity (first mismatch "
@@ -322,17 +305,22 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
                   sum_n (pivot_lineup + jammed correction) z^n / (q^r; q^r)_n
 
     compared coefficientwise for z-degree <= n_max, q-degree <= order, the
-    z^n term being :func:`_lineup_series`.
+    z^n term being :func:`_lineup_series`.  At n_max = 0 both sides are 1,
+    from the empty chain and the empty partition alone, so the check does
+    not apply.
     """
     from .rings import ZZ_z
-    from .series import (TruncatedSeries, compare, inv_zq_pochhammer, refinement,
-                         truncate_z, z_power_times)
+    from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
+                         refinement, truncate_z, z_power_times)
+    where = f"for {profile}, n={n_max}, q^{order}"
+    if n_max == 0:
+        return Check("pivot-genfunc", None, f"only the empty chain was "
+                                            f"compared {where}: both sides are 1")
     rhs_sum = TruncatedSeries.zero(ZZ_z, order)
     for n in range(n_max + 1):
         rhs_sum = rhs_sum + z_power_times(n, _lineup_series(n, profile, order))
     rhs = truncate_z(inv_zq_pochhammer(order) * rhs_sum, n_max)
     lhs = truncate_z(cylpart.oracle.count_bivariate(profile, order), n_max)
-    where = f"for {profile}, n={n_max}, q^{order}"
     return compare("pivot-genfunc", lhs.coeffs, rhs.coeffs,
                    f"pivot generating-function identity {where}: ok",
                    refinement(lambda k, m, x, y: f"pivot generating-function "

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CylindricPartition, CylpartError, InvalidInput, Partition,
@@ -99,25 +98,6 @@ def slice_shape(s: Slice) -> Shape:
     return _new_shape(tuple(v - e[-1] for v in e[:-1]))
 
 
-def _slice_lengths(profile: Profile, shape: tuple[int, ...], weight: int
-                   ) -> tuple[int, ...] | None:
-    """Row lengths of the unique slice with the given shape parts and
-    weight, or None when there is none; the formula of :func:`slice_with`,
-    on plain tuples."""
-    r = profile.rank
-    if len(shape) + 1 != r:
-        raise RankMismatch(f"shape rank {len(shape) + 1} vs profile rank {r}")
-    # The zero shape's parts are the row offsets o_1, ..., o_{r-1}.
-    zero = profile.offsets()[:-1]
-    base = _delta(zero, shape)
-    if weight < base or (weight - base) % r or shape and shape[0] > profile.level:
-        return None
-    # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
-    x = (weight - sum(shape) + sum(zero)) // r
-    return tuple([x + s - o for s, o in zip(shape, zero)]) + (x,)
-
-
-@lru_cache(maxsize=65536)
 def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     """The unique slice of the given shape and weight, or None.
 
@@ -126,8 +106,18 @@ def slice_with(profile: Profile, shape: Shape, weight: int) -> Slice | None:
     at least the distance delta from the zero shape, and congruent to it
     modulo the rank.
     """
-    lengths = _slice_lengths(profile, shape.parts, weight)
-    return None if lengths is None else _new_slice(profile, lengths)
+    r = profile.rank
+    parts = shape.parts
+    if len(parts) + 1 != r:
+        raise RankMismatch(f"shape rank {len(parts) + 1} vs profile rank {r}")
+    # The zero shape's parts are the row offsets o_1, ..., o_{r-1}.
+    zero = profile.offsets()[:-1]
+    base = _delta(zero, parts)
+    if weight < base or (weight - base) % r or parts and parts[0] > profile.level:
+        return None
+    # l_r = x, l_j = x + shape_j - o_j; weight = r*x + |shape| - |zero shape|
+    x = (weight - sum(parts) + sum(zero)) // r
+    return _new_slice(profile, tuple([x + s - o for s, o in zip(parts, zero)]) + (x,))
 
 
 class SliceChain(_Frozen):

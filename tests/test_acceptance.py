@@ -280,8 +280,9 @@ def test_criterion_09_pivot_identities():
             report = lemma_check(n, profile, 14)
             # With no potential pivot shape (b = rank: rank 1 or level 1)
             # no chain of n >= 1 pivots exists, both sides are 0 and the
-            # check does not apply.
-            expected = None if n and b == profile.rank else True
+            # check does not apply; at n = 0 both sides are 1, from the
+            # empty chain alone, and it does not apply either.
+            expected = True if n and b > profile.rank else None
             assert report.ok is expected, str(report)
             lhs = pivot_corrected_poly(profile, n)
             assert lhs == pivot_lineup_poly(profile, n) + \

@@ -260,6 +260,19 @@ class TestVerificationCommands:
         assert main(["lemma-check", "--profile", "2,1", "--n", "3",
                      "--order", "12"]) == 0
 
+    @pytest.mark.parametrize("command,name", [("lemma-check", "pivot-chain-lemma"),
+                                              ("qconj-check", "pivot-genfunc")])
+    def test_check_at_n_zero_is_a_usage_error(self, capsys, command, name):
+        """At n = 0 both sides are 1, from the empty chain alone: the check
+        does not pass, and says why on stderr."""
+        for fmt in ("text", "json"):
+            code = main([command, "--profile", "1,1,1", "--n", "0",
+                         "--order", "8", "--format", fmt])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err == (f"error: {name}: only the empty chain was compared for "
+                           f"c=(1,1,1), n=0, q^8: both sides are 1\n")
+
     def test_verify_all_reports_zero_checks_as_not_applicable(self, capsys):
         """A level-1 profile has no potential pivot shape, so the
         pivot-chain lemma compares only zeros at every order."""

@@ -1,9 +1,12 @@
+import ast
 import itertools
 import json
 import math
 import sys
+import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -201,31 +204,31 @@ class TestMinimalJammed:
             assert minimal_jammed_lines(n, prof) == \
                 [l.to_text() for l in expected], (prof, n)
 
-    def test_top_flag_once_per_lower_slice_and_row(self, monkeypatch):
-        # The n <= 2 calls verify-all makes, where each lower slice is
-        # visited about once; flagging every row of a step table when it
-        # was listed made 4,717 calls here.
+    def test_space_measured_once_per_lower_slice_and_step(self, monkeypatch):
+        # The n <= 2 calls verify-all makes.  Each call lists the steps out
+        # of a lower slice once, in its step table, with the space between
+        # the two slices and the pivot flag of the slice above: 4,717 rows
+        # here.
         seen = []
-        flag = lineups._top_pivot
+        measure = lineups._space_columns
 
-        def counting(row):
-            # Every step row stays in its call's table while the walk runs.
-            seen.append(id(row))
-            return flag(row)
+        def counting(outer, inner):
+            seen.append((outer, inner))
+            return measure(outer, inner)
 
-        monkeypatch.setattr(lineups, "_top_pivot", counting)
+        monkeypatch.setattr(lineups, "_space_columns", counting)
         total = 0
         for parts in [(2, 1), (3, 1), (1, 1, 1), (1, 1, 0), (2, 1, 1), (1, 1, 1, 1)]:
             prof = Profile.of(*parts)
             for n in (1, 2):
                 seen.clear()
                 found = minimal_jammed_lines(n, prof)
-                # A step row is listed once per (lower slice, step) pair.
+                # A pair of right ends is one (lower slice, step) pair.
                 assert len(set(seen)) == len(seen), (prof, n)
                 total += len(seen)
                 expected = brute_force_minimal_jammed(n, prof)
                 assert found == [l.to_text() for l in expected], (prof, n)
-        assert total == 3026
+        assert total == 4717
 
     def test_concurrent_calls_match_serial(self):
         # Each call keeps its step table to itself; the iota text cache is
@@ -261,6 +264,16 @@ class TestMinimalJammed:
             assert minimal_jammed_correction(n, prof) == total, (prof, n)
 
 
+def _names_read(code):
+    """The global and attribute names a code object reads, with those of
+    the functions defined in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names_read(const)
+    return names
+
+
 def listed(capsys, prof, n, fmt, kind="mjl"):
     code = main(["lineups", "--kind", kind, "--n", str(n), "--profile",
                  ",".join(map(str, prof.parts)), "--format", fmt])
@@ -286,17 +299,26 @@ class TestJammedLines:
         for prof, n in WALK_CASES + GF_CASES:
             assert_cli_lines(capsys, prof, n, "mjl", minimal_jammed_lines(n, prof))
 
-    def test_cli_builds_no_lineup(self, capsys, monkeypatch):
-        # The library has no lineup class, and the minimal loose lines
-        # come from the distances alone, without a slice.
+    def test_cli_builds_no_lineup(self, capsys):
+        # The library has no lineup class, the minimal loose lines come
+        # from the distances alone, and the minimal jammed walk reads
+        # slices as right ends: ``lineups`` imports nothing from
+        # ``slices`` or ``bijection``, in a function body either, nor
+        # reaches them through the package.
         assert not hasattr(lineups, "Lineup")
+        reached = set()
+        for node in ast.walk(ast.parse(Path(lineups.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                reached |= {*(node.module or "").split("."),
+                            *(alias.name for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                reached |= {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "cylpart":
+                reached.add(node.attr)
+        assert "oracle" in reached and not reached & {"slices", "bijection"}
         code, out = listed(capsys, P400, 3, "text")
         assert code == 0 and len(out.splitlines()) == 6946
-
-        def refuse(*args):
-            raise AssertionError("a slice was built")
-
-        monkeypatch.setattr(lineups, "slice_with", refuse)
         code, out = listed(capsys, P400, 3, "text", "mll")
         assert code == 0 and len(out.splitlines()) == 12 ** 3
 
@@ -364,6 +386,40 @@ class TestIdentities:
         assert not any(pivot_chain_gf(n, Profile(parts), 12).coeffs)
         assert report.ok is None and report.mismatch is None
         assert "the order is below the first term" in report.detail
+
+    def test_lemma_at_n_zero_does_not_apply(self):
+        """At n = 0 both sides are 1, from the empty chain alone, so the
+        check compared nothing that could fail."""
+        report = lemma_check(0, Profile.of(1, 1, 1), 8)
+        assert report.ok is None and report.mismatch is None
+        assert report.detail == ("only the empty chain was compared for "
+                                 "c=(1,1,1), n=0, q^8: both sides are 1")
+
+    def test_genfunc_at_n_zero_does_not_apply(self):
+        """At n_max = 0 the z^0 column holds only the empty partition on
+        the oracle's side and the empty chain on the lineups' side."""
+        report = qconj_genfunc_check(Profile.of(2, 1), 10, 0)
+        assert report.ok is None and report.mismatch is None
+        assert report.detail == ("only the empty chain was compared for "
+                                 "c=(2,1), n=0, q^10: both sides are 1")
+
+    def test_walks_keep_their_own_pivot_code(self):
+        # A pivot-rule fault in one walk shared by both sides of the lemma
+        # (``left >= under_right`` -> ``left > under_right``, or
+        # ``x + 1 < right`` -> ``x < right``) still passed
+        # ``pivot-chain-lemma`` for n = 1-3 to q^12 on all 9 profiles tried
+        # ((2,1), (3,1), (1,1,1), (1,1,0), (2,1,1), (1,1,1,1), (4,0,0), (2,2)
+        # and (0,2,0)); only ``pivot-genfunc`` caught it, on 6 of them.
+        # With two walks, the same fault in either walk alone fails the
+        # lemma on 6 of the 9.  So neither walk calls the other, and what
+        # they both call reads shapes and spaces but decides no pivot.
+        chain_names = _names_read(lineups.pivot_chain_gf.__code__)
+        jammed_names = _names_read(lineups._minimal_jammed.__code__)
+        assert "_minimal_jammed" not in chain_names
+        assert "pivot_chain_gf" not in jammed_names
+        shared = {name for name in chain_names & jammed_names
+                  if callable(getattr(lineups, name, None))}
+        assert shared == {"family", "shape_of_zero", "_space_columns"}
 
     def test_genfunc_identities(self):
         for profile in [Profile.of(1, 1, 1), Profile.of(2, 1), P110]:

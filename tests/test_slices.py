@@ -10,8 +10,7 @@ from cylpart import (Partition, Profile, Shape, ShrinkMode, SliceChain,
                      validate, zero_slice)
 from cylpart.core import InvalidInput, RankMismatch
 from cylpart.slices import (ChainNotDecreasing, ChainNotStrict,
-                            NotMultipleOfRank, PartTooLarge, Slice,
-                            _slice_lengths)
+                            NotMultipleOfRank, PartTooLarge, Slice)
 
 from conftest import all_profiles
 from references import min_slice_weight, successors
@@ -187,28 +186,14 @@ class TestShapesAndSuccessors:
                     assert slice_with(prof, shape, w) is None, (prof, shape, w)
                     checked += 1
         assert checked > 1000
+        assert slice_with(Profile.of(0, 0, 0, 1), Shape.of(2, 1, 1), 1) is None
 
-    def test_lengths_helper_agrees_with_slice_with(self):
-        """Reconstruction reads slice lengths from the plain-tuple helper
-        instead of the cached ``slice_with``; both give the same slice, or
-        None, for every shape (also past the level) and weight."""
-        found = 0
-        for prof in all_profiles(4, 3):
-            for shape in all_shapes(prof.rank, prof.level + 1):
-                for w in range(31):
-                    s = slice_with(prof, shape, w)
-                    assert _slice_lengths(prof, shape.parts, w) == \
-                        (None if s is None else s.lengths), (prof, shape, w)
-                    found += s is not None
-        assert found > 1000
+    def test_shape_of_another_rank_is_a_rank_mismatch(self):
         for prof, shape in [(P111, Shape.of(2)), (P111, Shape.of(2, 1, 0)),
                             (Profile.of(3), Shape.of(1))]:
-            with pytest.raises(RankMismatch) as via_cache:
+            with pytest.raises(RankMismatch, match=f"shape rank {len(shape.parts) + 1} "
+                                                   f"vs profile rank {prof.rank}"):
                 slice_with(prof, shape, 6)
-            with pytest.raises(RankMismatch) as via_helper:
-                _slice_lengths(prof, shape.parts, 6)
-            assert str(via_helper.value) == str(via_cache.value)
-        assert slice_with(Profile.of(0, 0, 0, 1), Shape.of(2, 1, 1), 1) is None
 
 
 class TestShrinkExpand:

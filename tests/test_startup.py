@@ -158,11 +158,15 @@ def test_graph_jobs_load_neither_slices_nor_series(command):
 
 @pytest.mark.parametrize("argv", [
     ["lineups", "--kind", "mjl", "--profile", "2,1", "--n", "2"],
-    ["qconj-check", *RUNS["qconj-check"]]])
+    ["qconj-check", *RUNS["qconj-check"]],
+    ["lemma-check", *RUNS["lemma-check"]],
+    ["lineups", *RUNS["lineups"]]])
 def test_jammed_walk_loads_no_bijection(argv):
-    """The minimal jammed walk decides its pivots from its own step rows;
-    only the brute-force chain count of lemma-check needs the bijection."""
-    assert "cylpart.bijection" not in loaded_modules(RUN_COMMAND.format(argv=argv))
+    """Both lineup walks read slices as right ends and decide their pivots
+    with their own code, so no lineup job loads the bijection or the
+    slices."""
+    assert not loaded_modules(RUN_COMMAND.format(argv=argv)) & \
+        {"cylpart.bijection", "cylpart.slices"}
 
 
 def _parse_outcome(parser, argv):
