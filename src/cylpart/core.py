@@ -552,12 +552,17 @@ def parse_profile(text: str) -> Profile:
 def parse_cylindric(text: str, profile: Profile | None = None) -> CylindricPartition:
     """Parse the canonical text form, e.g. ``c=(1,2,0) 10,5,4,1|12,8,5,3|7,6,4,2``.
 
-    The ``c=(...)`` prefix may be omitted when a profile is supplied.
+    The ``c=(...)`` prefix may be omitted when a profile is supplied; a
+    prefix naming another profile raises :class:`InvalidInput`.
     """
     text = text.strip()
     if text.startswith("c="):
         head, _, body = text.partition(" ")
-        profile = parse_profile(head)
+        own = parse_profile(head)
+        if profile is not None and own != profile:
+            raise InvalidInput(f"the text's profile {own} disagrees with the "
+                               f"given profile {profile}")
+        profile = own
     else:
         body = text
     if profile is None:

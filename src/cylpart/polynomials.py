@@ -10,11 +10,11 @@ with delta(c, d) the tight-packing distance from the zero shape of c to the
 shape d.  The largest-part-exactly-n variant replaces the diagonal term's
 q^{n*0} by q^{n*r}; the pivot-chain variant restricts d to shapes with
 first part >= 2 and adds n*r to every exponent.  All tables are memoized
-per (rank, level) family since the recurrences couple all shapes, and per
-truncation order: series callers build them only up to the q-power they
-compare, the ``*_poly`` functions at full degree.  Only the functions that
-build series import :mod:`cylpart.series` and :mod:`cylpart.rings`, so the
-polynomial tables load neither.
+per (rank, level) family since the recurrences couple all shapes, one table
+per recurrence at the highest truncation order asked: series callers ask
+only up to the q-power they compare, the ``*_poly`` functions for full
+degree.  Only the functions that build series import :mod:`cylpart.series`
+and :mod:`cylpart.rings`, so the polynomial tables load neither.
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ class PolynomialFamily:
     recurrence's shape list, so slots of (|S|^k).bit_length() bits hold
     every coefficient of layer k, truncated or not, without carries.
 
-    Tables are kept per recurrence and truncation order (``None`` for full
-    degree) and are extended under a per-family lock, so one family may be
-    shared across threads; a table is published only when complete and is
-    never changed afterwards.
+    Each recurrence keeps one table, truncated at the highest order asked
+    of it (``None``, full degree, covers every order); a lower order reads
+    it and truncates only the last step.  Tables are extended under a
+    per-family lock, so one family may be shared across threads; a table
+    is published only when complete and is never changed afterwards.
     """
 
     def __init__(self, rank: int, level: int):
@@ -81,59 +82,58 @@ class PolynomialFamily:
         # Exponent rows of the pivot recurrence, one per shape of the family.
         self._pivot_exps = [[row[self._index[d]] + rank for d in self.pivot_shapes]
                             for row in self._delta]
-        self._pivot_rows = [self._pivot_exps[self._index[c]] for c in self.pivot_shapes]
+        # Step rows: layer k adds entry j of layer k-1 times q^{k rows[i][j]}
+        # into entry i.
+        self._rows = {"delta": self._delta,
+                      "pivot": [self._pivot_exps[self._index[c]]
+                                for c in self.pivot_shapes]}
         self._lock = threading.Lock()
-        # order -> (slot bytes, layers); entry i of a layer is shape i's.
-        self._parts_at_most: dict[int | None, tuple[int, tuple[list[int], ...]]] = {}
-        self._pivot_lineup: dict[int | None, tuple[int, tuple[list[int], ...]]] = {}
+        # recurrence -> (order kept, slot bytes, layers); entry i is shape i's.
+        self._tables: dict[str, tuple[int | None, int, tuple[list[int], ...]]] = {}
 
     def dist(self, a: Shape, b: Shape) -> int:
         return self._delta[self._index[a]][self._index[b]]
 
-    def _layers(self, tables: dict, rows: list[list[int]], n: int, top: int,
-                order: int | None) -> tuple[int, tuple[list[int], ...]]:
-        """Slot bytes and layers 0..n (at least) of the recurrence whose step
-        to layer k adds entry j of layer k-1 times q^{k rows[i][j]} into
-        entry i, truncated at ``order``; the slots fit layer ``top``."""
-        need = _slot_bytes(len(rows), top)
+    def _numerator(self, recurrence: str, exps: list[int], n: int,
+                   order: int | None) -> QPoly:
+        """One step past layer n - 1 of ``recurrence`` with the exponent
+        row ``exps``, truncated at q^order (``None``: full degree)."""
+        if n < 0:
+            raise InvalidInput("n must be non-negative")
+        if n == 0:
+            return QPoly.one()
+        rows = self._rows[recurrence]
+        need = _slot_bytes(len(rows), n)
         with self._lock:
-            width, layers = tables.get(order, (0, ()))
-            if width >= need and len(layers) > n:
-                return width, layers
+            kept, width, layers = self._tables.get(recurrence, (order, 0, ()))
+            if kept is not None and (order is None or order > kept):
+                kept, layers = order, ()
             if width < need:
                 # Doubling the slots on a rebuild keeps requests for
-                # n = 0, 1, ..., N to O(log N) rebuilds.
-                width, layers = max(need, 2 * width), ([1] * len(rows),)
-            grown = list(layers)
-            while len(grown) <= n:
-                k = len(grown)
-                prev = grown[-1]
-                grown.append([_fold(prev, row, k, width, order) for row in rows])
-            layers = tuple(grown)
-            tables[order] = width, layers
-        return width, layers
+                # n = 1, 2, ..., N to O(log N) rebuilds.
+                width, layers = max(need, 2 * width), ()
+            if len(layers) < n:
+                grown = list(layers or ([1] * len(rows),))
+                while len(grown) < n:
+                    k = len(grown)
+                    grown.append([_fold(grown[-1], row, k, width, kept) for row in rows])
+                layers = tuple(grown)
+                self._tables[recurrence] = kept, width, layers
+        return _unpack(_fold(layers[n - 1], exps, n, width, order), width)
 
     def parts_at_most(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Numerator of the count of cylindric partitions with parts <= n,
         truncated at q^order (``None``: full degree)."""
-        if n < 0:
-            raise InvalidInput("n must be non-negative")
-        width, layers = self._layers(self._parts_at_most, self._delta, n, n, order)
-        return _unpack(layers[n][self._index[c]], width)
+        return self._numerator("delta", self._delta[self._index[c]], n, order)
 
     def largest_part_exact(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Numerator with largest part exactly n: the diagonal step pays a
         full extra column, q^{n*rank}, instead of q^0.  Truncated at q^order
         (``None``: full degree)."""
-        if n < 0:
-            raise InvalidInput("n must be non-negative")
-        if n == 0:
-            return QPoly.one()
         i = self._index[c]
-        width, layers = self._layers(self._parts_at_most, self._delta, n - 1, n, order)
         exps = list(self._delta[i])
         exps[i] = self.rank
-        return _unpack(_fold(layers[n - 1], exps, n, width, order), width)
+        return self._numerator("delta", exps, n, order)
 
     def pivot_lineup(self, n: int, c: Shape, order: int | None = None) -> QPoly:
         """Weight numerator of minimal loose pivot lineups below shape c,
@@ -143,14 +143,7 @@ class PolynomialFamily:
         any base shape c is one step from layer n - 1, with c's row of
         exponents.
         """
-        if n < 0:
-            raise InvalidInput("n must be non-negative")
-        if n == 0:
-            return QPoly.one()
-        width, layers = self._layers(self._pivot_lineup, self._pivot_rows,
-                                     n - 1, n, order)
-        return _unpack(_fold(layers[n - 1], self._pivot_exps[self._index[c]],
-                             n, width, order), width)
+        return self._numerator("pivot", self._pivot_exps[self._index[c]], n, order)
 
     def pivot_corrected(self, n: int, c: Shape) -> QPoly:
         """Alternating combination of largest-part numerators:

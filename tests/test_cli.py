@@ -541,7 +541,9 @@ class TestUsageErrors:
         (["count", "--profile", "2,1", "--order", "31"],
          "weight bound 31 exceeds the oracle's limit of 30"),
         (["stg", "--rank", "0", "--level", "2"], "rank and level must be positive"),
-        (["borodin", "--profile", "2,-1"], "profile parts must be non-negative: (2, -1)")])
+        (["borodin", "--profile", "2,-1"], "profile parts must be non-negative: (2, -1)"),
+        (["decompose", "--profile", "1,1", "c=(2,1) 5|3"],
+         "the text's profile c=(2,1) disagrees with the given profile c=(1,1)")])
     def test_invalid_input_exits_2(self, capsys, argv, err):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -553,6 +555,7 @@ class TestUsageErrors:
         lambda: Shape((1, 2)), lambda: Shape((-1,)), lambda: all_shapes(0, 2),
         lambda: core._int_fields("1,x"), lambda: core._int_fields("1,,2"),
         lambda: core._unwrap("((1))"), lambda: parse_cylindric("3|2"),
+        lambda: parse_cylindric("c=(2,1) 5|3", Profile((1, 1))),
         lambda: bijection.LabeledDistinctPartition(((0, Shape((1,))),)),
         lambda: bijection.LabeledDistinctPartition(((1, Shape((1,))),
                                                     (2, Shape((1,))))),
@@ -569,9 +572,10 @@ class TestUsageErrors:
         ids=["partition-zero", "partition-rising", "profile-empty",
              "profile-negative", "profile-level-0", "shape-rising", "shape-negative",
              "all-shapes-rank-0", "int-fields-word", "int-fields-empty",
-             "unwrap-doubled", "cylindric-no-profile", "beta-zero-weight",
-             "beta-rising", "beta-parse-word", "oracle-cap", "slice-length-count",
-             "slice-negative", "slice-row-too-long", "slice-wraparound",
+             "unwrap-doubled", "cylindric-no-profile", "cylindric-other-profile",
+             "beta-zero-weight", "beta-rising", "beta-parse-word", "oracle-cap",
+             "slice-length-count", "slice-negative", "slice-row-too-long",
+             "slice-wraparound",
              "poly-parts-at-most-n", "poly-largest-part-n", "poly-pivot-lineup-n",
              "poly-pivot-corrected-n"])
     def test_input_checks_raise_invalid_input(self, check):

@@ -8,6 +8,7 @@ import pytest
 from cylpart import (Profile, QPoly, Shape, borodin_product, count_bivariate,
                      delta, family, f_truncated, check_functional_equation,
                      shape_of_zero, shape_to_profile)
+from cylpart import polynomials
 from cylpart.cli import main
 from cylpart.polynomials import (PolynomialFamily, _unpack, largest_part_exact_series,
                                  parts_at_most_poly, parts_at_most_series,
@@ -178,9 +179,13 @@ def entries(fam, n, order=None):
             for c in fam.shapes}
 
 
-def slot_bytes(fam, order=None):
-    """Slot width of the family's parts_at_most table at ``order``."""
-    return fam._parts_at_most[order][0]
+def slot_bytes(fam):
+    """Slot width of the family's shape-distance table (P and Peq)."""
+    return fam._tables["delta"][1]
+
+
+def stored_layers(fam, recurrence):
+    return len(fam._tables[recurrence][2])
 
 
 class TestPackedTables:
@@ -207,26 +212,52 @@ class TestPackedTables:
         widths = []
         for n in [*range(13), 5, 20]:
             entries(grown, n, order)
-            widths.append(slot_bytes(grown, order))
+            if n:   # n = 0 reads no table
+                widths.append(slot_bytes(grown))
         once = PolynomialFamily(3, 3)
         entries(once, 20, order)
         for n in range(21):
             assert entries(grown, n, order) == entries(once, n, order), n
         # Each build widens the slots, at least doubling them after the
-        # first, so 15 requests up to n = 20 build O(log 20) tables.
+        # first, so 14 requests up to n = 20 build O(log 20) tables.
         builds = len(set(widths))
         assert widths == sorted(widths)
         assert builds <= 1 + math.ceil(math.log2(20)), widths
-        assert len(grown._parts_at_most[order][1]) == 21
+        # Layers 0..19: numerator n is one step past layer n - 1.
+        assert stored_layers(grown, "delta") == 20
 
     def test_request_builds_no_layer_past_n(self):
         fam = PolynomialFamily(3, 3)
         c = fam.shapes[0]
         fam.largest_part_exact(12, c)
-        assert len(fam._parts_at_most[None][1]) == 12
-        # Layer n of any base shape is one step from layer n - 1.
+        assert stored_layers(fam, "delta") == 12
+        # Every numerator at n, of any base shape, is one step from layer
+        # n - 1 of its recurrence.
+        fam.parts_at_most(12, c)
+        assert stored_layers(fam, "delta") == 12
         fam.pivot_lineup(6, fam.pivot_shapes[0])
-        assert len(fam._pivot_lineup[None][1]) == 6
+        fam.pivot_lineup(6, c)
+        assert stored_layers(fam, "pivot") == 6
+
+    def test_lower_orders_read_the_kept_table(self, monkeypatch):
+        fam = PolynomialFamily(3, 3)
+        for n in range(9):
+            entries(fam, n, 12)
+        folds = []
+        fold = polynomials._fold
+        monkeypatch.setattr(polynomials, "_fold",
+                            lambda *args: folds.append(args) or fold(*args))
+        got = {order: [entries(fam, n, order) for n in range(9)]
+               for order in (10, 3, 0)}
+        # One table per recurrence, still at order 12, and one fold per
+        # read: its own last step, with no layer built.
+        assert {name: kept for name, (kept, _, _) in fam._tables.items()} == \
+            {"delta": 12, "pivot": 12}
+        assert len(folds) == 3 * 8 * 3 * len(fam.shapes)
+        monkeypatch.undo()
+        for order, rows in got.items():
+            for n, row in enumerate(rows):
+                assert row == entries(PolynomialFamily(3, 3), n, order), (order, n)
 
     def test_empty_entries_unpack_to_zero(self):
         for width in (1, 2, 3, 9):
@@ -258,33 +289,47 @@ class TestPackedTables:
 
 class TestThreadedExtension:
     def test_concurrent_extension_matches_serial(self):
-        serial = PolynomialFamily(3, 3)
-        want = [{c: (serial.parts_at_most(n, c), serial.pivot_lineup(n, c))
-                 for c in serial.shapes} for n in range(9)]
+        # Four threads at full degree, then one truncation order per thread
+        # (None is full degree), so a thread may rebuild a table for a
+        # higher order while others read it.
+        plans = [(None,) * 4, (3, None, 0, 12), (0, 3, 12, 7)]
+
+        def read(fam, n, order):
+            return {c: (fam.parts_at_most(n, c, order), fam.pivot_lineup(n, c, order))
+                    for c in fam.shapes}
+
+        want = {order: [read(PolynomialFamily(3, 3), n, order) for n in range(9)]
+                for order in {o for plan in plans for o in plan}}
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # Without the lock a layer is duplicated in only some trials;
-            # 60 trials make a miss unlikely.
+            # Without the lock a table at a lower order may be published
+            # over one at a higher order in only some trials; 60 trials
+            # make a miss unlikely.
             for _ in range(60):
-                fam = PolynomialFamily(3, 3)
-                start = threading.Barrier(4)
+                for plan in plans:
+                    fam = PolynomialFamily(3, 3)
+                    start = threading.Barrier(4)
 
-                def extend():
-                    start.wait(timeout=30)
-                    for c in fam.shapes:
-                        fam.parts_at_most(8, c)
-                        fam.pivot_lineup(8, c)
+                    def extend(order):
+                        start.wait(timeout=30)
+                        for c in fam.shapes:
+                            fam.parts_at_most(8, c, order)
+                            fam.pivot_lineup(8, c, order)
 
-                threads = [threading.Thread(target=extend) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                got = [{c: (fam.parts_at_most(n, c), fam.pivot_lineup(n, c))
-                        for c in fam.shapes} for n in range(9)]
-                assert got == want
+                    threads = [threading.Thread(target=extend, args=(order,))
+                               for order in plan]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads)
+                    # The tables end at the highest order asked.
+                    top = None if None in plan else max(plan)
+                    assert [kept for kept, _, _ in fam._tables.values()] == [top, top]
+                    for order in set(plan):
+                        got = [read(fam, n, order) for n in range(9)]
+                        assert got == want[order], (plan, order)
         finally:
             sys.setswitchinterval(old_interval)
 
