@@ -78,8 +78,8 @@ def _emit_each(args, payload: dict, text_lines: list[str]):
 def _emit_check(args, payload: dict, check) -> int:
     """Emit a check subcommand's record, after the subcommand's own keys;
     the exit code is 0 when the check held and 1 when it failed.  A check
-    that compared only zeros showed nothing: it is a usage error (exit 2),
-    reported on stderr, since the order is below the first term."""
+    with nothing past its constant term showed nothing: it is a usage
+    error (exit 2), reported on stderr."""
     if check.ok is None:
         print(f"error: {check.name}: {check.detail}", file=sys.stderr)
         return 2
@@ -303,8 +303,8 @@ def cmd_verify_all(args) -> int:
     else:
         checks = [task() for task in tasks]
     checks.sort(key=lambda c: c.name)
-    # A check that compared only zeros is not applicable: it neither passes
-    # nor fails.
+    # A check with nothing past its constant term is not applicable: it
+    # neither passes nor fails.
     all_ok = all(c.ok is not False for c in checks)
     _emit(args, {"command": "verify-all", "profile": list(profile.parts),
                  "order": args.order, "ok": all_ok,

@@ -567,8 +567,6 @@ def parse_cylindric(text: str, profile: Profile | None = None) -> CylindricParti
         body = text
     if profile is None:
         raise InvalidInput("no profile given and none present in the text form")
-    row_texts = body.split("|") if body else []
-    if body == "":
-        row_texts = [""] * profile.rank
+    row_texts = body.split("|") if body else [""] * profile.rank
     rows = tuple(Partition(_int_fields(rt)) for rt in row_texts)
     return validate(rows, profile)

@@ -259,12 +259,14 @@ def distinct_gf(profile: Profile, order: int) -> TruncatedSeries:
 def check_closed_form(profile: Profile, order: int) -> Check:
     """The ``closed-form`` check: a_n rebuilt from its minimal polynomial
     p, read off a_0..a_{2D-1} for the D shapes, and a_0..a_{deg p - 1}
-    alone gives the :func:`distinct_gf` series, whose path counts come from
-    the same walk of the shape graph."""
-    from .series import compare, euler_sum, euler_top
+    alone equals the path counts through a_N, N = max(2D, the last a_n
+    that :func:`distinct_gf` to q^order reads).  So at least a_{2D} is
+    checked past the values p was fitted to, and the series agree to
+    q^order.  Its ``mismatch`` is the index n of the first bad a_n."""
+    from .series import compare, euler_top
     shapes = len(all_shapes(profile.rank, profile.level))
-    top = euler_top(order)
-    totals = path_counts(profile, max(2 * shapes - 1, top)).totals
+    top = max(2 * shapes, euler_top(order))
+    totals = path_counts(profile, top).totals
     p = minimal_polynomial(totals[:2 * shapes])
     start = totals[:p.degree]
     seq = list(start)
@@ -274,8 +276,7 @@ def check_closed_form(profile: Profile, order: int) -> Check:
     tail = (f"; a_n has minimal polynomial {p.to_str('x')} and {names} = "
             f"{', '.join(map(str, start))} (found from a_0..a_{2 * shapes - 1}; "
             f"{shapes} shape{'s' * (shapes != 1)})")
-    head = f"closed form for {profile} to q^{order}: "
-    return compare("closed-form", euler_sum(seq, order).coeffs,
-                   euler_sum(totals, order).coeffs, f"{head}ok{tail}",
-                   lambda k, x, y: f"{head}MISMATCH at q^{k}: closed form {x} "
+    head = f"closed form for {profile} to q^{order}, through a_{top}: "
+    return compare("closed-form", seq, totals, f"{head}ok{tail}",
+                   lambda k, x, y: f"{head}MISMATCH at a_{k}: closed form {x} "
                                    f"vs path counts {y}{tail}")

@@ -281,14 +281,12 @@ def lemma_check(n: int, profile: Profile, order: int) -> Check:
     On the left, the pruned walk over every chain of n pivots
     (:func:`pivot_chain_gf`); on the right, the lineup-side series of
     :func:`_lineup_series`, each truncated at q^order.  No lineup is
-    built.  At n = 0 both sides are 1, from the empty chain alone, so the
-    check does not apply.
+    built.  At n = 0 both sides are 1, from the empty chain alone, so
+    :func:`~cylpart.series.compare` finds nothing past q^0 and the check
+    does not apply.
     """
-    from .series import Check, compare
+    from .series import compare
     where = f"for {profile}, n={n}, q^{order}"
-    if n == 0:
-        return Check("pivot-chain-lemma", None, f"only the empty chain was "
-                                                f"compared {where}: both sides are 1")
     lhs = pivot_chain_gf(n, profile, order)
     rhs = _lineup_series(n, profile, order)
     return compare("pivot-chain-lemma", lhs.coeffs, rhs.coeffs,
@@ -305,17 +303,15 @@ def qconj_genfunc_check(profile: Profile, order: int, n_max: int) -> Check:
                   sum_n (pivot_lineup + jammed correction) z^n / (q^r; q^r)_n
 
     compared coefficientwise for z-degree <= n_max, q-degree <= order, the
-    z^n term being :func:`_lineup_series`.  At n_max = 0 both sides are 1,
-    from the empty chain and the empty partition alone, so the check does
-    not apply.
+    z^n term being :func:`_lineup_series`.  At n_max = 0 or order 0 both
+    sides are 1, from the empty chain and the empty partition alone, so
+    :func:`~cylpart.series.compare` finds nothing past q^0 and the check
+    does not apply.
     """
     from .rings import ZZ_z
-    from .series import (Check, TruncatedSeries, compare, inv_zq_pochhammer,
-                         refinement, truncate_z, z_power_times)
+    from .series import (TruncatedSeries, compare, inv_zq_pochhammer, refinement,
+                         truncate_z, z_power_times)
     where = f"for {profile}, n={n_max}, q^{order}"
-    if n_max == 0:
-        return Check("pivot-genfunc", None, f"only the empty chain was "
-                                            f"compared {where}: both sides are 1")
     rhs_sum = TruncatedSeries.zero(ZZ_z, order)
     for n in range(n_max + 1):
         rhs_sum = rhs_sum + z_power_times(n, _lineup_series(n, profile, order))

@@ -111,16 +111,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPoly":
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> "QPoly":
         """Multiply by the k-th power of the variable."""
         if not self.coeffs:

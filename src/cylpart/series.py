@@ -154,8 +154,9 @@ class Check(_Frozen):
     when the check held or does not compare coefficients).
 
     ``ok`` is True when the check held, False when it failed, and None when
-    it does not apply: both sides were 0 in every coefficient compared, so
-    the check showed nothing.
+    it does not apply: both sides were 0 in every coefficient past q^0, so
+    the check showed nothing.  :func:`compare` alone builds it with ``ok``
+    None.
     """
 
     __slots__ = _fields = ("name", "ok", "detail", "mismatch")
@@ -173,17 +174,21 @@ def compare(name: str, a, b, passed: str, failed) -> Check:
     ``passed`` reports it when they do, ``failed(index, a value, b value)``
     words the first entry where they differ.
 
-    Two sequences that agree with no nonzero coefficient on either side
-    compared nothing, so the check does not pass: it comes back with ``ok``
-    None, saying that the order is below the first term.
+    Every identity checked here counts the empty object alone at q^0, so
+    its constant term is 1 on both sides (0 for chains of n >= 1 pivots)
+    and cannot tell a true identity from a false one.  Two sequences that
+    agree with no nonzero coefficient past q^0 on either side therefore
+    compared nothing, so the check does not pass: it comes back with
+    ``ok`` None.  A mismatch at q^0 still fails.
     """
     bad = first_mismatch(a, b)
     if bad is not None:
         return Check(name, False, failed(*bad), bad[0])
-    if not any(a):   # equal, so b is all zero too
+    if not any(a[1:]):   # equal, so b is 0 past q^0 too
         top = max(len(a), len(b)) - 1
-        return Check(name, None, f"both sides are 0 up to q^{top}, so nothing "
-                                 f"was compared: the order is below the first term")
+        return Check(name, None, f"both sides agree to q^{top} and have no term "
+                                 f"past q^0, so nothing past the constant term "
+                                 f"was compared")
     return Check(name, True, passed)
 
 

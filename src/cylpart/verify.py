@@ -96,7 +96,7 @@ def verify_all_tasks(profile: Profile, order: int, seed: int) -> list[Callable[[
 
     def bounded_polys():
         # Passes when no table failed and some table compared a nonzero
-        # coefficient; n/a when every table compared only zeros.  The counts
+        # coefficient past q^0; n/a when no table did.  The counts
         # with largest part n are the z^n column of the two-variable count,
         # and those with every part <= n the sum of its columns up to z^n.
         counted = oracle.count_bivariate(profile, order).coeffs

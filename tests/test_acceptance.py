@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from cylpart import (LabeledDistinctPartition, Partition, Profile, QPoly,
                      Shape, ShrinkMode, adjacency_matrix,
-                     borodin_product, build_graph, char_poly,
+                     borodin_product, build_graph, char_poly, check_closed_form,
                      count_distinct_series, count_series, decompose,
                      delta, diagonal_blocks, distinct_gf,
                      enumerate_by_weight, family, f_truncated,
@@ -143,6 +143,10 @@ def test_criterion_04_distinct_parts():
         profile = Profile(parts)
         assert distinct_gf(profile, 12).coeffs == \
             count_distinct_series(profile, 12).coeffs, profile
+
+    for parts in [(2, 1), (1, 1, 1), (4, 0), (2, 0, 0)]:
+        report = check_closed_form(Profile(parts), 25)
+        assert report.ok and report.mismatch is None, report.detail
 
     assert path_counts(Profile.of(1, 1, 1), 7).totals == \
         (1, 3, 6, 12, 24, 48, 96, 192)

@@ -231,9 +231,9 @@ class TestVerificationCommands:
         # polynomial is x^2 - 3.
         code, out = run_cli(capsys, "verify-closed-form", "--profile", "3,1")
         assert code == 0
-        assert out == ("closed form for c=(3,1) to q^25: ok; a_n has minimal "
-                       "polynomial -3 + x^2 and a_0..a_1 = 1, 2 (found from "
-                       "a_0..a_9; 5 shapes)\n")
+        assert out == ("closed form for c=(3,1) to q^25, through a_10: ok; a_n has "
+                       "minimal polynomial -3 + x^2 and a_0..a_1 = 1, 2 (found "
+                       "from a_0..a_9; 5 shapes)\n")
 
     def test_functional_eq(self, capsys):
         code, out = run_cli(capsys, "functional-eq", "--profile", "2,1",
@@ -248,30 +248,40 @@ class TestVerificationCommands:
                      "--n", "2", "--order", "8"]) == 0
 
     def test_check_on_zeros_is_a_usage_error(self, capsys):
-        """No chain of 3 pivots fits under q^3, so both sides are 0: the
-        check does not pass, and says why on stderr."""
-        for fmt in ("text", "json"):
-            code = main(["lemma-check", "--profile", "2,1", "--n", "3",
-                         "--order", "3", "--format", fmt])
-            out, err = capsys.readouterr()
-            assert code == 2 and out == ""
-            assert err == ("error: pivot-chain-lemma: both sides are 0 up to q^3, so "
-                           "nothing was compared: the order is below the first term\n")
+        """A check with no nonzero term past q^0 on either side does not
+        pass, and says why on stderr: no chain of 3 pivots fits under q^3,
+        so both sides are 0; at order 0 both sides are 1, from the empty
+        partition alone."""
+        for argv, name, top in [
+                (["lemma-check", "--profile", "2,1", "--n", "3", "--order", "3"],
+                 "pivot-chain-lemma", 3),
+                (["functional-eq", "--profile", "2,1", "--order", "0"],
+                 "functional-equation", 0),
+                (["qconj-check", "--profile", "1,1,1", "--n", "2", "--order", "0"],
+                 "pivot-genfunc", 0)]:
+            for fmt in ("text", "json"):
+                code = main([*argv, "--format", fmt])
+                out, err = capsys.readouterr()
+                assert code == 2 and out == ""
+                assert err == (f"error: {name}: both sides agree to q^{top} and have "
+                               f"no term past q^0, so nothing past the constant term "
+                               f"was compared\n")
         assert main(["lemma-check", "--profile", "2,1", "--n", "3",
                      "--order", "12"]) == 0
 
     @pytest.mark.parametrize("command,name", [("lemma-check", "pivot-chain-lemma"),
                                               ("qconj-check", "pivot-genfunc")])
     def test_check_at_n_zero_is_a_usage_error(self, capsys, command, name):
-        """At n = 0 both sides are 1, from the empty chain alone: the check
-        does not pass, and says why on stderr."""
+        """At n = 0 both sides are 1, from the empty chain alone, at every
+        order: the check does not pass, and says why on stderr."""
         for fmt in ("text", "json"):
             code = main([command, "--profile", "1,1,1", "--n", "0",
                          "--order", "8", "--format", fmt])
             out, err = capsys.readouterr()
             assert code == 2 and out == ""
-            assert err == (f"error: {name}: only the empty chain was compared for "
-                           f"c=(1,1,1), n=0, q^8: both sides are 1\n")
+            assert err == (f"error: {name}: both sides agree to q^8 and have no "
+                           f"term past q^0, so nothing past the constant term was "
+                           f"compared\n")
 
     def test_verify_all_reports_zero_checks_as_not_applicable(self, capsys):
         """A level-1 profile has no potential pivot shape, so the
@@ -280,8 +290,8 @@ class TestVerificationCommands:
         code, out = run_cli(capsys, *argv)
         lines = out.splitlines()
         assert code == 0 and len(lines) == 10
-        assert "[n/a] pivot-chain-lemma: both sides are 0 up to q^6, so nothing " \
-            "was compared: the order is below the first term" in lines
+        assert ("[n/a] pivot-chain-lemma: both sides agree to q^6 and have no term "
+                "past q^0, so nothing past the constant term was compared") in lines
         assert sum(line.startswith("[pass] ") for line in lines) == 9
         code, payload = run_json(capsys, *argv)
         assert code == 0 and payload["ok"] is True
@@ -702,11 +712,12 @@ class TestMismatchDetails:
          "pivot-chain count identity (first mismatch at q^5: 2 vs 1) "
          "for c=(1,1,0), n=2, q^10: MISMATCH"),
         # The minimal polynomial is read from a_0..a_5, so a bad a_6 shows
-        # only where the closed form meets the path counts past them.
+        # where the closed form meets the path counts past them; its index
+        # is that of a_n, not a power of q.
         (["verify-closed-form", "--profile", "1,1", "--order", "28"],
          diagram, "path_counts", lambda f: _bump_totals(f, 6),
-         "closed form for c=(1,1) to q^28: MISMATCH at q^21: "
-         "closed form 326 vs path counts 327; a_n has minimal polynomial "
+         "closed form for c=(1,1) to q^28, through a_7: MISMATCH at a_6: "
+         "closed form 8 vs path counts 9; a_n has minimal polynomial "
          "-2 + x^2 and a_0..a_1 = 1, 2 (found from a_0..a_5; 3 shapes)"),
     ])
     def test_check_subcommand_names_first_bad_coefficient(

@@ -498,12 +498,39 @@ class TestCheckClosedForm:
         for profile in all_profiles(4, 4):
             assert check_closed_form(profile, 40).ok, profile
 
+    @pytest.mark.parametrize("parts, order", [((2, 0, 0), 60), ((1, 1, 1), 60),
+                                              ((2, 1), 25)])
+    @pytest.mark.parametrize("at", ["D", "2D"])
+    def test_fault_in_or_past_the_fitted_values_fails(self, monkeypatch, parts, order, at):
+        """+1 on a_D, inside the a_0..a_{2D-1} that fix the minimal
+        polynomial, or on a_{2D}, just past them, fails the check, which
+        names a_{2D} as the first bad a_n with both values.  Distinct-parts
+        series to q^order read no a_n past a_{2D-1} at these orders, so a
+        comparison of those series passed all six."""
+        profile = Profile(parts)
+        shapes = len(all_shapes(profile.rank, profile.level))
+        bad = {"D": shapes, "2D": 2 * shapes}[at]
+        real = diagram.path_counts
+        good = real(profile, 2 * shapes).totals
+
+        def bumped(profile, order):
+            table = real(profile, order)
+            totals = list(table.totals)
+            totals[bad] += 1
+            return diagram.PathCountTable(profile, order, tuple(totals), table.by_shape)
+        monkeypatch.setattr(diagram, "path_counts", bumped)
+        report = check_closed_form(profile, order)
+        assert report.ok is False and report.mismatch == 2 * shapes
+        seen = good[-1] + (bad == 2 * shapes)
+        assert f": MISMATCH at a_{2 * shapes}: closed form " in report.detail
+        assert f" vs path counts {seen}; " in report.detail
+
     @pytest.mark.parametrize("parts, order", [((3, 2, 1, 0), 40), ((1, 1), 0),
                                               ((2, 1), 3), ((1, 1, 1), 400)])
     def test_walks_the_shape_graph_once(self, monkeypatch, parts, order):
         """One walk gives both a_0..a_{2D-1}, which fix the minimal
-        polynomial, and the path counts of the reference series, to
-        whichever of the two reaches further."""
+        polynomial, and the path counts the closed form is compared with
+        past them."""
         built = []
         build = diagram.build_graph
         monkeypatch.setattr(diagram, "build_graph",

@@ -385,23 +385,28 @@ class TestIdentities:
         report = lemma_check(n, Profile(parts), 12)
         assert not any(pivot_chain_gf(n, Profile(parts), 12).coeffs)
         assert report.ok is None and report.mismatch is None
-        assert "the order is below the first term" in report.detail
+        assert report.detail == ("both sides agree to q^12 and have no term past "
+                                 "q^0, so nothing past the constant term was compared")
 
     def test_lemma_at_n_zero_does_not_apply(self):
         """At n = 0 both sides are 1, from the empty chain alone, so the
-        check compared nothing that could fail."""
+        check compared nothing that could fail, at any order."""
+        assert pivot_chain_gf(0, Profile.of(1, 1, 1), 8).coeffs == (1,) + (0,) * 8
         report = lemma_check(0, Profile.of(1, 1, 1), 8)
         assert report.ok is None and report.mismatch is None
-        assert report.detail == ("only the empty chain was compared for "
-                                 "c=(1,1,1), n=0, q^8: both sides are 1")
+        assert report.detail == ("both sides agree to q^8 and have no term past "
+                                 "q^0, so nothing past the constant term was compared")
 
     def test_genfunc_at_n_zero_does_not_apply(self):
         """At n_max = 0 the z^0 column holds only the empty partition on
-        the oracle's side and the empty chain on the lineups' side."""
-        report = qconj_genfunc_check(Profile.of(2, 1), 10, 0)
-        assert report.ok is None and report.mismatch is None
-        assert report.detail == ("only the empty chain was compared for "
-                                 "c=(2,1), n=0, q^10: both sides are 1")
+        the oracle's side and the empty chain on the lineups' side; at
+        order 0 every column holds only them."""
+        for order, n_max in ((10, 0), (0, 3)):
+            report = qconj_genfunc_check(Profile.of(2, 1), order, n_max)
+            assert report.ok is None and report.mismatch is None
+            assert report.detail == (f"both sides agree to q^{order} and have no term "
+                                     f"past q^0, so nothing past the constant term "
+                                     f"was compared")
 
     def test_walks_keep_their_own_pivot_code(self):
         # A pivot-rule fault in one walk shared by both sides of the lemma

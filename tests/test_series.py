@@ -110,21 +110,32 @@ class TestCompare:
         assert (check.ok, check.detail, check.mismatch) == (False, "q^2: 2 vs 5", 2)
 
     def test_zeros_against_zeros_do_not_pass(self):
-        """Nothing nonzero was compared, so the check does not apply."""
-        for a, b in [((0, 0, 0, 0), (0, 0, 0, 0)), ((0,), (0, 0, 0, 0)), ((), ())]:
+        """Nothing nonzero past q^0 was compared, so the check does not
+        apply, whether the constant term is 0 or 1 on both sides."""
+        for a, b in [((0, 0, 0, 0), (0, 0, 0, 0)), ((0,), (0, 0, 0, 0)),
+                     ((1, 0, 0, 0), (1,)), ((1,), (1, 0, 0, 0)), ((1,), (1,)), ((), ())]:
             check = compare("c", a, b, "held", self.word)
             assert check.ok is None and check.mismatch is None
-            assert check.detail.startswith("both sides are 0 up to q^")
-            assert check.detail.endswith("the order is below the first term")
-        assert "q^3" in compare("c", (0,), (0, 0, 0, 0), "held", self.word).detail
+            assert check.detail.startswith("both sides agree to q^")
+            assert check.detail.endswith(" and have no term past q^0, so nothing "
+                                         "past the constant term was compared")
+        assert compare("c", (1,), (1, 0, 0, 0), "held", self.word).detail.startswith(
+            "both sides agree to q^3 ")
+        assert compare("c", (1,), (1,), "held", self.word).detail.startswith(
+            "both sides agree to q^0 ")
+
+    def test_constant_term_mismatch_still_fails(self):
+        check = compare("c", (1, 0, 0), (2, 0, 0), "held", self.word)
+        assert (check.ok, check.detail, check.mismatch) == (False, "q^0: 1 vs 2", 0)
 
     def test_zero_coefficients_over_other_rings(self):
-        zero_poly, poly = ZZ_z.zero, ZZ_z.coerce(2)
-        assert compare("c", (zero_poly,), (zero_poly,), "held", self.word).ok is None
-        assert compare("c", (zero_poly, poly), (zero_poly, poly), "held",
-                       self.word).ok is True
-        assert compare("c", (K5.zero,), (K5.zero,), "held", self.word).ok is None
-        assert compare("c", (K5.sqrt(),), (K5.sqrt(),), "held", self.word).ok is True
+        """Over Z[z] and Q(sqrt 5), as over Z, a nonzero term past q^0 is
+        needed for a pass; a constant term alone does not apply."""
+        for zero, x in ((ZZ_z.zero, ZZ_z.coerce(2)), (K5.zero, K5.sqrt())):
+            assert compare("c", (zero,), (zero,), "held", self.word).ok is None
+            assert compare("c", (x, zero), (x, zero), "held", self.word).ok is None
+            assert compare("c", (zero, x), (zero, x), "held", self.word).ok is True
+            assert compare("c", (x, x), (x, x), "held", self.word).ok is True
 
 
 class TestProducts:

@@ -783,6 +783,30 @@ class TestModuleBoundaries:
                      (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
             assert not lines, f"{path.name}: first_mismatch called at lines {lines}"
 
+    def test_only_compare_decides_a_check_does_not_apply(self):
+        """``series.compare`` alone decides that a check compared nothing:
+        every ``Check`` built elsewhere says in its source that it held
+        (True) or failed (False), never None."""
+        def undecided(source):
+            lines = []
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Call) and "Check" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    oks = [kw.value for kw in node.keywords if kw.arg == "ok"]
+                    ok = oks[0] if oks else node.args[1]
+                    if not (isinstance(ok, ast.Constant) and isinstance(ok.value, bool)):
+                        lines.append(node.lineno)
+            return lines
+
+        assert undecided("Check('c', None, 'd')") == [1]
+        assert undecided("x = 1\nseries.Check('c', ok=None, detail='d')") == [2]
+        assert undecided("Check('c', held, 'd')\nCheck('c', 1, 'd')") == [1, 2]
+        assert undecided("Check('c', False, 'd', 0)\nCheck('c', True, 'd')") == []
+        for path in sorted(SRC.glob("*.py")):
+            if path.stem != "series":
+                lines = undecided(path.read_text())
+                assert not lines, f"{path.name}: Check without a verdict at lines {lines}"
+
     def test_no_dataclasses_in_library(self):
         """The value classes build on ``core._Frozen``, so no job pays for
         importing ``dataclasses`` and the modules it pulls in."""
